@@ -72,18 +72,6 @@ def maximize_unimodal(f, lo, hi, iters: int = 48):
     return best_x, best_f
 
 
-def bisect_increasing(pred, lo: float, hi: float, iters: int = 100) -> float:
-    """Largest x in [lo, hi] with pred(x) True, for a predicate that is True
-    on an initial segment.  pred(lo) must be True."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8,
                      abs_floor: float = 1e-12, max_depth: int = 48) -> float:
     """Adaptive Simpson quadrature with relative tolerance and absolute floor."""

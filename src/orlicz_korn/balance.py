@@ -24,7 +24,8 @@ import numpy as np
 
 from . import young
 from ._numerics import LN2, adaptive_simpson, log_sub_exp, log_trapezoid_prefix
-from .young import DomainError, GrowthVerdict, PowerYoung, YoungFunction
+from .young import (_DENSE_GRID, _MID_GRID, _MID_JOIN, _ND, _TAIL_GRID, DomainError,
+                    GrowthVerdict, PowerYoung, YoungFunction)
 
 __all__ = ["BalanceReport", "balance_integral", "check_balance",
            "classify_catalog_pairs", "EXAMPLE_PAIRS"]
@@ -33,21 +34,12 @@ _T0_GRID = (0.0, 1.0, 10.0, 100.0, 1000.0)
 _C_EXPONENTS = range(-10, 11)
 _PASS_SLACK = math.log(1.10)   # multiplicative slack absorbing quadrature error
 
-# test/integration grids; the mid grid step divides ln 2 so dyadic c values
-# are integer index shifts (see young._DENSE_GRID for the dense part)
-_MID_STEP = LN2 / 8.0
-_OVERLAP = 12                  # ln2-units of overlap for shift headroom
-_MID_GRID = np.arange(young._DENSE_HI - _OVERLAP * LN2,
-                      young._TAU_MAX + _OVERLAP * LN2, _MID_STEP)
-_MID_JOIN = _OVERLAP * 8       # index of the mid point sitting at _DENSE_HI
-_ND = int(np.searchsorted(young._DENSE_GRID, young._DENSE_HI + 1e-12, "right"))
+# the sweep reads the dense, mid and tail grids of young's grid hierarchy;
+# their steps divide ln 2, so dyadic c values are integer index shifts
+_N_MID_USE = int(np.searchsorted(_MID_GRID, young._TAU_MAX + 1e-9, "right"))
+_SWEEP_TAU = np.concatenate((_DENSE_GRID[:_ND], _MID_GRID[_MID_JOIN + 1:_N_MID_USE],
+                             _TAIL_GRID[1:]))
 _TEST_LO = young._DENSE_LO + 10.0 * LN2   # lowest test point (c-shift headroom)
-# sparse far tail: witnesses slow divergences (log-factor gaps) that only
-# overtake the dyadic constants at tau ~ 1e5..1e6; curvature of the log
-# curves out there is negligible, so shifted values interpolate safely
-_TAIL_MAX = 6.0e5
-_TAIL_STEP = 4.0 * LN2
-_TAIL_GRID = np.arange(young._TAU_MAX, _TAIL_MAX + _OVERLAP * LN2, _TAIL_STEP)
 
 
 @dataclass
@@ -110,34 +102,18 @@ def balance_integral(B: YoungFunction, t0: float, t: float) -> float:
 # log-domain sweep machinery
 # ---------------------------------------------------------------------------
 
-def _balance_curves(F: YoungFunction):
-    cache = getattr(F, "_balance_curve_cache", None)
-    if cache is None:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            cache = (F.log_value_logt(young._DENSE_GRID),
-                     F.log_value_logt(_MID_GRID),
-                     F.log_value_logt(_TAIL_GRID))
-        F._balance_curve_cache = cache
-    return cache
-
-
-def _conj(A: YoungFunction) -> YoungFunction:
-    memo = getattr(A, "_conj_memo", None)
-    if memo is None:
-        memo = A._conj_memo = young.conjugate(A)
-    return memo
+def _sweep_curves(F: YoungFunction):
+    return tuple(young._log_curve(F, grid) for grid in ("dense", "mid", "tail"))
 
 
 def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerdict:
     """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
     on the whole sweep grid above t0, else build a failure certificate."""
-    vBd, vBm, vBt = _balance_curves(B_side)
-    vAd, vAm, vAt = _balance_curves(A_side)
-    n_mid_use = int(np.searchsorted(_MID_GRID, young._TAU_MAX + 1e-9, "right"))
-    xs = np.concatenate((young._DENSE_GRID[:_ND],
-                         _MID_GRID[_MID_JOIN + 1:n_mid_use], _TAIL_GRID[1:]))
+    vBd, vBm, vBt = _sweep_curves(B_side)
+    vAd, vAm, vAt = _sweep_curves(A_side)
+    xs = _SWEEP_TAU
     with np.errstate(invalid="ignore"):
-        g = np.concatenate((vBd[:_ND], vBm[_MID_JOIN + 1:n_mid_use], vBt[1:])) - xs
+        g = np.concatenate((vBd[:_ND], vBm[_MID_JOIN + 1:_N_MID_USE], vBt[1:])) - xs
         prefix = log_trapezoid_prefix(np.where(np.isnan(g), np.inf, g), xs)
     # behavior of the integrand toward 0: slope of (ln B - sigma) at the bottom
     with np.errstate(invalid="ignore"):
@@ -150,7 +126,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         tail_ln = g[0] - math.log(bottom_slope)
 
     n_dense = _ND
-    n_mid = n_mid_use - _MID_JOIN - 1
+    n_mid = _N_MID_USE - _MID_JOIN - 1
     last_fail = None
     for t0 in _T0_GRID:
         if t0 == 0.0 and diverges_at_zero:
@@ -165,7 +141,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         else:
             log_int = np.logaddexp(prefix, tail_ln)
         lhs = xs + log_int
-        test = (xs >= max(tau0, _TEST_LO)) & (xs <= _TAIL_MAX + 1e-9)
+        test = (xs >= max(tau0, _TEST_LO)) & (xs <= young._TAIL_MAX + 1e-9)
         test[:i0 + 1] = False
         found = None
         for k in _C_EXPONENTS:
@@ -226,10 +202,7 @@ def _compare(lhs, vAd, vAm, vAt, k, test, n_dense, n_mid, stride=1,
         margins = np.where(sel, lhs - rhs, -np.inf)
     margin = float(np.nanmax(margins)) if sel.any() else -math.inf
     if want_witness:
-        xs_w = np.concatenate((young._DENSE_GRID[:n_dense],
-                               _MID_GRID[_MID_JOIN + 1:_MID_JOIN + 1 + n_mid],
-                               _TAIL_GRID[1:]))
-        worst = [float(np.exp(min(t, 690.0))) for t in xs_w[violate][-6:]]
+        worst = [float(np.exp(min(t, 690.0))) for t in _SWEEP_TAU[violate][-6:]]
         return ok, margin, worst
     return ok, margin
 
@@ -240,7 +213,7 @@ def _divergence_trend(lhs, vAm, k, n_dense, n_mid):
     out = []
     for frac in (0.05, 0.25, 0.5, 1.0):
         jm = min(_MID_JOIN + n_mid,
-                 _MID_JOIN + 1 + int((frac * young._TAU_MAX - young._DENSE_HI) / _MID_STEP))
+                 _MID_JOIN + 1 + int((frac * young._TAU_MAX - young._DENSE_HI) / young._MID_STEP))
         j = min(n_dense + n_mid - 1, n_dense + (jm - _MID_JOIN - 1))
         rhs = vAm[min(jm + sm, len(vAm) - 1)]
         with np.errstate(invalid="ignore"):
@@ -255,7 +228,7 @@ def check_balance(A: YoungFunction, B: YoungFunction) -> BalanceReport:
     ``young.conjugate``, never on hand-entered ones.
     """
     primal = _condition_sweep(A, B)
-    dual = _condition_sweep(_conj(B), _conj(A))
+    dual = _condition_sweep(young.conjugate(B), young.conjugate(A))
     both = primal.holds and dual.holds
     witness_c = max(primal.witness_constant, dual.witness_constant) if both else math.inf
     t0 = max(primal.threshold_t0, dual.threshold_t0) if both else math.inf

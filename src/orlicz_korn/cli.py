@@ -62,7 +62,6 @@ def _write_csv(outdir: str, name: str, header, rows) -> str:
 
 def _emit(args, command: str, params: dict, tables: dict) -> None:
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     for name, (header, rows) in tables.items():
         p = _write_csv(outdir, name, header, rows)
         print(f"wrote {p}")
@@ -79,17 +78,6 @@ def _resolve(name: str, catalog: dict):
         for key in sorted(catalog):
             print(f"  {key}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ORLICZ_KORN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _verdict_row(v):
-    return [v.holds, v.witness_constant, v.threshold_t0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +136,11 @@ def _cmd_verify_korn(args, catalog) -> int:
     A = _resolve(args.A, catalog)
     B = _resolve(args.B, catalog)
     mode = {"zero_bc": "zero_bc", "full": "full_domain"}[args.mode]
-    dim = 2 if (args.suite == "laminate" or args.operator == "E" and args.dim == 2) else 3
-    grid = fields.Grid.box(args.grid, dim=max(dim, 2 if args.suite == "laminate" else 3))
-    rows = []
-    suite_fields = fields._suite_fields(args.suite, A, B, grid, args.trials, args.seed)
-    for i, u in enumerate(suite_fields):
-        try:
-            r = fields.korn_ratio(A, B, u, mode, args.operator)
-        except fields.KernelMembership:
-            r = float("nan")
-        rows.append([f"{args.suite}_{i}", r])
-        print(f"{args.suite}_{i}: ratio {r:.6g}")
+    grid = fields.Grid.box(args.grid, dim=args.dim)
+    rows = fields.korn_suite(A, B, args.suite, grid, mode, args.operator,
+                             args.trials, args.seed)
+    for label, r in rows:
+        print(f"{label}: ratio {r:.6g}")
     _emit(args, "verify-korn",
           {"A": args.A, "B": args.B, "grid": args.grid, "mode": args.mode,
            "operator": args.operator, "suite": args.suite, "trials": args.trials},
@@ -190,7 +172,6 @@ def _cmd_laminate_demo(args, catalog) -> int:
             fields.save_field(u, os.path.join(args.out, f"laminate_m{m}"))
         tables["realize.csv"] = (["m", "exact_moment", "realized_moment",
                                   "rel_gap"], real_rows)
-    os.makedirs(args.out, exist_ok=True)
     _emit(args, "laminate-demo",
           {"A": args.A, "B": args.B, "m_max": args.m_max, "r": args.r,
            "realize": args.realize, "depth": args.depth, "grid": args.grid},
@@ -269,7 +250,26 @@ def _cmd_negative_norm(args, catalog) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_config(argv) -> dict:
+    """Entries of the --config JSON file, or {} without one."""
+    pre = argparse.ArgumentParser(prog="orlicz-korn", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        print(f"orlicz-korn: error: cannot read --config: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    if not isinstance(config, dict):
+        print("orlicz-korn: error: --config must hold a JSON object", file=sys.stderr)
+        raise SystemExit(2)
+    return config
+
+
+def _build_parser(config: dict) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="orlicz-korn",
         description="Numerical toolkit for Korn-type inequalities in Orlicz spaces")
@@ -280,13 +280,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory")
         if seed:
             sp.add_argument("--seed", type=int, default=20240)
+        # config entries replace flag defaults; explicit flags still win
+        for action in sp._actions:
+            if action.dest in config:
+                action.default = config[action.dest]
+                action.required = False
 
     sp = sub.add_parser("check-balance", help="decide the balance conditions for a pair")
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--global", dest="global_scope", action="store_true",
-                    help="kept for interface compatibility; the sweep always "
-                         "scans t0 = 0 first")
     common(sp, seed=False)
     sp.set_defaults(seed=0, func=_cmd_check_balance)
 
@@ -355,30 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a config file replaces flag defaults; explicit flags still win
-    config = {}
-    if "--config" in argv:
-        i = argv.index("--config")
-        with open(argv[i + 1]) as fh:
-            config = json.load(fh)
-    parser = _build_parser()
-    if config:
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in known})
-            for a in sp._actions:
-                if a.dest in config:
-                    a.required = False
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(_read_config(argv)).parse_args(argv)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args, young.load_catalog())
     except SystemExit as exc:
         return int(exc.code or 0)
-    os.environ.setdefault("ORLICZ_KORN_THREADS", "1")
-    catalog = young.load_catalog()
-    try:
-        return args.func(args, catalog)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except (young.DomainError, fields.ConfigurationError, json.JSONDecodeError) as exc:
+        # a user's mistake: one line on stderr, usage-error exit code
+        print(f"orlicz-korn: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

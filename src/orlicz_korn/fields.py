@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rearrange
 from .rearrange import SampledFunction
-from .young import DomainError, YoungFunction
+from .young import DomainError, YoungFunction, conjugate
 
 __all__ = [
     "Grid", "GridField", "TensorField", "KernelBasis", "KernelMembership",
@@ -469,7 +469,7 @@ def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray,
     # pairing with u - mean(u) equals the continuum pairing (div phi has
     # zero integral) and kills the quadrature residue for constants
     u_cells = u_cells - u_cells.mean()
-    At = A.conjugate()
+    At = conjugate(A)
     vol = grid.cell_volume
     lengths = [grid.spacing[j] * grid.extents[j] for j in range(grid.dim)]
     best = 0.0

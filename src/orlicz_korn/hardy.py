@@ -62,7 +62,7 @@ class StepFunction:
         return SampledFunction(self.values, self.widths)
 
 
-def step_on_interval(L: float, values, n: float | None = None) -> StepFunction:
+def step_on_interval(L: float, values) -> StepFunction:
     values = np.asarray(values, dtype=float)
     edges = np.linspace(0.0, L, len(values) + 1)
     return StepFunction(edges, values)
@@ -125,10 +125,10 @@ class HardyReport:
     balance_holds: bool | None = None
 
 
-def _trial_family(A: YoungFunction, B: YoungFunction, L: float, trials: int,
+def _trial_family(report: balance.BalanceReport, L: float, trials: int,
                   seed: int = 20240) -> list:
     """Versioned trial family: 64 random steps, 16 power spikes, 8 log
-    spikes, plus profiles from balance failure certificates."""
+    spikes, plus profiles from the failure certificates in ``report``."""
     rng = np.random.default_rng(seed)
     fams = []
     n_random = min(64, max(1, trials))
@@ -144,7 +144,6 @@ def _trial_family(A: YoungFunction, B: YoungFunction, L: float, trials: int,
         edges = _log_edges(L, L * 1e-8)
         mids = 0.5 * (edges[:-1] + edges[1:])
         fams.append((StepFunction(edges, np.log(L / mids) ** k), f"log_spike_{i}"))
-    report = balance.check_balance(A, B)
     for cond in (report.primal, report.dual):
         for t in cond.failure_certificate[:4]:
             if t and math.isfinite(t) and t > 0:
@@ -170,7 +169,7 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
         raise DomainError("need trials >= 1")
     report = balance.check_balance(A, B)
     out = []
-    for f, label in _trial_family(A, B, L, trials, seed):
+    for f, label in _trial_family(report, L, trials, seed):
         ra, rd = _ratios(A, B, f)
         out.append(HardyTrial(f.sampled(), L, ra, rd, label))
     worst_avg = max(out, key=lambda t: t.ratio_avg)

@@ -145,17 +145,6 @@ def moment(L: Laminate, Phi) -> float:
         for w, al, be in L.atoms)
 
 
-def _moment_vs_average(L: Laminate, f) -> float:
-    """sum w * f(|coeff distance to barycenter|) with the distance computed
-    in exact rationals before the float norm."""
-    abar, bbar = L.barycenter_coeffs()
-    total = []
-    for w, al, be in L.atoms:
-        d = math.hypot(float(al - abar), float(be - bbar)) * L.scale
-        total.append(float(w) * f(d))
-    return math.fsum(total)
-
-
 def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
                  r: float) -> list:
     """Rows (m, t_m, sym_moment, full_moment, ratio) with t_m normalizing the

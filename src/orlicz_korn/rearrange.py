@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import DomainError, YoungFunction
+from .young import DomainError, YoungFunction, conjugate
 
 __all__ = ["SampledFunction", "LuxemburgNorm", "rearrangement", "luxemburg",
            "norm", "holder_check", "DegenerateInputError"]
@@ -131,7 +131,7 @@ def holder_check(A: YoungFunction, u: SampledFunction, v: SampledFunction) -> fl
     if not np.array_equal(u.weights, v.weights):
         raise DomainError("u and v must share cell weights")
     nu = norm(A, u)
-    nv = norm(A.conjugate(), v)
+    nv = norm(conjugate(A), v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateInputError("Hoelder ratio undefined for zero input")
     pairing = float(np.sum(u.values * v.values * u.weights))

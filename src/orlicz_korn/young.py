@@ -26,8 +26,8 @@ import numpy as np
 from ._numerics import LN2, log_sub_exp, maximize_unimodal
 
 __all__ = [
-    "YoungFunction", "PowerYoung", "PowerLogYoung", "PowerLogLogYoung",
-    "LinearLogYoung", "ExpPowerYoung", "ExpLogPowerYoung", "IndicatorYoung",
+    "YoungFunction", "PowerYoung", "PowerLogLogYoung",
+    "ExpPowerYoung", "ExpLogPowerYoung", "IndicatorYoung",
     "TabulatedYoung", "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
     "evaluate", "conjugate", "inverse", "check_delta2", "check_nabla2",
     "dominates", "equivalent", "load_catalog", "from_json", "to_json",
@@ -45,24 +45,34 @@ _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinemen
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end, in tau = ln t
 _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 
-# Shared evaluation grids for the asymptotic sweeps.  Steps divide ln 2, so
-# every dyadic constant in a search grid is an exact integer index shift and
-# one cached curve per function serves all of them.
+# The sweep grids in tau = ln t, shared by the growth checks, dominance and
+# the balance sweep.  Steps divide ln 2, so every dyadic constant in a search
+# grid is an exact integer index shift.  Growth and dominance read the dense,
+# refined and coarse grids; the balance sweep reads dense, mid and tail.
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
 _DENSE_STEP = LN2 / 64.0
-_COARSE_HI = _TAU_MAX
 _COARSE_STEP = LN2
+_MID_STEP = LN2 / 8.0
+_OVERLAP = 12                 # ln2-units of overlap for shift headroom
+# sparse far tail: witnesses slow divergences (log-factor gaps) that only
+# overtake the dyadic constants at tau ~ 1e5..1e6; curvature of the log
+# curves out there is negligible, so shifted values interpolate safely
+_TAIL_MAX = 6.0e5
+_TAIL_STEP = 4.0 * LN2
 _DENSE_GRID = np.arange(_DENSE_LO, _DENSE_HI + 12.0 * LN2, _DENSE_STEP)
-_COARSE_GRID = np.arange(_DENSE_HI, _COARSE_HI + 12.0 * LN2, _COARSE_STEP)
+_REFINED_GRID = np.arange(_DENSE_LO, _DENSE_HI + 12.0 * LN2, _DENSE_STEP / 2.0)
+_COARSE_GRID = np.arange(_DENSE_HI, _TAU_MAX + 12.0 * LN2, _COARSE_STEP)
+_MID_GRID = np.arange(_DENSE_HI - _OVERLAP * LN2, _TAU_MAX + _OVERLAP * LN2, _MID_STEP)
+_TAIL_GRID = np.arange(_TAU_MAX, _TAIL_MAX + _OVERLAP * LN2, _TAIL_STEP)
+_GRIDS = {"dense": _DENSE_GRID, "refined": _REFINED_GRID, "coarse": _COARSE_GRID,
+          "mid": _MID_GRID, "tail": _TAIL_GRID}
+_MID_JOIN = _OVERLAP * 8      # index of the mid point sitting at _DENSE_HI
+_ND = int(np.searchsorted(_DENSE_GRID, _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
 
 
 class DomainError(ValueError):
     """Argument outside the domain of a Young-function operation."""
-
-
-def _log_curves(A: YoungFunction = None):
-    raise NotImplementedError  # replaced below once YoungFunction exists
 
 
 # ---------------------------------------------------------------------------
@@ -227,63 +237,17 @@ class IndicatorYoung(YoungFunction):
         return {"t1": self.t1}
 
 
-class PowerLogYoung(YoungFunction):
-    """A(t) = t**p * log(1+t)**alpha, p >= 1, alpha >= 0 (convex on [0, inf))."""
-
-    kind = "power_log"
-
-    def __init__(self, p: float, alpha: float):
-        if p < 1 or alpha < 0:
-            raise DomainError("power_log kind needs p >= 1, alpha >= 0")
-        self.p = float(p)
-        self.alpha = float(alpha)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.power(t, self.p) * np.power(np.log1p(t), self.alpha)
-        return np.where(t == 0.0, 0.0, out)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        L = np.log1p(t)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.power(t, self.p - 1.0) * np.power(L, self.alpha - 1.0) * (
-                self.p * L + self.alpha * t / (1.0 + t))
-        return np.where(t == 0.0, 0.0 if (self.p > 1 or self.alpha > 0) else 1.0, out)
-
-    def log_value_logt(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
-        with np.errstate(divide="ignore"):
-            return self.p * tau + self.alpha * np.log(L)
-
-    def params(self):
-        return {"p": self.p, "alpha": self.alpha}
-
-
-class LinearLogYoung(PowerLogYoung):
-    """A(t) = t * log(1+t)."""
-
-    kind = "linear_log"
-
-    def __init__(self):
-        super().__init__(1.0, 1.0)
-
-    def params(self):
-        return {}
-
-
 class PowerLogLogYoung(YoungFunction):
     """A(t) = t**p * log(1+t)**alpha * log(1+log(1+t))**gamma.
 
-    Covers the doubly-logarithmic catalog entries; convexity is spot-checked
-    at construction because not every parameter combination is convex.
+    Covers the logarithmic (gamma = 0) and doubly-logarithmic catalog
+    entries; convexity is spot-checked at construction because not every
+    parameter combination is convex.
     """
 
     kind = "power_log_log"
 
-    def __init__(self, p: float, alpha: float, gamma: float):
+    def __init__(self, p: float, alpha: float, gamma: float = 0.0):
         if p < 1 or alpha < 0 or gamma < 0:
             raise DomainError("power_log_log kind needs p >= 1, alpha, gamma >= 0")
         self.p = float(p)
@@ -320,9 +284,11 @@ class PowerLogLogYoung(YoungFunction):
     def log_value_logt(self, tau):
         tau = np.asarray(tau, dtype=float)
         L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
-        M = np.log1p(L)
         with np.errstate(divide="ignore"):
-            return self.p * tau + self.alpha * np.log(L) + self.gamma * np.log(M)
+            out = self.p * tau + self.alpha * np.log(L)
+            if self.gamma:
+                out = out + self.gamma * np.log(np.log1p(L))
+        return out
 
     def params(self):
         return {"p": self.p, "alpha": self.alpha, "gamma": self.gamma}
@@ -741,8 +707,18 @@ def evaluate(A: YoungFunction, t):
     return A(t)
 
 
+def _memo(A: YoungFunction) -> dict:
+    """The per-object store of what is derived from A: its log-curve on each
+    sweep grid, filled on first read, and its conjugate."""
+    return vars(A).setdefault("_memo", {})
+
+
 def conjugate(A: YoungFunction) -> YoungFunction:
-    return A.conjugate()
+    """The Young conjugate of A, built once per object."""
+    memo = _memo(A)
+    if "conjugate" not in memo:
+        memo["conjugate"] = A.conjugate()
+    return memo["conjugate"]
 
 
 def inverse(A: YoungFunction, r):
@@ -762,21 +738,15 @@ class GrowthVerdict:
         return self.holds
 
 
-def _log_curves(A: YoungFunction, refined: bool = False):
-    """Cached ln A(e^tau) on the shared dense/coarse grids (plus a 2x-refined
-    dense curve for stability checks)."""
-    cache = getattr(A, "_curve_cache", None)
-    if cache is None:
-        cache = A._curve_cache = {}
-    key = "refined" if refined else "base"
-    if key not in cache:
+def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
+    """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``), computed on
+    first read and kept in A's memo."""
+    memo = _memo(A)
+    if grid not in memo:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            if refined:
-                grid = np.arange(_DENSE_LO, _DENSE_HI + 12.0 * LN2, _DENSE_STEP / 2.0)
-                cache[key] = (grid, A.log_value_logt(grid))
-            else:
-                cache[key] = (A.log_value_logt(_DENSE_GRID), A.log_value_logt(_COARSE_GRID))
-    return cache[key]
+            memo[grid] = A.log_value_logt(_GRIDS[grid])
+        memo[grid].flags.writeable = False   # shared by every reader of A
+    return memo[grid]
 
 
 def _shift_pairs(base: np.ndarray, shifted_by: int):
@@ -792,7 +762,7 @@ def _coarse_index(tau: float) -> int:
 
 
 def _doubling_data(A):
-    dv, cv = _log_curves(A)
+    dv, cv = _log_curve(A, "dense"), _log_curve(A, "coarse")
     with np.errstate(invalid="ignore"):
         r_dense = dv[64:] - dv[:-64]
         r_coarse = cv[1:] - cv[:-1]
@@ -849,7 +819,7 @@ def _delta2_at(A, tau_lo, t0, td, rd, vd0, vd2, tc, rc):
                              {"reason": "doubling ratio grows without bound",
                               "ratio_log_tail": tail})
     # refinement stability of the certified constant (dense window, 2x finer)
-    grid2, dv2 = _log_curves(A, refined=True)
+    grid2, dv2 = _REFINED_GRID, _log_curve(A, "refined")
     with np.errstate(invalid="ignore"):
         r2 = dv2[128:] - dv2[:-128]
     m2 = grid2[:-128] >= tau_lo
@@ -903,7 +873,7 @@ def _nabla2_at(A, tau_lo, t0, td, rd, vd, tc, rc):  # vd = unshifted curve
                              [float(np.exp(min(t, 690.0))) for t in worst],
                              {"reason": "doubling ratio not bounded away from 2",
                               "gap_tail": [g1, g2]})
-    grid2, dv2 = _log_curves(A, refined=True)
+    grid2, dv2 = _REFINED_GRID, _log_curve(A, "refined")
     with np.errstate(invalid="ignore"):
         r2 = dv2[128:] - dv2[:-128]
         m2 = (grid2[:-128] >= tau_lo) & np.isfinite(r2) & np.isfinite(dv2[:-128])
@@ -923,8 +893,8 @@ def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) ->
     """Search for C with B(t) <= A(C t) for t >= t0 (near infinity) or
     globally; smallest passing dyadic C is reported."""
     t0_list = ((0.0,) + _T0_SCAN) if near_infinity else (0.0,)
-    dvA, cvA = _log_curves(A)
-    dvB, cvB = _log_curves(B)
+    dvA, cvA = _log_curve(A, "dense"), _log_curve(A, "coarse")
+    dvB, cvB = _log_curve(B, "dense"), _log_curve(B, "coarse")
     for k in _C_EXPONENTS:             # smallest passing constant wins
         for t0 in t0_list:
             tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
@@ -933,9 +903,8 @@ def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) ->
             if _dominance_ok(dvB, dvA, 64 * k, md) and _dominance_ok(cvB, cvA, k, mc):
                 c = 2.0 ** k
                 # refinement stability: same verdict on the 2x-finer curve
-                g2, dB2 = _log_curves(B, refined=True)
-                _, dA2 = _log_curves(A, refined=True)
-                if _dominance_ok(dB2, dA2, 128 * k, g2 >= tau_lo):
+                dB2, dA2 = _log_curve(B, "refined"), _log_curve(A, "refined")
+                if _dominance_ok(dB2, dA2, 128 * k, _REFINED_GRID >= tau_lo):
                     return GrowthVerdict(True, t0, c, [], {})
     t0 = t0_list[-1]
     tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
@@ -1000,10 +969,12 @@ def _register(cls):
     return cls
 
 
-for _cls in (PowerYoung, PowerLogYoung, PowerLogLogYoung, LinearLogYoung,
-             ExpPowerYoung, ExpLogPowerYoung, IndicatorYoung, TabulatedYoung,
-             ScaledYoung):
+for _cls in (PowerYoung, PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung,
+             IndicatorYoung, TabulatedYoung, ScaledYoung):
     _register(_cls)
+
+# catalog kinds that are special cases of power_log_log (gamma = 0)
+_POWER_LOG_ALIASES = {"power_log": {}, "linear_log": {"p": 1.0, "alpha": 1.0}}
 
 
 def from_json(obj) -> YoungFunction:
@@ -1013,6 +984,8 @@ def from_json(obj) -> YoungFunction:
         obj = json.loads(obj)
     kind = obj["kind"]
     params = dict(obj.get("params", {}))
+    if kind in _POWER_LOG_ALIASES:
+        kind, params = "power_log_log", {**_POWER_LOG_ALIASES[kind], **params}
     if kind == "conjugate":
         return ConjugateYoung(from_json(params["of"]))
     if kind == "scaled":

@@ -5,7 +5,7 @@ import pytest
 
 from orlicz_korn import balance, young
 from orlicz_korn.balance import balance_integral, check_balance, classify_catalog_pairs
-from orlicz_korn.young import DomainError, LinearLogYoung, PowerYoung, dominates
+from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, dominates
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def test_integral_linear_kind():
 
 def test_integral_linear_log_against_midpoint_oracle():
     # frozen midpoint-rule value with 1e6 panels
-    val = balance_integral(LinearLogYoung(), 1.0, 10.0)
+    val = balance_integral(PowerLogLogYoung(1.0, 1.0), 1.0, 10.0)
     assert val == pytest.approx(33.7581085343339, rel=1e-6)
 
 
@@ -117,3 +117,25 @@ def test_report_witness_bound(catalog):
         lhs = balance_integral(catalog["L2_log"], t0, float(t))
         rhs = float(catalog["L2_log"](c * t))
         assert lhs <= rhs * 1.12
+
+
+def test_check_balance_builds_one_conjugate_and_each_curve_once(monkeypatch):
+    A = young.load_catalog()["LlogL"]
+    built, sizes = [], []
+    init = young.ConjugateYoung.__init__
+    evaluate = young.ConjugateYoung.log_value_logt
+
+    def spy_init(self, source):
+        built.append(source)
+        init(self, source)
+
+    def spy_evaluate(self, tau):
+        sizes.append(np.size(tau))
+        return evaluate(self, tau)
+
+    monkeypatch.setattr(young.ConjugateYoung, "__init__", spy_init)
+    monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy_evaluate)
+    check_balance(A, A)
+    assert len(built) == 1 and built[0] is A
+    assert sorted(sizes) == sorted(g.size for g in (
+        young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))

@@ -89,3 +89,41 @@ def test_config_file_replaces_flags(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["trials"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-balance", "--A", "{bad", "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": 0.5}}', "--B", "L2"],
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--trials", "0"],
+    ["laminate-demo", "--A", "Linf", "--B", "L1", "--m-max", "1"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--suite", "radial",
+     "--mode", "zero_bc", "--grid", "6"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--suite", "laminate", "--trials", "1"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--dim", "2", "--grid", "6"],
+    ["--config", "{tmp}/missing.json", "verify-hardy", "--A", "L2", "--B", "L2"],
+    ["--config", "{tmp}/bad.json", "verify-hardy", "--A", "L2", "--B", "L2"],
+    ["--config", "{tmp}/list.json", "verify-hardy", "--A", "L2", "--B", "L2"],
+])
+def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "list.json").write_text("[1]")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("orlicz-korn: error: ")
+
+
+def test_verify_korn_dim_2_runs_on_a_2d_grid(tmp_path):
+    rc, out = run(tmp_path, "verify-korn", "--A", "L2", "--B", "L2", "--dim", "2",
+                  "--operator", "E", "--grid", "6", "--trials", "1")
+    assert rc == 0
+    assert (out / "korn_ratios.csv").read_text().startswith("trial,ratio\nsmooth_0,")
+
+
+def test_laminate_realize_creates_fresh_out(tmp_path):
+    rc, out = run(tmp_path, "laminate-demo", "--A", "L1", "--B", "L1", "--realize",
+                  "--m-max", "1", "--grid", "16", "--depth", "8")
+    assert rc == 0
+    assert (out / "laminate_m1.bin").exists()
+    assert (out / "realize.csv").exists()

@@ -116,7 +116,7 @@ def test_homogeneity(vals, c):
 @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
                 min_size=2, max_size=30))
 def test_triangle_inequality(pairs):
-    A = young.LinearLogYoung()
+    A = young.PowerLogLogYoung(1.0, 1.0)
     a = _sf([p[0] for p in pairs])
     b = _sf([p[1] for p in pairs])
     s = _sf([p[0] + p[1] for p in pairs])

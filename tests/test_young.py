@@ -5,7 +5,7 @@ import pytest
 
 from orlicz_korn import young
 from orlicz_korn.young import (
-    ConjugateYoung, DomainError, ExpPowerYoung, IndicatorYoung, LinearLogYoung,
+    ConjugateYoung, DomainError, ExpPowerYoung, IndicatorYoung, PowerLogLogYoung,
     PowerYoung, ScaledYoung, TabulatedYoung, check_delta2, check_nabla2,
     conjugate, dominates, inverse, load_catalog,
 )
@@ -30,7 +30,7 @@ def test_vanishes_at_zero(catalog):
 
 
 def test_linear_log_at_one():
-    assert LinearLogYoung()(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert PowerLogLogYoung(1.0, 1.0)(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_negative_argument_rejected():
@@ -129,7 +129,7 @@ def test_involution_tabulated_round_trips(catalog):
 
 def test_scaled_conjugation_follows_legendre_calculus():
     # brute-force values frozen for conj of (t log(1+t))/3
-    A = ScaledYoung(3.0, LinearLogYoung())
+    A = ScaledYoung(3.0, PowerLogLogYoung(1.0, 1.0))
     At = conjugate(A)
     assert float(At(0.7)) == pytest.approx(0.7144001034776992, rel=1e-4)
     assert float(At(2.0)) == pytest.approx(49.13883768531875, rel=1e-4)
@@ -291,6 +291,69 @@ def test_resolve_inline_json():
 
 
 def test_conjugate_kind_reports_source():
-    A = ConjugateYoung(LinearLogYoung())
+    A = ConjugateYoung(PowerLogLogYoung(1.0, 1.0))
     assert A.kind == "conjugate"
     assert A.finite_valued
+
+
+@pytest.mark.parametrize("spec, p, alpha", [
+    ({"kind": "linear_log", "params": {}}, 1.0, 1.0),
+    ({"kind": "power_log", "params": {"p": 2, "alpha": 1}}, 2.0, 1.0),
+    ({"kind": "power_log", "params": {"p": 1, "alpha": 2}}, 1.0, 2.0),
+])
+def test_power_log_kinds_are_power_log_log_with_gamma_zero(spec, p, alpha):
+    A = young.from_json(spec)
+    assert isinstance(A, PowerLogLogYoung) and A.gamma == 0.0
+    # the closed forms of the retired power_log kind, bit for bit
+    t = np.concatenate(([0.0], np.geomspace(1e-12, 1e300, 4001)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(t == 0.0, 0.0, np.power(t, p) * np.power(np.log1p(t), alpha))
+    assert np.array_equal(A.value(t), want)
+    tau = np.concatenate((young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))
+    L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
+    assert np.array_equal(A.log_value_logt(tau), p * tau + alpha * np.log(L))
+
+
+# ---------------------------------------------------------------------------
+# the sweep grids and the per-object curve store
+# ---------------------------------------------------------------------------
+
+def test_sweep_grids_are_pinned():
+    ln2 = math.log(2.0)
+    hi = 64.0 * ln2
+    want = {
+        "dense": np.arange(-32.0, hi + 12.0 * ln2, ln2 / 64.0),
+        "refined": np.arange(-32.0, hi + 12.0 * ln2, ln2 / 64.0 / 2.0),
+        "coarse": np.arange(hi, 2.0e4 + 12.0 * ln2, ln2),
+        "mid": np.arange(hi - 12 * ln2, 2.0e4 + 12 * ln2, ln2 / 8.0),
+        "tail": np.arange(2.0e4, 6.0e5 + 12 * ln2, 4.0 * ln2),
+    }
+    assert young._GRIDS.keys() == want.keys()
+    for name, grid in want.items():
+        assert np.array_equal(young._GRIDS[name], grid), name
+    assert young._DENSE_GRID[young._ND - 1] <= hi < young._DENSE_GRID[young._ND]
+    assert young._MID_GRID[young._MID_JOIN] == pytest.approx(hi, abs=1e-9)
+
+
+def test_growth_checks_read_only_the_growth_grids(monkeypatch):
+    C = conjugate(load_catalog()["LlogL"])
+    seen = []
+    evaluate = young.ConjugateYoung.log_value_logt
+
+    def spy(self, tau):
+        seen.append(np.asarray(tau))
+        return evaluate(self, tau)
+
+    monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy)
+    check_delta2(C)
+    check_nabla2(C)
+    growth = (young._DENSE_GRID, young._COARSE_GRID, young._REFINED_GRID)
+    assert seen
+    assert sum(tau.size for tau in seen) <= sum(g.size for g in growth)
+    for tau in seen:
+        assert any(np.array_equal(tau, g) for g in growth)
+
+
+def test_conjugate_is_built_once_per_object():
+    A = load_catalog()["LlogL"]
+    assert conjugate(A) is conjugate(A)
