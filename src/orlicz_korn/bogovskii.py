@@ -26,7 +26,7 @@ from .rearrange import SampledFunction
 from .young import DomainError, YoungFunction
 
 __all__ = ["BogovskiiConfig", "make_config", "apply", "div_residual",
-           "norm_bound_ratio", "smooth_suite", "spike_suite"]
+           "norm_bound_ratio", "ratio_suite", "smooth_suite", "spike_suite"]
 
 _GAUSS6_X, _GAUSS6_W = np.polynomial.legendre.leggauss(6)
 
@@ -192,15 +192,30 @@ def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray,
 
 
 def norm_bound_ratio(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
-                     f_cells: np.ndarray) -> float:
+                     f_cells: np.ndarray, bf: GridField | None = None) -> float:
     """||grad(T f)||_{L^B} / ||f||_{L^A}."""
-    bf = apply(cfg, f_cells)
+    bf = bf if bf is not None else apply(cfg, f_cells)
     num = fields.norm_of_tensor(B, fields.gradient(bf))
     w = np.full(f_cells.size, cfg.grid.cell_volume)
     den = rearrange.norm(A, SampledFunction(np.abs(np.asarray(f_cells, dtype=float)).ravel(), w))
     if den == 0.0:
         raise DomainError("zero input")
     return num / den
+
+
+def ratio_suite(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
+                suite: str = "smooth") -> list:
+    """Rows (label, div_residual, norm_ratio) over a named source suite,
+    solving once per source."""
+    if suite not in ("smooth", "spike"):
+        raise DomainError(f"unknown suite {suite!r}")
+    sources = smooth_suite(cfg) if suite == "smooth" else spike_suite(cfg)
+    rows = []
+    for i, f in enumerate(sources):
+        bf = apply(cfg, f)
+        rows.append((f"{suite}_{i}", div_residual(cfg, f, bf),
+                     norm_bound_ratio(cfg, A, B, f, bf)))
+    return rows
 
 
 def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:

@@ -29,8 +29,9 @@ __all__ = [
     "ConfigurationError", "gradient", "sym_gradient", "dev_sym_gradient",
     "divergence", "project_kernel", "project_sigma", "korn_ratio",
     "poincare_ratio", "radial_test_field", "negative_norm_lower_bound",
-    "norm_of_tensor", "norm_of_field", "smooth_suite", "random_suite",
-    "radial_suite", "korn_suite", "poincare_suite", "save_field", "load_field",
+    "negative_norm_upper_bound", "norm_of_tensor", "norm_of_field",
+    "smooth_suite", "random_suite", "radial_suite", "korn_suite",
+    "poincare_suite", "negative_norm_suite", "save_field", "load_field",
 ]
 
 
@@ -494,6 +495,15 @@ def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray,
     return best
 
 
+def negative_norm_upper_bound(A: YoungFunction, u_cells: np.ndarray,
+                              grid: Grid) -> float:
+    """The trivial upper bound 2 sqrt(n) ||u - mean(u)||_{L^A} for the
+    negative-norm functional of the distributional gradient of u."""
+    centered = np.abs(u_cells - u_cells.mean()).ravel()
+    w = np.full(centered.shape, grid.cell_volume)
+    return 2.0 * math.sqrt(grid.dim) * rearrange.norm(A, SampledFunction(centered, w))
+
+
 # ---------------------------------------------------------------------------
 # trial suites
 # ---------------------------------------------------------------------------
@@ -574,7 +584,7 @@ def radial_suite(grid: Grid, sharpness=(0.3, 0.1, 0.03, 0.01)) -> list:
     return out
 
 
-def _suite_fields(suite: str, A, B, grid: Grid, trials: int, seed: int):
+def _suite_fields(suite: str, grid: Grid, trials: int, seed: int):
     if suite == "smooth":
         return smooth_suite(grid, min(trials, 4))
     if suite == "random":
@@ -593,7 +603,7 @@ def korn_suite(A: YoungFunction, B: YoungFunction, suite: str = "smooth",
     """Per-trial Korn ratios for a named suite; rows (label, ratio)."""
     grid = grid if grid is not None else Grid.box(16, dim=3)
     rows = []
-    for i, u in enumerate(_suite_fields(suite, A, B, grid, trials, seed)):
+    for i, u in enumerate(_suite_fields(suite, grid, trials, seed)):
         try:
             r = korn_ratio(A, B, u, mode, operator)
         except KernelMembership:
@@ -607,12 +617,28 @@ def poincare_suite(A: YoungFunction, suite: str = "random",
                    trials: int = 8, seed: int = 12) -> list:
     grid = grid if grid is not None else Grid.box(12, dim=3)
     rows = []
-    for i, u in enumerate(_suite_fields(suite, A, A, grid, trials, seed)):
+    for i, u in enumerate(_suite_fields(suite, grid, trials, seed)):
         try:
             r = poincare_ratio(A, u, mode)
         except KernelMembership:
             r = float("nan")
         rows.append((f"{suite}_{i}", r))
+    return rows
+
+
+def negative_norm_suite(A: YoungFunction, grid: Grid, trials: int, seed: int) -> list:
+    """Rows (label, lower, upper, ok) comparing the dictionary lower bound
+    with the trivial upper bound on random Gaussian bumps."""
+    rng = np.random.default_rng(seed)
+    Xc = grid.cell_coords()
+    rows = []
+    for i in range(trials):
+        c = [rng.uniform(0.3, 0.7) for _ in range(grid.dim)]
+        s = rng.uniform(0.1, 0.3)
+        u = np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2)
+        lb = negative_norm_lower_bound(A, u, grid)
+        ub = negative_norm_upper_bound(A, u, grid)
+        rows.append((f"bump_{i}", lb, ub, lb <= ub * (1.0 + 1e-9)))
     return rows
 
 

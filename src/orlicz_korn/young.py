@@ -29,7 +29,7 @@ __all__ = [
     "YoungFunction", "PowerYoung", "PowerLogLogYoung",
     "ExpPowerYoung", "ExpLogPowerYoung", "IndicatorYoung",
     "TabulatedYoung", "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
-    "evaluate", "conjugate", "inverse", "check_delta2", "check_nabla2",
+    "conjugate", "check_delta2", "check_nabla2",
     "dominates", "equivalent", "load_catalog", "from_json", "to_json",
     "resolve", "CATALOG_VERSION", "LEGENDRE_GRID", "DomainError",
 ]
@@ -702,11 +702,6 @@ def _conjugate_log_value(source: YoungFunction, tau: np.ndarray) -> np.ndarray:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def evaluate(A: YoungFunction, t):
-    """A(t) with domain checking; +inf only for non-finite-valued kinds."""
-    return A(t)
-
-
 def _memo(A: YoungFunction) -> dict:
     """The per-object store of what is derived from A: its log-curve on each
     sweep grid, filled on first read, and its conjugate."""
@@ -719,11 +714,6 @@ def conjugate(A: YoungFunction) -> YoungFunction:
     if "conjugate" not in memo:
         memo["conjugate"] = A.conjugate()
     return memo["conjugate"]
-
-
-def inverse(A: YoungFunction, r):
-    """Generalized right-continuous inverse sup{t : A(t) <= r}."""
-    return A.inverse(r)
 
 
 @dataclass
@@ -900,39 +890,32 @@ def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) ->
             tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
             md = _DENSE_GRID >= tau_lo
             mc = _COARSE_GRID >= tau_lo
-            if _dominance_ok(dvB, dvA, 64 * k, md) and _dominance_ok(cvB, cvA, k, mc):
+            if (not _dominance_violations(dvB, dvA, 64 * k, md).any()
+                    and not _dominance_violations(cvB, cvA, k, mc).any()):
                 c = 2.0 ** k
                 # refinement stability: same verdict on the 2x-finer curve
                 dB2, dA2 = _log_curve(B, "refined"), _log_curve(A, "refined")
-                if _dominance_ok(dB2, dA2, 128 * k, _REFINED_GRID >= tau_lo):
+                if not _dominance_violations(dB2, dA2, 128 * k, _REFINED_GRID >= tau_lo).any():
                     return GrowthVerdict(True, t0, c, [], {})
     t0 = t0_list[-1]
     tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
-    md = _DENSE_GRID >= tau_lo
-    mc = _COARSE_GRID >= tau_lo
-    bad_t = _dominance_witness(dvB, dvA, 64 * _C_EXPONENTS[-1], md, _DENSE_GRID)
-    bad_t += _dominance_witness(cvB, cvA, _C_EXPONENTS[-1], mc, _COARSE_GRID)
+    bad_t = []
+    for vB, vA, shift, grid in ((dvB, dvA, 64 * _C_EXPONENTS[-1], _DENSE_GRID),
+                                (cvB, cvA, _C_EXPONENTS[-1], _COARSE_GRID)):
+        bad = _dominance_violations(vB, vA, shift, grid >= tau_lo)
+        bad_t += [float(np.exp(min(t, 690.0))) for t in _shift_pairs(grid, shift)[0][bad][:6]]
     return GrowthVerdict(False, t0, math.inf, bad_t[:6],
                          {"reason": "no dyadic constant certifies dominance"})
 
 
-def _dominance_ok(vB, vA, shift, mask):
+def _dominance_violations(vB, vA, shift, mask):
+    """Points of mask where ln B(t) <= ln A(C t) fails, C being the constant
+    that shifts the curve index by `shift`."""
     b0, _ = _shift_pairs(vB, shift)
     _, a1 = _shift_pairs(vA, shift)
     m, _ = _shift_pairs(mask, shift)
     with np.errstate(invalid="ignore"):
-        ok = (b0 <= a1 + 1e-9) | np.isneginf(b0) | np.isposinf(a1)
-    return bool(ok[m].all())
-
-
-def _dominance_witness(vB, vA, shift, mask, grid):
-    b0, _ = _shift_pairs(vB, shift)
-    _, a1 = _shift_pairs(vA, shift)
-    m, _ = _shift_pairs(mask, shift)
-    g, _ = _shift_pairs(grid, shift)
-    with np.errstate(invalid="ignore"):
-        bad = m & ~((b0 <= a1 + 1e-9) | np.isneginf(b0) | np.isposinf(a1))
-    return [float(np.exp(min(t, 690.0))) for t in g[bad][:6]]
+        return m & ~((b0 <= a1 + 1e-9) | np.isneginf(b0) | np.isposinf(a1))
 
 
 def equivalent(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) -> bool:
@@ -961,20 +944,47 @@ def _assert_convex(A: YoungFunction):
 # JSON catalog
 # ---------------------------------------------------------------------------
 
-_KINDS = {}
-
-
-def _register(cls):
-    _KINDS[cls.kind] = cls
-    return cls
-
-
-for _cls in (PowerYoung, PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung,
-             IndicatorYoung, TabulatedYoung, ScaledYoung):
-    _register(_cls)
-
 # catalog kinds that are special cases of power_log_log (gamma = 0)
 _POWER_LOG_ALIASES = {"power_log": {}, "linear_log": {"p": 1.0, "alpha": 1.0}}
+
+# each JSON kind: its class, its required and its optional parameters
+_KINDS = {cls.kind: (cls, required, optional) for cls, required, optional in (
+    (PowerYoung, ("p",), ("coeff",)),
+    (PowerLogLogYoung, ("p", "alpha"), ("gamma",)),
+    (ExpPowerYoung, ("beta",), ()),
+    (ExpLogPowerYoung, ("a", "beta"), ("reduced",)),
+    (IndicatorYoung, (), ("t1",)),
+    (TabulatedYoung, ("breakpoints", "slopes", "final_slope"), ("slope_cap",)),
+    (ScaledYoung, ("m", "of"), ("arg_scale",)),
+    (ConjugateYoung, ("of",), ()),
+)}
+
+
+def _checked_params(obj) -> tuple:
+    """(class, params) of a JSON Young function, with every parameter name
+    known and every value a number other than NaN (a list of them for the
+    tabulated breakpoints and slopes; a nested JSON function for "of")."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise DomainError('a Young function is a JSON object {"kind": ..., "params": {...}}')
+    kind = obj["kind"]
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise DomainError(f"params of kind {kind!r} must be a JSON object")
+    if kind in _POWER_LOG_ALIASES:
+        kind, params = "power_log_log", {**_POWER_LOG_ALIASES[kind], **params}
+    if kind not in _KINDS:
+        raise DomainError(f"unknown Young-function kind {kind!r}")
+    cls, required, optional = _KINDS[kind]
+    missing = [k for k in required if k not in params]
+    unknown = [k for k in params if k not in required + optional]
+    if missing or unknown:
+        raise DomainError(f"kind {kind!r} takes parameters {list(required)}, optionally "
+                          f"{list(optional)}; missing {missing}, unknown {unknown}")
+    for k, v in params.items():
+        values = v if k in ("breakpoints", "slopes") and isinstance(v, list) else [v]
+        if k != "of" and not all(isinstance(x, (int, float)) and x == x for x in values):
+            raise DomainError(f"parameter {k!r} of kind {kind!r} must be a number, not NaN")
+    return cls, params
 
 
 def from_json(obj) -> YoungFunction:
@@ -982,20 +992,11 @@ def from_json(obj) -> YoungFunction:
     catalog entry carrying a "name")."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj["kind"]
-    params = dict(obj.get("params", {}))
-    if kind in _POWER_LOG_ALIASES:
-        kind, params = "power_log_log", {**_POWER_LOG_ALIASES[kind], **params}
-    if kind == "conjugate":
+    cls, params = _checked_params(obj)
+    if cls is ConjugateYoung:
         return ConjugateYoung(from_json(params["of"]))
-    if kind == "scaled":
-        base = from_json(params.pop("of"))
-        return ScaledYoung(params["m"], base, params.get("arg_scale", 1.0))
-    if kind == "tabulated":
-        return TabulatedYoung(params["breakpoints"], params["slopes"], params["final_slope"])
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise DomainError(f"unknown Young-function kind {kind!r}")
+    if cls is ScaledYoung:
+        return ScaledYoung(params["m"], from_json(params["of"]), params.get("arg_scale", 1.0))
     return cls(**params)
 
 

@@ -90,3 +90,12 @@ def test_norm_ratio_spike_behavior(cfg32, catalog):
     # the linear pair grows along the sweep, the balanced pair stays put
     assert linear[-1] > linear[0] * 1.2
     assert balanced[-1] <= balanced[0] * 1.2
+
+
+def test_ratio_suite_matches_per_source_calls(catalog):
+    cfg = bog.make_config(16)
+    A, B = catalog["LlogL"], catalog["L1"]
+    expected = [(f"spike_{i}", bog.div_residual(cfg, f), bog.norm_bound_ratio(cfg, A, B, f))
+                for i, f in enumerate(bog.spike_suite(cfg))]
+    assert expected
+    assert bog.ratio_suite(cfg, A, B, "spike") == expected

@@ -103,6 +103,13 @@ def test_config_file_replaces_flags(tmp_path):
     ["--config", "{tmp}/missing.json", "verify-hardy", "--A", "L2", "--B", "L2"],
     ["--config", "{tmp}/bad.json", "verify-hardy", "--A", "L2", "--B", "L2"],
     ["--config", "{tmp}/list.json", "verify-hardy", "--A", "L2", "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power"}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": 2, "q": 1}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": "x"}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "indicator", "params": {"t1": NaN}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 2}}', "--B", "L2"],
+    ["check-balance", "--A", '{"params": {"p": 2}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": [2]}', "--B", "L2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
@@ -127,3 +134,32 @@ def test_laminate_realize_creates_fresh_out(tmp_path):
     assert rc == 0
     assert (out / "laminate_m1.bin").exists()
     assert (out / "realize.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["negative-norm", "--A", "L2", "--dim", "2", "--grid", "6", "--trials", "1"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--dim", "2", "--operator", "E",
+     "--grid", "6", "--trials", "1"],
+])
+def test_manifest_parameters_reproduce_the_run(tmp_path, argv):
+    rc, out = run(tmp_path / "first", *argv)
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfgfile = tmp_path / "manifest_cfg.json"
+    cfgfile.write_text(json.dumps({**manifest["parameters"], "seed": manifest["seed"]}))
+    again = tmp_path / "again"
+    assert main(["--config", str(cfgfile), argv[0], "--out", str(again)]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for csv in csvs:
+        assert (again / csv.name).read_bytes() == csv.read_bytes()
+
+
+@pytest.mark.parametrize("suite, code", [("smooth", 1), ("spike", 0)])
+def test_bogovskii_gates_only_the_smooth_residuals(tmp_path, suite, code):
+    # on 8x8 cells every residual of both suites is above the 0.05 gate
+    rc, out = run(tmp_path, "bogovskii", "--grid", "8", "--A", "L2", "--B", "L2",
+                  "--suite", suite)
+    assert rc == code
+    rows = (out / "bogovskii.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(float(r.split(",")[1]) > 0.05 for r in rows)
