@@ -13,6 +13,9 @@ import math
 import numpy as np
 
 LN2 = math.log(2.0)
+_GOLDEN_ITERS = 48            # golden-section steps of maximize_unimodal
+# adaptive_simpson: relative tolerance, absolute floor and recursion depth
+_SIMPSON_REL_TOL, _SIMPSON_ABS_FLOOR, _SIMPSON_MAX_DEPTH = 1e-8, 1e-12, 48
 
 
 def log_sub_exp(a, b):
@@ -43,7 +46,7 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def maximize_unimodal(f, lo, hi, iters: int = 48):
+def maximize_unimodal(f, lo, hi):
     """Batched golden-section maximum of a unimodal function.
 
     ``f`` maps an array of points to an array of values (may contain -inf),
@@ -55,7 +58,7 @@ def maximize_unimodal(f, lo, hi, iters: int = 48):
     invphi2 = 1.0 - invphi
     best_x = 0.5 * (lo + hi)
     best_f = f(best_x)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         h = hi - lo
         x1 = lo + invphi2 * h
         x2 = lo + invphi * h
@@ -72,9 +75,9 @@ def maximize_unimodal(f, lo, hi, iters: int = 48):
     return best_x, best_f
 
 
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8,
-                     abs_floor: float = 1e-12, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature with relative tolerance and absolute floor."""
+def adaptive_simpson(f, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with a relative tolerance, an absolute
+    floor and a depth limit (the ``_SIMPSON_*`` constants)."""
     if b <= a:
         return 0.0
 
@@ -92,7 +95,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8,
         if not (math.isfinite(left) and math.isfinite(right)):
             return left + right
         err = left + right - whole
-        if depth >= max_depth or abs(err) <= 15.0 * max(abs_floor, rel_tol * (abs(left) + abs(right))):
+        tol = max(_SIMPSON_ABS_FLOOR, _SIMPSON_REL_TOL * (abs(left) + abs(right)))
+        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= 15.0 * tol:
             return left + right + err / 15.0
         return (recurse(x0, xm, f0, fm1, f1, left, depth + 1)
                 + recurse(xm, x2, f1, fm2, f2, right, depth + 1))

@@ -5,13 +5,14 @@ For a pair (A, B) the primal condition asks for constants c > 0, t0 >= 0 with
     t * integral_{t0}^{t} B(s)/s^2 ds  <=  A(c t)   for all t >= t0,
 
 and the dual condition asks the same with the conjugates in swapped roles.
-Both are semi-decided over a documented finite search grid (dyadic c in
-2^-10..2^10, t0 in {0, 1, 10, 100, 1000}); a pass reports the first stable
-(c, t0), a fail carries violating t values and a divergence diagnostic, since
-a finite search cannot prove nonexistence.
+Both are semi-decided over the finite search that ``young`` defines for all
+growth verdicts: its dyadic constants c, thresholds t0 and the balance sweep
+in tau = ln t, read through ``young._sweep_shifted``.  A pass reports the
+first stable (c, t0); a fail carries violating t values and a divergence
+diagnostic, since a finite search cannot prove nonexistence.
 
-The sweep runs in the log domain (tau = ln t up to 2e4) so that failures whose
-witnesses live beyond float range, such as (t log(1+t), t log(1+t)), are still
+The sweep runs in the log domain, far beyond float range of t, so failures
+whose witnesses live there, such as (t log(1+t), t log(1+t)), are still
 detected inside the dyadic c grid.
 """
 
@@ -24,22 +25,17 @@ import numpy as np
 
 from . import young
 from ._numerics import LN2, adaptive_simpson, log_sub_exp, log_trapezoid_prefix
-from .young import (_DENSE_GRID, _MID_GRID, _MID_JOIN, _ND, _TAIL_GRID, DomainError,
-                    GrowthVerdict, PowerYoung, YoungFunction)
+from .young import _SWEEP_TAU, DomainError, GrowthVerdict, PowerYoung, YoungFunction
 
 __all__ = ["BalanceReport", "balance_integral", "check_balance",
            "classify_catalog_pairs", "EXAMPLE_PAIRS"]
 
-_T0_GRID = (0.0, 1.0, 10.0, 100.0, 1000.0)
-_C_EXPONENTS = range(-10, 11)
 _PASS_SLACK = math.log(1.10)   # multiplicative slack absorbing quadrature error
-
-# the sweep reads the dense, mid and tail grids of young's grid hierarchy;
-# their steps divide ln 2, so dyadic c values are integer index shifts
-_N_MID_USE = int(np.searchsorted(_MID_GRID, young._TAU_MAX + 1e-9, "right"))
-_SWEEP_TAU = np.concatenate((_DENSE_GRID[:_ND], _MID_GRID[_MID_JOIN + 1:_N_MID_USE],
-                             _TAIL_GRID[1:]))
-_TEST_LO = young._DENSE_LO + 10.0 * LN2   # lowest test point (c-shift headroom)
+# where a failed sweep reports its divergence trend: the first sweep point
+# past each fraction of young's asymptotic sweep end, and at most that end
+_TREND_AT = np.minimum(
+    np.searchsorted(_SWEEP_TAU, np.array([0.05, 0.25, 0.5, 1.0]) * young._TAU_MAX, "right"),
+    np.searchsorted(_SWEEP_TAU, young._TAU_MAX, "right") - 1)
 
 
 @dataclass
@@ -102,33 +98,33 @@ def balance_integral(B: YoungFunction, t0: float, t: float) -> float:
 # log-domain sweep machinery
 # ---------------------------------------------------------------------------
 
-def _sweep_curves(F: YoungFunction):
-    return tuple(young._log_curve(F, grid) for grid in ("dense", "mid", "tail"))
-
-
 def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerdict:
     """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
     on the whole sweep grid above t0, else build a failure certificate."""
-    vBd, vBm, vBt = _sweep_curves(B_side)
-    vAd, vAm, vAt = _sweep_curves(A_side)
     xs = _SWEEP_TAU
+    # fill A_side's curves before the sweep's own arrays exist, so that the
+    # temporaries of its evaluator (a conjugate's golden search) do not
+    # stack on them in peak memory
+    young._sweep_shifted(A_side, 0)
+    g = young._sweep_shifted(B_side, 0)     # ln B(e^s), then ln B(e^s) - s
+    vB0 = g[0]
+    g -= xs
     with np.errstate(invalid="ignore"):
-        g = np.concatenate((vBd[:_ND], vBm[_MID_JOIN + 1:_N_MID_USE], vBt[1:])) - xs
         prefix = log_trapezoid_prefix(np.where(np.isnan(g), np.inf, g), xs)
-    # behavior of the integrand toward 0: slope of (ln B - sigma) at the bottom
+    # behavior of the integrand toward 0: slope of (ln B - sigma) over the
+    # first half ln 2 of the sweep
+    vB_half = young._sweep_shifted(B_side, 0.5)[0]
     with np.errstate(invalid="ignore"):
-        bottom_slope = float(vBd[32] - vBd[0]) / (32 * young._DENSE_STEP) - 1.0
+        bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):
-        bottom_slope = math.inf if math.isinf(vBd[32]) else 0.0
-    diverges_at_zero = not (bottom_slope > 1e-9) or math.isinf(vBd[0])
+        bottom_slope = math.inf if math.isinf(vB_half) else 0.0
+    diverges_at_zero = not (bottom_slope > 1e-9) or math.isinf(vB0)
     tail_ln = -np.inf
     if not diverges_at_zero:
         tail_ln = g[0] - math.log(bottom_slope)
 
-    n_dense = _ND
-    n_mid = _N_MID_USE - _MID_JOIN - 1
     last_fail = None
-    for t0 in _T0_GRID:
+    for t0 in (0.0,) + young._T0_SCAN:
         if t0 == 0.0 and diverges_at_zero:
             last_fail = GrowthVerdict(
                 False, 0.0, math.inf, [0.0],
@@ -137,27 +133,20 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         tau0 = math.log(t0) if t0 > 0 else -np.inf
         i0 = int(np.searchsorted(xs, tau0)) if t0 > 0 else 0
         if t0 > 0:
-            log_int = log_sub_exp(prefix, prefix[i0])
+            lhs = xs + log_sub_exp(prefix, prefix[i0])
         else:
-            log_int = np.logaddexp(prefix, tail_ln)
-        lhs = xs + log_int
-        test = (xs >= max(tau0, _TEST_LO)) & (xs <= young._TAIL_MAX + 1e-9)
+            lhs = xs + np.logaddexp(prefix, tail_ln)
+        test = xs >= max(tau0, young._TAU_FLOOR)
         test[:i0 + 1] = False
-        found = None
-        for k in _C_EXPONENTS:
-            ok, margin = _compare(lhs, vAd, vAm, vAt, k, test, n_dense, n_mid)
-            if ok:
-                ok2, _ = _compare(lhs, vAd, vAm, vAt, k, test, n_dense, n_mid,
-                                  stride=2)
-                if ok2:
-                    found = GrowthVerdict(True, t0, 2.0 ** k, [],
-                                          {"margin_ln": margin})
-                    break
-        if found is not None:
-            return found
-        ok, margin, worst = _compare(lhs, vAd, vAm, vAt, max(_C_EXPONENTS),
-                                     test, n_dense, n_mid, want_witness=True)
-        trend = _divergence_trend(lhs, vAm, max(_C_EXPONENTS), n_dense, n_mid)
+        for k in young._C_EXPONENTS:
+            rhs = young._sweep_shifted(A_side, k)
+            ok, margin = _compare(lhs, rhs, test)
+            if ok and _compare(lhs, rhs, test, stride=2)[0]:
+                return GrowthVerdict(True, t0, 2.0 ** k, [], {"margin_ln": margin})
+        # rhs now belongs to the largest searched constant
+        ok, margin, worst = _compare(lhs, rhs, test, want_witness=True)
+        with np.errstate(invalid="ignore"):
+            trend = [float(lhs[j] - rhs[j]) for j in _TREND_AT]
         last_fail = GrowthVerdict(
             False, t0, math.inf, worst,
             {"reason": "no (c, t0) on the search grid certifies the bound",
@@ -165,35 +154,13 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     return last_fail
 
 
-def _compare(lhs, vAd, vAm, vAt, k, test, n_dense, n_mid, stride=1,
-             want_witness=False):
-    """Pointwise lhs <= ln A(2^k t) + slack over the sweep; dense and mid
-    parts use exact index shifts, the sparse tail interpolates."""
-    rhs = np.empty_like(lhs)
-    sd = 64 * k
-    dense_idx = np.arange(n_dense) + sd
-    valid_d = (dense_idx >= 0) & (dense_idx < len(vAd))
-    rhs[:n_dense] = vAd[np.clip(dense_idx, 0, len(vAd) - 1)]
-    sm = 8 * k
-    mid_idx = np.arange(_MID_JOIN + 1, _MID_JOIN + 1 + n_mid) + sm
-    valid_m = (mid_idx >= 0) & (mid_idx < len(vAm))
-    rhs[n_dense:n_dense + n_mid] = vAm[np.clip(mid_idx, 0, len(vAm) - 1)]
-    tail_tau = _TAIL_GRID[1:] + k * LN2
-    with np.errstate(invalid="ignore"):
-        finite_t = np.isfinite(vAt)
-        if finite_t.all():
-            rhs[n_dense + n_mid:] = np.interp(tail_tau, _TAIL_GRID, vAt)
-        else:
-            vt = np.where(finite_t, vAt, np.inf)
-            rhs_tail = np.interp(tail_tau, _TAIL_GRID, np.nan_to_num(vt, posinf=1e308))
-            rhs[n_dense + n_mid:] = np.where(rhs_tail >= 1e307, np.inf, rhs_tail)
-    sel = test.copy()
-    sel[:n_dense] &= valid_d
-    sel[n_dense:n_dense + n_mid] &= valid_m
+def _compare(lhs, rhs, test, stride=1, want_witness=False):
+    """Pointwise lhs <= rhs + slack at the test points (every stride-th
+    sweep point); returns (ok, worst margin[, violating t])."""
+    sel = test
     if stride > 1:
-        keep = np.zeros_like(sel)
-        keep[::stride] = True
-        sel &= keep
+        sel = np.zeros_like(test)
+        sel[::stride] = test[::stride]
     with np.errstate(invalid="ignore"):
         pointwise = (lhs <= rhs + _PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
         violate = sel & ~pointwise
@@ -205,20 +172,6 @@ def _compare(lhs, vAd, vAm, vAt, k, test, n_dense, n_mid, stride=1,
         worst = [float(np.exp(min(t, 690.0))) for t in _SWEEP_TAU[violate][-6:]]
         return ok, margin, worst
     return ok, margin
-
-
-def _divergence_trend(lhs, vAm, k, n_dense, n_mid):
-    """ln(lhs/rhs) at increasing t for the largest searched constant."""
-    sm = 8 * k
-    out = []
-    for frac in (0.05, 0.25, 0.5, 1.0):
-        jm = min(_MID_JOIN + n_mid,
-                 _MID_JOIN + 1 + int((frac * young._TAU_MAX - young._DENSE_HI) / young._MID_STEP))
-        j = min(n_dense + n_mid - 1, n_dense + (jm - _MID_JOIN - 1))
-        rhs = vAm[min(jm + sm, len(vAm) - 1)]
-        with np.errstate(invalid="ignore"):
-            out.append(float(lhs[j] - rhs))
-    return out
 
 
 def check_balance(A: YoungFunction, B: YoungFunction) -> BalanceReport:

@@ -29,6 +29,11 @@ __all__ = ["BogovskiiConfig", "make_config", "apply", "div_residual",
            "norm_bound_ratio", "ratio_suite", "smooth_suite", "spike_suite"]
 
 _GAUSS6_X, _GAUSS6_W = np.polynomial.legendre.leggauss(6)
+# graded subdivision toward the singularity: cells whose centres lie within
+# _INNER_CELLS (_BAND_CELLS) cell widths of a node are split _N_INNER x
+# _N_INNER (_N_BAND x _N_BAND)
+_INNER_CELLS, _BAND_CELLS = 2.0, 5.0
+_N_INNER, _N_BAND = 8, 3
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,6 @@ class BogovskiiConfig:
     grid: Grid
     center: tuple          # center of the ball of star-shapedness
     radius: float          # bump support radius
-    inner_cells: float = 2.0   # graded-subdivision radii, in cell units
-    band_cells: float = 5.0
-    n_inner: int = 8           # subdivision factors per cell side
-    n_band: int = 3
 
     def __post_init__(self):
         if self.grid.dim != 2:
@@ -134,10 +135,10 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> GridField:
         ox, oy = np.meshgrid(o, o, indexing="ij")
         return ox.ravel() * hx, oy.ravel() * hy
 
-    ox_in, oy_in = sub_offsets(cfg.n_inner)
-    ox_bd, oy_bd = sub_offsets(cfg.n_band)
-    inner_r = cfg.inner_cells * h
-    band_r = cfg.band_cells * h
+    ox_in, oy_in = sub_offsets(_N_INNER)
+    ox_bd, oy_bd = sub_offsets(_N_BAND)
+    inner_r = _INNER_CELLS * h
+    band_r = _BAND_CELLS * h
     out0 = np.zeros((nx, ny))
     out1 = np.zeros((nx, ny))
 
@@ -223,6 +224,9 @@ def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:
     L = cfg.grid.spacing[0] * cfg.grid.extents[0]
     x, y = Xc[0] / L, Xc[1] / L
     g0 = np.clip(1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.33 ** 2, 0.0, None) ** 2
+    if not g0.sum() > 0:
+        raise DomainError("no cell centre lies inside the compensating bump; "
+                          "the grid is too coarse for the smooth suite")
     return g0 / (g0.sum() * cfg.grid.cell_volume)
 
 

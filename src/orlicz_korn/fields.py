@@ -135,9 +135,6 @@ class GridField:
     def __sub__(self, other):
         return GridField(self.grid, [a - b for a, b in zip(self.components, other.components)])
 
-    def scaled(self, c: float):
-        return GridField(self.grid, [c * a for a in self.components])
-
 
 @dataclass
 class TensorField:
@@ -145,8 +142,6 @@ class TensorField:
 
     grid: Grid
     entries: list               # nested [i][j] arrays of cell values
-    symmetric: bool = False
-    trace_free: bool = False
 
     def magnitude(self) -> np.ndarray:
         sq = sum(e * e for row in self.entries for e in row)
@@ -197,7 +192,7 @@ def sym_gradient(u: GridField) -> TensorField:
     n = u.grid.dim
     entries = [[0.5 * (G.entries[i][j] + G.entries[j][i]) for j in range(n)]
                for i in range(n)]
-    return TensorField(u.grid, entries, symmetric=True)
+    return TensorField(u.grid, entries)
 
 
 def dev_sym_gradient(u: GridField) -> TensorField:
@@ -210,7 +205,7 @@ def dev_sym_gradient(u: GridField) -> TensorField:
     tr = E.trace() / n
     entries = [[E.entries[i][j] - (tr if i == j else 0.0) for j in range(n)]
                for i in range(n)]
-    return TensorField(u.grid, entries, symmetric=True, trace_free=True)
+    return TensorField(u.grid, entries)
 
 
 def divergence(u: GridField) -> np.ndarray:

@@ -5,7 +5,7 @@ suffix sums with per-cell log weights); outputs are sampled at cell midpoints
 and carry the original cell weights, so only the Luxemburg bisection
 tolerance enters downstream norm ratios.
 
-The empirical verification runs a fixed, versioned trial family (random
+The empirical verification runs a fixed trial family (random
 steps, power spikes, log spikes, certificate-derived profiles) and reports
 the worst ratio per operator, plus a spike-sharpness sweep whose growth
 witnesses unboundedness when the balance conditions fail.
@@ -24,9 +24,10 @@ from .young import DomainError, YoungFunction
 
 __all__ = ["StepFunction", "HardyTrial", "HardyReport", "averaging_operator",
            "dual_operator", "verify_hardy", "rearrangement_reduction_check",
-           "step_on_interval", "spike", "TRIAL_FAMILY_VERSION"]
+           "step_on_interval", "spike"]
 
-TRIAL_FAMILY_VERSION = 1
+_PER_DECADE = 96              # cells per decade of the geometric partitions
+_GROWTH_TOL = 0.25            # allowed ratio growth per unit ln(sharpening)
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,18 @@ def step_on_interval(L: float, values) -> StepFunction:
     return StepFunction(edges, values)
 
 
-def _log_edges(L: float, inner: float, per_decade: int = 96) -> np.ndarray:
+def _log_edges(L: float, inner: float) -> np.ndarray:
     """Geometric partition of (0, L) resolving scales down to ``inner``."""
     decades = max(1.0, math.log10(L / inner))
-    n = int(decades * per_decade) + 1
+    n = int(decades * _PER_DECADE) + 1
     e = np.geomspace(inner, L, n)
     return np.concatenate(([0.0], e))
 
 
-def spike(L: float, delta: float, per_decade: int = 96) -> StepFunction:
+def spike(L: float, delta: float) -> StepFunction:
     """f = (1/delta) * indicator(0, delta) on a grid with a breakpoint at delta."""
-    lo = _log_edges(delta, delta * 1e-3, per_decade)
-    hi = np.geomspace(delta, L, int(math.log10(L / delta) * per_decade) + 2)[1:]
+    lo = _log_edges(delta, delta * 1e-3)
+    hi = np.geomspace(delta, L, int(math.log10(L / delta) * _PER_DECADE) + 2)[1:]
     edges = np.concatenate((lo, hi))
     vals = np.where(0.5 * (edges[:-1] + edges[1:]) <= delta, 1.0 / delta, 0.0)
     return StepFunction(edges, vals)
@@ -108,8 +109,6 @@ def dual_operator(f: StepFunction) -> SampledFunction:
 
 @dataclass
 class HardyTrial:
-    f: SampledFunction
-    L: float
     ratio_avg: float
     ratio_dual: float
     label: str = ""
@@ -127,7 +126,7 @@ class HardyReport:
 
 def _trial_family(report: balance.BalanceReport, L: float, trials: int,
                   seed: int = 20240) -> list:
-    """Versioned trial family: 64 random steps, 16 power spikes, 8 log
+    """The trial family: 64 random steps, 16 power spikes, 8 log
     spikes, plus profiles from the failure certificates in ``report``."""
     rng = np.random.default_rng(seed)
     fams = []
@@ -171,7 +170,7 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
     out = []
     for f, label in _trial_family(report, L, trials, seed):
         ra, rd = _ratios(A, B, f)
-        out.append(HardyTrial(f.sampled(), L, ra, rd, label))
+        out.append(HardyTrial(ra, rd, label))
     worst_avg = max(out, key=lambda t: t.ratio_avg)
     worst_dual = max(out, key=lambda t: t.ratio_dual)
     sweep = []
@@ -185,8 +184,7 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
 
 
 def rearrangement_reduction_check(A: YoungFunction, B: YoungFunction,
-                                  psi: StepFunction,
-                                  growth_tol: float = 0.25) -> bool:
+                                  psi: StepFunction) -> bool:
     """Check that the averaging-plus-dual majorant of a decreasing profile has
     a finite norm ratio against the profile, stable under sharpening.
 
@@ -225,4 +223,4 @@ def rearrangement_reduction_check(A: YoungFunction, B: YoungFunction,
     if not (math.isfinite(r4) and math.isfinite(r16)):
         return False
     slope = (r16 - r4) / math.log(4.0)
-    return slope <= max(growth_tol, 0.02 * r1)
+    return slope <= max(_GROWTH_TOL, 0.02 * r1)

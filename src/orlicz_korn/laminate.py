@@ -33,6 +33,7 @@ __all__ = ["Matrix2", "Laminate", "build_laminate", "build_laminate_recursive",
            "korn_suite_fields"]
 
 SQRT2 = math.sqrt(2.0)
+_RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,6 @@ class Laminate:
     def matrices(self):
         return [Matrix2.off_diagonal(float(al) * self.scale, float(be) * self.scale)
                 for _, al, be in self.atoms]
-
-    def weights_float(self) -> np.ndarray:
-        return np.array([float(w) for w, _, _ in self.atoms])
 
     @property
     def mass(self) -> Fraction:
@@ -156,6 +154,8 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
     if not A.finite_valued:
         raise DomainError("the scale choice needs a finite-valued, invertible "
                           "function on the deviatoric side")
+    if not r > 0:
+        raise DomainError("need r > 0")
     rows = []
     for m in range(0, m_max + 1):
         target = 2.0 ** (m - 1) / r ** 2
@@ -248,8 +248,8 @@ class LaminateRealization:
     """
 
     def __init__(self, L: Laminate, r: float, depth: int):
-        if L.order < 0 or depth < 4:
-            raise DomainError("need order >= 0 and depth >= 4")
+        if L.order < 0 or depth < 4 or not r > 0:
+            raise DomainError("need order >= 0, depth >= 4 and r > 0")
         self.laminate = L
         self.r = float(r)
         self.depth = int(depth)
@@ -288,22 +288,22 @@ class LaminateRealization:
         return vx, vy
 
     # -- moments of the realized gradient ----------------------------------
-    def moment(self, Phi, quad: int = 48) -> float:
+    def moment(self, Phi) -> float:
         """integral over (0, r)^2 of Phi(grad u), by exact region accounting
         plus midpoint quadrature over the ramp layers."""
-        return self.r ** 2 * self._stage_moment(0, Phi, quad)
+        return self.r ** 2 * self._stage_moment(0, Phi)
 
-    def _stage_moment(self, j: int, Phi, quad: int) -> float:
+    def _stage_moment(self, j: int, Phi) -> float:
         if j >= len(self.stages):
             return float(Phi(self.final))
         st = self.stages[j]
         kappa = 2.0 * st.ramp / st.trans_len
         atom_val = float(Phi(st.atom))
-        legacy_val = self._stage_moment(j + 1, Phi, quad)
+        legacy_val = self._stage_moment(j + 1, Phi)
         core = (1.0 - kappa) * (st.lam * atom_val + (1.0 - st.lam) * legacy_val)
         # ramp layer: grad = parent + chi phi' R + chi' phi C over one period
-        etas = (np.arange(quad) + 0.5) * (st.period / quad)
-        xis = (np.arange(quad) + 0.5) * (st.ramp / quad)
+        etas = (np.arange(_RAMP_QUAD) + 0.5) * (st.period / _RAMP_QUAD)
+        xis = (np.arange(_RAMP_QUAD) + 0.5) * (st.ramp / _RAMP_QUAD)
         E, X = np.meshgrid(etas, xis, indexing="ij")
         chi = X / st.ramp
         dchi = 1.0 / st.ramp

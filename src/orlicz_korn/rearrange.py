@@ -57,7 +57,6 @@ class SampledFunction:
 @dataclass(frozen=True)
 class LuxemburgNorm:
     value: float
-    lambda_bracket: tuple   # final bisection bracket (lo, hi)
 
     def __float__(self):
         return self.value
@@ -86,7 +85,7 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
     w = u.weights
     peak = float(np.max(u_abs)) if len(u_abs) else 0.0
     if peak == 0.0:
-        return LuxemburgNorm(0.0, (0.0, 0.0))
+        return LuxemburgNorm(0.0)
     omega = u.total_measure
     wmin = float(np.min(w))
     # bracket from the inverse at the extreme cell measures, then expand
@@ -110,7 +109,7 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
     while _modular(A, u_abs, w, lo) <= 1.0 and lo > hi * 1e-30:
         lo *= 0.5
     if _modular(A, u_abs, w, lo) <= 1.0:
-        return LuxemburgNorm(lo, (0.0, lo))
+        return LuxemburgNorm(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _modular(A, u_abs, w, mid) <= 1.0:
@@ -119,7 +118,7 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
             lo = mid
         if hi - lo <= _LAMBDA_RTOL * hi:
             break
-    return LuxemburgNorm(hi, (lo, hi))
+    return LuxemburgNorm(hi)
 
 
 def norm(A: YoungFunction, u: SampledFunction) -> float:

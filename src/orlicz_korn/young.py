@@ -42,33 +42,46 @@ CATALOG_VERSION = "1"
 LEGENDRE_GRID = np.geomspace(1e-6, 1e9, 2048)
 
 _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinement
-_TAU_MAX = 2.0e4              # asymptotic sweep upper end, in tau = ln t
+
+# The search settings shared by the growth checks, dominance and the balance
+# sweep: the dyadic constants 2^k and the thresholds t0 (dominance and
+# balance try t0 = 0 first, from tau = _TAU_FLOOR below).
+_C_EXPONENTS = range(-10, 11)
 _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 
-# The sweep grids in tau = ln t, shared by the growth checks, dominance and
-# the balance sweep.  Steps divide ln 2, so every dyadic constant in a search
-# grid is an exact integer index shift.  Growth and dominance read the dense,
-# refined and coarse grids; the balance sweep reads dense, mid and tail.
+# The sweep grids in tau = ln t.  Each is named by its points per ln 2;
+# where that is an integer, every dyadic constant 2^k is an exact index
+# shift.  Growth and dominance read the dense, refined and coarse grids; the
+# balance sweep reads dense, mid and tail.  No other module does index
+# arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
+# ``_sweep_shifted``.
+_TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
-_DENSE_STEP = LN2 / 64.0
-_COARSE_STEP = LN2
-_MID_STEP = LN2 / 8.0
 _OVERLAP = 12                 # ln2-units of overlap for shift headroom
 # sparse far tail: witnesses slow divergences (log-factor gaps) that only
 # overtake the dyadic constants at tau ~ 1e5..1e6; curvature of the log
 # curves out there is negligible, so shifted values interpolate safely
 _TAIL_MAX = 6.0e5
-_TAIL_STEP = 4.0 * LN2
-_DENSE_GRID = np.arange(_DENSE_LO, _DENSE_HI + 12.0 * LN2, _DENSE_STEP)
-_REFINED_GRID = np.arange(_DENSE_LO, _DENSE_HI + 12.0 * LN2, _DENSE_STEP / 2.0)
-_COARSE_GRID = np.arange(_DENSE_HI, _TAU_MAX + 12.0 * LN2, _COARSE_STEP)
-_MID_GRID = np.arange(_DENSE_HI - _OVERLAP * LN2, _TAU_MAX + _OVERLAP * LN2, _MID_STEP)
-_TAIL_GRID = np.arange(_TAU_MAX, _TAIL_MAX + _OVERLAP * LN2, _TAIL_STEP)
-_GRIDS = {"dense": _DENSE_GRID, "refined": _REFINED_GRID, "coarse": _COARSE_GRID,
-          "mid": _MID_GRID, "tail": _TAIL_GRID}
-_MID_JOIN = _OVERLAP * 8      # index of the mid point sitting at _DENSE_HI
+_PER_LN2 = {"dense": 64, "refined": 128, "coarse": 1, "mid": 8, "tail": 0.25}
+_GRIDS = {name: np.arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
+          for name, lo, hi in (("dense", _DENSE_LO, _DENSE_HI),
+                               ("refined", _DENSE_LO, _DENSE_HI),
+                               ("coarse", _DENSE_HI, _TAU_MAX),
+                               ("mid", _DENSE_HI - _OVERLAP * LN2, _TAU_MAX),
+                               ("tail", _TAU_MAX, _TAIL_MAX))}
+_DENSE_GRID, _REFINED_GRID, _COARSE_GRID, _MID_GRID, _TAIL_GRID = _GRIDS.values()
+# lowest tested tau: every searched 2^k multiple of it is still on the grid
+_TAU_FLOOR = _DENSE_LO - min(_C_EXPONENTS) * LN2
+
+# The balance sweep: dense up to _DENSE_HI, then mid up to _TAU_MAX, then
+# tail up to _TAIL_MAX, as (grid, first index, end index) parts.
+_MID_JOIN = _OVERLAP * _PER_LN2["mid"]      # index of the mid point at _DENSE_HI
 _ND = int(np.searchsorted(_DENSE_GRID, _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
+_SWEEP_PARTS = (("dense", 0, _ND),
+                ("mid", _MID_JOIN + 1, int(np.searchsorted(_MID_GRID, _TAU_MAX + 1e-9, "right"))),
+                ("tail", 1, int(np.searchsorted(_TAIL_GRID, _TAIL_MAX + 1e-9, "right"))))
+_SWEEP_TAU = np.concatenate([_GRIDS[g][lo:hi] for g, lo, hi in _SWEEP_PARTS])
 
 
 class DomainError(ValueError):
@@ -604,17 +617,16 @@ class ScaledYoung(YoungFunction):
 # numerical conjugation
 # ---------------------------------------------------------------------------
 
-def _tabulate(A: YoungFunction, grid=None) -> TabulatedYoung:
-    """Secant-slope tabulation of A on a log grid (interpolates A exactly at
-    the grid nodes); overflowing values truncate the table with an infinite
-    final slope."""
-    grid = LEGENDRE_GRID if grid is None else np.asarray(grid, dtype=float)
+def _tabulate(A: YoungFunction) -> TabulatedYoung:
+    """Secant-slope tabulation of A on ``LEGENDRE_GRID`` (interpolates A
+    exactly at the grid nodes); overflowing values truncate the table with an
+    infinite final slope."""
     with np.errstate(over="ignore"):
-        vals = A(grid)
+        vals = A(LEGENDRE_GRID)
     finite = np.isfinite(vals)
     if not finite.any():
         raise DomainError("function overflows on the whole tabulation grid")
-    bp = grid[finite]
+    bp = LEGENDRE_GRID[finite]
     v = vals[finite]
     keep = v > 0
     first_pos = np.argmax(keep) if keep.any() else None
@@ -631,10 +643,18 @@ def _tabulate(A: YoungFunction, grid=None) -> TabulatedYoung:
 
 
 class ConjugateYoung(YoungFunction):
-    """Numerical Young conjugate: exact conjugate of the secant tabulation of
-    the source (equivalently, the linearly interpolated supremand maximized on
-    the tabulation grid), with a log-domain evaluator for arguments beyond the
-    table so the far-field growth stays faithful."""
+    """Numerical Young conjugate, answering through two evaluators.
+
+    ``value``, ``density`` and ``inverse`` read the exact conjugate of the
+    secant tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
+    linearly interpolated supremand maximized on that grid); the norms use
+    it.  ``log_value_logt`` maximizes ln(r e^tau - source(r)) by golden
+    search in sigma = ln r, so the far-field growth stays faithful; the
+    growth and balance sweeps use it.  The two differ by the tabulation
+    error: for expL, against A*(s) = s ln s - s + 1, the table is 2.9e-5
+    (relative) low at s = 1.5 and 5.8e-4 low at s = 1e8, while
+    ``log_value_logt`` stays within 9e-11 in ln A* up to tau = 6e5.
+    """
 
     kind = "conjugate"
 
@@ -739,26 +759,64 @@ def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
     return memo[grid]
 
 
-def _shift_pairs(base: np.ndarray, shifted_by: int):
-    """Aligned views (v[i], v[i+s]) for integer shift s (s may be negative)."""
-    s = shifted_by
-    if s >= 0:
-        return base[: len(base) - s if s else None], base[s:]
-    return base[-s:], base[:s]
+def _index_shift(grid: str, k: float) -> int:
+    """The index offset that multiplies t by 2^k on the named grid."""
+    s = _PER_LN2[grid] * k
+    if s != int(s):
+        raise ValueError(f"2^{k} is not an index shift on the {grid} grid")
+    return int(s)
 
 
-def _coarse_index(tau: float) -> int:
-    return int(round((tau - _DENSE_HI) / _COARSE_STEP))
+def _shifted(A: YoungFunction, grid: str, k: float):
+    """Aligned (tau, ln A(e^tau), ln A(2^k e^tau)) on the named grid, at every
+    point whose 2^k multiple is on the grid too: an exact index shift."""
+    s = _index_shift(grid, k)
+    tau, v = _GRIDS[grid], _log_curve(A, grid)
+    lo, n = max(-s, 0), len(v) - abs(s)
+    return tau[lo:lo + n], v[lo:lo + n], v[lo + s:lo + s + n]
 
 
-def _doubling_data(A):
-    dv, cv = _log_curve(A, "dense"), _log_curve(A, "coarse")
+def _sweep_shifted(A: YoungFunction, k: float) -> np.ndarray:
+    """ln A(2^k e^tau) at every tau of ``_SWEEP_TAU``: exact index shifts on
+    the dense and mid parts (NaN where 2^k e^tau is below the grid), linear
+    interpolation on the tail."""
+    # fill every curve before the parts exist: a conjugate's evaluator needs
+    # tens of MB of temporaries, and they should not stack on the parts
+    curves = [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
+    parts = []
+    for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
+        if grid != "tail":
+            idx = np.arange(lo, hi) + _index_shift(grid, k)
+            parts.append(np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan))
+            continue
+        tail_tau = _TAIL_GRID[lo:hi] + k * LN2
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(v)
+            if finite.all():
+                parts.append(np.interp(tail_tau, _TAIL_GRID, v))
+            else:
+                v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
+                tail = np.interp(tail_tau, _TAIL_GRID, v)
+                parts.append(np.where(tail >= 1e307, np.inf, tail))
+    return np.concatenate(parts)
+
+
+def _doubling_ratio(A: YoungFunction, grid: str):
+    """(tau, ln A(t), ln A(2t), ln A(2t) - ln A(t)) on the named grid."""
+    tau, v, v2 = _shifted(A, grid, 1)
     with np.errstate(invalid="ignore"):
-        r_dense = dv[64:] - dv[:-64]
-        r_coarse = cv[1:] - cv[:-1]
-    t_dense = _DENSE_GRID[:-64]
-    t_coarse = _COARSE_GRID[:-1]
-    return (t_dense, r_dense, dv[:-64], dv[64:]), (t_coarse, r_coarse, cv[:-1])
+        return tau, v, v2, v2 - v
+
+
+def _scan_t0(at, A: YoungFunction, near_infinity: bool) -> GrowthVerdict:
+    """The first verdict ``at(A, tau_lo, t0)`` that holds along the t0 scan,
+    else the last one; without near_infinity only t0 = 0, tested from
+    tau = -14."""
+    for t0 in _T0_SCAN if near_infinity else (0.0,):
+        verdict = at(A, math.log(t0) if t0 > 0 else -14.0, t0)
+        if verdict.holds:
+            break
+    return verdict
 
 
 def check_delta2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
@@ -767,22 +825,17 @@ def check_delta2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
         jp = A.jump_point or 1.0
         return GrowthVerdict(False, 0.0, math.inf, [0.75 * jp],
                              {"reason": "not finite-valued: A jumps to infinity"})
-    (td, rd, vd0, vd2), (tc, rc, vc) = _doubling_data(A)
-    t0_list = _T0_SCAN if near_infinity else (0.0,)
-    for t0 in t0_list:
-        tau_lo = math.log(t0) if t0 > 0 else -14.0
-        verdict = _delta2_at(A, tau_lo, t0, td, rd, vd0, vd2, tc, rc)
-        if verdict.holds:
-            return verdict
-    return verdict
+    return _scan_t0(_delta2_at, A, near_infinity)
 
 
-def _tail_probe(tc, rc, frac):
-    i = min(len(rc) - 1, _coarse_index(frac * _TAU_MAX))
-    return float(rc[i])
+def _tail_probe(tau, r, frac):
+    """r at the point of tau nearest to frac * _TAU_MAX."""
+    return float(r[np.argmin(np.abs(tau - frac * _TAU_MAX))])
 
 
-def _delta2_at(A, tau_lo, t0, td, rd, vd0, vd2, tc, rc):
+def _delta2_at(A, tau_lo, t0):
+    td, vd0, vd2, rd = _doubling_ratio(A, "dense")
+    tc, _, _, rc = _doubling_ratio(A, "coarse")
     md = td >= tau_lo
     mc = tc >= tau_lo
     # A jumps from 0 to positive inside the window: no finite constant
@@ -809,11 +862,9 @@ def _delta2_at(A, tau_lo, t0, td, rd, vd0, vd2, tc, rc):
                              {"reason": "doubling ratio grows without bound",
                               "ratio_log_tail": tail})
     # refinement stability of the certified constant (dense window, 2x finer)
-    grid2, dv2 = _REFINED_GRID, _log_curve(A, "refined")
-    with np.errstate(invalid="ignore"):
-        r2 = dv2[128:] - dv2[:-128]
-    m2 = grid2[:-128] >= tau_lo
-    sup2 = float(np.max(r2[m2 & np.isfinite(r2)])) if (m2 & np.isfinite(r2)).any() else sup
+    t2, _, _, r2 = _doubling_ratio(A, "refined")
+    m2 = (t2 >= tau_lo) & np.isfinite(r2)
+    sup2 = float(np.max(r2[m2])) if m2.any() else sup
     sup_all = max(sup, sup2, tail[-1])
     drift = abs(math.expm1(min(abs(sup2 - sup), 1.0)))
     if drift > _REFINE_DRIFT:
@@ -830,18 +881,12 @@ def check_nabla2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
     if not A.finite_valued:
         return GrowthVerdict(True, 0.0, 4.0, [],
                              {"reason": "A jumps to infinity: lower doubling is vacuous"})
-    (td, rd, vd0, vd2), (tc, rc, vc) = _doubling_data(A)
-    t0_list = _T0_SCAN if near_infinity else (0.0,)
-    verdict = None
-    for t0 in t0_list:
-        tau_lo = math.log(t0) if t0 > 0 else -14.0
-        verdict = _nabla2_at(A, tau_lo, t0, td, rd, vd0, tc, rc)
-        if verdict.holds:
-            return verdict
-    return verdict
+    return _scan_t0(_nabla2_at, A, near_infinity)
 
 
-def _nabla2_at(A, tau_lo, t0, td, rd, vd, tc, rc):  # vd = unshifted curve
+def _nabla2_at(A, tau_lo, t0):
+    td, vd, _, rd = _doubling_ratio(A, "dense")
+    tc, _, _, rc = _doubling_ratio(A, "coarse")
     md = td >= tau_lo
     mc = tc >= tau_lo
     # informative points: 0 < A(t) < inf (zero or infinite A(t) satisfy any C)
@@ -863,10 +908,8 @@ def _nabla2_at(A, tau_lo, t0, td, rd, vd, tc, rc):  # vd = unshifted curve
                              [float(np.exp(min(t, 690.0))) for t in worst],
                              {"reason": "doubling ratio not bounded away from 2",
                               "gap_tail": [g1, g2]})
-    grid2, dv2 = _REFINED_GRID, _log_curve(A, "refined")
-    with np.errstate(invalid="ignore"):
-        r2 = dv2[128:] - dv2[:-128]
-        m2 = (grid2[:-128] >= tau_lo) & np.isfinite(r2) & np.isfinite(dv2[:-128])
+    t2, v2, _, r2 = _doubling_ratio(A, "refined")
+    m2 = (t2 >= tau_lo) & np.isfinite(r2) & np.isfinite(v2)
     inf2 = float(np.min(r2[m2])) if m2.any() else inf_log
     c = math.exp(min(inf_log, inf2, g2 + LN2))
     drift = abs(math.exp(min(inf2, 10.0)) - math.exp(min(inf_log, 10.0))) / math.exp(min(inf_log, 10.0))
@@ -876,46 +919,32 @@ def _nabla2_at(A, tau_lo, t0, td, rd, vd, tc, rc):  # vd = unshifted curve
     return GrowthVerdict(True, t0, c, [], {"refinement_drift": drift, "gap_tail": [g1, g2]})
 
 
-_C_EXPONENTS = list(range(-10, 11))
-
-
 def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
     """Search for C with B(t) <= A(C t) for t >= t0 (near infinity) or
     globally; smallest passing dyadic C is reported."""
     t0_list = ((0.0,) + _T0_SCAN) if near_infinity else (0.0,)
-    dvA, cvA = _log_curve(A, "dense"), _log_curve(A, "coarse")
-    dvB, cvB = _log_curve(B, "dense"), _log_curve(B, "coarse")
     for k in _C_EXPONENTS:             # smallest passing constant wins
         for t0 in t0_list:
-            tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
-            md = _DENSE_GRID >= tau_lo
-            mc = _COARSE_GRID >= tau_lo
-            if (not _dominance_violations(dvB, dvA, 64 * k, md).any()
-                    and not _dominance_violations(cvB, cvA, k, mc).any()):
-                c = 2.0 ** k
-                # refinement stability: same verdict on the 2x-finer curve
-                dB2, dA2 = _log_curve(B, "refined"), _log_curve(A, "refined")
-                if not _dominance_violations(dB2, dA2, 128 * k, _REFINED_GRID >= tau_lo).any():
-                    return GrowthVerdict(True, t0, c, [], {})
+            tau_lo = math.log(t0) if t0 > 0 else _TAU_FLOOR
+            # the refined grid rechecks refinement stability
+            if not any(_dominance_violations(A, B, grid, k, tau_lo).size
+                       for grid in ("dense", "coarse", "refined")):
+                return GrowthVerdict(True, t0, 2.0 ** k, [], {})
     t0 = t0_list[-1]
-    tau_lo = math.log(t0) if t0 > 0 else -32.0 + 10.0 * LN2
-    bad_t = []
-    for vB, vA, shift, grid in ((dvB, dvA, 64 * _C_EXPONENTS[-1], _DENSE_GRID),
-                                (cvB, cvA, _C_EXPONENTS[-1], _COARSE_GRID)):
-        bad = _dominance_violations(vB, vA, shift, grid >= tau_lo)
-        bad_t += [float(np.exp(min(t, 690.0))) for t in _shift_pairs(grid, shift)[0][bad][:6]]
+    tau_lo = math.log(t0) if t0 > 0 else _TAU_FLOOR
+    bad_t = [float(np.exp(min(t, 690.0))) for grid in ("dense", "coarse")
+             for t in _dominance_violations(A, B, grid, max(_C_EXPONENTS), tau_lo)[:6]]
     return GrowthVerdict(False, t0, math.inf, bad_t[:6],
                          {"reason": "no dyadic constant certifies dominance"})
 
 
-def _dominance_violations(vB, vA, shift, mask):
-    """Points of mask where ln B(t) <= ln A(C t) fails, C being the constant
-    that shifts the curve index by `shift`."""
-    b0, _ = _shift_pairs(vB, shift)
-    _, a1 = _shift_pairs(vA, shift)
-    m, _ = _shift_pairs(mask, shift)
+def _dominance_violations(A, B, grid, k, tau_lo):
+    """The tau >= tau_lo of the named grid where ln B(t) <= ln A(2^k t) fails."""
+    tau, b, _ = _shifted(B, grid, k)
+    _, _, a = _shifted(A, grid, k)
     with np.errstate(invalid="ignore"):
-        return m & ~((b0 <= a1 + 1e-9) | np.isneginf(b0) | np.isposinf(a1))
+        ok = (b <= a + 1e-9) | np.isneginf(b) | np.isposinf(a)
+    return tau[(tau >= tau_lo) & ~ok]
 
 
 def equivalent(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) -> bool:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -58,6 +60,14 @@ def test_linear_log_pair_fails_primal(catalog):
     assert rep.dual.holds
     assert rep.primal.failure_certificate
     assert "ratio_trend_ln" in rep.primal.diagnostics
+    # the sweep's numbers as first recorded, so a refactor of the search
+    # cannot move them unnoticed
+    diag = rep.primal.diagnostics
+    assert rep.primal.failure_certificate == pytest.approx([4.60460640478299e+299] * 6, rel=1e-12)
+    assert diag["worst_margin_ln"] == pytest.approx(5.680050786933862, rel=1e-12)
+    assert diag["ratio_trend_ln"] == pytest.approx(
+        [-0.7237807054951872, 0.8911904011729348, 1.5850314405488461, 2.2785210382462537],
+        rel=1e-12)
 
 
 def test_exp_pair_fails_dual(catalog):
@@ -71,11 +81,28 @@ def test_linear_pair_fails_primal(catalog):
     assert not rep.primal.holds and rep.dual.holds
 
 
+# (witness_c, threshold_t0, primal margin_ln, dual margin_ln) as first recorded
+_EXAMPLE_PAIR_NUMBERS = {
+    ("L2_log", "L2_log"): (2.0, 0.0, -0.9344986933283508, -0.3465717005916602),
+    ("LlogL", "L1"): (1.0, 1.0, -6.402842700481415e-09, -math.inf),
+    ("L2_loglog", "L2_loglog"): (2.0, 0.0, -0.9344970886595547, -0.34657217865648704),
+    ("LlogL_loglog", "L_loglog"): (1024.0, 1.0, -0.07813429948873818, -0.20942129305696255),
+    ("expL", "expL_half"): (2.0, 1.0, -1.0965351101155238, -1.3863433307269588),
+    ("Linf", "expL"): (2.0, 1.0, -math.inf, -0.5553031917860984),
+    ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203882947564),
+}
+
+
 def test_classify_catalog_pairs_all_hold(catalog):
     rows = classify_catalog_pairs(catalog)
     assert len(rows) == 7
     for row in rows:
-        assert row["report"].holds, (row["name_A"], row["name_B"])
+        pair = (row["name_A"], row["name_B"])
+        rep = row["report"]
+        assert rep.holds, pair
+        got = (rep.witness_c, rep.threshold_t0, rep.primal.diagnostics["margin_ln"],
+               rep.dual.diagnostics["margin_ln"])
+        assert got == pytest.approx(_EXAMPLE_PAIR_NUMBERS[pair], rel=1e-12), pair
 
 
 # ---------------------------------------------------------------------------
@@ -139,3 +166,21 @@ def test_check_balance_builds_one_conjugate_and_each_curve_once(monkeypatch):
     assert len(built) == 1 and built[0] is A
     assert sorted(sizes) == sorted(g.size for g in (
         young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))
+
+
+def test_balance_reads_no_grid_layout_of_young():
+    # balance reads ln A(2^k t) through young's sweep reader; the grids, their
+    # bounds, steps and lengths and the index arithmetic on them stay young's
+    layout = {name for name, value in vars(young).items()
+              if any(value is grid for grid in young._GRIDS.values())}
+    layout |= {name for name in vars(young) if name.endswith(("_STEP", "_JOIN", "_LO", "_HI"))}
+    layout |= {"_GRIDS", "_PER_LN2", "_SWEEP_PARTS", "_ND", "_N_MID_USE", "_OVERLAP",
+               "_TAIL_MAX", "_log_curve", "_shifted", "_index_shift"}
+    tree = ast.parse(inspect.getsource(balance))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "young"}
+    read |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "young"
+             for alias in node.names}
+    assert not read & layout, sorted(read & layout)

@@ -110,6 +110,9 @@ def test_config_file_replaces_flags(tmp_path):
     ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"params": {"p": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "power", "params": [2]}', "--B", "L2"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "0", "--m-max", "2"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "-1", "--m-max", "2"],
+    ["bogovskii", "--A", "L2", "--B", "L2", "--grid", "2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")

@@ -141,6 +141,14 @@ def test_blowup_rejects_indicator(catalog):
         blowup_curve(catalog["Linf"], catalog["L1"], 3, 1.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_blowup_and_realization_reject_nonpositive_r(catalog, r):
+    with pytest.raises(DomainError):
+        blowup_curve(catalog["L1"], catalog["L1"], 2, r)
+    with pytest.raises(DomainError):
+        realize_field(build_laminate(1, 1.0), r, 8)
+
+
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------

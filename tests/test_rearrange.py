@@ -199,3 +199,15 @@ def test_mismatched_weights_rejected():
     v = _sf([1.0, 2.0], [0.3, 0.7])
     with pytest.raises(DomainError):
         ra.holder_check(PowerYoung(2), u, v)
+
+
+@pytest.mark.parametrize("p, c", [(1.0, 1.0), (1.5, 0.5), (2.0, 1.0), (3.0, 4.0)])
+def test_power_norms_of_step_functions_match_closed_form(p, c):
+    # for A = c t^p the Luxemburg norm is (c sum w |u|^p)^(1/p)
+    rng = np.random.default_rng(11)
+    A = PowerYoung(p, c)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        u = _sf(rng.standard_normal(n) * rng.uniform(0.1, 10.0), rng.uniform(0.01, 2.0, n))
+        want = (c * np.sum(u.weights * np.abs(u.values) ** p)) ** (1.0 / p)
+        assert ra.norm(A, u) == pytest.approx(want, rel=1e-9)

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orlicz_korn import young
 from orlicz_korn.young import (
@@ -226,11 +228,43 @@ def test_indicator_growth_conventions(catalog):
     assert check_nabla2(catalog["Linf"]).holds
 
 
+# (witness_constant, threshold_t0) of delta2 and nabla2 near infinity, for
+# each catalog function and then for its conjugate, as first recorded
+_GROWTH_NUMBERS = {
+    "L1": (2.0000000000039826, 1.0, 2.0, 1000.0, math.inf, 0.0, 4.0, 0.0),
+    "L2": (4.000000000015931, 1.0, 3.9999999999868274, 1.0,
+           4.000000000015931, 1.0, 3.9999999999868274, 1.0),
+    "L3": (8.000000000076897, 1.0, 7.999999999960481, 1.0,
+           2.828427124759784, 1.0, 2.8284271247392043, 1.0),
+    "L2_log": (6.337015132993218, 1.0, 4.000138580916359, 1.0,
+               3.999861357358349, 1.0, 2.9737727455608836, 1.0),
+    "LlogL": (3.168507566496783, 1.0, 2.0, 1000.0, math.inf, 1000.0, 5.669375461771132, 1.0),
+    "LlogL2": (5.019720099473958, 1.0, 2.0, 1000.0, math.inf, 1000.0, 3.291726789137137, 1.0),
+    "L_loglog": (2.81393524621121, 1.0, 2.0, 1000.0, math.inf, 1000.0, 62.56081087396641, 1.0),
+    "L2_loglog": (5.627870492422111, 1.0, 4.000013991619582, 1.0,
+                  3.9999860061620263, 1.0, 3.1249117599029455, 1.0),
+    "LlogL_loglog": (4.457987559626348, 1.0, 2.0, 1000.0,
+                     math.inf, 1000.0, 3.7818621614332346, 1.0),
+    "expL": (math.inf, 1000.0, 3.7289382435535066, 1.0, 51245.18512097743, 1.0, 2.0, 1000.0),
+    "expL2": (math.inf, 1000.0, 31.809096924303134, 1.0, 3.40738827594183, 1.0, 2.0, 1000.0),
+    "expL_half": (math.inf, 1000.0, 3.831757834364524, 10.0,
+                  3.195885717419473, 10.0, 2.0, 1000.0),
+    "Linf": (math.inf, 0.0, 4.0, 0.0, 2.0000000000039826, 1.0, 2.0, 1000.0),
+    "exp_log2": (math.inf, 1000.0, 2.9022842255288994, 1.0,
+                 828290003544144.6, 1.0, 2.0, 1000.0),
+    "exp_log2_reduced": (math.inf, 1000.0, 2.994238283336766, 1.0,
+                         4.9960648870530004, 1.0, 2.0, 1000.0),
+}
+
+
 def test_delta2_nabla2_duality(catalog):
+    assert catalog.keys() == _GROWTH_NUMBERS.keys()
     for name, A in catalog.items():
-        At = conjugate(A)
-        assert check_delta2(A).holds == check_nabla2(At).holds, name
-        assert check_nabla2(A).holds == check_delta2(At).holds, name
+        (dA, nA), (dC, nC) = [(check_delta2(F), check_nabla2(F)) for F in (A, conjugate(A))]
+        assert dA.holds == nC.holds, name
+        assert nA.holds == dC.holds, name
+        got = tuple(x for v in (dA, nA, dC, nC) for x in (v.witness_constant, v.threshold_t0))
+        assert got == pytest.approx(_GROWTH_NUMBERS[name], rel=1e-12), name
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +391,78 @@ def test_growth_checks_read_only_the_growth_grids(monkeypatch):
 def test_conjugate_is_built_once_per_object():
     A = load_catalog()["LlogL"]
     assert conjugate(A) is conjugate(A)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the log-domain conjugate against closed forms, JSON round trips
+# ---------------------------------------------------------------------------
+
+# every 8th tau > 0 of the balance sweep, out to 6e5
+_ORACLE_TAU = young._SWEEP_TAU[young._SWEEP_TAU > 0][::8]
+
+
+def test_conjugate_log_value_of_expL_matches_closed_form(catalog):
+    # A*(s) = s ln s - s + 1, so ln A*(e^tau) = tau + ln(tau - 1 + e^-tau)
+    tau = _ORACLE_TAU
+    got = ConjugateYoung(catalog["expL"]).log_value_logt(tau)
+    assert np.max(np.abs(got - (tau + np.log(tau - 1.0 + np.exp(-tau))))) <= 1e-9
+
+
+@pytest.mark.parametrize("p, tol", [(1.5, 2e-9), (2.0, 1e-9), (3.0, 1e-9)])
+def test_conjugate_log_value_of_powers_matches_closed_form(p, tol):
+    # for t^1.5 the golden-section search resolves ln A*(e^tau) = 3 tau + c
+    # only to about 1.9e-9 (8 ulp) beyond tau ~ 3e5
+    A = PowerYoung(p)
+    got = ConjugateYoung(A).log_value_logt(_ORACLE_TAU)
+    assert np.max(np.abs(got - A.conjugate().log_value_logt(_ORACLE_TAU))) <= tol
+
+
+@st.composite
+def _tabulated_spec(draw):
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    rises = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    slopes = np.cumsum(rises)
+    final = draw(st.one_of(st.floats(slopes[-1], slopes[-1] + 5.0), st.just(math.inf)))
+    assume(slopes[-1] > 0 or final > 0)
+    return {"kind": "tabulated", "params": {"breakpoints": np.cumsum(gaps).tolist(),
+                                            "slopes": slopes.tolist(), "final_slope": final}}
+
+
+def _spec(kind, **params):
+    return {"kind": kind, "params": params}
+
+
+_LEAF_SPECS = st.one_of(
+    st.builds(lambda p, c: _spec("power", p=p, coeff=c), st.floats(1.0, 4.0), st.floats(0.1, 10.0)),
+    st.builds(lambda p, a, g: _spec("power_log_log", p=p, alpha=a, gamma=g),
+              st.floats(1.0, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    st.builds(lambda p, a: _spec("power_log", p=p, alpha=a), st.floats(1.0, 3.0), st.floats(0.0, 2.0)),
+    st.just(_spec("linear_log")),
+    st.builds(lambda b: _spec("exp_power", beta=b), st.floats(0.5, 3.0)),
+    st.builds(lambda a, b, r: _spec("exp_log_power", a=a, beta=b, reduced=r),
+              st.floats(0.5, 2.0), st.floats(1.1, 3.0), st.booleans()),
+    st.builds(lambda t1: _spec("indicator", t1=t1), st.floats(0.01, 100.0)),
+    _tabulated_spec(),
+)
+
+
+def _wrapped(inner):
+    return st.one_of(
+        st.builds(lambda m, s, of: _spec("scaled", m=m, arg_scale=s, of=of),
+                  st.floats(0.1, 10.0), st.floats(0.1, 10.0), inner),
+        st.builds(lambda of: _spec("conjugate", of=of), inner))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_LEAF_SPECS, _wrapped(_LEAF_SPECS), _wrapped(_wrapped(_LEAF_SPECS))))
+def test_from_json_inverts_to_json_for_every_kind(spec):
+    try:
+        A = young.from_json(spec)
+    except DomainError:
+        assume(False)   # a non-convex parameter choice or an empty tabulation
+    B = young.from_json(json.dumps(young.to_json(A)))
+    assert young.to_json(B) == young.to_json(A)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(B.value(t), A.value(t), equal_nan=True)
