@@ -49,30 +49,34 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
 def maximize_unimodal(f, lo, hi):
     """Batched golden-section maximum of a unimodal function.
 
-    ``f`` maps an array of points to an array of values (may contain -inf),
-    ``lo``/``hi`` are arrays of bracket endpoints.  Returns (argmax, max).
+    ``f`` maps an array of points to an array of values (may contain -inf,
+    never NaN), ``lo``/``hi`` are arrays of bracket endpoints.  Each step
+    keeps the surviving interior point and evaluates f once, at the new one.
+    Returns the largest value found: at the midpoint or at any step.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = 1.0 - invphi
-    best_x = 0.5 * (lo + hi)
-    best_f = f(best_x)
+    best = f(0.5 * (lo + hi))
+    x1 = lo + invphi2 * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = np.fmax(best, np.fmax(f1, f2))
     for _ in range(_GOLDEN_ITERS):
-        h = hi - lo
-        x1 = lo + invphi2 * h
-        x2 = lo + invphi * h
-        f1 = f(x1)
-        f2 = f(x2)
-        go_left = f1 >= f2
-        hi = np.where(go_left, x2, hi)
-        lo = np.where(go_left, lo, x1)
-        cand_x = np.where(go_left, x1, x2)
-        cand_f = np.where(go_left, f1, f2)
-        improve = cand_f > best_f
-        best_x = np.where(improve, cand_x, best_x)
-        best_f = np.where(improve, cand_f, best_f)
-    return best_x, best_f
+        left = f1 >= f2
+        # the better interior point survives inside the shrunk bracket; the
+        # new point takes the other golden position
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x_keep = np.where(left, x1, x2)
+        f_keep = np.where(left, f1, f2)
+        x_new = lo + np.where(left, invphi2, invphi) * (hi - lo)
+        f_new = f(x_new)
+        best = np.fmax(best, f_new)
+        x1, x2 = np.where(left, x_new, x_keep), np.where(left, x_keep, x_new)
+        f1, f2 = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
+    return best
 
 
 def adaptive_simpson(f, a: float, b: float) -> float:

@@ -138,12 +138,15 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
             lhs = xs + np.logaddexp(prefix, tail_ln)
         test = xs >= max(tau0, young._TAU_FLOOR)
         test[:i0 + 1] = False
-        for k in young._C_EXPONENTS:
-            rhs = young._sweep_shifted(A_side, k)
-            ok, margin = _compare(lhs, rhs, test)
-            if ok and _compare(lhs, rhs, test, stride=2)[0]:
-                return GrowthVerdict(True, t0, 2.0 ** k, [], {"margin_ln": margin})
-        # rhs now belongs to the largest searched constant
+        # ln A(2^k e^tau) grows with k: if the largest constant fails, so
+        # does every smaller one; else report the smallest that passes
+        rhs = young._sweep_shifted(A_side, max(young._C_EXPONENTS))
+        if _compare(lhs, rhs, test)[0]:
+            del rhs   # hold one right-hand side at a time, for peak memory
+            for k in young._C_EXPONENTS:
+                ok, margin = _compare(lhs, young._sweep_shifted(A_side, k), test)
+                if ok:
+                    return GrowthVerdict(True, t0, 2.0 ** k, [], {"margin_ln": margin})
         ok, margin, worst = _compare(lhs, rhs, test, want_witness=True)
         with np.errstate(invalid="ignore"):
             trend = [float(lhs[j] - rhs[j]) for j in _TREND_AT]
@@ -154,20 +157,16 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     return last_fail
 
 
-def _compare(lhs, rhs, test, stride=1, want_witness=False):
-    """Pointwise lhs <= rhs + slack at the test points (every stride-th
-    sweep point); returns (ok, worst margin[, violating t])."""
-    sel = test
-    if stride > 1:
-        sel = np.zeros_like(test)
-        sel[::stride] = test[::stride]
+def _compare(lhs, rhs, test, want_witness=False):
+    """Pointwise lhs <= rhs + slack at the test points; returns (ok, worst
+    margin[, violating t])."""
     with np.errstate(invalid="ignore"):
         pointwise = (lhs <= rhs + _PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
-        violate = sel & ~pointwise
+        violate = test & ~pointwise
     ok = not bool(violate.any())
     with np.errstate(invalid="ignore"):
-        margins = np.where(sel, lhs - rhs, -np.inf)
-    margin = float(np.nanmax(margins)) if sel.any() else -math.inf
+        margins = np.where(test, lhs - rhs, -np.inf)
+    margin = float(np.nanmax(margins)) if test.any() else -math.inf
     if want_witness:
         worst = [float(np.exp(min(t, 690.0))) for t in _SWEEP_TAU[violate][-6:]]
         return ok, margin, worst

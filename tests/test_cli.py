@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import orlicz_korn
 from orlicz_korn.cli import main
 
 
@@ -166,3 +169,17 @@ def test_bogovskii_gates_only_the_smooth_residuals(tmp_path, suite, code):
     assert rc == code
     rows = (out / "bogovskii.csv").read_text().strip().splitlines()[1:]
     assert rows and all(float(r.split(",")[1]) > 0.05 for r in rows)
+
+
+def test_check_balance_of_a_fast_exp_log_power_prints_no_warning(tmp_path):
+    # its conjugate's table has slopes near 1e306, whose cumulative values
+    # overflow to +inf: that means A = inf there, not an error
+    src = os.path.dirname(os.path.dirname(orlicz_korn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orlicz_korn.cli", "check-balance",
+         "--A", '{"kind": "exp_log_power", "params": {"a": 2, "beta": 3}}', "--B", "L2",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

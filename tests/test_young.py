@@ -411,10 +411,64 @@ def test_conjugate_log_value_of_expL_matches_closed_form(catalog):
 @pytest.mark.parametrize("p, tol", [(1.5, 2e-9), (2.0, 1e-9), (3.0, 1e-9)])
 def test_conjugate_log_value_of_powers_matches_closed_form(p, tol):
     # for t^1.5 the golden-section search resolves ln A*(e^tau) = 3 tau + c
-    # only to about 1.9e-9 (8 ulp) beyond tau ~ 3e5
+    # only to about 1.2e-9 (5 ulp) beyond tau ~ 3e5
     A = PowerYoung(p)
     got = ConjugateYoung(A).log_value_logt(_ORACLE_TAU)
     assert np.max(np.abs(got - A.conjugate().log_value_logt(_ORACLE_TAU))) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the numerical conjugate evaluates each point on its own
+# ---------------------------------------------------------------------------
+
+def test_conjugate_point_does_not_depend_on_its_batch(catalog):
+    # the supremand at tau = 15 turns beyond sigma = 1e6; it used to be
+    # reported as +inf unless a smaller tau in the same call kept the
+    # bracket search going
+    C = conjugate(catalog["LlogL"])
+    alone = C.log_value_logt([15.0])
+    assert np.isfinite(alone[0])
+    assert alone[0] == C.log_value_logt([0.0, 15.0])[1]
+    # the mid curve is finite exactly where the dense curve is, on the
+    # stretch of tau the two grids share
+    C = conjugate(catalog["LlogL2"])
+    dense, mid = young._log_curve(C, "dense"), young._log_curve(C, "mid")
+    shared = young._MID_GRID <= young._DENSE_GRID[-1]
+    below = np.searchsorted(young._DENSE_GRID, young._MID_GRID[shared], "right") - 1
+    assert np.isinf(mid[shared]).any()
+    assert np.array_equal(np.isinf(mid[shared]), np.isinf(dense[below]))
+
+
+@pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
+                                  if isinstance(conjugate(A), ConjugateYoung)])
+def test_conjugate_curves_match_per_point_calls(catalog, name):
+    # blocks and the thread pool leave every value as a call on its own gives
+    C = conjugate(catalog[name])
+    rng = np.random.default_rng(5)
+    for grid, tau in young._GRIDS.items():
+        curve = young._log_curve(C, grid)
+        idx = rng.choice(tau.size, 64, replace=False)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            alone = [C.log_value_logt(tau[i]) for i in idx]
+        assert np.array_equal(curve[idx], alone, equal_nan=True), grid
+
+
+def test_calls_of_one_block_start_no_pool(monkeypatch, catalog):
+    monkeypatch.setattr(young, "_POOL", None)
+    C = ConjugateYoung(catalog["expL"])
+    C.log_value_logt(np.linspace(-30.0, 600.0, young._BLOCK))
+    C.log_value_logt(3.0)
+    assert young._POOL is None
+
+
+def test_log_value_logt_of_a_scalar_is_a_scalar(catalog):
+    kinds = list(catalog.values()) + [
+        TabulatedYoung([1.0, 2.0], [1.0, 3.0], 5.0), ScaledYoung(2.0, PowerYoung(2.0), 3.0),
+        ConjugateYoung(catalog["LlogL"])]
+    assert {A.kind for A in kinds} == set(young._KINDS)
+    for A in kinds:
+        assert np.ndim(A.log_value_logt(3.0)) == 0, A
+    assert isinstance(ConjugateYoung(catalog["LlogL"]).log_value_logt(3.0), float)
 
 
 @st.composite
