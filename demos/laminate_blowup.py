@@ -25,8 +25,7 @@ for row in laminate.blowup_curve(cat["L2"], cat["L2"], 8, 1.0)[1:9:3]:
 
 print()
 print("realized displacement, moment convergence at depth 64:")
-frob = lambda M: np.linalg.norm(
-    M.array if isinstance(M, laminate.Matrix2) else M, axis=(-2, -1))
+frob = lambda M: np.linalg.norm(M, axis=(-2, -1))
 for m in (1, 2, 3):
     L = laminate.build_laminate(m, 1.0)
     real = laminate.realize_field(L, 1.0, 64)

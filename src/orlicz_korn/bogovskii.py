@@ -34,6 +34,11 @@ _GAUSS6_X, _GAUSS6_W = np.polynomial.legendre.leggauss(6)
 # _N_INNER (_N_BAND x _N_BAND)
 _INNER_CELLS, _BAND_CELLS = 2.0, 5.0
 _N_INNER, _N_BAND = 8, 3
+# the solver's domain is the square (0, _LENGTH)^2 with the bump ball of
+# radius _RADIUS * _LENGTH at its centre
+_LENGTH, _RADIUS = 1.0, 0.22
+# core radii of the spike suite, as fractions of the side length
+_SPIKE_SHARPNESS = (0.2, 0.1, 0.05, 0.025)
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,10 @@ class BogovskiiConfig:
         return 5.0 / (math.pi * self.radius ** 2)
 
 
-def make_config(cells: int = 64, length: float = 1.0, center=None,
-                radius=None) -> BogovskiiConfig:
-    grid = Grid.box((cells, cells), lengths=length, origin=(0.0, 0.0))
-    center = center if center is not None else (0.5 * length, 0.5 * length)
-    radius = radius if radius is not None else 0.22 * length
-    return BogovskiiConfig(grid, tuple(center), float(radius))
+def make_config(cells: int) -> BogovskiiConfig:
+    grid = Grid.box((cells, cells), lengths=_LENGTH, origin=(0.0, 0.0))
+    return BogovskiiConfig(grid, (0.5 * _LENGTH, 0.5 * _LENGTH),
+                           _RADIUS * _LENGTH)
 
 
 def bump_integral_check(cfg: BogovskiiConfig) -> float:
@@ -135,49 +138,38 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> GridField:
         ox, oy = np.meshgrid(o, o, indexing="ij")
         return ox.ravel() * hx, oy.ravel() * hy
 
-    ox_in, oy_in = sub_offsets(_N_INNER)
-    ox_bd, oy_bd = sub_offsets(_N_BAND)
+    # cells split s x s per zone: far cells (s = 1, a zero offset) keep their
+    # centre, band and near cells are refined toward the node
+    zones = [(s * s, *sub_offsets(s)) for s in (1, _N_BAND, _N_INNER)]
     inner_r = _INNER_CELLS * h
     band_r = _BAND_CELLS * h
     out0 = np.zeros((nx, ny))
     out1 = np.zeros((nx, ny))
-
-    def accumulate(xp, yp, px, py, fval, weight):
-        dx = xp - px
-        dy = yp - py
-        dist = np.hypot(dx, dy)
-        keep = dist > 1e-3 * h
-        dx, dy, dist = dx[keep], dy[keep], dist[keep]
-        ex = dx / dist
-        ey = dy / dist
-        ypts = np.stack([px[keep], py[keep]], axis=-1)
-        inner = _ray_integral(cfg, ypts, ex, ey, dist)
-        contrib = fval[keep] * weight * inner / dist
-        return float(np.sum(contrib * ex)), float(np.sum(contrib * ey))
-
     for i in range(nx):
         x0 = g.origin[0] + i * hx
         for j in range(ny):
             x1 = g.origin[1] + j * hy
             dist_c = np.hypot(x0 - cx, x1 - cy)
-            far = dist_c >= band_r
-            band = (~far) & (dist_c >= inner_r)
-            near = (~far) & (~band)
-            a0, a1 = accumulate(x0, x1, cx[far], cy[far], fv[far], vol)
-            if band.any():
-                px = (cx[band][:, None] + ox_bd[None, :]).ravel()
-                py = (cy[band][:, None] + oy_bd[None, :]).ravel()
-                fb = np.repeat(fv[band], len(ox_bd))
-                b0, b1 = accumulate(x0, x1, px, py, fb, vol / len(ox_bd))
-                a0 += b0
-                a1 += b1
-            if near.any():
-                px = (cx[near][:, None] + ox_in[None, :]).ravel()
-                py = (cy[near][:, None] + oy_in[None, :]).ravel()
-                fn = np.repeat(fv[near], len(ox_in))
-                c0, c1 = accumulate(x0, x1, px, py, fn, vol / len(ox_in))
-                a0 += c0
-                a1 += c1
+            masks = (dist_c >= band_r, (dist_c < band_r) & (dist_c >= inner_r),
+                     dist_c < inner_r)
+            a0 = a1 = 0.0
+            for mask, (k, ox, oy) in zip(masks, zones):
+                if not mask.any():
+                    continue
+                px = (cx[mask][:, None] + ox[None, :]).ravel()
+                py = (cy[mask][:, None] + oy[None, :]).ravel()
+                dx = x0 - px
+                dy = x1 - py
+                dist = np.hypot(dx, dy)
+                keep = dist > 1e-3 * h
+                dx, dy, dist = dx[keep], dy[keep], dist[keep]
+                ex = dx / dist
+                ey = dy / dist
+                ypts = np.stack([px[keep], py[keep]], axis=-1)
+                inner = _ray_integral(cfg, ypts, ex, ey, dist)
+                contrib = np.repeat(fv[mask], k)[keep] * (vol / k) * inner / dist
+                a0 += float(np.sum(contrib * ex))
+                a1 += float(np.sum(contrib * ey))
             out0[i, j] = a0
             out1[i, j] = a1
     return GridField(g, [out0, out1])
@@ -249,13 +241,13 @@ def smooth_suite(cfg: BogovskiiConfig) -> list:
     return [r - (r.sum() * vol) * g0 for r in raw]
 
 
-def spike_suite(cfg: BogovskiiConfig, sharpness=(0.2, 0.1, 0.05, 0.025)) -> list:
+def spike_suite(cfg: BogovskiiConfig) -> list:
     """Mean-zero dipoles with shrinking positive cores."""
     Xc = cfg.grid.cell_coords()
     L = cfg.grid.spacing[0] * cfg.grid.extents[0]
     x, y = Xc[0] / L, Xc[1] / L
     out = []
-    for d in sharpness:
+    for d in _SPIKE_SHARPNESS:
         core = np.clip(1.0 - ((x - 0.35) ** 2 + (y - 0.5) ** 2) / d ** 2, 0.0, None) ** 2
         sink = np.clip(1.0 - ((x - 0.7) ** 2 + (y - 0.5) ** 2) / 0.2 ** 2, 0.0, None) ** 2
         core_mass = core.sum()

@@ -152,8 +152,7 @@ def _cmd_laminate_demo(args, A, B) -> int:
         for m in range(1, min(args.m_max, 3) + 1):
             L = laminate.build_laminate(m, 1.0)
             real = laminate.realize_field(L, args.r, args.depth)
-            phi = lambda M: np.linalg.norm(
-                M.array if isinstance(M, laminate.Matrix2) else M, axis=(-2, -1))
+            phi = lambda M: np.linalg.norm(M, axis=(-2, -1))
             exact = laminate.moment(L, phi) * args.r ** 2
             realized = real.moment(phi)
             real_rows.append([m, exact, realized,

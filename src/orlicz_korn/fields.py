@@ -61,8 +61,10 @@ class Grid:
     @classmethod
     def box(cls, cells, lengths=None, origin=None, dim=None):
         if np.isscalar(cells):
-            dim = dim or 3
+            dim = 3 if dim is None else dim
             cells = (cells,) * dim
+        if any(c < 2 for c in cells):
+            raise DomainError("need >= 2 cells per axis")
         n = len(cells)
         lengths = lengths if lengths is not None else (1.0,) * n
         if np.isscalar(lengths):
@@ -323,6 +325,26 @@ def _zero_pad(u: GridField) -> GridField:
 _KERNEL_TOL = 1e-10
 
 
+def _reduce(u: GridField, mode: str, kernel: str) -> GridField:
+    """The field whose ratio is taken: mode "zero_bc" requires exact boundary
+    zeros and zero-pads u (mirroring continuation by zero); mode
+    "full_domain" subtracts the projection onto the ``kernel`` basis."""
+    if mode == "zero_bc":
+        if not u.boundary_flag and not u.boundary_is_zero():
+            raise DomainError("zero_bc mode requires a field vanishing on the boundary")
+        return _zero_pad(u)
+    if mode == "full_domain":
+        return u - project_kernel(u, kernel)
+    raise DomainError("mode must be 'zero_bc' or 'full_domain'")
+
+
+def _kernel_quotient(num: float, den: float, kernel: str) -> float:
+    if den <= _KERNEL_TOL * max(num, 1.0) or den == 0.0:
+        raise KernelMembership(
+            f"field lies in the {kernel} kernel (denominator {den:.3g})")
+    return num / den
+
+
 def korn_ratio(A: YoungFunction, B: YoungFunction, u: GridField,
                mode: str = "zero_bc", operator: str = "ED") -> float:
     """||grad(u - Pu)||_{L^B} / ||Eu or EDu||_{L^A}.
@@ -337,39 +359,19 @@ def korn_ratio(A: YoungFunction, B: YoungFunction, u: GridField,
     if operator == "ED" and u.grid.dim < 3:
         raise DomainError("deviatoric mode needs a 3-d grid; "
                           "the 2-d trace-free theory is out of scope")
-    if mode == "zero_bc":
-        if not u.boundary_flag and not u.boundary_is_zero():
-            raise DomainError("zero_bc mode requires a field vanishing on the boundary")
-        w = _zero_pad(u)
-    elif mode == "full_domain":
-        proj = project_kernel(u, "sigma" if operator == "ED" else "R")
-        w = u - proj
-    else:
-        raise DomainError("mode must be 'zero_bc' or 'full_domain'")
+    w = _reduce(u, mode, "sigma" if operator == "ED" else "R")
     denom_tensor = dev_sym_gradient(w) if operator == "ED" else sym_gradient(w)
     num = norm_of_tensor(B, gradient(w))
-    den = norm_of_tensor(A, denom_tensor)
-    if den <= _KERNEL_TOL * max(num, 1.0) or den == 0.0:
-        raise KernelMembership(
-            f"field lies in the {operator} kernel (denominator {den:.3g})")
-    return num / den
+    return _kernel_quotient(num, norm_of_tensor(A, denom_tensor), operator)
 
 
 def poincare_ratio(A: YoungFunction, u: GridField, mode: str = "zero_bc") -> float:
     """||u - Pu||_{L^A} / ||EDu||_{L^A} (P as in korn_ratio)."""
     if u.grid.dim < 3:
         raise DomainError("the deviatoric Poincare ratio needs a 3-d grid")
-    if mode == "zero_bc":
-        if not u.boundary_flag and not u.boundary_is_zero():
-            raise DomainError("zero_bc mode requires a field vanishing on the boundary")
-        w = _zero_pad(u)
-    else:
-        w = u - project_kernel(u, "sigma")
+    w = _reduce(u, mode, "sigma")
     num = norm_of_field(A, w)
-    den = norm_of_tensor(A, dev_sym_gradient(w))
-    if den <= _KERNEL_TOL * max(num, 1.0) or den == 0.0:
-        raise KernelMembership(f"field lies in the trace-free kernel (denominator {den:.3g})")
-    return num / den
+    return _kernel_quotient(num, norm_of_tensor(A, dev_sym_gradient(w)), "trace-free")
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +505,10 @@ def negative_norm_upper_bound(A: YoungFunction, u_cells: np.ndarray,
 # trial suites
 # ---------------------------------------------------------------------------
 
+# spike widths of the radial suite, as fractions of omega_n
+_RADIAL_SHARPNESS = (0.3, 0.1, 0.03, 0.01)
+
+
 def _bubble(grid: Grid):
     X = grid.node_coords()
     out = np.ones(grid.node_shape)
@@ -542,7 +548,7 @@ def _zero_boundary(c: np.ndarray):
         c[tuple(sl)] = 0.0
 
 
-def random_suite(grid: Grid, count: int, seed: int = 11) -> list:
+def random_suite(grid: Grid, count: int, seed: int) -> list:
     """Random low-frequency sine fields vanishing on the boundary."""
     rng = np.random.default_rng(seed)
     n = grid.dim
@@ -567,63 +573,63 @@ def random_suite(grid: Grid, count: int, seed: int = 11) -> list:
     return out
 
 
-def radial_suite(grid: Grid, sharpness=(0.3, 0.1, 0.03, 0.01)) -> list:
+def radial_suite(grid: Grid) -> list:
     """Radial fields from spike profiles of increasing sharpness."""
     from .hardy import spike
     n = grid.dim
     omega_n = math.pi if n == 2 else 4.0 * math.pi / 3.0
     out = []
-    for delta in sharpness:
+    for delta in _RADIAL_SHARPNESS:
         u, _ = radial_test_field(spike(omega_n, delta * omega_n), grid)
         out.append(u)
     return out
 
 
-def _suite_fields(suite: str, grid: Grid, trials: int, seed: int):
+def _suite_rows(suite: str, grid: Grid, trials: int, seed: int, ratio) -> list:
+    """Rows (label, ratio(u)) over the trial fields of a named suite, NaN
+    for a field in the kernel."""
+    if trials < 1:
+        raise DomainError("need trials >= 1")
     if suite == "smooth":
-        return smooth_suite(grid, min(trials, 4))
-    if suite == "random":
-        return random_suite(grid, trials, seed)
-    if suite == "radial":
-        return radial_suite(grid)
-    if suite == "laminate":
+        trial_fields = smooth_suite(grid, min(trials, 4))
+    elif suite == "random":
+        trial_fields = random_suite(grid, trials, seed)
+    elif suite == "radial":
+        trial_fields = radial_suite(grid)
+    elif suite == "laminate":
         from . import laminate
-        return laminate.korn_suite_fields(min(max(trials, 1), 3))
-    raise DomainError(f"unknown suite {suite!r}")
+        trial_fields = laminate.korn_suite_fields(min(trials, 3))
+    else:
+        raise DomainError(f"unknown suite {suite!r}")
+    rows = []
+    for i, u in enumerate(trial_fields):
+        try:
+            r = ratio(u)
+        except KernelMembership:
+            r = float("nan")
+        rows.append((f"{suite}_{i}", r))
+    return rows
 
 
-def korn_suite(A: YoungFunction, B: YoungFunction, suite: str = "smooth",
-               grid: Grid | None = None, mode: str = "zero_bc",
-               operator: str = "ED", trials: int = 8, seed: int = 11) -> list:
+def korn_suite(A: YoungFunction, B: YoungFunction, suite: str, grid: Grid,
+               mode: str, operator: str, trials: int, seed: int) -> list:
     """Per-trial Korn ratios for a named suite; rows (label, ratio)."""
-    grid = grid if grid is not None else Grid.box(16, dim=3)
-    rows = []
-    for i, u in enumerate(_suite_fields(suite, grid, trials, seed)):
-        try:
-            r = korn_ratio(A, B, u, mode, operator)
-        except KernelMembership:
-            r = float("nan")
-        rows.append((f"{suite}_{i}", r))
-    return rows
+    return _suite_rows(suite, grid, trials, seed,
+                       lambda u: korn_ratio(A, B, u, mode, operator))
 
 
-def poincare_suite(A: YoungFunction, suite: str = "random",
-                   grid: Grid | None = None, mode: str = "zero_bc",
-                   trials: int = 8, seed: int = 12) -> list:
-    grid = grid if grid is not None else Grid.box(12, dim=3)
-    rows = []
-    for i, u in enumerate(_suite_fields(suite, grid, trials, seed)):
-        try:
-            r = poincare_ratio(A, u, mode)
-        except KernelMembership:
-            r = float("nan")
-        rows.append((f"{suite}_{i}", r))
-    return rows
+def poincare_suite(A: YoungFunction, suite: str, grid: Grid, mode: str,
+                   trials: int, seed: int) -> list:
+    """Per-trial Poincare ratios for a named suite; rows (label, ratio)."""
+    return _suite_rows(suite, grid, trials, seed,
+                       lambda u: poincare_ratio(A, u, mode))
 
 
 def negative_norm_suite(A: YoungFunction, grid: Grid, trials: int, seed: int) -> list:
     """Rows (label, lower, upper, ok) comparing the dictionary lower bound
     with the trivial upper bound on random Gaussian bumps."""
+    if trials < 1:
+        raise DomainError("need trials >= 1")
     rng = np.random.default_rng(seed)
     Xc = grid.cell_coords()
     rows = []

@@ -164,6 +164,8 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
                  trials: int = 64, seed: int = 20240) -> HardyReport:
     """Worst Hardy-operator norm ratios over the fixed trial family, plus a
     spike-sharpness sweep diagnosing unboundedness."""
+    if not (math.isfinite(L) and L > 0):
+        raise DomainError("need a finite L > 0")
     if trials < 1:
         raise DomainError("need trials >= 1")
     report = balance.check_balance(A, B)

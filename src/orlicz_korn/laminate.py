@@ -28,48 +28,16 @@ import numpy as np
 from .fields import Grid, GridField
 from .young import DomainError, YoungFunction
 
-__all__ = ["Matrix2", "Laminate", "build_laminate", "build_laminate_recursive",
+__all__ = ["Laminate", "build_laminate", "build_laminate_recursive",
            "moment", "blowup_curve", "realize_field", "LaminateRealization",
            "korn_suite_fields"]
 
 SQRT2 = math.sqrt(2.0)
 _RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
-
-
-@dataclass(frozen=True)
-class Matrix2:
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    @classmethod
-    def off_diagonal(cls, a: float, b: float) -> "Matrix2":
-        return cls(0.0, float(a), float(b), 0.0)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
-    def sym(self) -> "Matrix2":
-        s = 0.5 * (self.a12 + self.a21)
-        return Matrix2(self.a11, s, s, self.a22)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.a12 == self.a21
-
-    @property
-    def is_skew(self) -> bool:
-        return self.a11 == 0.0 and self.a22 == 0.0 and self.a12 == -self.a21
-
-    def norm(self) -> float:
-        return math.hypot(math.hypot(self.a11, self.a12),
-                          math.hypot(self.a21, self.a22))
-
-    def __sub__(self, other):
-        return Matrix2(self.a11 - other.a11, self.a12 - other.a12,
-                       self.a21 - other.a21, self.a22 - other.a22)
+# the Korn harness realizes the laminate of scale _T on (0, _R)^2: sampled on
+# _SUITE_CELLS^2 cells at depth _SUITE_DEPTH, integrated exactly at _EXACT_DEPTH
+_T, _R = 1.0, 1.0
+_SUITE_CELLS, _SUITE_DEPTH, _EXACT_DEPTH = 1024, 5, 64
 
 
 @dataclass(frozen=True)
@@ -84,9 +52,12 @@ class Laminate:
     order: int
     scale: float
 
-    def matrices(self):
-        return [Matrix2.off_diagonal(float(al) * self.scale, float(be) * self.scale)
-                for _, al, be in self.atoms]
+    def matrices(self) -> np.ndarray:
+        """(k, 2, 2) array of the atom matrices, in atom order."""
+        out = np.zeros((len(self.atoms), 2, 2))
+        out[:, 0, 1] = [float(al) * self.scale for _, al, _ in self.atoms]
+        out[:, 1, 0] = [float(be) * self.scale for _, _, be in self.atoms]
+        return out
 
     @property
     def mass(self) -> Fraction:
@@ -96,10 +67,6 @@ class Laminate:
         a = sum((w * al for w, al, _ in self.atoms), Fraction(0))
         b = sum((w * be for w, _, be in self.atoms), Fraction(0))
         return a, b
-
-    def average(self) -> Matrix2:
-        a, b = self.barycenter_coeffs()
-        return Matrix2.off_diagonal(float(a) * self.scale, float(b) * self.scale)
 
 
 def build_laminate(m: int, t: float) -> Laminate:
@@ -137,10 +104,10 @@ def build_laminate_recursive(m: int, t: float) -> Laminate:
 
 
 def moment(L: Laminate, Phi) -> float:
-    """sum of w * Phi(atom matrix); weights exact, summed with fsum."""
-    return math.fsum(float(w) * float(Phi(Matrix2.off_diagonal(
-        float(al) * L.scale, float(be) * L.scale)))
-        for w, al, be in L.atoms)
+    """sum of w * Phi(atom matrix) over the 2x2 atom arrays; weights exact,
+    summed with fsum in atom order."""
+    return math.fsum(float(w) * float(Phi(M))
+                     for (w, _, _), M in zip(L.atoms, L.matrices()))
 
 
 def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
@@ -156,6 +123,8 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
                           "function on the deviatoric side")
     if not r > 0:
         raise DomainError("need r > 0")
+    if m_max < 0:
+        raise DomainError("need m_max >= 0")
     rows = []
     for m in range(0, m_max + 1):
         target = 2.0 ** (m - 1) / r ** 2
@@ -330,7 +299,7 @@ class LaminateRealization:
         return out
 
     # -- sampling ------------------------------------------------------------
-    def as_grid_field(self, cells: int = 512) -> GridField:
+    def as_grid_field(self, cells: int) -> GridField:
         grid = Grid.box((cells, cells), lengths=self.r, origin=(0.0, 0.0))
         X = grid.node_coords()
         vx, vy = self.displacement(X[0], X[1])
@@ -347,32 +316,19 @@ def realize_field(L: Laminate, r: float, depth: int) -> LaminateRealization:
     return LaminateRealization(L, r, depth)
 
 
-def korn_suite_fields(m_max: int = 3, cells: int = 1024, depth: int = 5,
-                      t: float = 1.0, r: float = 1.0) -> list:
+def korn_suite_fields(m_max: int) -> list:
     """Sampled laminate displacements for the Korn harness, m = 1..m_max."""
-    out = []
-    for m in range(1, m_max + 1):
-        real = realize_field(build_laminate(m, t), r, depth)
-        out.append(real.as_grid_field(cells))
-    return out
+    return [realize_field(build_laminate(m, _T), _R, _SUITE_DEPTH)
+            .as_grid_field(_SUITE_CELLS) for m in range(1, m_max + 1)]
 
 
-def exact_korn_l1_ratio(m: int, depth: int = 64, t: float = 1.0,
-                        r: float = 1.0) -> float:
+def exact_korn_l1_ratio(m: int) -> float:
     """||grad v||_1 / ||E v||_1 of the realized displacement, by the exact
     gradient-region quadrature (resolution-independent, so it tracks the
     blow-up to orders the sampled fields cannot resolve)."""
-    real = realize_field(build_laminate(m, t), r, depth)
+    real = realize_field(build_laminate(m, _T), _R, _EXACT_DEPTH)
     avg = real.average
-
-    def full(Ms):
-        M = Ms.array if isinstance(Ms, Matrix2) else Ms
-        return np.linalg.norm(M - avg, axis=(-2, -1))
-
-    def symp(Ms):
-        M = Ms.array if isinstance(Ms, Matrix2) else Ms
-        S = 0.5 * (M + np.swapaxes(M, -1, -2)) - avg
-        return np.linalg.norm(S, axis=(-2, -1))
-
-    den = real.moment(symp)
-    return real.moment(full) / den
+    full = real.moment(lambda M: np.linalg.norm(M - avg, axis=(-2, -1)))
+    sym = real.moment(lambda M: np.linalg.norm(
+        0.5 * (M + np.swapaxes(M, -1, -2)) - avg, axis=(-2, -1)))
+    return full / sym

@@ -536,17 +536,8 @@ class TabulatedYoung(YoungFunction):
                 else:
                     flat[k] = self.breakpoints[-1] + (rv - cv[-1]) / self.final_slope
                 continue
-            s = self.slopes[i]
-            if s == 0.0:
-                # plateau: sup of the zero-density region, extend to segment end
-                j = i
-                while j < len(self.slopes) and self.slopes[j] == 0.0:
-                    j += 1
-                flat[k] = self.breakpoints[j - 1] if j > 0 else 0.0
-                if j >= len(self.slopes) and self.final_slope == 0.0:
-                    flat[k] = math.inf
-            else:
-                flat[k] = bp[i] + (rv - cve[i]) / s
+            # cum_values[i] > rv >= cum_values[i - 1], so slopes[i] > 0
+            flat[k] = bp[i] + (rv - cve[i]) / self.slopes[i]
         return out if out.ndim else float(out)
 
     def conjugate(self):

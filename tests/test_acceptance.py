@@ -217,21 +217,16 @@ def test_criterion_7_laminate_exactness():
     for m in (1, 2, 3):
         L = laminate.build_laminate(m, 1.0)
         real = laminate.realize_field(L, 1.0, 64)
-        for phi in (lambda M: np.linalg.norm(_arr(M), axis=(-2, -1)),
-                    lambda M: np.linalg.norm(_arr(M), axis=(-2, -1)) ** 2,
+        for phi in (lambda M: np.linalg.norm(M, axis=(-2, -1)),
+                    lambda M: np.linalg.norm(M, axis=(-2, -1)) ** 2,
                     lambda M: np.linalg.norm(
-                        0.5 * (_arr(M) + np.swapaxes(_arr(M), -1, -2)),
-                        axis=(-2, -1))):
+                        0.5 * (M + np.swapaxes(M, -1, -2)), axis=(-2, -1))):
             exact = laminate.moment(L, phi)
             realized = real.moment(phi)
             worst_gap = max(worst_gap, abs(realized - exact) / abs(exact))
     ok = exact_ok and worst_gap <= 0.05
     _report(7, ok, f"exact rational bookkeeping m<=12 {exact_ok}, realization "
                    f"moment gap {worst_gap:.4f} (<=0.05 at depth 64, m<=3)")
-
-
-def _arr(M):
-    return M.array if isinstance(M, laminate.Matrix2) else M
 
 
 def test_criterion_8_bogovskii(catalog):

@@ -116,6 +116,19 @@ def test_config_file_replaces_flags(tmp_path):
     ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "0", "--m-max", "2"],
     ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "-1", "--m-max", "2"],
     ["bogovskii", "--A", "L2", "--B", "L2", "--grid", "2"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--grid", "0"],
+    ["poincare", "--A", "L2", "--grid", "0"],
+    ["bogovskii", "--A", "L2", "--B", "L2", "--grid", "0"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1", "--realize", "--grid", "0"],
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "nan"],
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "0"],
+    ["verify-korn", "--A", "L2", "--B", "L2", "--trials", "0"],
+    ["poincare", "--A", "L2", "--trials", "0"],
+    ["negative-norm", "--A", "L2", "--trials", "0"],
+    ["verify-korn", "--A", "L1", "--B", "L1", "--suite", "laminate", "--operator", "E",
+     "--trials", "0"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "-1"],
+    ["negative-norm", "--A", "L2", "--dim", "0"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")

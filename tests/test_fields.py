@@ -225,6 +225,14 @@ def test_poincare_ratio_across_growth_regimes(catalog):
         assert all(math.isfinite(r) and r > 0 for r in rs), name
 
 
+def test_ratios_reject_unknown_mode(grid3, catalog):
+    u = fields.smooth_suite(grid3, 1)[0]
+    with pytest.raises(DomainError):
+        poincare_ratio(catalog["L2"], u, "bogus")
+    with pytest.raises(DomainError):
+        korn_ratio(catalog["L2"], catalog["L2"], u, "bogus", "ED")
+
+
 def test_poincare_kernel_signal(grid3, catalog):
     basis = KernelBasis(grid3, "sigma")
     u = GridField(grid3, [c.copy() for c in basis.generators[9]])

@@ -6,7 +6,7 @@ import pytest
 
 from orlicz_korn import fields, laminate, young
 from orlicz_korn.laminate import (
-    Matrix2, blowup_curve, build_laminate, build_laminate_recursive,
+    blowup_curve, build_laminate, build_laminate_recursive,
     exact_korn_l1_ratio, moment, realize_field,
 )
 from orlicz_korn.young import DomainError, PowerYoung
@@ -18,18 +18,22 @@ def catalog():
 
 
 def _frob(M):
-    arr = M.array if isinstance(M, Matrix2) else M
-    return np.linalg.norm(arr, axis=(-2, -1))
+    return np.linalg.norm(M, axis=(-2, -1))
+
+
+def _sym(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 # ---------------------------------------------------------------------------
 # exact measure bookkeeping
 # ---------------------------------------------------------------------------
 
-def test_matrix2_flags():
-    assert Matrix2.off_diagonal(1.0, 1.0).is_symmetric
-    assert Matrix2.off_diagonal(1.0, -1.0).is_skew
-    assert not Matrix2.off_diagonal(1.0, 0.5).is_symmetric
+def test_matrices_are_one_float_array():
+    M = build_laminate(1, 2.0).matrices()
+    assert M.shape == (3, 2, 2) and M.dtype == np.float64
+    assert M.tolist() == [[[0.0, 2.0], [2.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]],
+                          [[0.0, -2.0], [2.0, 0.0]]]
 
 
 def test_order_zero_is_dirac():
@@ -85,8 +89,8 @@ def test_symmetric_part_moment_chain():
     t = 1.0
     for m in range(1, 11):
         L = build_laminate(m, t)
-        val = moment(L, lambda M: _frob(M.sym().array))
-        bound = 2.0 ** (-m) * 2.0 * _frob(Matrix2.off_diagonal(t, t).array)
+        val = moment(L, lambda M: _frob(_sym(M)))
+        bound = 2.0 ** (-m) * 2.0 * _frob(np.array([[0.0, t], [t, 0.0]]))
         assert val <= bound + 1e-14
 
 
@@ -97,7 +101,7 @@ def test_centered_first_moment_lower_bound():
         L = build_laminate(m, t)
         abar, bbar = L.barycenter_coeffs()
         val = moment(L, lambda M: _frob(
-            M.array - Matrix2.off_diagonal(float(abar), float(bbar)).array))
+            M - np.array([[0.0, float(abar)], [float(bbar), 0.0]])))
         assert val >= 0.2 * m * 2.0 ** (-m)
 
 
@@ -163,10 +167,7 @@ def test_realization_moment_convergence_depth64():
     phis = {
         "full": lambda M: _frob(M),
         "square": lambda M: _frob(M) ** 2,
-        "sym": lambda M: _frob(0.5 * ((M.array if isinstance(M, Matrix2) else M)
-                                      + np.swapaxes(np.atleast_2d(
-                                          M.array if isinstance(M, Matrix2) else M),
-                                          -1, -2))),
+        "sym": lambda M: _frob(_sym(M)),
     }
     for m in (1, 2, 3):
         L = build_laminate(m, 1.0)
@@ -201,7 +202,7 @@ def test_realization_gradient_histogram():
     avg = real.average
     vals = np.stack([np.stack([G.entries[i][j] for j in range(2)], -1)
                      for i in range(2)], -2) + avg
-    atom_mats = [M.array for M in L.matrices()]
+    atom_mats = L.matrices()
     d = np.min(np.stack([_frob(vals - am) for am in atom_mats]), axis=0)
     near = float(np.mean(d < 0.05 * _frob(atom_mats[0])))
     assert near > 0.8

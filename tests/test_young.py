@@ -305,6 +305,13 @@ def test_tabulated_swap_involution_exact():
     assert np.allclose(back(ts), T(ts), rtol=1e-13, atol=1e-13)
 
 
+def test_tabulated_inverse_with_leading_zero_slopes():
+    # the first segment whose cumulative value exceeds r has a positive slope,
+    # so the zero-density stretch (0, 2] maps to its right end
+    T = TabulatedYoung([1, 2, 3], [0, 0, 2], 4)
+    assert T.inverse(np.array([0.0, 1.0, 6.0, np.inf])).tolist() == [2.0, 2.5, 4.0, math.inf]
+
+
 def test_tabulated_slope_cap_recorded():
     T = TabulatedYoung([1.0, 2.0], [1.0, 50.0], 80.0, slope_cap=10.0)
     assert T.cap_applied
