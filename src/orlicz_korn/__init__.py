@@ -14,4 +14,6 @@ cli        command-line orchestration with reproducible manifests
 
 from . import young, balance, rearrange, hardy, fields, laminate, bogovskii
 
+__all__ = ["young", "balance", "rearrange", "hardy", "fields", "laminate", "bogovskii"]
+
 __version__ = "0.1.0"

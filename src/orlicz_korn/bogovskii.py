@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, rearrange
+from . import fields
 from .fields import Grid, GridField
-from .rearrange import SampledFunction
 from .young import DomainError, YoungFunction
 
 __all__ = ["BogovskiiConfig", "make_config", "apply", "div_residual",
@@ -143,8 +142,7 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> GridField:
     zones = [(s * s, *sub_offsets(s)) for s in (1, _N_BAND, _N_INNER)]
     inner_r = _INNER_CELLS * h
     band_r = _BAND_CELLS * h
-    out0 = np.zeros((nx, ny))
-    out1 = np.zeros((nx, ny))
+    out = np.zeros((2, nx, ny))
     for i in range(nx):
         x0 = g.origin[0] + i * hx
         for j in range(ny):
@@ -170,9 +168,8 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> GridField:
                 contrib = np.repeat(fv[mask], k)[keep] * (vol / k) * inner / dist
                 a0 += float(np.sum(contrib * ex))
                 a1 += float(np.sum(contrib * ey))
-            out0[i, j] = a0
-            out1[i, j] = a1
-    return GridField(g, [out0, out1])
+            out[:, i, j] = a0, a1
+    return GridField(g, out)
 
 
 def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray,
@@ -189,8 +186,7 @@ def norm_bound_ratio(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
     """||grad(T f)||_{L^B} / ||f||_{L^A}."""
     bf = bf if bf is not None else apply(cfg, f_cells)
     num = fields.norm_of_tensor(B, fields.gradient(bf))
-    w = np.full(f_cells.size, cfg.grid.cell_volume)
-    den = rearrange.norm(A, SampledFunction(np.abs(np.asarray(f_cells, dtype=float)).ravel(), w))
+    den = fields.norm_of_cells(A, f_cells, cfg.grid)
     if den == 0.0:
         raise DomainError("zero input")
     return num / den

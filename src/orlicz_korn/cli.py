@@ -201,6 +201,11 @@ def _cmd_negative_norm(args, A) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _usage_error(message: str):
+    print(f"orlicz-korn: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_config(argv) -> dict:
     """Entries of the --config JSON file, or {} without one."""
     pre = argparse.ArgumentParser(prog="orlicz-korn", add_help=False)
@@ -212,12 +217,31 @@ def _read_config(argv) -> dict:
         with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
-        print(f"orlicz-korn: error: cannot read --config: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"cannot read --config: {exc}")
     if not isinstance(config, dict):
-        print("orlicz-korn: error: --config must hold a JSON object", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--config must hold a JSON object")
     return config
+
+
+def _config_default(action: argparse.Action, value):
+    """A --config entry checked like the flag it replaces, or ValueError: a
+    switch takes a JSON boolean; any other flag applies its type and choices
+    to the entry as to its command-line text, and a flag without a type
+    takes a string."""
+    if isinstance(action, argparse._StoreTrueAction):
+        valid = isinstance(value, bool)
+    elif isinstance(value, str) or (action.type and type(value) in (int, float)):
+        try:
+            value = (action.type or str)(str(value))
+            valid = action.choices is None or value in action.choices
+        except ValueError:
+            valid = False
+    else:
+        valid = False
+    if not valid:
+        raise ValueError(f"--config entry {action.dest!r}: {json.dumps(value)} is not "
+                         f"a valid value of {action.option_strings[0]}")
+    return value
 
 
 def _build_parser(config: dict) -> argparse.ArgumentParser:
@@ -231,10 +255,14 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory")
         if seed:
             sp.add_argument("--seed", type=int, default=20240)
-        # config entries replace flag defaults; explicit flags still win
+        # config entries replace flag defaults; explicit flags still win. A bad
+        # entry is reported only if this subcommand runs: another may take it
         for action in sp._actions:
             if action.dest in config:
-                action.default = config[action.dest]
+                try:
+                    action.default = _config_default(action, config[action.dest])
+                except ValueError as exc:
+                    sp.set_defaults(config_error=str(exc))
                 action.required = False
 
     sp = sub.add_parser("check-balance", help="decide the balance conditions for a pair")
@@ -310,6 +338,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser(_read_config(argv)).parse_args(argv)
+        if hasattr(args, "config_error"):
+            _usage_error(args.config_error)
         os.makedirs(args.out, exist_ok=True)
         catalog = young.load_catalog()
         return args.func(args, *[_resolve(getattr(args, flag), catalog)

@@ -7,6 +7,11 @@ and deviatoric-symmetric gradient, least-squares projections onto them, the
 Korn-ratio and Poincare-ratio harnesses, radial test fields, and a
 dictionary lower bound for the negative-norm functional.
 
+Each field is one float array, component axes first: GridField.components
+has shape (dim, *node_shape), TensorField.entries (dim, dim, *cell_shape) and
+KernelBasis.generators (len(basis), dim, *node_shape).  Every Luxemburg norm
+of cell data goes through ``norm_of_cells``.
+
 The trace-free kernel theory requires dimension >= 3; deviatoric modes on
 2-d grids are rejected with a diagnostic, while plain symmetric-gradient
 modes allow n = 2.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +32,9 @@ from .young import DomainError, YoungFunction, conjugate
 __all__ = [
     "Grid", "GridField", "TensorField", "KernelBasis", "KernelMembership",
     "ConfigurationError", "gradient", "sym_gradient", "dev_sym_gradient",
-    "divergence", "project_kernel", "project_sigma", "korn_ratio",
-    "poincare_ratio", "radial_test_field", "negative_norm_lower_bound",
-    "negative_norm_upper_bound", "norm_of_tensor", "norm_of_field",
+    "divergence", "project_kernel", "korn_ratio", "poincare_ratio",
+    "radial_test_field", "negative_norm_lower_bound",
+    "negative_norm_upper_bound", "norm_of_cells", "norm_of_tensor", "norm_of_field",
     "smooth_suite", "random_suite", "radial_suite", "korn_suite",
     "poincare_suite", "negative_norm_suite", "save_field", "load_field",
 ]
@@ -100,62 +105,66 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
 
+def _stacked(values, shape: tuple, what: str) -> np.ndarray:
+    """values (an array or nested lists of arrays) as one float array of the
+    given shape."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:                    # ragged: parts of unequal shapes
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise DomainError(f"{what} must form one array of shape {shape}")
+    return arr
+
+
 @dataclass
 class GridField:
-    """Vector field sampled at grid nodes."""
+    """Vector field sampled at grid nodes: ``components`` is one float array
+    of shape (dim, *node_shape), component i at ``components[i]``."""
 
     grid: Grid
-    components: list            # dim arrays of node values
+    components: np.ndarray
     boundary_flag: bool = False
 
     def __post_init__(self):
-        shape = self.grid.node_shape
-        if len(self.components) != self.grid.dim:
-            raise DomainError("one component per dimension required")
-        comps = []
-        for c in self.components:
-            c = np.asarray(c, dtype=float)
-            if c.shape != shape:
-                raise DomainError(f"component shape {c.shape} != node shape {shape}")
-            comps.append(c)
-        self.components = comps
+        self.components = _stacked(self.components,
+                                   (self.grid.dim, *self.grid.node_shape), "components")
         if self.boundary_flag and not self.boundary_is_zero():
             raise DomainError("boundary_flag requires exact zeros on the boundary")
 
     def boundary_is_zero(self) -> bool:
-        for c in self.components:
-            for ax in range(c.ndim):
-                first = np.take(c, 0, axis=ax)
-                last = np.take(c, -1, axis=ax)
-                if np.any(first != 0.0) or np.any(last != 0.0):
-                    return False
-        return True
+        c = self.components
+        return not any(np.any(np.take(c, end, axis=ax) != 0.0)
+                       for ax in range(1, c.ndim) for end in (0, -1))
 
     def __add__(self, other):
-        return GridField(self.grid, [a + b for a, b in zip(self.components, other.components)])
+        return GridField(self.grid, self.components + other.components)
 
     def __sub__(self, other):
-        return GridField(self.grid, [a - b for a, b in zip(self.components, other.components)])
+        return GridField(self.grid, self.components - other.components)
 
 
 @dataclass
 class TensorField:
-    """dim x dim tensor sampled at cell centers."""
+    """dim x dim tensor sampled at cell centers: ``entries`` is one float
+    array of shape (dim, dim, *cell_shape), entry (i, j) at ``entries[i][j]``."""
 
     grid: Grid
-    entries: list               # nested [i][j] arrays of cell values
+    entries: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.dim
+        self.entries = _stacked(self.entries, (n, n, *self.grid.extents), "entries")
 
     def magnitude(self) -> np.ndarray:
-        sq = sum(e * e for row in self.entries for e in row)
-        return np.sqrt(sq)
+        # a sum over the leading axis adds the n^2 squares one after another
+        # in row-major order
+        sq = self.entries * self.entries
+        return np.sqrt(np.sum(sq.reshape(-1, *sq.shape[2:]), axis=0))
 
     def trace(self) -> np.ndarray:
-        return sum(self.entries[i][i] for i in range(self.grid.dim))
-
-    def samples(self) -> SampledFunction:
-        mag = self.magnitude().ravel()
-        w = np.full(mag.shape, self.grid.cell_volume)
-        return SampledFunction(mag, w)
+        diag = np.arange(self.grid.dim)
+        return np.sum(self.entries[diag, diag], axis=0)
 
 
 def _avg_axis(a: np.ndarray, ax: int) -> np.ndarray:
@@ -166,35 +175,33 @@ def _avg_axis(a: np.ndarray, ax: int) -> np.ndarray:
     return 0.5 * (a[tuple(sl0)] + a[tuple(sl1)])
 
 
-def _cell_partial(comp: np.ndarray, ax: int, h: float) -> np.ndarray:
-    d = np.diff(comp, axis=ax) / h
-    for other in range(comp.ndim):
+def _cell_partial(nodes: np.ndarray, ax: int, dim: int, h: float) -> np.ndarray:
+    """d/dx_ax of node values whose last ``dim`` axes are the grid axes,
+    averaged onto the cell centres."""
+    d = np.diff(nodes, axis=ax - dim) / h
+    for other in range(dim):
         if other != ax:
-            d = _avg_axis(d, other)
+            d = _avg_axis(d, other - dim)
     return d
 
 
-def _node_to_cell(comp: np.ndarray) -> np.ndarray:
-    out = comp
-    for ax in range(comp.ndim):
-        out = _avg_axis(out, ax)
+def _node_to_cell(nodes: np.ndarray, dim: int) -> np.ndarray:
+    out = nodes
+    for ax in range(dim):
+        out = _avg_axis(out, ax - dim)
     return out
 
 
 def gradient(u: GridField) -> TensorField:
-    """Cell-centered gradient, entries [i][j] = d u_i / d x_j."""
+    """Cell-centered gradient, entries[i][j] = d u_i / d x_j."""
     g = u.grid
-    entries = [[_cell_partial(u.components[i], j, g.spacing[j])
-                for j in range(g.dim)] for i in range(g.dim)]
-    return TensorField(g, entries)
+    return TensorField(g, np.stack([_cell_partial(u.components, j, g.dim, g.spacing[j])
+                                    for j in range(g.dim)], axis=1))
 
 
 def sym_gradient(u: GridField) -> TensorField:
-    G = gradient(u)
-    n = u.grid.dim
-    entries = [[0.5 * (G.entries[i][j] + G.entries[j][i]) for j in range(n)]
-               for i in range(n)]
-    return TensorField(u.grid, entries)
+    G = gradient(u).entries
+    return TensorField(u.grid, 0.5 * (G + G.swapaxes(0, 1)))
 
 
 def dev_sym_gradient(u: GridField) -> TensorField:
@@ -203,16 +210,14 @@ def dev_sym_gradient(u: GridField) -> TensorField:
             "the trace-free symmetric gradient kernel theory needs dimension >= 3; "
             "use the plain symmetric gradient on 2-d grids")
     E = sym_gradient(u)
-    n = u.grid.dim
-    tr = E.trace() / n
-    entries = [[E.entries[i][j] - (tr if i == j else 0.0) for j in range(n)]
-               for i in range(n)]
-    return TensorField(u.grid, entries)
+    diag = np.arange(u.grid.dim)
+    E.entries[diag, diag] -= E.trace() / u.grid.dim
+    return E
 
 
 def divergence(u: GridField) -> np.ndarray:
     g = u.grid
-    return sum(_cell_partial(u.components[i], i, g.spacing[i]) for i in range(g.dim))
+    return sum(_cell_partial(u.components[i], i, g.dim, g.spacing[i]) for i in range(g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +227,8 @@ def divergence(u: GridField) -> np.ndarray:
 class KernelBasis:
     """Closed-form generators of the rigid motions (mode "R") or of the full
     trace-free kernel (mode "sigma": dilations + rigid motions + the special
-    quadratic fields 2(a.x)x - |x|^2 a)."""
+    quadratic fields 2(a.x)x - |x|^2 a).  ``generators`` is one float array
+    of shape (len(basis), dim, *node_shape)."""
 
     def __init__(self, grid: Grid, mode: str = "sigma"):
         if mode not in ("R", "sigma"):
@@ -233,30 +239,25 @@ class KernelBasis:
         self.mode = mode
         self.generators = self._build()
 
-    def _build(self):
-        g = self.grid
-        n = g.dim
-        X = g.node_coords()
+    def _build(self) -> np.ndarray:
+        n = self.grid.dim
+        X = np.stack(self.grid.node_coords())
         gens = []
-        zero = np.zeros(g.node_shape)
         for i in range(n):                        # translations
-            comp = [zero.copy() for _ in range(n)]
-            comp[i] = np.ones(g.node_shape)
-            gens.append(comp)
+            gens.append(np.zeros_like(X))
+            gens[-1][i] = 1.0
         for a in range(n):                        # rotations (skew Q x)
             for b in range(a + 1, n):
-                comp = [zero.copy() for _ in range(n)]
-                comp[a] = X[b].copy()
-                comp[b] = -X[a].copy()
-                gens.append(comp)
+                gens.append(np.zeros_like(X))
+                gens[-1][a] = X[b]
+                gens[-1][b] = -X[a]
         if self.mode == "sigma":
-            gens.append([X[i].copy() for i in range(n)])   # dilation
+            gens.append(X)                        # dilation
             norm2 = sum(x * x for x in X)
             for k in range(n):                    # 2(a.x)x - |x|^2 a, a = e_k
-                comp = [2.0 * X[k] * X[i] for i in range(n)]
-                comp[k] = comp[k] - norm2
-                gens.append(comp)
-        return gens
+                gens.append(2.0 * X[k] * X)
+                gens[-1][k] -= norm2
+        return np.stack(gens)
 
     def __len__(self):
         return len(self.generators)
@@ -277,40 +278,34 @@ def project_kernel(u: GridField, mode: str = "sigma") -> GridField:
     """Least-squares projection of u onto the sampled kernel basis in the
     discrete (trapezoidal) L2 inner product; idempotent and linear."""
     basis = KernelBasis(u.grid, mode)
-    w = _node_weights(u.grid).ravel()
-    rows = np.stack([np.concatenate([c.ravel() for c in gen])
-                     for gen in basis.generators])
-    wfull = np.tile(w, u.grid.dim)
-    uvec = np.concatenate([c.ravel() for c in u.components])
+    rows = basis.generators.reshape(len(basis), -1)
+    wfull = np.tile(_node_weights(u.grid).ravel(), u.grid.dim)
     gram = (rows * wfull) @ rows.T
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConfigurationError(f"kernel basis Gram matrix ill-conditioned (cond={cond:.3g}); refine the grid")
-    coef = np.linalg.solve(gram, (rows * wfull) @ uvec)
-    proj = coef @ rows
-    shape = u.grid.node_shape
-    npts = int(np.prod(shape))
-    comps = [proj[k * npts:(k + 1) * npts].reshape(shape) for k in range(u.grid.dim)]
-    return GridField(u.grid, comps)
-
-
-def project_sigma(u: GridField) -> GridField:
-    return project_kernel(u, "sigma")
+    coef = np.linalg.solve(gram, (rows * wfull) @ u.components.ravel())
+    return GridField(u.grid, (coef @ rows).reshape(u.components.shape))
 
 
 # ---------------------------------------------------------------------------
 # norms and ratios
 # ---------------------------------------------------------------------------
 
+def norm_of_cells(A: YoungFunction, values: np.ndarray, grid: Grid) -> float:
+    """Luxemburg norm of |values|, one value per cell of the grid, each
+    weighted by the cell volume."""
+    values = np.ravel(values)
+    return rearrange.norm(A, SampledFunction(values, np.full(values.shape, grid.cell_volume)))
+
+
 def norm_of_tensor(A: YoungFunction, T: TensorField) -> float:
-    return rearrange.norm(A, T.samples())
+    return norm_of_cells(A, T.magnitude(), T.grid)
 
 
 def norm_of_field(A: YoungFunction, u: GridField) -> float:
-    cells = [_node_to_cell(c) for c in u.components]
-    mag = np.sqrt(sum(c * c for c in cells)).ravel()
-    w = np.full(mag.shape, u.grid.cell_volume)
-    return rearrange.norm(A, SampledFunction(mag, w))
+    cells = _node_to_cell(u.components, u.grid.dim)
+    return norm_of_cells(A, np.sqrt(np.sum(cells * cells, axis=0)), u.grid)
 
 
 def _zero_pad(u: GridField) -> GridField:
@@ -318,8 +313,7 @@ def _zero_pad(u: GridField) -> GridField:
     g = u.grid
     newg = Grid(tuple(e + 2 for e in g.extents), g.spacing,
                 tuple(o - h for o, h in zip(g.origin, g.spacing)))
-    comps = [np.pad(c, 1) for c in u.components]
-    return GridField(newg, comps)
+    return GridField(newg, np.pad(u.components, [(0, 0)] + [(1, 1)] * g.dim))
 
 
 _KERNEL_TOL = 1e-10
@@ -437,15 +431,13 @@ def radial_test_field(h, grid: Grid) -> tuple:
 # negative-norm lower bound
 # ---------------------------------------------------------------------------
 
-def _bump_and_gradient(grid: Grid, center, halfwidth):
+def _bump_gradient(grid: Grid, center, halfwidth) -> list:
+    """Cell values of grad prod_j (1 - y_j^2)_+^3, y_j = (x_j - center_j) / halfwidth_j."""
     Xc = grid.cell_coords()
     ys = [(x - c) / s for x, c, s in zip(Xc, center, halfwidth)]
     etas = [np.clip(1.0 - y * y, 0.0, None) ** 3 for y in ys]
     detas = [np.where(np.abs(y) < 1.0, -6.0 * y * np.clip(1.0 - y * y, 0.0, None) ** 2, 0.0)
              for y in ys]
-    psi = np.ones_like(etas[0])
-    for e in etas:
-        psi = psi * e
     grads = []
     for j in range(grid.dim):
         gj = detas[j] / halfwidth[j]
@@ -453,7 +445,7 @@ def _bump_and_gradient(grid: Grid, center, halfwidth):
             if k != j:
                 gj = gj * etas[k]
         grads.append(gj)
-    return psi, grads
+    return grads
 
 
 def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray,
@@ -478,12 +470,8 @@ def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray,
             center = [grid.origin[j] + half[j] + idx[j] *
                       ((lengths[j] - 2 * half[j]) / max(steps[j], 1))
                       for j in range(grid.dim)]
-            psi, grads = _bump_and_gradient(grid, center, half)
-            gmag = np.sqrt(sum(g * g for g in grads)).ravel()
-            total = float(np.sum(gmag))
-            if total == 0.0:
-                continue
-            gn = rearrange.norm(At, SampledFunction(gmag, np.full(gmag.shape, vol)))
+            grads = _bump_gradient(grid, center, half)
+            gn = norm_of_cells(At, np.sqrt(sum(g * g for g in grads)), grid)
             if gn == 0.0:
                 continue
             for k in range(grid.dim):
@@ -496,9 +484,7 @@ def negative_norm_upper_bound(A: YoungFunction, u_cells: np.ndarray,
                               grid: Grid) -> float:
     """The trivial upper bound 2 sqrt(n) ||u - mean(u)||_{L^A} for the
     negative-norm functional of the distributional gradient of u."""
-    centered = np.abs(u_cells - u_cells.mean()).ravel()
-    w = np.full(centered.shape, grid.cell_volume)
-    return 2.0 * math.sqrt(grid.dim) * rearrange.norm(A, SampledFunction(centered, w))
+    return 2.0 * math.sqrt(grid.dim) * norm_of_cells(A, u_cells - u_cells.mean(), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +518,18 @@ def smooth_suite(grid: Grid, count: int = 3) -> list:
         lambda X: [np.exp(-2 * sum(x * x for x in X)) * (1.0 + X[i]) for i in range(n)],
     ]
     for rec in recipes[:count]:
-        comps = [bub * c for c in rec(X)]
-        for c in comps:
-            _zero_boundary(c)
+        comps = bub * np.stack(rec(X))
+        _zero_boundary(comps)
         fields.append(GridField(grid, comps, boundary_flag=True))
     return fields
 
 
-def _zero_boundary(c: np.ndarray):
-    for ax in range(c.ndim):
-        sl = [slice(None)] * c.ndim
-        sl[ax] = 0
-        c[tuple(sl)] = 0.0
-        sl[ax] = -1
-        c[tuple(sl)] = 0.0
+def _zero_boundary(components: np.ndarray):
+    """Zero the boundary nodes of a (dim, *node_shape) array in place, along
+    the node axes only."""
+    for ax in range(1, components.ndim):
+        components[(slice(None),) * ax + (0,)] = 0.0
+        components[(slice(None),) * ax + (-1,)] = 0.0
 
 
 def random_suite(grid: Grid, count: int, seed: int) -> list:
@@ -557,9 +541,8 @@ def random_suite(grid: Grid, count: int, seed: int) -> list:
     xhat = [(X[j] - grid.origin[j]) / span[j] for j in range(n)]
     out = []
     for _ in range(count):
-        comps = []
-        for _i in range(n):
-            c = np.zeros(grid.node_shape)
+        comps = np.zeros((n, *grid.node_shape))
+        for c in comps:
             for _k in range(3):
                 ks = rng.integers(1, 4, size=n)
                 amp = rng.standard_normal()
@@ -567,8 +550,7 @@ def random_suite(grid: Grid, count: int, seed: int) -> list:
                 for j in range(n):
                     term = term * np.sin(math.pi * ks[j] * xhat[j])
                 c += term
-            _zero_boundary(c)
-            comps.append(c)
+        _zero_boundary(comps)
         out.append(GridField(grid, comps, boundary_flag=True))
     return out
 
@@ -653,7 +635,7 @@ def save_field(u: GridField, basepath: str, fmt: str = "bin") -> None:
             "format": fmt, "dtype": "float64"}
     with open(basepath + ".json", "w") as fh:
         json.dump(meta, fh, indent=1)
-    flat = np.stack([c.ravel() for c in u.components])
+    flat = u.components.reshape(u.grid.dim, -1)
     if fmt == "bin":
         flat.astype("<f8").tofile(basepath + ".bin")
     elif fmt == "csv":
@@ -667,11 +649,9 @@ def load_field(basepath: str) -> GridField:
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
     grid = Grid(tuple(meta["extents"]), tuple(meta["spacing"]), tuple(meta["origin"]))
-    shape = grid.node_shape
-    npts = int(np.prod(shape))
     if meta["format"] == "bin":
-        flat = np.fromfile(basepath + ".bin", dtype="<f8").reshape(grid.dim, npts)
+        flat = np.fromfile(basepath + ".bin", dtype="<f8")
     else:
         flat = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1).T
-    comps = [flat[i].reshape(shape) for i in range(grid.dim)]
-    return GridField(grid, comps, boundary_flag=bool(meta.get("boundary_flag")))
+    return GridField(grid, flat.reshape(grid.dim, *grid.node_shape),
+                     boundary_flag=bool(meta.get("boundary_flag")))

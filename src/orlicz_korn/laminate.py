@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Grid, GridField
+from .fields import Grid, GridField, _zero_boundary
 from .young import DomainError, YoungFunction
 
 __all__ = ["Laminate", "build_laminate", "build_laminate_recursive",
@@ -302,13 +302,9 @@ class LaminateRealization:
     def as_grid_field(self, cells: int) -> GridField:
         grid = Grid.box((cells, cells), lengths=self.r, origin=(0.0, 0.0))
         X = grid.node_coords()
-        vx, vy = self.displacement(X[0], X[1])
-        for c in (vx, vy):
-            c[0, :] = 0.0
-            c[-1, :] = 0.0
-            c[:, 0] = 0.0
-            c[:, -1] = 0.0
-        return GridField(grid, [vx, vy], boundary_flag=True)
+        v = np.stack(self.displacement(X[0], X[1]))
+        _zero_boundary(v)
+        return GridField(grid, v, boundary_flag=True)
 
 
 def realize_field(L: Laminate, r: float, depth: int) -> LaminateRealization:

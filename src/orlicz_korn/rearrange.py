@@ -19,8 +19,8 @@ import numpy as np
 
 from .young import DomainError, YoungFunction, conjugate
 
-__all__ = ["SampledFunction", "LuxemburgNorm", "rearrangement", "luxemburg",
-           "norm", "holder_check", "DegenerateInputError"]
+__all__ = ["SampledFunction", "rearrangement", "luxemburg", "norm",
+           "holder_check", "DegenerateInputError"]
 
 _LAMBDA_RTOL = 1e-10
 
@@ -54,14 +54,6 @@ class SampledFunction:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class LuxemburgNorm:
-    value: float
-
-    def __float__(self):
-        return self.value
-
-
 def rearrangement(u: SampledFunction) -> SampledFunction:
     """Weight-carrying decreasing rearrangement of |u|.
 
@@ -79,13 +71,13 @@ def _modular(A: YoungFunction, u_abs: np.ndarray, w: np.ndarray, lam: float) -> 
     return math.inf if np.any(np.isinf(vals)) else total
 
 
-def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
+def luxemburg(A: YoungFunction, u: SampledFunction) -> float:
     """Luxemburg norm of u in the Orlicz space of A over the sampled space."""
     u_abs = np.abs(u.values)
     w = u.weights
     peak = float(np.max(u_abs)) if len(u_abs) else 0.0
     if peak == 0.0:
-        return LuxemburgNorm(0.0)
+        return 0.0
     omega = u.total_measure
     wmin = float(np.min(w))
     # bracket from the inverse at the extreme cell measures, then expand
@@ -109,7 +101,7 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
     while _modular(A, u_abs, w, lo) <= 1.0 and lo > hi * 1e-30:
         lo *= 0.5
     if _modular(A, u_abs, w, lo) <= 1.0:
-        return LuxemburgNorm(lo)
+        return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _modular(A, u_abs, w, mid) <= 1.0:
@@ -118,11 +110,10 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> LuxemburgNorm:
             lo = mid
         if hi - lo <= _LAMBDA_RTOL * hi:
             break
-    return LuxemburgNorm(hi)
+    return hi
 
 
-def norm(A: YoungFunction, u: SampledFunction) -> float:
-    return luxemburg(A, u).value
+norm = luxemburg
 
 
 def holder_check(A: YoungFunction, u: SampledFunction, v: SampledFunction) -> float:

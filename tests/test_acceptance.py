@@ -166,8 +166,8 @@ def test_criterion_5_kernel_calculus(catalog):
     g = fields.Grid.box(8, lengths=2.0, origin=(-1, -1, -1), dim=3)
     rng = np.random.default_rng(3)
     u = fields.GridField(g, [rng.standard_normal(g.node_shape) for _ in range(3)])
-    p1 = fields.project_sigma(u)
-    p2 = fields.project_sigma(p1)
+    p1 = fields.project_kernel(u)
+    p2 = fields.project_kernel(p1)
     idem = max(np.abs(p1.components[i] - p2.components[i]).max() for i in range(3))
     ok = worst_r < 1e-12 and order_ok and idem <= 1e-10
     _report(5, ok, f"rigid motions annihilated to {worst_r:.1e}, quadratic "

@@ -94,6 +94,14 @@ def test_config_file_replaces_flags(tmp_path):
     assert manifest["parameters"]["trials"] == 4
 
 
+def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
+    # "spike" is a --suite of bogovskii only; the other subcommands with a
+    # --suite flag must not reject the entry when bogovskii runs
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"A": "L2", "B": "L2", "grid": 8, "suite": "spike"}))
+    assert main(["--config", str(cfgfile), "bogovskii", "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["check-balance", "--A", "{bad", "--B", "L2"],
     ["check-balance", "--A", '{"kind": "power", "params": {"p": 0.5}}', "--B", "L2"],
@@ -129,10 +137,19 @@ def test_config_file_replaces_flags(tmp_path):
      "--trials", "0"],
     ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "-1"],
     ["negative-norm", "--A", "L2", "--dim", "0"],
+    # --config entries are checked like the flags they replace
+    ["--config", "{tmp}/trials.json", "negative-norm", "--A", "L2", "--grid", "4"],
+    ["--config", "{tmp}/A.json", "verify-korn", "--B", "L2"],
+    ["--config", "{tmp}/mode.json", "verify-korn", "--A", "L2", "--B", "L2"],
+    ["--config", "{tmp}/realize.json", "laminate-demo", "--A", "L1", "--B", "L1",
+     "--m-max", "1"],
+    ["--config", "{tmp}/grid.json", "verify-korn", "--A", "L2", "--B", "L2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
-    (tmp_path / "bad.json").write_text("{bad")
-    (tmp_path / "list.json").write_text("[1]")
+    for name, text in {"bad": "{bad", "list": "[1]", "trials": '{"trials": 1.5}',
+                       "A": '{"A": 3}', "mode": '{"mode": "bogus"}',
+                       "realize": '{"realize": "no"}', "grid": '{"grid": [4]}'}.items():
+        (tmp_path / f"{name}.json").write_text(text)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

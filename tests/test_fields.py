@@ -7,7 +7,7 @@ from orlicz_korn import fields, hardy, young
 from orlicz_korn.fields import (
     ConfigurationError, Grid, GridField, KernelBasis, KernelMembership,
     dev_sym_gradient, gradient, korn_ratio, negative_norm_lower_bound,
-    poincare_ratio, project_sigma, radial_test_field, sym_gradient,
+    poincare_ratio, project_kernel, radial_test_field, sym_gradient,
 )
 from orlicz_korn.young import DomainError
 
@@ -134,7 +134,7 @@ def test_projection_fixes_range(grid3):
     comps = [sum(coef[k] * basis.generators[k][i] for k in range(len(basis)))
              for i in range(3)]
     u = GridField(grid3, comps)
-    p = project_sigma(u)
+    p = project_kernel(u)
     err = max(np.abs(p.components[i] - u.components[i]).max() for i in range(3))
     scale = max(np.abs(u.components[i]).max() for i in range(3))
     assert err < 1e-10 * scale
@@ -144,12 +144,12 @@ def test_projection_idempotent_linear(grid3):
     rng = np.random.default_rng(4)
     u = GridField(grid3, [rng.standard_normal(grid3.node_shape) for _ in range(3)])
     v = GridField(grid3, [rng.standard_normal(grid3.node_shape) for _ in range(3)])
-    p1 = project_sigma(u)
-    p2 = project_sigma(p1)
+    p1 = project_kernel(u)
+    p2 = project_kernel(p1)
     assert max(np.abs(p1.components[i] - p2.components[i]).max()
                for i in range(3)) < 1e-10
-    lin = project_sigma(u + v)
-    both = p1 + project_sigma(v)
+    lin = project_kernel(u + v)
+    both = p1 + project_kernel(v)
     assert max(np.abs(lin.components[i] - both.components[i]).max()
                for i in range(3)) < 1e-10
 
@@ -159,7 +159,7 @@ def test_projection_annihilates_odd_high_frequency(grid3):
     comps = [np.sin(4 * math.pi * X[0]) * np.sin(4 * math.pi * X[1])
              * np.sin(4 * math.pi * X[2]) for _ in range(3)]
     u = GridField(grid3, comps)
-    p = project_sigma(u)
+    p = project_kernel(u)
     assert max(np.abs(c).max() for c in p.components) < 5e-3
 
 
@@ -330,3 +330,25 @@ def test_field_io_round_trip(tmp_path, grid3, fmt):
     assert v.grid == u.grid
     for a, b in zip(u.components, v.components):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_fields_are_single_float_arrays(grid3, catalog):
+    n = grid3.dim
+    u = GridField(grid3, [np.full(grid3.node_shape, i) for i in range(n)])
+    assert isinstance(u.components, np.ndarray) and u.components.dtype == float
+    assert u.components.shape == (n, *grid3.node_shape)
+    for wrong in ([np.zeros(grid3.node_shape)] * (n - 1),
+                  np.zeros((n, *grid3.extents)),
+                  [np.zeros(grid3.node_shape)] * (n - 1) + [np.zeros(grid3.extents)]):
+        with pytest.raises(DomainError):
+            GridField(grid3, wrong)
+    assert gradient(u).entries.shape == (n, n, *grid3.extents)
+    basis = KernelBasis(grid3)
+    assert basis.generators.shape == (len(basis), n, *grid3.node_shape)
+    # the cell norm takes |values| and weighs each cell by its volume
+    from orlicz_korn import rearrange as ra
+    v = np.random.default_rng(9).standard_normal(grid3.extents)
+    for name in ("LlogL", "L2", "Linf"):
+        expected = ra.norm(catalog[name], ra.SampledFunction(
+            np.abs(v).ravel(), np.full(v.size, grid3.cell_volume)))
+        assert fields.norm_of_cells(catalog[name], v, grid3) == expected
