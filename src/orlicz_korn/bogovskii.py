@@ -76,100 +76,114 @@ def bump_integral_check(cfg: BogovskiiConfig) -> float:
     return float(np.sum(w) * cfg.grid.cell_volume)
 
 
-def _ray_integral(cfg: BogovskiiConfig, y: np.ndarray, ex: np.ndarray,
-                  ey: np.ndarray, rmin: np.ndarray) -> np.ndarray:
-    """integral_rmin^inf omega(y + r e) r^(n-1) dr along unit rays e from y.
+def _ray_integral(cfg: BogovskiiConfig, px: np.ndarray, py: np.ndarray,
+                  ex: np.ndarray, ey: np.ndarray, rmin: np.ndarray) -> np.ndarray:
+    """integral_rmin^inf omega(y + r e) r^(n-1) dr along unit rays e from the
+    points y = (px, py).
 
-    y has shape (..., 2); the integrand is supported where the ray crosses
-    the bump ball, a polynomial in r there, and 6-node Gauss is exact.
+    The integrand is supported where the ray crosses the bump ball beyond
+    rmin, a polynomial in r there, and 6-node Gauss is exact; the other rays
+    give 0 and are not evaluated.
     """
     cx, cy = cfg.center
-    dx = cx - y[..., 0]
-    dy = cy - y[..., 1]
+    dx = cx - px
+    dy = cy - py
     b = ex * dx + ey * dy                 # ray parameter of closest approach
     d2 = dx * dx + dy * dy
     disc = b * b - (d2 - cfg.radius ** 2)
-    has = disc > 0.0
     sq = np.sqrt(np.clip(disc, 0.0, None))
     r1 = np.maximum(b - sq, rmin)
     r2 = np.maximum(b + sq, rmin)
+    hit = (disc > 0.0) & (r2 > r1)
+    px, py, ex, ey, r1, r2 = (a[hit] for a in (px, py, ex, ey, r1, r2))
     mid = 0.5 * (r1 + r2)
     half = 0.5 * (r2 - r1)
-    out = np.zeros(np.broadcast(ex, b).shape)
+    acc = 0.0
     for xg, wg in zip(_GAUSS6_X, _GAUSS6_W):
         r = mid + half * xg
-        px = y[..., 0] + r * ex
-        py = y[..., 1] + r * ey
-        rho2 = ((px - cx) ** 2 + (py - cy) ** 2) / cfg.radius ** 2
+        rho2 = ((px + r * ex - cx) ** 2 + (py + r * ey - cy) ** 2) / cfg.radius ** 2
         om = cfg.bump_norm * np.clip(1.0 - rho2, 0.0, None) ** 4
-        out = out + wg * om * r
-    return np.where(has, out * half, 0.0)
+        acc = acc + wg * om * r
+    out = np.zeros(hit.shape)
+    out[hit] = acc * half
+    return out
 
 
-def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> GridField:
-    """Evaluate the divergence right-inverse of f at the grid nodes.
-
-    Requires a mean-zero f (relative tolerance 1e-8 against its L1 mass).
-    f is treated as piecewise constant on cells; quadrature refines the
-    cells by graded subdivision toward the kernel singularity.
-    """
+def _row_kernel(cfg: BogovskiiConfig, x0: float, x1: np.ndarray) -> np.ndarray:
+    """Quadrature weights (2, len(x1), cells) of the nodes (x0, x1[j]) of one
+    node row: row (c, j) contracted with cell values of f gives component c
+    of T f at node j."""
     g = cfg.grid
-    f_cells = np.asarray(f_cells, dtype=float)
-    if f_cells.shape != tuple(g.extents):
-        raise DomainError("f must be cell-centered scalar data")
-    mass = abs(float(np.sum(f_cells))) * g.cell_volume
-    l1 = float(np.sum(np.abs(f_cells))) * g.cell_volume
-    if l1 > 0 and mass > 1e-8 * l1:
-        raise DomainError(f"f must have zero mean (|mean| = {mass:.3g} vs 1e-8 * ||f||_1)")
     hx, hy = g.spacing
-    if abs(hx - hy) > 1e-12 * hx:
-        raise DomainError("graded subdivision assumes square cells")
-    h = hx
     Yc = g.cell_coords()
     cx = Yc[0].ravel()
     cy = Yc[1].ravel()
-    fv = f_cells.ravel()
-    vol = g.cell_volume
-    nx, ny = g.node_shape
-
-    def sub_offsets(s):
-        o = (np.arange(s) + 0.5) / s - 0.5
-        ox, oy = np.meshgrid(o, o, indexing="ij")
-        return ox.ravel() * hx, oy.ravel() * hy
-
+    dist_c = np.hypot(x0 - cx[None, :], x1[:, None] - cy[None, :])
+    band_r = _BAND_CELLS * hx
+    inner_r = _INNER_CELLS * hx
+    masks = (dist_c >= band_r, (dist_c < band_r) & (dist_c >= inner_r),
+             dist_c < inner_r)
+    out = np.zeros((2, len(x1), len(cx)))
     # cells split s x s per zone: far cells (s = 1, a zero offset) keep their
     # centre, band and near cells are refined toward the node
-    zones = [(s * s, *sub_offsets(s)) for s in (1, _N_BAND, _N_INNER)]
-    inner_r = _INNER_CELLS * h
-    band_r = _BAND_CELLS * h
-    out = np.zeros((2, nx, ny))
+    for mask, s in zip(masks, (1, _N_BAND, _N_INNER)):
+        nodes, cells = np.nonzero(mask)
+        o = (np.arange(s) + 0.5) / s - 0.5
+        ox, oy = np.meshgrid(o, o, indexing="ij")
+        px = cx[cells][:, None] + ox.ravel() * hx
+        py = cy[cells][:, None] + oy.ravel() * hy
+        dx = x0 - px
+        dy = x1[nodes][:, None] - py
+        dist = np.hypot(dx, dy)
+        # subcell points at the node itself are left out
+        keep = dist > 1e-3 * hx
+        dist = np.where(keep, dist, 1.0)
+        ex = dx / dist
+        ey = dy / dist
+        w = np.where(keep, _ray_integral(cfg, px, py, ex, ey, dist)
+                     * (g.cell_volume / (s * s)) / dist, 0.0)
+        out[0, nodes, cells] = np.sum(w * ex, axis=1)
+        out[1, nodes, cells] = np.sum(w * ey, axis=1)
+    return out
+
+
+def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
+    """Evaluate the divergence right-inverse of f at the grid nodes.
+
+    f_cells is one source of shape grid.extents, giving one GridField, or a
+    stack of shape (m, *grid.extents), giving a list of m GridFields.  Each
+    source must be mean-zero (relative tolerance 1e-8 against its L1 mass).
+    f is treated as piecewise constant on cells; quadrature refines the
+    cells by graded subdivision toward the kernel singularity.  The kernel
+    does not depend on f: it is built one node row at a time and contracted
+    with each source in turn, so a source's field does not depend on the
+    other sources of its stack.
+    """
+    g = cfg.grid
+    f = np.asarray(f_cells, dtype=float)
+    single = f.shape == tuple(g.extents)
+    if not single and f.shape[1:] != tuple(g.extents):
+        raise DomainError("f must be cell-centered scalar data")
+    stack = f.reshape(-1, math.prod(g.extents))
+    for fv in stack:
+        mass = abs(float(np.sum(fv))) * g.cell_volume
+        l1 = float(np.sum(np.abs(fv))) * g.cell_volume
+        if l1 > 0 and mass > 1e-8 * l1:
+            raise DomainError(f"f must have zero mean (|mean| = {mass:.3g} vs 1e-8 * ||f||_1)")
+    hx, hy = g.spacing
+    if abs(hx - hy) > 1e-12 * hx:
+        raise DomainError("graded subdivision assumes square cells")
+    if len(stack) == 0:
+        return []
+    nx, ny = g.node_shape
+    x1 = g.origin[1] + np.arange(ny) * hy
+    out = np.zeros((len(stack), 2, nx, ny))
     for i in range(nx):
-        x0 = g.origin[0] + i * hx
-        for j in range(ny):
-            x1 = g.origin[1] + j * hy
-            dist_c = np.hypot(x0 - cx, x1 - cy)
-            masks = (dist_c >= band_r, (dist_c < band_r) & (dist_c >= inner_r),
-                     dist_c < inner_r)
-            a0 = a1 = 0.0
-            for mask, (k, ox, oy) in zip(masks, zones):
-                if not mask.any():
-                    continue
-                px = (cx[mask][:, None] + ox[None, :]).ravel()
-                py = (cy[mask][:, None] + oy[None, :]).ravel()
-                dx = x0 - px
-                dy = x1 - py
-                dist = np.hypot(dx, dy)
-                keep = dist > 1e-3 * h
-                dx, dy, dist = dx[keep], dy[keep], dist[keep]
-                ex = dx / dist
-                ey = dy / dist
-                ypts = np.stack([px[keep], py[keep]], axis=-1)
-                inner = _ray_integral(cfg, ypts, ex, ey, dist)
-                contrib = np.repeat(fv[mask], k)[keep] * (vol / k) * inner / dist
-                a0 += float(np.sum(contrib * ex))
-                a1 += float(np.sum(contrib * ey))
-            out[:, i, j] = a0, a1
-    return GridField(g, out)
+        kernel = _row_kernel(cfg, g.origin[0] + i * hx, x1).reshape(2 * ny, -1)
+        for k, fv in enumerate(stack):
+            out[k, :, i, :] = (kernel @ fv).reshape(2, ny)
+    bfs = [GridField(g, c) for c in out]
+    return bfs[0] if single else bfs
 
 
 def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray,
@@ -195,16 +209,13 @@ def norm_bound_ratio(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
 def ratio_suite(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
                 suite: str = "smooth") -> list:
     """Rows (label, div_residual, norm_ratio) over a named source suite,
-    solving once per source."""
+    solved in one stacked call."""
     if suite not in ("smooth", "spike"):
         raise DomainError(f"unknown suite {suite!r}")
     sources = smooth_suite(cfg) if suite == "smooth" else spike_suite(cfg)
-    rows = []
-    for i, f in enumerate(sources):
-        bf = apply(cfg, f)
-        rows.append((f"{suite}_{i}", div_residual(cfg, f, bf),
-                     norm_bound_ratio(cfg, A, B, f, bf)))
-    return rows
+    bfs = apply(cfg, np.reshape(sources, (len(sources), *cfg.grid.extents)))
+    return [(f"{suite}_{i}", div_residual(cfg, f, bf), norm_bound_ratio(cfg, A, B, f, bf))
+            for i, (f, bf) in enumerate(zip(sources, bfs))]
 
 
 def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:

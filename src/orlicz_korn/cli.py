@@ -129,9 +129,17 @@ def _cmd_verify_hardy(args, A, B) -> int:
     return 1 if (rep.balance_holds and rep.sweep_growing) else 0
 
 
+def _suite_grid(args, dim: int):
+    """The grid of a Korn or Poincare suite: (0, 1)^dim, or (-1.1, 1.1)^dim
+    for the radial suite, whose fields are supported on the unit ball."""
+    if args.suite == "radial":
+        return fields.Grid.box(args.grid, lengths=2.2, origin=(-1.1,) * dim, dim=dim)
+    return fields.Grid.box(args.grid, dim=dim)
+
+
 def _cmd_verify_korn(args, A, B) -> int:
     mode = {"zero_bc": "zero_bc", "full": "full_domain"}[args.mode]
-    grid = fields.Grid.box(args.grid, dim=args.dim)
+    grid = _suite_grid(args, args.dim)
     rows = fields.korn_suite(A, B, args.suite, grid, mode, args.operator,
                              args.trials, args.seed)
     for label, r in rows:
@@ -177,7 +185,7 @@ def _cmd_bogovskii(args, A, B) -> int:
 
 
 def _cmd_poincare(args, A) -> int:
-    grid = fields.Grid.box(args.grid, dim=3)
+    grid = _suite_grid(args, 3)
     mode = {"zero_bc": "zero_bc", "full": "full_domain"}[args.mode]
     rows = fields.poincare_suite(A, args.suite, grid, mode, args.trials, args.seed)
     bad = sum(0 if math.isfinite(r) else 1 for _, r in rows)

@@ -8,6 +8,81 @@ from orlicz_korn import fields, young
 from orlicz_korn.young import DomainError
 
 
+def _reference_ray_integral(cfg, y, ex, ey, rmin):
+    cx, cy = cfg.center
+    dx = cx - y[..., 0]
+    dy = cy - y[..., 1]
+    b = ex * dx + ey * dy
+    d2 = dx * dx + dy * dy
+    disc = b * b - (d2 - cfg.radius ** 2)
+    has = disc > 0.0
+    sq = np.sqrt(np.clip(disc, 0.0, None))
+    r1 = np.maximum(b - sq, rmin)
+    r2 = np.maximum(b + sq, rmin)
+    mid = 0.5 * (r1 + r2)
+    half = 0.5 * (r2 - r1)
+    out = np.zeros(np.broadcast(ex, b).shape)
+    for xg, wg in zip(bog._GAUSS6_X, bog._GAUSS6_W):
+        r = mid + half * xg
+        px = y[..., 0] + r * ex
+        py = y[..., 1] + r * ey
+        rho2 = ((px - cx) ** 2 + (py - cy) ** 2) / cfg.radius ** 2
+        om = cfg.bump_norm * np.clip(1.0 - rho2, 0.0, None) ** 4
+        out = out + wg * om * r
+    return np.where(has, out * half, 0.0)
+
+
+def _reference_apply(cfg, f_cells):
+    """The solver as one quadrature per node and zone: the reference that
+    bogovskii.apply's row kernel is checked against."""
+    g = cfg.grid
+    hx, hy = g.spacing
+    h = hx
+    Yc = g.cell_coords()
+    cx = Yc[0].ravel()
+    cy = Yc[1].ravel()
+    fv = np.asarray(f_cells, dtype=float).ravel()
+    vol = g.cell_volume
+    nx, ny = g.node_shape
+
+    def sub_offsets(s):
+        o = (np.arange(s) + 0.5) / s - 0.5
+        ox, oy = np.meshgrid(o, o, indexing="ij")
+        return ox.ravel() * hx, oy.ravel() * hy
+
+    zones = [(s * s, *sub_offsets(s)) for s in (1, bog._N_BAND, bog._N_INNER)]
+    inner_r = bog._INNER_CELLS * h
+    band_r = bog._BAND_CELLS * h
+    out = np.zeros((2, nx, ny))
+    for i in range(nx):
+        x0 = g.origin[0] + i * hx
+        for j in range(ny):
+            x1 = g.origin[1] + j * hy
+            dist_c = np.hypot(x0 - cx, x1 - cy)
+            masks = (dist_c >= band_r, (dist_c < band_r) & (dist_c >= inner_r),
+                     dist_c < inner_r)
+            a0 = a1 = 0.0
+            for mask, (k, ox, oy) in zip(masks, zones):
+                if not mask.any():
+                    continue
+                px = (cx[mask][:, None] + ox[None, :]).ravel()
+                py = (cy[mask][:, None] + oy[None, :]).ravel()
+                dx = x0 - px
+                dy = x1 - py
+                dist = np.hypot(dx, dy)
+                keep = dist > 1e-3 * h
+                dx, dy, dist = dx[keep], dy[keep], dist[keep]
+                ex = dx / dist
+                ey = dy / dist
+                ypts = np.stack([px[keep], py[keep]], axis=-1)
+                inner = _reference_ray_integral(cfg, ypts, ex, ey, dist)
+                contrib = np.repeat(fv[mask], k)[keep] * (vol / k) * inner / dist
+                a0 += float(np.sum(contrib * ex))
+                a1 += float(np.sum(contrib * ey))
+            out[:, i, j] = a0, a1
+    return out
+
+
 @pytest.fixture(scope="module")
 def catalog():
     return young.load_catalog()
@@ -47,6 +122,31 @@ def test_mean_zero_required(cfg32):
         bog.apply(cfg32, f)
 
 
+def test_mean_zero_required_of_every_source_of_a_stack(cfg32, smooth32):
+    stack = np.array([smooth32[0], np.ones(cfg32.grid.extents), smooth32[1]])
+    with pytest.raises(DomainError):
+        bog.apply(cfg32, stack)
+
+
+def test_stacked_sources_match_the_per_node_reference():
+    cfg = bog.make_config(12)
+    sources = bog.smooth_suite(cfg) + bog.spike_suite(cfg)
+    bfs = bog.apply(cfg, np.array(sources))
+    assert len(bfs) == len(sources)
+    for f, bf in zip(sources, bfs):
+        ref = _reference_apply(cfg, f)
+        assert np.max(np.abs(bf.components - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("suite", ["smooth", "spike"])
+def test_stacked_solve_is_independent_of_the_stack(suite):
+    cfg = bog.make_config(16)
+    sources = bog.smooth_suite(cfg) if suite == "smooth" else bog.spike_suite(cfg)
+    bfs = bog.apply(cfg, np.array(sources))
+    for f, bf in zip(sources, bfs):
+        assert np.array_equal(bf.components, bog.apply(cfg, f).components)
+
+
 def test_linearity(cfg32, smooth32):
     f1, f2 = smooth32[0], smooth32[3]
     a, b = 1.7, -0.6
@@ -83,10 +183,11 @@ def test_norm_ratio_bounded_square_pair(cfg32, smooth32, catalog):
 
 def test_norm_ratio_spike_behavior(cfg32, catalog):
     spikes = bog.spike_suite(cfg32)
-    linear = [bog.norm_bound_ratio(cfg32, catalog["L1"], catalog["L1"], f)
-              for f in spikes]
-    balanced = [bog.norm_bound_ratio(cfg32, catalog["LlogL"], catalog["L1"], f)
-                for f in spikes]
+    bfs = bog.apply(cfg32, np.array(spikes))
+    linear = [bog.norm_bound_ratio(cfg32, catalog["L1"], catalog["L1"], f, bf)
+              for f, bf in zip(spikes, bfs)]
+    balanced = [bog.norm_bound_ratio(cfg32, catalog["LlogL"], catalog["L1"], f, bf)
+                for f, bf in zip(spikes, bfs)]
     # the linear pair grows along the sweep, the balanced pair stays put
     assert linear[-1] > linear[0] * 1.2
     assert balanced[-1] <= balanced[0] * 1.2

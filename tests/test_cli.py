@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,8 +108,7 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["check-balance", "--A", '{"kind": "power", "params": {"p": 0.5}}', "--B", "L2"],
     ["verify-hardy", "--A", "L2", "--B", "L2", "--trials", "0"],
     ["laminate-demo", "--A", "Linf", "--B", "L1", "--m-max", "1"],
-    ["verify-korn", "--A", "L2", "--B", "L2", "--suite", "radial",
-     "--mode", "zero_bc", "--grid", "6"],
+    ["poincare", "--A", "L2", "--suite", "radial", "--grid", "1"],
     ["verify-korn", "--A", "L2", "--B", "L2", "--suite", "laminate", "--trials", "1"],
     ["verify-korn", "--A", "L2", "--B", "L2", "--dim", "2", "--grid", "6"],
     ["--config", "{tmp}/missing.json", "verify-hardy", "--A", "L2", "--B", "L2"],
@@ -162,6 +162,17 @@ def test_verify_korn_dim_2_runs_on_a_2d_grid(tmp_path):
                   "--operator", "E", "--grid", "6", "--trials", "1")
     assert rc == 0
     assert (out / "korn_ratios.csv").read_text().startswith("trial,ratio\nsmooth_0,")
+
+
+def test_radial_zero_bc_suite_runs_on_a_box_holding_the_unit_ball(tmp_path):
+    # at 12 cells the sharpest spike (support radius 0.01^(1/3) = 0.22) still
+    # reaches nodes off the origin, so every field is nonzero on the grid
+    rc, out = run(tmp_path, "verify-korn", "--A", "L2", "--B", "L2", "--suite", "radial",
+                  "--mode", "zero_bc", "--grid", "12")
+    assert rc == 0
+    rows = (out / "korn_ratios.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [f"radial_{i}" for i in range(4)]
+    assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 def test_laminate_realize_creates_fresh_out(tmp_path):

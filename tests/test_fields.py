@@ -252,6 +252,12 @@ def test_radial_zero_profile():
     assert max(abs(c).max() for c in v.components) == 0.0
 
 
+def test_radial_field_needs_the_unit_ball_inside_the_box():
+    h = hardy.step_on_interval(4.0 * math.pi / 3.0, np.ones(8))
+    with pytest.raises(DomainError):
+        radial_test_field(h, Grid.box(12, dim=3))
+
+
 def test_radial_symmetric_gradient_bound():
     g = Grid.box(24, lengths=2.2, origin=(-1.1, -1.1, -1.1), dim=3)
     omega = 4.0 * math.pi / 3.0
@@ -314,6 +320,24 @@ def test_negative_norm_trivial_upper_bound_all_catalog(catalog):
         ub = C * ra.norm(A, ra.SampledFunction(
             centered, np.full(centered.shape, g.cell_volume)))
         assert lb <= ub * (1 + 1e-9), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_negative_norm_suite_matches_per_trial_calls(catalog, dim):
+    # the suite shares one bump dictionary across its trials
+    A = catalog["LlogL"]
+    g = Grid.box(6, dim=dim)
+    rng = np.random.default_rng(11)
+    Xc = g.cell_coords()
+    expected = []
+    for i in range(3):
+        c = [rng.uniform(0.3, 0.7) for _ in range(dim)]
+        s = rng.uniform(0.1, 0.3)
+        u = np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2)
+        lb = negative_norm_lower_bound(A, u, g)
+        ub = fields.negative_norm_upper_bound(A, u, g)
+        expected.append((f"bump_{i}", lb, ub, lb <= ub * (1.0 + 1e-9)))
+    assert fields.negative_norm_suite(A, g, 3, 11) == expected
 
 
 # ---------------------------------------------------------------------------
