@@ -23,9 +23,14 @@ sources = {
                   - np.exp(-60 * sum((x - 0.7) ** 2 for x in Xc))),
 }
 
-for label, u in sources.items():
-    for name in ("L2", "LlogL", "expL"):
-        lb = fields.negative_norm_lower_bound(cat[name], u, g)
+# one stacked call per function builds its bump dictionary once
+names = ("L2", "LlogL", "expL")
+lower = {name: fields.negative_norm_lower_bound(cat[name], list(sources.values()), g)
+         for name in names}
+
+for i, (label, u) in enumerate(sources.items()):
+    for name in names:
+        lb = lower[name][i]
         ub = fields.negative_norm_upper_bound(cat[name], u, g)
         frac = lb / ub if ub > 0 else 0.0
         print(f"{label:16s} {name:6s}: lower {lb:9.5f} <= {ub:9.5f} "

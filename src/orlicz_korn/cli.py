@@ -13,34 +13,15 @@ Exit codes: 0 success, 1 verdict failure (an expected-holds check failing),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__, balance, bogovskii, fields, hardy, laminate, young
 
-__all__ = ["main", "ExperimentManifest"]
-
-
-@dataclass
-class ExperimentManifest:
-    command: str
-    parameters: dict
-    catalog_version: str
-    seed: int
-    tool_version: str
-    timestamp: str
-
-    def write(self, outdir: str):
-        path = os.path.join(outdir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=1, sort_keys=True)
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:
@@ -70,9 +51,13 @@ def _emit(args, tables: dict) -> None:
     for name, (header, rows) in tables.items():
         p = _write_csv(outdir, name, header, rows)
         print(f"wrote {p}")
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-    ExperimentManifest(args.command, params, young.CATALOG_VERSION, args.seed,
-                       __version__, time.strftime("%Y-%m-%dT%H:%M:%S")).write(outdir)
+    manifest = {"command": args.command, "seed": args.seed,
+                "parameters": {k: v for k, v in vars(args).items()
+                               if k not in _NOT_PARAMETERS},
+                "catalog_version": young.CATALOG_VERSION, "tool_version": __version__,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
 def _resolve(name: str, catalog: dict):
@@ -129,19 +114,13 @@ def _cmd_verify_hardy(args, A, B) -> int:
     return 1 if (rep.balance_holds and rep.sweep_growing) else 0
 
 
-def _suite_grid(args, dim: int):
-    """The grid of a Korn or Poincare suite: (0, 1)^dim, or (-1.1, 1.1)^dim
-    for the radial suite, whose fields are supported on the unit ball."""
-    if args.suite == "radial":
-        return fields.Grid.box(args.grid, lengths=2.2, origin=(-1.1,) * dim, dim=dim)
-    return fields.Grid.box(args.grid, dim=dim)
+# the --mode names of verify-korn and poincare, as the fields modes they run
+_MODES = {"zero_bc": "zero_bc", "full": "full_domain"}
 
 
 def _cmd_verify_korn(args, A, B) -> int:
-    mode = {"zero_bc": "zero_bc", "full": "full_domain"}[args.mode]
-    grid = _suite_grid(args, args.dim)
-    rows = fields.korn_suite(A, B, args.suite, grid, mode, args.operator,
-                             args.trials, args.seed)
+    rows = fields.korn_suite(A, B, args.suite, args.grid, args.dim, _MODES[args.mode],
+                             args.operator, args.trials, args.seed)
     for label, r in rows:
         print(f"{label}: ratio {r:.6g}")
     _emit(args, {"korn_ratios.csv": (["trial", "ratio"], rows)})
@@ -156,19 +135,11 @@ def _cmd_laminate_demo(args, A, B) -> int:
         print(f"m={row['m']:2d} t_m={row['t_m']:.6g} ratio={row['ratio']:.6g}")
     tables = {"blowup.csv": (["m", "t_m", "sym_moment", "full_moment", "ratio"], rows)}
     if args.realize:
-        real_rows = []
-        for m in range(1, min(args.m_max, 3) + 1):
-            L = laminate.build_laminate(m, 1.0)
-            real = laminate.realize_field(L, args.r, args.depth)
-            phi = lambda M: np.linalg.norm(M, axis=(-2, -1))
-            exact = laminate.moment(L, phi) * args.r ** 2
-            realized = real.moment(phi)
-            real_rows.append([m, exact, realized,
-                              abs(realized - exact) / max(abs(exact), 1e-300)])
-            u = real.as_grid_field(args.grid)
-            fields.save_field(u, os.path.join(args.out, f"laminate_m{m}"))
-        tables["realize.csv"] = (["m", "exact_moment", "realized_moment",
-                                  "rel_gap"], real_rows)
+        realized = laminate.realization_suite(args.m_max, args.r, args.depth, args.grid)
+        for row, u in realized:
+            fields.save_field(u, os.path.join(args.out, f"laminate_m{row[0]}"))
+        tables["realize.csv"] = (["m", "exact_moment", "realized_moment", "rel_gap"],
+                                 [row for row, _ in realized])
     _emit(args, tables)
     return 0
 
@@ -185,9 +156,8 @@ def _cmd_bogovskii(args, A, B) -> int:
 
 
 def _cmd_poincare(args, A) -> int:
-    grid = _suite_grid(args, 3)
-    mode = {"zero_bc": "zero_bc", "full": "full_domain"}[args.mode]
-    rows = fields.poincare_suite(A, args.suite, grid, mode, args.trials, args.seed)
+    rows = fields.poincare_suite(A, args.suite, args.grid, _MODES[args.mode],
+                                 args.trials, args.seed)
     bad = sum(0 if math.isfinite(r) else 1 for _, r in rows)
     for label, r in rows:
         print(f"{label}: ratio {r:.6g}")

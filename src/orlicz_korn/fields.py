@@ -473,29 +473,31 @@ def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
     return np.reshape(grads, (len(grads), grid.dim, *grid.extents)), norms
 
 
-def _dictionary_bound(dictionary: tuple, u_cells: np.ndarray, grid: Grid) -> float:
-    """max over the bumps phi of a dictionary of |integral(u d_k phi)| /
-    ||grad phi||_{L^conj(A)}."""
-    # pairing with u - mean(u) equals the continuum pairing (div phi has
-    # zero integral) and kills the quadrature residue for constants
-    u_cells = u_cells - u_cells.mean()
-    best = 0.0
-    for grads, gn in zip(*dictionary):
-        for gk in grads:
-            pairing = abs(float(np.sum(u_cells * gk) * grid.cell_volume))
-            best = max(best, pairing / gn)
-    return best
-
-
-def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray,
-                              grid: Grid) -> float:
+def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid):
     """max over a fixed bump dictionary of integral(u div phi) / ||grad
     phi||_{L^conj(A)}: a certified lower bound for the negative-norm
-    functional of the distributional gradient of u."""
+    functional of the distributional gradient of u.
+
+    u_cells is one source of shape grid.extents, giving a float, or a stack
+    of shape (m, *grid.extents), giving a list of m floats.  The dictionary
+    is built once per call; each source's bound is the same float alone or
+    in a stack."""
     u_cells = np.asarray(u_cells, dtype=float)
-    if u_cells.shape != tuple(grid.extents):
-        raise DomainError("u must be cell-centered scalar data")
-    return _dictionary_bound(_bump_dictionary(A, grid), u_cells, grid)
+    single = u_cells.shape == tuple(grid.extents)
+    if not single and u_cells.shape[1:] != tuple(grid.extents):
+        raise DomainError("u must be cell-centered scalar data or a stack of it")
+    dictionary = _bump_dictionary(A, grid)
+    bounds = []
+    for u in u_cells.reshape(-1, *grid.extents):
+        # pairing with u - mean(u) equals the continuum pairing (div phi has
+        # zero integral) and kills the quadrature residue for constants
+        u = u - u.mean()
+        best = 0.0
+        for grads, gn in zip(*dictionary):
+            for gk in grads:
+                best = max(best, abs(float(np.sum(u * gk) * grid.cell_volume)) / gn)
+        bounds.append(best)
+    return bounds[0] if single else bounds
 
 
 def negative_norm_upper_bound(A: YoungFunction, u_cells: np.ndarray,
@@ -585,16 +587,20 @@ def radial_suite(grid: Grid) -> list:
     return out
 
 
-def _suite_rows(suite: str, grid: Grid, trials: int, seed: int, ratio) -> list:
-    """Rows (label, ratio(u)) over the trial fields of a named suite, NaN
-    for a field in the kernel."""
+def _suite_rows(suite: str, cells: int, dim: int, trials: int, seed: int, ratio) -> list:
+    """Rows (label, ratio(u)) over the trial fields of a named suite on
+    (0, 1)^dim, or on (-1.1, 1.1)^dim for the radial suite, whose fields are
+    supported on the unit ball; NaN for a field in the kernel."""
+    radial = suite == "radial"
+    grid = Grid.box(cells, lengths=2.2 if radial else None,
+                    origin=(-1.1,) * dim if radial else None, dim=dim)
     if trials < 1:
         raise DomainError("need trials >= 1")
     if suite == "smooth":
         trial_fields = smooth_suite(grid, min(trials, 4))
     elif suite == "random":
         trial_fields = random_suite(grid, trials, seed)
-    elif suite == "radial":
+    elif radial:
         trial_fields = radial_suite(grid)
     elif suite == "laminate":
         from . import laminate
@@ -611,35 +617,37 @@ def _suite_rows(suite: str, grid: Grid, trials: int, seed: int, ratio) -> list:
     return rows
 
 
-def korn_suite(A: YoungFunction, B: YoungFunction, suite: str, grid: Grid,
+def korn_suite(A: YoungFunction, B: YoungFunction, suite: str, cells: int, dim: int,
                mode: str, operator: str, trials: int, seed: int) -> list:
-    """Per-trial Korn ratios for a named suite; rows (label, ratio)."""
-    return _suite_rows(suite, grid, trials, seed,
+    """Per-trial Korn ratios for a named suite on its box of cells^dim
+    cells; rows (label, ratio)."""
+    return _suite_rows(suite, cells, dim, trials, seed,
                        lambda u: korn_ratio(A, B, u, mode, operator))
 
 
-def poincare_suite(A: YoungFunction, suite: str, grid: Grid, mode: str,
+def poincare_suite(A: YoungFunction, suite: str, cells: int, mode: str,
                    trials: int, seed: int) -> list:
-    """Per-trial Poincare ratios for a named suite; rows (label, ratio)."""
-    return _suite_rows(suite, grid, trials, seed,
+    """Per-trial Poincare ratios for a named suite on its box of cells^3
+    cells; rows (label, ratio)."""
+    return _suite_rows(suite, cells, 3, trials, seed,
                        lambda u: poincare_ratio(A, u, mode))
 
 
 def negative_norm_suite(A: YoungFunction, grid: Grid, trials: int, seed: int) -> list:
     """Rows (label, lower, upper, ok) comparing the dictionary lower bound
-    with the trivial upper bound on random Gaussian bumps; the dictionary is
-    built once for all trials."""
+    with the trivial upper bound on random Gaussian bumps; one stacked call
+    bounds all trials."""
     if trials < 1:
         raise DomainError("need trials >= 1")
     rng = np.random.default_rng(seed)
     Xc = grid.cell_coords()
-    dictionary = _bump_dictionary(A, grid)
-    rows = []
-    for i in range(trials):
+    sources = []
+    for _ in range(trials):
         c = [rng.uniform(0.3, 0.7) for _ in range(grid.dim)]
         s = rng.uniform(0.1, 0.3)
-        u = np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2)
-        lb = _dictionary_bound(dictionary, u, grid)
+        sources.append(np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2))
+    rows = []
+    for i, (u, lb) in enumerate(zip(sources, negative_norm_lower_bound(A, sources, grid))):
         ub = negative_norm_upper_bound(A, u, grid)
         rows.append((f"bump_{i}", lb, ub, lb <= ub * (1.0 + 1e-9)))
     return rows

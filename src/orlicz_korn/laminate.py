@@ -30,7 +30,7 @@ from .young import DomainError, YoungFunction
 
 __all__ = ["Laminate", "build_laminate", "build_laminate_recursive",
            "moment", "blowup_curve", "realize_field", "LaminateRealization",
-           "korn_suite_fields"]
+           "korn_suite_fields", "realization_suite"]
 
 SQRT2 = math.sqrt(2.0)
 _RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
@@ -38,6 +38,8 @@ _RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
 # _SUITE_CELLS^2 cells at depth _SUITE_DEPTH, integrated exactly at _EXACT_DEPTH
 _T, _R = 1.0, 1.0
 _SUITE_CELLS, _SUITE_DEPTH, _EXACT_DEPTH = 1024, 5, 64
+# realization_suite realizes the laminates of scale _T up to this level
+_REALIZE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -316,6 +318,23 @@ def korn_suite_fields(m_max: int) -> list:
     """Sampled laminate displacements for the Korn harness, m = 1..m_max."""
     return [realize_field(build_laminate(m, _T), _R, _SUITE_DEPTH)
             .as_grid_field(_SUITE_CELLS) for m in range(1, m_max + 1)]
+
+
+def realization_suite(m_max: int, r: float, depth: int, cells: int) -> list:
+    """Pairs (row, field) for m = 1..min(m_max, _REALIZE_LEVELS): the
+    laminate of scale _T realized on (0, r)^2 at the given depth, with row
+    (m, exact, realized, rel_gap) comparing the exact moment of |G| (times
+    r^2) with the realized one, and the field sampled on cells^2 cells."""
+    phi = lambda M: np.linalg.norm(M, axis=(-2, -1))
+    out = []
+    for m in range(1, min(m_max, _REALIZE_LEVELS) + 1):
+        L = build_laminate(m, _T)
+        real = realize_field(L, r, depth)
+        exact = moment(L, phi) * r ** 2
+        realized = real.moment(phi)
+        out.append(([m, exact, realized, abs(realized - exact) / max(abs(exact), 1e-300)],
+                    real.as_grid_field(cells)))
+    return out
 
 
 def exact_korn_l1_ratio(m: int) -> float:

@@ -41,7 +41,7 @@ class SampledFunction:
         w = np.asarray(self.weights, dtype=float)
         if v.shape != w.shape or v.ndim != 1:
             raise DomainError("values and weights must be 1-d arrays of equal length")
-        if np.any(w <= 0):
+        if not np.all(w > 0):              # NaN is not positive either
             raise DomainError("weights must be positive")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
@@ -67,7 +67,7 @@ def rearrangement(u: SampledFunction) -> SampledFunction:
 def _modular(A: YoungFunction, u_abs: np.ndarray, w: np.ndarray, lam: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = A.value(u_abs / lam)
-        total = float(np.sum(np.where(w > 0, vals * w, 0.0)))
+        total = float(np.sum(vals * w))
     return math.inf if np.any(np.isinf(vals)) else total
 
 
@@ -87,24 +87,31 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> float:
     hi = peak / inv_large if inv_large > 0 else peak * 2.0
     if not math.isfinite(hi) or hi <= 0:
         hi = peak
+    verdicts = {}              # lambda -> whether the modular there is <= 1
+
+    def fits(lam: float) -> bool:
+        if lam not in verdicts:
+            verdicts[lam] = _modular(A, u_abs, w, lam) <= 1.0
+        return verdicts[lam]
+
     for _ in range(200):
-        if _modular(A, u_abs, w, hi) <= 1.0:
+        if fits(hi):
             break
         hi *= 2.0
     lo = min(lo, hi)
     for _ in range(200):
-        if lo <= 0 or _modular(A, u_abs, w, lo) > 1.0:
+        if lo <= 0 or not fits(lo):
             break
         lo *= 0.5
     if lo <= 0:
         lo = hi * 1e-18
-    while _modular(A, u_abs, w, lo) <= 1.0 and lo > hi * 1e-30:
+    while fits(lo) and lo > hi * 1e-30:
         lo *= 0.5
-    if _modular(A, u_abs, w, lo) <= 1.0:
+    if fits(lo):
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _modular(A, u_abs, w, mid) <= 1.0:
+        if fits(mid):
             hi = mid
         else:
             lo = mid

@@ -118,11 +118,7 @@ class YoungFunction:
 
     def log_value_logt(self, tau):
         """ln A(e^tau); must stay meaningful far beyond float range of t."""
-        tau = np.asarray(tau, dtype=float)
-        t = np.exp(np.minimum(tau, 709.0))
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.log(self.value(t))
-        return np.where(tau > 709.0, np.inf, out)
+        raise NotImplementedError
 
     # -- generalized right-continuous inverse -------------------------------
     def inverse(self, r):
@@ -466,18 +462,19 @@ class TabulatedYoung(YoungFunction):
         self.breakpoints = bp
         self.slopes = np.maximum.accumulate(sl)
         self.final_slope = float(final_slope)
-        widths = np.diff(np.concatenate(([0.0], bp)))
+        # knots [0, breakpoints], A at the knots, densities with the last piece's
+        self._knots = np.concatenate(([0.0], bp))
         with np.errstate(over="ignore"):   # an infinite value means A = inf there
-            self.cum_values = np.cumsum(self.slopes * widths)
+            self.cum_values = np.cumsum(self.slopes * np.diff(self._knots))
+        self._knot_values = np.concatenate(([0.0], self.cum_values))
+        self._densities = np.concatenate((self.slopes, [self.final_slope]))
         if self.final_slope < math.inf and not (self.cum_values[-1] > 0 or self.final_slope > 0):
             raise DomainError("tabulated function is identically zero")
         self.finite_valued = not math.isinf(self.final_slope)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        xp = np.concatenate(([0.0], self.breakpoints))
-        fp = np.concatenate(([0.0], self.cum_values))
-        inside = np.interp(t, xp, fp)
+        inside = np.interp(t, self._knots, self._knot_values)
         beyond_amount = np.maximum(t - self.breakpoints[-1], 0.0)
         with np.errstate(invalid="ignore"):
             tail = np.where(beyond_amount > 0,
@@ -487,8 +484,7 @@ class TabulatedYoung(YoungFunction):
     def density(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.breakpoints, t, side="left")
-        ext = np.concatenate((self.slopes, [self.final_slope]))
-        out = ext[np.minimum(idx, len(self.slopes))]
+        out = self._densities[np.minimum(idx, len(self.slopes))]
         return np.where(t == 0.0, 0.0, out)
 
     def log_value_logt(self, tau):
@@ -520,8 +516,7 @@ class TabulatedYoung(YoungFunction):
         flat = out.ravel()
         rf = r.ravel()
         idxf = np.atleast_1d(idx).ravel()
-        bp = np.concatenate(([0.0], self.breakpoints))
-        cve = np.concatenate(([0.0], cv))
+        bp, cve = self._knots, self._knot_values
         for k in range(flat.size):
             i = idxf[k]
             rv = rf[k]
@@ -544,8 +539,7 @@ class TabulatedYoung(YoungFunction):
         # vertices of A: (t_i, A_i); slopes s_i on (t_{i-1}, t_i); the
         # conjugate is piecewise linear with breakpoints at the distinct
         # slope values and slopes equal to the t-vertices where they start.
-        verts_t = np.concatenate(([0.0], self.breakpoints))
-        slopes = np.concatenate((self.slopes, [self.final_slope]))
+        verts_t, slopes = self._knots, self._densities
         dual_bp = []
         dual_sl = []
         prev_slope = 0.0

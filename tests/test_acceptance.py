@@ -289,11 +289,13 @@ def test_criterion_10_negative_norm(catalog):
     C = 2.0 * math.sqrt(3.0)
     worst = 0.0
     for name, A in catalog.items():
+        sources = []
         for _ in range(3):
             c = [rng.uniform(0.3, 0.7) for _ in range(3)]
             s = rng.uniform(0.08, 0.3)
-            u = np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2)
-            lb = fields.negative_norm_lower_bound(A, u, g)
+            sources.append(np.exp(-sum((x - ci) ** 2 for x, ci in zip(Xc, c)) / s ** 2))
+        # one stacked call: one bump dictionary per function
+        for u, lb in zip(sources, fields.negative_norm_lower_bound(A, sources, g)):
             centered = np.abs(u - u.mean()).ravel()
             ub = C * ra.norm(A, ra.SampledFunction(
                 centered, np.full(centered.shape, g.cell_volume)))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import orlicz_korn
+from orlicz_korn import fields, young
 from orlicz_korn.cli import main
 
 
@@ -173,6 +174,10 @@ def test_radial_zero_bc_suite_runs_on_a_box_holding_the_unit_ball(tmp_path):
     rows = (out / "korn_ratios.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [f"radial_{i}" for i in range(4)]
     assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+    # the library suite builds the same box from the cell count
+    L2 = young.load_catalog()["L2"]
+    suite = fields.korn_suite(L2, L2, "radial", 12, 3, "zero_bc", "ED", 8, 20240)
+    assert rows == [f"{label},{r:.12g}" for label, r in suite]
 
 
 def test_laminate_realize_creates_fresh_out(tmp_path):

@@ -340,6 +340,25 @@ def test_negative_norm_suite_matches_per_trial_calls(catalog, dim):
     assert fields.negative_norm_suite(A, g, 3, 11) == expected
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_negative_norm_stack_matches_single_sources(catalog, dim):
+    A = catalog["expL"]
+    g = Grid.box(6, dim=dim)
+    Xc = g.cell_coords()
+    sources = [np.ones(g.extents), np.exp(-20 * sum((x - 0.4) ** 2 for x in Xc)),
+               Xc[0] * Xc[-1] - 0.3 * Xc[0] ** 2]
+    stacked = negative_norm_lower_bound(A, np.stack(sources), g)
+    assert isinstance(stacked, list)
+    assert stacked == [negative_norm_lower_bound(A, u, g) for u in sources]
+    assert all(isinstance(lb, float) for lb in stacked)
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 6, 5), (2, 6, 6), (6, 6), (2, 2, 6, 6, 6)])
+def test_negative_norm_rejects_a_stack_of_the_wrong_shape(catalog, shape):
+    with pytest.raises(DomainError):
+        negative_norm_lower_bound(catalog["L2"], np.ones(shape), Grid.box(6, dim=3))
+
+
 # ---------------------------------------------------------------------------
 # I/O
 # ---------------------------------------------------------------------------

@@ -214,6 +214,26 @@ def test_realization_boundary_zero():
     assert u.boundary_flag and u.boundary_is_zero()
 
 
+def test_realization_suite_matches_the_per_level_loop():
+    # the per-level loop laminate-demo --realize ran before the suite existed
+    m_max, r, depth, cells = 3, 1.0, 8, 16
+    rows, grids = [], []
+    for m in range(1, min(m_max, 3) + 1):
+        L = build_laminate(m, 1.0)
+        real = realize_field(L, r, depth)
+        exact = moment(L, _frob) * r ** 2
+        realized = real.moment(_frob)
+        rows.append([m, exact, realized, abs(realized - exact) / max(abs(exact), 1e-300)])
+        grids.append(real.as_grid_field(cells))
+    suite = laminate.realization_suite(m_max, r, depth, cells)
+    assert [row for row, _ in suite] == rows
+    for (_, u), v in zip(suite, grids):
+        assert u.grid == v.grid and u.boundary_flag == v.boundary_flag
+        assert np.array_equal(u.components, v.components)
+    assert [row[0] for row, _ in laminate.realization_suite(10, 1.0, 8, 4)] == [1, 2, 3]
+    assert laminate.realization_suite(0, 1.0, 8, 4) == []
+
+
 def test_sampled_korn_ratio_grows_then_exact_tracks(catalog):
     sampled = []
     for m in (1, 2):

@@ -35,3 +35,18 @@ def test_unused_import_check_sees_plain_from_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_cli_reaches_the_library_only_through_its_public_names():
+    # the CLI parses flags and writes files; the numerics live in the library
+    tree = ast.parse((pathlib.Path(orlicz_korn.__file__).parent / "cli.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    package = {p.stem for p in MODULES}
+    private = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in package and node.attr.startswith("_"))
+    assert private == []

@@ -83,6 +83,23 @@ def test_modular_at_the_norm(catalog):
         assert mod >= 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("name", ["L1", "L2", "LlogL", "expL", "Linf"])
+def test_luxemburg_evaluates_each_lambda_once(catalog, name, monkeypatch):
+    lams = []
+    modular = ra._modular
+
+    def spy(A, u_abs, w, lam):
+        lams.append(lam)
+        return modular(A, u_abs, w, lam)
+
+    monkeypatch.setattr(ra, "_modular", spy)
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 64):
+        lams.clear()
+        ra.luxemburg(catalog[name], _sf(rng.standard_normal(n) * 3, rng.uniform(0.05, 0.4, n)))
+        assert lams and len(set(lams)) == len(lams), (n, lams)
+
+
 def test_zero_function():
     u = _sf([0.0, 0.0])
     assert ra.norm(PowerYoung(2), u) == 0.0
@@ -199,6 +216,12 @@ def test_mismatched_weights_rejected():
     v = _sf([1.0, 2.0], [0.3, 0.7])
     with pytest.raises(DomainError):
         ra.holder_check(PowerYoung(2), u, v)
+
+
+@pytest.mark.parametrize("w", [0.0, -0.5, math.nan])
+def test_weights_that_are_not_positive_are_rejected(w):
+    with pytest.raises(DomainError):
+        _sf([1.0, 2.0], [0.5, w])
 
 
 @pytest.mark.parametrize("p, c", [(1.0, 1.0), (1.5, 0.5), (2.0, 1.0), (3.0, 4.0)])
