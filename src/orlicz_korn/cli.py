@@ -318,6 +318,8 @@ def main(argv=None) -> int:
         args = _build_parser(_read_config(argv)).parse_args(argv)
         if hasattr(args, "config_error"):
             _usage_error(args.config_error)
+        if args.seed < 0:
+            _usage_error(f"--seed must be >= 0, not {args.seed}")
         os.makedirs(args.out, exist_ok=True)
         catalog = young.load_catalog()
         return args.func(args, *[_resolve(getattr(args, flag), catalog)

@@ -90,10 +90,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def volume(self) -> float:
-        return self.cell_volume * float(np.prod(self.extents))
-
     def node_coords(self):
         axes = [self.origin[j] + self.spacing[j] * np.arange(self.extents[j] + 1)
                 for j in range(self.dim)]

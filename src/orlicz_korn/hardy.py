@@ -125,7 +125,7 @@ class HardyReport:
 
 
 def _trial_family(report: balance.BalanceReport, L: float, trials: int,
-                  seed: int = 20240) -> list:
+                  seed: int) -> list:
     """The trial family: 64 random steps, 16 power spikes, 8 log
     spikes, plus profiles from the failure certificates in ``report``."""
     rng = np.random.default_rng(seed)
@@ -135,13 +135,12 @@ def _trial_family(report: balance.BalanceReport, L: float, trials: int,
         n = int(rng.integers(8, 256))
         vals = np.abs(rng.standard_normal(n)) * rng.uniform(0.2, 5.0)
         fams.append((step_on_interval(L, vals), f"random_step_{i}"))
+    # the power and log spikes share one partition
+    edges = _log_edges(L, L * 1e-8)
+    mids = 0.5 * (edges[:-1] + edges[1:])
     for i, theta in enumerate(np.linspace(0.05, 0.92, 16)):
-        edges = _log_edges(L, L * 1e-8)
-        mids = 0.5 * (edges[:-1] + edges[1:])
         fams.append((StepFunction(edges, mids ** (-theta)), f"power_spike_{i}"))
     for i, k in enumerate(range(1, 9)):
-        edges = _log_edges(L, L * 1e-8)
-        mids = 0.5 * (edges[:-1] + edges[1:])
         fams.append((StepFunction(edges, np.log(L / mids) ** k), f"log_spike_{i}"))
     for cond in (report.primal, report.dual):
         for t in cond.failure_certificate[:4]:

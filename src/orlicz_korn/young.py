@@ -1,4 +1,4 @@
-"""Young functions: evaluation, densities, conjugation, inverses, and the
+"""Young functions: evaluation, conjugation, inverses, and the
 doubling-type growth conditions near infinity.
 
 A Young function A is convex, left-continuous, A(0) = 0, not identically 0 or
@@ -31,7 +31,7 @@ __all__ = [
     "ExpPowerYoung", "ExpLogPowerYoung", "IndicatorYoung",
     "TabulatedYoung", "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
     "conjugate", "check_delta2", "check_nabla2",
-    "dominates", "equivalent", "load_catalog", "from_json", "to_json",
+    "dominates", "load_catalog", "from_json", "to_json",
     "resolve", "CATALOG_VERSION", "LEGENDRE_GRID", "DomainError",
 ]
 
@@ -43,6 +43,7 @@ CATALOG_VERSION = "1"
 LEGENDRE_GRID = np.geomspace(1e-6, 1e9, 2048)
 
 _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinement
+_LN_MAX = math.log(np.finfo(float).max)   # e^x is a float iff x <= _LN_MAX
 
 # The search settings shared by the growth checks, dominance and the balance
 # sweep: the dyadic constants 2^k and the thresholds t0 (dominance and
@@ -100,6 +101,9 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 class YoungFunction:
+    """Each kind states ``superlinear`` (A(t)/t is unbounded) exactly: A* is
+    finite-valued iff A is superlinear, and superlinear iff A is finite-valued."""
+
     kind = "abstract"
     finite_valued = True
 
@@ -112,9 +116,6 @@ class YoungFunction:
         if np.any(t < 0):
             raise DomainError("Young functions are defined for t >= 0")
         return self.value(t)
-
-    def density(self, t):
-        raise NotImplementedError
 
     def log_value_logt(self, tau):
         """ln A(e^tau); must stay meaningful far beyond float range of t."""
@@ -181,17 +182,11 @@ class PowerYoung(YoungFunction):
             raise DomainError("power kind needs p >= 1, coeff > 0")
         self.p = float(p)
         self.coeff = float(coeff)
+        self.superlinear = self.p > 1.0
 
     def value(self, t):
         with np.errstate(over="ignore"):
             return self.coeff * np.power(t, self.p)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.p == 1.0:
-            return np.full_like(t, self.coeff)
-        with np.errstate(over="ignore"):
-            return self.coeff * self.p * np.power(t, self.p - 1.0)
 
     def log_value_logt(self, tau):
         return math.log(self.coeff) + self.p * np.asarray(tau, dtype=float)
@@ -206,6 +201,8 @@ class PowerYoung(YoungFunction):
         if self.p == 1.0:
             return IndicatorYoung(self.coeff)
         q = self.p / (self.p - 1.0)
+        if -math.log(self.coeff * self.p) / (self.p - 1.0) > _LN_MAX:
+            raise DomainError(f"the conjugate of {self!r} has a coefficient beyond float range")
         cq = ((self.p - 1.0) / self.p) * (self.coeff * self.p) ** (-1.0 / (self.p - 1.0))
         return PowerYoung(q, cq)
 
@@ -218,6 +215,7 @@ class IndicatorYoung(YoungFunction):
 
     kind = "indicator"
     finite_valued = False
+    superlinear = True
 
     def __init__(self, t1: float = 1.0):
         if t1 <= 0:
@@ -225,10 +223,6 @@ class IndicatorYoung(YoungFunction):
         self.t1 = float(t1)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.t1, 0.0, np.inf)
-
-    def density(self, t):
         t = np.asarray(t, dtype=float)
         return np.where(t <= self.t1, 0.0, np.inf)
 
@@ -269,6 +263,7 @@ class PowerLogLogYoung(YoungFunction):
         self.p = float(p)
         self.alpha = float(alpha)
         self.gamma = float(gamma)
+        self.superlinear = self.p > 1.0 or self.alpha > 0.0 or self.gamma > 0.0
         _assert_convex(self)
 
     def value(self, t):
@@ -281,20 +276,6 @@ class PowerLogLogYoung(YoungFunction):
                 out = out * np.power(L, self.alpha)
             if self.gamma:
                 out = out * np.power(M, self.gamma)
-        return np.where(t == 0.0, 0.0, out)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        L = np.log1p(t)
-        M = np.log1p(L)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            base = self.value(t)
-            logderiv = self.p / np.where(t > 0, t, 1.0)
-            if self.alpha:
-                logderiv = logderiv + self.alpha / (np.where(L > 0, L, 1.0) * (1.0 + t))
-            if self.gamma:
-                logderiv = logderiv + self.gamma / (np.where(M > 0, M, 1.0) * (1.0 + L) * (1.0 + t))
-            out = base * logderiv
         return np.where(t == 0.0, 0.0, out)
 
     def log_value_logt(self, tau):
@@ -315,6 +296,7 @@ class ExpPowerYoung(YoungFunction):
     piece near zero is replaced by the tangent line through the origin."""
 
     kind = "exp_power"
+    superlinear = True
 
     def __init__(self, beta: float):
         if beta <= 0:
@@ -333,6 +315,10 @@ class ExpPowerYoung(YoungFunction):
         # tangency point: raw'(t) t = raw(t); g is increasing past the
         # inflection t_c, negative at t_c, positive for large t
         g = lambda t: rawd(t) * t - raw(t)
+        # below beta ~ 0.007, t_c or the tangent point is past the float range
+        beyond = DomainError(f"exp_power with beta = {b} splices beyond float range")
+        if math.log((1.0 - b) / b) / b > _LN_MAX:    # ln t_c
+            raise beyond
         t_c = ((1.0 - b) / b) ** (1.0 / b)
         lo = t_c
         hi = max(2.0 * t_c, 2.0)
@@ -345,6 +331,8 @@ class ExpPowerYoung(YoungFunction):
             else:
                 hi = mid
         t_s = 0.5 * (lo + hi)
+        if not math.isfinite(t_s):
+            raise beyond
         return t_s, raw(t_s) / t_s
 
     def value(self, t):
@@ -353,15 +341,6 @@ class ExpPowerYoung(YoungFunction):
             raw = np.expm1(np.power(t, self.beta))
         if self.t_splice > 0:
             return np.where(t <= self.t_splice, self.slope * t, raw)
-        return raw
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            raw = self.beta * np.power(t, self.beta - 1.0) * np.exp(np.power(t, self.beta))
-        raw = np.where(t == 0.0, 0.0 if self.beta > 1 else (1.0 if self.beta == 1.0 else np.inf), raw)
-        if self.t_splice > 0:
-            return np.where(t <= self.t_splice, self.slope, raw)
         return raw
 
     def log_value_logt(self, tau):
@@ -387,10 +366,13 @@ class ExpLogPowerYoung(YoungFunction):
     """
 
     kind = "exp_log_power"
+    superlinear = True
 
     def __init__(self, a: float, beta: float, reduced: bool = False):
         if a <= 0 or beta <= 1:
             raise DomainError("exp_log_power kind needs a > 0, beta > 1")
+        if a > _LN_MAX:
+            raise DomainError(f"exp_log_power kind needs a <= {_LN_MAX:.6g}, so that e^a is a float")
         self.a = float(a)
         self.beta = float(beta)
         self.reduced = bool(reduced)
@@ -408,15 +390,6 @@ class ExpLogPowerYoung(YoungFunction):
         x = self.a * np.power(self._G(logept), self.beta)
         with np.errstate(over="ignore"):
             return np.exp(x) - math.exp(self.a)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        logept = np.log(math.e + t)
-        G = self._G(logept)
-        x = self.a * np.power(G, self.beta)
-        gprime = (1.0 - ((self.beta - 1.0) / logept if self.reduced else 0.0)) / (math.e + t)
-        with np.errstate(over="ignore"):
-            return np.exp(x) * self.a * self.beta * np.power(G, self.beta - 1.0) * gprime
 
     def log_value_logt(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -454,8 +427,11 @@ class TabulatedYoung(YoungFunction):
             raise DomainError("breakpoints and slopes must be 1-d arrays of equal length")
         if len(bp) == 0 or np.any(bp <= 0) or np.any(np.diff(bp) <= 0):
             raise DomainError("breakpoints must be positive and strictly increasing")
-        if np.any(sl < 0) or np.any(np.diff(sl) < -1e-12 * np.maximum(sl[:-1], 1.0)):
-            raise DomainError("slopes must be nonnegative and nondecreasing")
+        seq = np.append(sl, float(final_slope))   # checked before the cap
+        with np.errstate(invalid="ignore"):       # inf - inf is no fall
+            falls = np.diff(seq) < -1e-12 * np.maximum(seq[:-1], 1.0)
+        if np.any(seq < 0) or np.any(falls | (np.isinf(seq[:-1]) & np.isfinite(seq[1:]))):
+            raise DomainError("slopes and final_slope must be nonnegative and nondecreasing")
         self.cap_applied = bool(np.any(sl > slope_cap) or final_slope > slope_cap)
         sl = np.minimum(sl, slope_cap)
         final_slope = min(final_slope, slope_cap) if not math.isinf(slope_cap) else final_slope
@@ -470,7 +446,8 @@ class TabulatedYoung(YoungFunction):
         self._densities = np.concatenate((self.slopes, [self.final_slope]))
         if self.final_slope < math.inf and not (self.cum_values[-1] > 0 or self.final_slope > 0):
             raise DomainError("tabulated function is identically zero")
-        self.finite_valued = not math.isinf(self.final_slope)
+        self.superlinear = math.isinf(self.final_slope)
+        self.finite_valued = not self.superlinear
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -480,12 +457,6 @@ class TabulatedYoung(YoungFunction):
             tail = np.where(beyond_amount > 0,
                             self.cum_values[-1] + self.final_slope * beyond_amount, 0.0)
         return np.where(t <= self.breakpoints[-1], inside, tail)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breakpoints, t, side="left")
-        out = self._densities[np.minimum(idx, len(self.slopes))]
-        return np.where(t == 0.0, 0.0, out)
 
     def log_value_logt(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -510,58 +481,32 @@ class TabulatedYoung(YoungFunction):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise DomainError("inverse needs r >= 0")
-        cv = self.cum_values
-        idx = np.searchsorted(cv, r, side="right")  # first segment with cum > r
-        out = np.empty_like(r, dtype=float)
-        flat = out.ravel()
-        rf = r.ravel()
-        idxf = np.atleast_1d(idx).ravel()
-        bp, cve = self._knots, self._knot_values
-        for k in range(flat.size):
-            i = idxf[k]
-            rv = rf[k]
-            if math.isinf(rv):
-                flat[k] = math.inf
-                continue
-            if i >= len(self.slopes):
-                if math.isinf(self.final_slope):
-                    flat[k] = self.breakpoints[-1]
-                elif self.final_slope == 0.0:
-                    flat[k] = math.inf
-                else:
-                    flat[k] = self.breakpoints[-1] + (rv - cv[-1]) / self.final_slope
-                continue
-            # cum_values[i] > rv >= cum_values[i - 1], so slopes[i] > 0
-            flat[k] = bp[i] + (rv - cve[i]) / self.slopes[i]
+        # the piece where A first exceeds r: inside the table its slope is
+        # positive; the final one may be flat (A <= r) or infinite (a jump)
+        i = np.searchsorted(self.cum_values, r, side="right")
+        slope = self._densities[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._knots[i] + (r - self._knot_values[i]) / slope
+        out = np.where(np.isinf(r) | (slope == 0.0), np.inf, out)
         return out if out.ndim else float(out)
 
     def conjugate(self):
         # vertices of A: (t_i, A_i); slopes s_i on (t_{i-1}, t_i); the
         # conjugate is piecewise linear with breakpoints at the distinct
-        # slope values and slopes equal to the t-vertices where they start.
-        verts_t, slopes = self._knots, self._densities
-        dual_bp = []
-        dual_sl = []
-        prev_slope = 0.0
-        for i, s in enumerate(slopes):
-            if math.isinf(s):
-                break
-            if s > prev_slope:
-                dual_bp.append(s)
-                dual_sl.append(verts_t[i])
-                prev_slope = s
-        if math.isinf(slopes[-1]):
-            dual_final = self.breakpoints[-1]
-        else:
-            dual_final = math.inf
-        if not dual_bp:
-            # density identically 0 until a jump: the conjugate is linear
-            return PowerYoung(1.0, dual_final) if not math.isinf(dual_final) else IndicatorYoung(1.0)
-        return TabulatedYoung(np.array(dual_bp), np.array(dual_sl), dual_final)
+        # finite slopes (each that rises above all before it) and slopes
+        # equal to the t-vertices where they start.
+        s = self._densities
+        rises = np.isfinite(s) & (s > np.maximum.accumulate(np.concatenate(([0.0], s[:-1]))))
+        if not rises.any():
+            # slope 0 until the jump (a finite-valued table always rises)
+            return PowerYoung(1.0, self.jump_point)
+        return TabulatedYoung(s[rises], self._knots[rises],
+                              self.jump_point if self.superlinear else math.inf)
 
     @property
     def jump_point(self):
-        return self.breakpoints[-1] if math.isinf(self.final_slope) else None
+        # the knot where the first infinite slope starts
+        return self._knots[np.argmax(np.isinf(self._densities))] if self.superlinear else None
 
     def params(self):
         return {"breakpoints": self.breakpoints.tolist(),
@@ -581,12 +526,10 @@ class ScaledYoung(YoungFunction):
         self.base = base
         self.arg_scale = float(arg_scale)
         self.finite_valued = base.finite_valued
+        self.superlinear = base.superlinear
 
     def value(self, t):
         return self.base.value(np.asarray(t, dtype=float) * self.arg_scale) / self.m
-
-    def density(self, t):
-        return self.base.density(np.asarray(t, dtype=float) * self.arg_scale) * self.arg_scale / self.m
 
     def log_value_logt(self, tau):
         return self.base.log_value_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale)) - math.log(self.m)
@@ -626,7 +569,8 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
     if first_pos is None:
         raise DomainError("function is zero on the whole tabulation grid")
     widths = np.diff(np.concatenate(([0.0], bp)))
-    secants = np.diff(np.concatenate(([0.0], v))) / widths
+    with np.errstate(over="ignore"):
+        secants = np.diff(np.concatenate(([0.0], v))) / widths
     secants = np.maximum.accumulate(np.maximum(secants, 0.0))
     if finite.all():
         final = secants[-1]
@@ -638,7 +582,7 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
 class ConjugateYoung(YoungFunction):
     """Numerical Young conjugate, answering through two evaluators.
 
-    ``value``, ``density`` and ``inverse`` read the exact conjugate of the
+    ``value`` and ``inverse`` read the exact conjugate of the
     secant tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
     linearly interpolated supremand maximized on that grid); the norms use
     it.  ``log_value_logt`` maximizes ln(r e^tau - source(r)) by golden
@@ -657,19 +601,12 @@ class ConjugateYoung(YoungFunction):
     def __init__(self, source: YoungFunction):
         self.source = source
         self.table = _tabulate(source).conjugate()
-        # the conjugate is finite everywhere iff the source density is
-        # unbounded; probe the density growth instead of trusting the
-        # truncated table
-        with np.errstate(over="ignore"):
-            d1 = float(np.asarray(source.density(np.asarray(1e250))))
-            d2 = float(np.asarray(source.density(np.asarray(1e300))))
-        self.finite_valued = (not math.isfinite(d2)) or d2 > d1 * (1.0 + 1e-9)
+        # exact, where the truncated table is not
+        self.finite_valued = source.superlinear
+        self.superlinear = source.finite_valued
 
     def value(self, t):
         return self.table.value(t)
-
-    def density(self, t):
-        return self.table.density(t)
 
     def inverse(self, r):
         return self.table.inverse(r)
@@ -972,10 +909,6 @@ def _dominance_violations(A, B, grid, k, tau_lo):
     with np.errstate(invalid="ignore"):
         ok = (b <= a + 1e-9) | np.isneginf(b) | np.isposinf(a)
     return tau[(tau >= tau_lo) & ~ok]
-
-
-def equivalent(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) -> bool:
-    return dominates(A, B, near_infinity).holds and dominates(B, A, near_infinity).holds
 
 
 # ---------------------------------------------------------------------------

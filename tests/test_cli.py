@@ -145,11 +145,24 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["--config", "{tmp}/realize.json", "laminate-demo", "--A", "L1", "--B", "L1",
      "--m-max", "1"],
     ["--config", "{tmp}/grid.json", "verify-korn", "--A", "L2", "--B", "L2"],
+    # a final slope below the last slope is not convex
+    ["check-balance", "--A", '{"kind": "tabulated", "params": {"breakpoints": [1, 2], '
+     '"slopes": [1, 5], "final_slope": 1}}', "--B", "L2"],
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--seed", "-1"],
+    ["negative-norm", "--A", "L2", "--seed", "-1"],
+    ["--config", "{tmp}/seed.json", "poincare", "--A", "L2"],
+    # parameters whose derived constants leave the float range
+    ["check-balance", "--A", '{"kind": "exp_power", "params": {"beta": 1e-9}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": 2, "coeff": 1e-320}}',
+     "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 1e300, "beta": 2}}',
+     "--B", "L2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     for name, text in {"bad": "{bad", "list": "[1]", "trials": '{"trials": 1.5}',
                        "A": '{"A": 3}', "mode": '{"mode": "bogus"}',
-                       "realize": '{"realize": "no"}', "grid": '{"grid": [4]}'}.items():
+                       "realize": '{"realize": "no"}', "grid": '{"grid": [4]}',
+                       "seed": '{"seed": -1}'}.items():
         (tmp_path / f"{name}.json").write_text(text)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -217,15 +230,28 @@ def test_bogovskii_gates_only_the_smooth_residuals(tmp_path, suite, code):
     assert rows and all(float(r.split(",")[1]) > 0.05 for r in rows)
 
 
-def test_check_balance_of_a_fast_exp_log_power_prints_no_warning(tmp_path):
-    # its conjugate's table has slopes near 1e306, whose cumulative values
-    # overflow to +inf: that means A = inf there, not an error
+def _check_balance_stderr(tmp_path, A: str) -> str:
+    """stderr of ``check-balance --A A --B L2`` in a fresh interpreter, which
+    prints each numpy warning (pytest would catch them); it must succeed."""
     src = os.path.dirname(os.path.dirname(orlicz_korn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "orlicz_korn.cli", "check-balance",
-         "--A", '{"kind": "exp_log_power", "params": {"a": 2, "beta": 3}}', "--B", "L2",
+        [sys.executable, "-m", "orlicz_korn.cli", "check-balance", "--A", A, "--B", "L2",
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0
-    assert proc.stderr == ""
+    return proc.stderr
+
+
+def test_check_balance_of_a_fast_exp_log_power_prints_no_warning(tmp_path):
+    # its conjugate's table has slopes near 1e306, whose cumulative values
+    # overflow to +inf: that means A = inf there, not an error
+    assert _check_balance_stderr(
+        tmp_path, '{"kind": "exp_log_power", "params": {"a": 2, "beta": 3}}') == ""
+
+
+def test_check_balance_of_an_exp_power_with_overflowing_secants_prints_no_warning(tmp_path):
+    # the last finite values of its tabulation rise so steeply that a secant
+    # slope overflows to +inf, as the values beyond it do
+    assert _check_balance_stderr(
+        tmp_path, '{"kind": "exp_power", "params": {"beta": 2.299379324668949}}') == ""
