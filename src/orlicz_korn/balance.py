@@ -103,9 +103,9 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     on the whole sweep grid above t0, else build a failure certificate."""
     xs = _SWEEP_TAU
     # fill A_side's curves before the sweep's own arrays exist, so that the
-    # temporaries of its evaluator (a conjugate's golden search) do not
-    # stack on them in peak memory
-    young._sweep_shifted(A_side, 0)
+    # temporaries of its evaluator (a conjugate's slope solve) do not stack
+    # on them in peak memory
+    young._sweep_curves(A_side)
     g = young._sweep_shifted(B_side, 0)     # ln B(e^s), then ln B(e^s) - s
     vB0 = g[0]
     g -= xs
@@ -138,15 +138,23 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
             lhs = xs + np.logaddexp(prefix, tail_ln)
         test = xs >= max(tau0, young._TAU_FLOOR)
         test[:i0 + 1] = False
-        # ln A(2^k e^tau) grows with k: if the largest constant fails, so
-        # does every smaller one; else report the smallest that passes
-        rhs = young._sweep_shifted(A_side, max(young._C_EXPONENTS))
-        if _compare(lhs, rhs, test)[0]:
+        # ln A(2^k e^tau) grows with k, so passing is monotone in k: if the
+        # largest constant fails, so does every smaller one; else bisect for
+        # the smallest that passes
+        ks = young._C_EXPONENTS
+        rhs = young._sweep_shifted(A_side, ks[-1])
+        ok, margin = _compare(lhs, rhs, test)
+        if ok:
             del rhs   # hold one right-hand side at a time, for peak memory
-            for k in young._C_EXPONENTS:
-                ok, margin = _compare(lhs, young._sweep_shifted(A_side, k), test)
+            fails, passes = -1, len(ks) - 1
+            while passes - fails > 1:
+                mid = (fails + passes) // 2
+                ok, mid_margin = _compare(lhs, young._sweep_shifted(A_side, ks[mid]), test)
                 if ok:
-                    return GrowthVerdict(True, t0, 2.0 ** k, [], {"margin_ln": margin})
+                    passes, margin = mid, mid_margin
+                else:
+                    fails = mid
+            return GrowthVerdict(True, t0, 2.0 ** ks[passes], [], {"margin_ln": margin})
         ok, margin, worst = _compare(lhs, rhs, test, want_witness=True)
         with np.errstate(invalid="ignore"):
             trend = [float(lhs[j] - rhs[j]) for j in _TREND_AT]

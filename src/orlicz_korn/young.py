@@ -16,15 +16,17 @@ points.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from ._numerics import LN2, maximize_unimodal
+from ._numerics import LN2, log_sub_exp, maximize_unimodal
 
 __all__ = [
     "YoungFunction", "PowerYoung", "PowerLogLogYoung",
@@ -96,6 +98,26 @@ class DomainError(ValueError):
     """Argument outside the domain of a Young-function operation."""
 
 
+_SERIES_TERMS = 20
+
+
+def _series(x, coeffs):
+    """sum_n coeffs[n - 2] x^n, from n = 2, by Horner's rule."""
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = (out + c) * x
+    return out * x
+
+
+def _x_minus_log1p(x):
+    """x - log1p(x) for x >= 0, by its series below x = 0.1, where the
+    difference cancels."""
+    out = np.array(x - np.log1p(x))
+    small = x < 0.1
+    out[small] = _series(x[small], [(-1.0) ** n / n for n in range(2, _SERIES_TERMS + 2)])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
@@ -119,6 +141,18 @@ class YoungFunction:
 
     def log_value_logt(self, tau):
         """ln A(e^tau); must stay meaningful far beyond float range of t."""
+        raise NotImplementedError
+
+    def log_slope_logt(self, tau):
+        """ln A'(e^tau) in closed form (at a kink, the slope of the piece that
+        ends there)."""
+        raise NotImplementedError
+
+    def log_excess_logt(self, tau):
+        """ln(1 - A(t)/(t A'(t))) at t = e^tau, in closed form: the excess
+        A'(t) - A(t)/t as a fraction of A'(t).  By the Fenchel-Young equality
+        A*(A'(t)) = t A'(t) - A(t), so ln A*(A'(t)) is ln t + ln A'(t) + this,
+        with no two large logarithms to cancel."""
         raise NotImplementedError
 
     # -- generalized right-continuous inverse -------------------------------
@@ -191,6 +225,14 @@ class PowerYoung(YoungFunction):
     def log_value_logt(self, tau):
         return math.log(self.coeff) + self.p * np.asarray(tau, dtype=float)
 
+    def log_slope_logt(self, tau):
+        return math.log(self.coeff * self.p) + (self.p - 1.0) * np.asarray(tau, dtype=float)
+
+    def log_excess_logt(self, tau):
+        # 1 - 1/p: exactly 0 for p = 1
+        ln_frac = math.log1p(-1.0 / self.p) if self.p > 1.0 else -math.inf
+        return np.full_like(np.asarray(tau, dtype=float), ln_frac)
+
     def inverse(self, r):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
@@ -210,7 +252,43 @@ class PowerYoung(YoungFunction):
         return {"p": self.p, "coeff": self.coeff}
 
 
-class IndicatorYoung(YoungFunction):
+class _PiecewiseLinear(YoungFunction):
+    """Slope, excess and conjugate of a convex piecewise-linear kind, read
+    from its knots ``_knots`` (0 first), its values there ``_knot_values``
+    and its slopes ``_densities``: the i-th rules on (knot i, knot i+1], the
+    last one beyond the last knot.  Each answer comes from one piece."""
+
+    def _piece(self, tau):
+        with np.errstate(divide="ignore"):
+            return np.searchsorted(np.log(self._knots[1:]), np.asarray(tau, dtype=float))
+
+    def log_slope_logt(self, tau):
+        with np.errstate(divide="ignore"):
+            return np.log(self._densities[self._piece(tau)])
+
+    def log_excess_logt(self, tau):
+        # t A'(t) - A(t) is constant on a piece, slope * knot - A(knot); the
+        # fraction is 1 on an infinite slope and taken as 0 on a zero one
+        tau = np.asarray(tau, dtype=float)
+        i = self._piece(tau)
+        d = self._densities[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log(np.maximum(d * self._knots[i] - self._knot_values[i], 0.0)) - np.log(d) - tau
+        return np.where(np.isinf(d), 0.0, np.where(d > 0, out, -np.inf))
+
+    def _conjugate_root(self, tau):
+        """(ln r, ln A*(e^tau)) with r the knot where the slopes pass e^tau:
+        there r e^tau - A(r) is largest (r = 0 below every slope, +inf above)."""
+        with np.errstate(divide="ignore"):
+            j = np.searchsorted(np.log(self._densities), tau)
+            inside = j < self._densities.size
+            j = np.minimum(j, self._densities.size - 1)
+            root = np.where(inside, np.log(self._knots[j]), np.inf)
+            value = np.where(inside, log_sub_exp(root + tau, np.log(self._knot_values[j])), np.inf)
+        return root, value
+
+
+class IndicatorYoung(_PiecewiseLinear):
     """A(t) = 0 on [0, t1], +inf beyond: the L-infinity Young function."""
 
     kind = "indicator"
@@ -221,6 +299,9 @@ class IndicatorYoung(YoungFunction):
         if t1 <= 0:
             raise DomainError("indicator kind needs t1 > 0")
         self.t1 = float(t1)
+        self._knots = np.array([0.0, self.t1])
+        self._knot_values = np.zeros(2)
+        self._densities = np.array([0.0, np.inf])
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -286,6 +367,34 @@ class PowerLogLogYoung(YoungFunction):
             if self.gamma:
                 out = out + self.gamma * np.log(np.log1p(L))
         return out
+
+    def _rates(self, tau):
+        """(tau, ln(A(t)/t), c) with t A'(t)/A(t) = p + c and
+        c = alpha q/L + gamma q/((1 + L) M), q = t/(1 + t), L = ln(1 + t),
+        M = ln(1 + L): the terms of A' and A' - A/t, nonnegative, so
+        nothing cancels, also at p = 1."""
+        tau = np.asarray(tau, dtype=float)
+        L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
+        q = 1.0 / (1.0 + np.exp(np.minimum(-tau, 700.0)))
+        c = np.zeros_like(tau)
+        ln_ratio = (self.p - 1.0) * tau
+        with np.errstate(divide="ignore"):
+            if self.alpha:
+                c = c + self.alpha * q / L
+                ln_ratio = ln_ratio + self.alpha * np.log(L)
+            if self.gamma:
+                c = c + self.gamma * q / ((1.0 + L) * np.log1p(L))
+                ln_ratio = ln_ratio + self.gamma * np.log(np.log1p(L))
+        return tau, ln_ratio, c
+
+    def log_slope_logt(self, tau):
+        _, ln_ratio, c = self._rates(tau)
+        return ln_ratio + np.log(self.p + c)
+
+    def log_excess_logt(self, tau):
+        _, _, c = self._rates(tau)
+        with np.errstate(divide="ignore"):
+            return np.log((self.p - 1.0) + c) - np.log(self.p + c)
 
     def params(self):
         return {"p": self.p, "alpha": self.alpha, "gamma": self.gamma}
@@ -353,6 +462,37 @@ class ExpPowerYoung(YoungFunction):
             out = np.where(tau <= math.log(self.t_splice), math.log(self.slope) + tau, out)
         return out
 
+    def _power(self, tau):
+        # t**beta at t = e^tau, +inf beyond float range
+        tau = np.asarray(tau, dtype=float)
+        return tau, np.where(self.beta * tau > 709.0, np.inf, np.exp(np.minimum(self.beta * tau, 709.0)))
+
+    def log_slope_logt(self, tau):
+        # A'(t) = beta t^(beta-1) e^x with x = t**beta
+        tau, x = self._power(tau)
+        out = math.log(self.beta) + (self.beta - 1.0) * tau + x
+        if self.t_splice > 0:
+            out = np.where(tau <= math.log(self.t_splice), math.log(self.slope), out)
+        return out
+
+    def log_excess_logt(self, tau):
+        # (t A' - A)/(t A') = ((beta x - 1) e^x + 1)/(beta x e^x)
+        #                   = 1 + expm1(-x)/(beta x),
+        # and below x = 1, where that cancels, ((beta - 1) x e^x + h(x)) over
+        # the same, with h(x) = x e^x - expm1(x) = sum_{n >= 2} (n - 1) x^n/n!;
+        # on the tangent line t A' = A
+        tau, x = self._power(tau)
+        small = x < 1.0
+        xs = x[small]
+        h = _series(xs, [(n - 1) / math.factorial(n) for n in range(2, _SERIES_TERMS + 2)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.array(np.log1p(np.expm1(-x) / (self.beta * x)))
+            out[small] = (np.log(np.maximum((self.beta - 1.0) * xs * np.exp(xs) + h, 0.0))
+                          - np.log(self.beta * xs) - xs)
+        if self.t_splice > 0:
+            out = np.where(tau <= math.log(self.t_splice), -np.inf, out)
+        return out
+
     def params(self):
         return {"beta": self.beta}
 
@@ -395,10 +535,44 @@ class ExpLogPowerYoung(YoungFunction):
         tau = np.asarray(tau, dtype=float)
         logept = np.where(tau > 40.0, tau, np.log(math.e + np.exp(np.minimum(tau, 700.0))))
         x = self.a * np.power(self._G(logept), self.beta)
-        k0 = math.exp(self.a)
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.where(x > 700.0, x, np.log(np.maximum(np.exp(np.minimum(x, 700.0)) - k0, 0.0)))
+        # ln(e^x - e^a): the direct form where e^x is a float (-inf at t = 0
+        # and wherever t is below float resolution against e), else x, less
+        # the e^a term where that still shows in the last bit
+        big = x > 700.0
+        with np.errstate(divide="ignore"):
+            out = np.array(np.log(np.maximum(np.exp(np.where(big, 0.0, x)) - math.exp(self.a), 0.0)))
+        out[big] = x[big]
+        near = big & (x - self.a < 40.0)
+        out[near] = log_sub_exp(x[near], self.a)
         return out
+
+    def _parts(self, tau):
+        """(tau, ln G, w, ln(t G'(t))) at t = e^tau, where A = e^a expm1(w)."""
+        tau = np.asarray(tau, dtype=float)
+        l1 = np.where(tau > 40.0, tau - 1.0, np.log1p(np.exp(np.minimum(tau, 700.0) - 1.0)))  # ln(e + t) - 1
+        ln_tg1 = -np.logaddexp(0.0, 1.0 - tau)                                            # ln(t / (e + t))
+        g1 = l1                                                                           # G - 1
+        if self.reduced:
+            # G - 1 = (2 - beta) l1 + (beta - 1) (l1 - log1p(l1)), a sum of
+            # nonnegative terms for beta <= 2, and (e + t) G' = (l1 + 2 - beta) / (1 + l1)
+            g1 = (2.0 - self.beta) * l1 + (self.beta - 1.0) * _x_minus_log1p(l1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ln_tg1 = ln_tg1 + np.log(l1 + (2.0 - self.beta)) - np.log1p(l1)
+        ln_g = np.log1p(g1)
+        return tau, ln_g, self.a * np.expm1(self.beta * ln_g), ln_tg1
+
+    def log_slope_logt(self, tau):
+        # t A'(t) = e^(a + w) a beta G^(beta-1) t G'(t)
+        tau, ln_g, w, ln_tg1 = self._parts(tau)
+        return self.a + w + math.log(self.a * self.beta) + (self.beta - 1.0) * ln_g + ln_tg1 - tau
+
+    def log_excess_logt(self, tau):
+        # t A' = e^(a + w) u and A = e^(a + w) - e^a, u = a beta G^(beta-1) t G'(t),
+        # so (t A' - A)/(t A') = 1 + expm1(-w)/u
+        tau, ln_g, w, ln_tg1 = self._parts(tau)
+        u = self.a * self.beta * np.exp((self.beta - 1.0) * ln_g + ln_tg1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.maximum(1.0 + np.expm1(-w) / u, 0.0))
 
     def params(self):
         return {"a": self.a, "beta": self.beta, "reduced": self.reduced}
@@ -408,7 +582,7 @@ class ExpLogPowerYoung(YoungFunction):
 # tabulated kind (piecewise-linear convex functions, exact conjugation)
 # ---------------------------------------------------------------------------
 
-class TabulatedYoung(YoungFunction):
+class TabulatedYoung(_PiecewiseLinear):
     """Piecewise-linear convex Young function given by the breakpoints of its
     piecewise-constant density.
 
@@ -534,6 +708,15 @@ class ScaledYoung(YoungFunction):
     def log_value_logt(self, tau):
         return self.base.log_value_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale)) - math.log(self.m)
 
+    # A'(t) is the base's at arg_scale t, times arg_scale / m; A/(t A') is
+    # the base's at arg_scale t
+    def log_slope_logt(self, tau):
+        tau = np.asarray(tau, dtype=float) + math.log(self.arg_scale)
+        return self.base.log_slope_logt(tau) + math.log(self.arg_scale / self.m)
+
+    def log_excess_logt(self, tau):
+        return self.base.log_excess_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale))
+
     def inverse(self, r):
         return self.base.inverse(np.asarray(r, dtype=float) * self.m) / self.arg_scale
 
@@ -582,18 +765,21 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
 class ConjugateYoung(YoungFunction):
     """Numerical Young conjugate, answering through two evaluators.
 
-    ``value`` and ``inverse`` read the exact conjugate of the
-    secant tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
+    ``value`` and ``inverse`` read the exact conjugate of the secant
+    tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
     linearly interpolated supremand maximized on that grid); the norms use
-    it.  ``log_value_logt`` maximizes ln(r e^tau - source(r)) by golden
-    search in sigma = ln r, so the far-field growth stays faithful; the
-    growth and balance sweeps use it.  The two differ by the tabulation
-    error: for expL, against A*(s) = s ln s - s + 1, the table is 2.9e-5
-    (relative) low at s = 1.5 and 5.8e-4 low at s = 1e8, while
-    ``log_value_logt`` stays within 1.2e-10 in ln A* on the balance sweep
-    out to tau = 6e5 (within 1.2e-9 for the conjugate of t^1.5, 2.3e-10 for
-    t^2).  Each tau is evaluated on its own: its value is +inf exactly when
-    its supremand still rises at the end of the bracket search.
+    it.  ``log_value_logt`` solves the source's slope equation A'(r) = e^tau
+    for sigma = ln r and reads ln A*(e^tau) = ln r + ln(A'(r) - A(r)/r)
+    from the source's closed forms (the Fenchel-Young equality), so the
+    far-field growth stays faithful; the growth and balance sweeps use it.
+    The two differ by the tabulation error: for expL, against
+    A*(s) = s ln s - s + 1, the table is 2.9e-5 (relative) low at s = 1.5 and
+    5.8e-4 low at s = 1e8, while ``log_value_logt`` stays within one ulp of
+    ln A* on the balance sweep out to tau = 6e5 (2.9e-11; 2.3e-10 for the
+    conjugate of t^1.5, where ln A* reaches 1.8e6).  Each tau is evaluated
+    on its own: its value is +inf exactly when its supremand
+    r e^tau - source(r) still rises at the top rung of the bracket ladder
+    ``_RUNGS``.
     """
 
     kind = "conjugate"
@@ -615,10 +801,27 @@ class ConjugateYoung(YoungFunction):
     def jump_point(self):
         return self.table.jump_point
 
-    def log_value_logt(self, tau):
+    def _solve(self, tau, part: int):
+        """ln r (part 0) or ln A*(e^tau) (part 1) at each tau, where r is the
+        source's slope root."""
         tau = np.asarray(tau, dtype=float)
-        out = _conjugate_log_value(self.source, tau.ravel()).reshape(tau.shape)
+        out = _conjugate_log_value(self.source, tau.ravel(), part).reshape(tau.shape)
         return out if out.ndim else float(out)
+
+    def log_value_logt(self, tau):
+        return self._solve(tau, 1)
+
+    def log_slope_logt(self, tau):
+        # (A*)'(s) is the root r of A'(r) = s
+        return self._solve(tau, 0)
+
+    def log_excess_logt(self, tau):
+        # 1 - A*(s)/(s r) = A(r)/(r s), since A*(s) = r s - A(r); taken as 1
+        # where A* = +inf and 0 where A* = 0
+        root = np.asarray(self._solve(tau, 0))
+        finite = np.isfinite(root)
+        out = self.source.log_value_logt(np.where(finite, root, 0.0)) - root - np.asarray(tau, dtype=float)
+        return np.where(finite, out, np.where(root > 0, 0.0, -np.inf))
 
     def conjugate(self):
         # honest round trip: conjugate the tabulated representation exactly
@@ -628,16 +831,31 @@ class ConjugateYoung(YoungFunction):
         return {"of": to_json(self.source)}
 
 
-def _conjugate_log_value(source: YoungFunction, tau: np.ndarray) -> np.ndarray:
-    """ln of sup_r { r e^tau - source(r) } at each point of the 1-d array tau.
+# The bracket ladder of the numerical conjugate: rung p is 60 * 2.2^p, by
+# repeated multiplication.  A tau whose supremand still rises at the top rung
+# (sigma ~ 4.5e9) has A*(e^tau) = +inf; any other tau is bracketed between
+# two ends of the ladder, the foot _SIGMA_LO and the rungs.
+_RUNGS = np.array(list(itertools.accumulate([2.2] * 23, operator.mul, initial=60.0)))
+_SIGMA_LO = -45.0
+_ROOT_XTOL = 4.0 * np.finfo(float).eps    # root bracket width, relative to max(1, |ends|)
+_ROOT_ITERS = 100
 
-    Each point is evaluated on its own, so a call of more than ``_BLOCK``
-    points splits into blocks that run on a pool of one thread per CPU
-    available to the process (numpy releases the interpreter lock inside each
-    pass); the result does not depend on the split.
+
+def _conjugate_log_value(source: YoungFunction, tau: np.ndarray, part: int) -> np.ndarray:
+    """Part 0 or 1 of (ln r, ln sup_r { r e^tau - source(r) }) at each point
+    of the 1-d array tau, where r is the maximizer: the root of
+    source'(r) = e^tau.
+
+    A piecewise-linear source answers from its pieces.  Otherwise each point
+    is evaluated on its own, so a call of more than ``_BLOCK`` points splits
+    into blocks that run on a pool of one thread per CPU available to the
+    process (numpy releases the interpreter lock inside each pass); the
+    result does not depend on the split.
     """
+    if isinstance(source, _PiecewiseLinear):
+        return source._conjugate_root(tau)[part]
     if tau.size <= _BLOCK:
-        return _conjugate_block(source, tau)
+        return _conjugate_block(source, tau)[part]
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -648,38 +866,117 @@ def _conjugate_log_value(source: YoungFunction, tau: np.ndarray) -> np.ndarray:
 
     def block(i):
         with np.errstate(**err):
-            return _conjugate_block(source, tau[i:i + _BLOCK])
+            return _conjugate_block(source, tau[i:i + _BLOCK])[part]
     return np.concatenate(list(_POOL.map(block, range(0, tau.size, _BLOCK))))
 
 
-def _conjugate_block(source: YoungFunction, tau: np.ndarray) -> np.ndarray:
-    """``_conjugate_log_value`` on one block, by golden search in sigma = ln r."""
+def _theta(source: YoungFunction, sigma, tau):
+    """The supremand ln(e^(sigma + tau) - source(e^sigma)): log_sub_exp for
+    finite sigma + tau, in fewer passes."""
+    a = sigma + tau
+    v = source.log_value_logt(sigma)
+    with np.errstate(divide="ignore"):
+        return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
 
-    def theta(sigma, tau):
-        # ln(e^a - source(e^sigma)) with a = sigma + tau: log_sub_exp(a, v)
-        # for finite a, in fewer passes
-        a = sigma + tau
-        v = source.log_value_logt(sigma)
-        with np.errstate(divide="ignore"):
-            return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
 
-    hi = np.full_like(tau, 60.0)
-    # expand each point's hi until its supremand is decreasing there
-    rising = np.arange(tau.size)
-    for _ in range(24):
-        h, t = hi[rising], tau[rising]
-        th1 = theta(h, t)
-        rising = rising[(th1 >= theta(h - 0.25, t)) & (th1 > -np.inf)]
-        if not rising.size:
+def _rises(source: YoungFunction, rung: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Whether the supremand still rises at each tau's rung, from
+    sigma - 0.25 to sigma."""
+    h = _RUNGS[rung]
+    th = _theta(source, h, tau)
+    return (th >= _theta(source, h - 0.25, tau)) & (th > -np.inf)
+
+
+def _conjugate_block(source: YoungFunction, tau: np.ndarray):
+    """``_conjugate_log_value`` on one block.
+
+    A tau is +inf where its supremand still rises at rung 0 and at the top
+    rung: rising is monotone in the rung, since the supremand is unimodal in
+    sigma, so this is the test at every rung.
+    """
+    up = np.flatnonzero(_rises(source, np.zeros(tau.size, dtype=int), tau))
+    up = up[_rises(source, np.full(up.size, _RUNGS.size - 1), tau[up])]
+    finite = np.ones(tau.size, dtype=bool)
+    finite[up] = False
+    root = np.full(tau.size, np.inf)
+    value = np.full(tau.size, np.inf)
+    root[finite], value[finite] = _slope_root(source, tau[finite])
+    root[value == -np.inf] = -np.inf       # A* = 0 there, and so is its slope
+    return root, value
+
+
+def _slope_root(source: YoungFunction, tau: np.ndarray):
+    """(sigma, ln A*(e^tau)) at the root sigma of ln A'(e^sigma) = tau.
+
+    The bracket is read off the slopes at the ends of the ladder, the foot
+    _SIGMA_LO and the rungs: it runs up to the first end whose slope reaches
+    e^tau, from the end before.  Illinois regula falsi runs on the residual
+    asinh(ln A'(e^sigma)) - asinh(tau), which stays within a few hundred
+    where ln A' spans e^60.  The value r s - A(r) is read through
+    r (A'(r) - A(r)/r) - r (A'(r) - s), exact at any sigma, so its error is
+    second order in the root's.  Without a sign change in the bracket the
+    supremum over it is at an end: at the top rung the same expression, at
+    the foot the supremand itself.
+    """
+    target = np.arcsinh(tau)
+    ends = np.concatenate(([_SIGMA_LO], _RUNGS))
+    end_slopes = source.log_slope_logt(ends)
+    j = np.clip(np.searchsorted(np.arcsinh(end_slopes), target), 1, _RUNGS.size)
+    a, b = ends[j - 1], ends[j]
+    fa, fb = np.arcsinh(end_slopes[j - 1]) - target, np.arcsinh(end_slopes[j]) - target
+    foot = np.flatnonzero(fa >= 0)
+    sigma = np.where(fa >= 0, a, b)
+    lam = np.where(fa >= 0, end_slopes[j - 1], end_slopes[j])
+    k = np.flatnonzero((fa < 0) & (fb > 0))
+    a, b, fa, fb, target = a[k], b[k], fa[k], fb[k], target[k]
+    tol = _ROOT_XTOL * np.maximum(1.0, np.maximum(-a, b))
+    moved_a = moved_b = np.zeros(k.size, dtype=bool)
+    for _ in range(_ROOT_ITERS):
+        if not k.size:
             break
-        hi[rising] *= 2.2
-    # a point still rising never found a turning point: its conjugate is +inf
-    out = np.full_like(tau, np.inf)
-    done = np.ones(tau.size, dtype=bool)
-    done[rising] = False
-    t = tau[done]
-    out[done] = maximize_unimodal(lambda sigma: theta(sigma, t), np.full_like(t, -45.0), hi[done])
-    return out
+        with np.errstate(invalid="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        lx = source.log_slope_logt(x)
+        rx = np.arcsinh(lx) - target
+        left, right = rx < 0, rx > 0
+        # Illinois: halve the residual of an end that is kept twice in a row
+        fa = np.where(left, rx, np.where(moved_b, 0.5 * fa, fa))
+        fb = np.where(right, rx, np.where(moved_a, 0.5 * fb, fb))
+        a, b = np.where(left, x, a), np.where(right, x, b)
+        moved_a, moved_b = left, right
+        going = (b - a > tol) & (left | right)
+        if not going.all():
+            done = ~going
+            sigma[k[done]], lam[k[done]] = x[done], lx[done]
+            k, a, b, fa, fb, tol, moved_a, moved_b, target, x, lx = (
+                v[going] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, x, lx))
+    if k.size:                 # out of iterations: the last point
+        sigma[k], lam[k] = x, lx
+    # r s - A(r) = r s (kappa - (1 - kappa) m), where kappa is the excess
+    # fraction 1 - A(r)/(r A'(r)) and m = A'(r)/s - 1 the residual; sigma + tau
+    # is summed with its rounding error (Knuth's two-sum), so that the value
+    # is rounded once
+    kappa = np.exp(source.log_excess_logt(sigma))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = np.expm1(lam - tau)
+        small = np.log(np.fmax(kappa - (1.0 - kappa) * m, 0.0))
+    head = sigma + tau
+    tau_part = head - sigma
+    value = head + ((sigma - (head - tau_part)) + (tau - tau_part) + small)
+    # Where the slope at the foot of the bracket is past e^tau already, the
+    # supremum over the bracket is at its foot.  Where the source's
+    # ln A(e^sigma) still leaves the supremand finite there (exp_log_power
+    # rounds ln(e + t) to 1 and A to 0 below t ~ 1e-16, while A'(0) > 0),
+    # the golden-section search over [_SIGMA_LO, rung 0] keeps the answer it
+    # gave before the slope solve: the pinned growth verdicts of
+    # conj(exp_log2) rest on it.
+    th = _theta(source, _SIGMA_LO, tau[foot])
+    value[foot] = th
+    g = foot[th > -np.inf]
+    value[g] = maximize_unimodal(lambda x: _theta(source, x, tau[g]),
+                                 np.full(g.size, _SIGMA_LO), np.full(g.size, _RUNGS[0]))
+    return sigma, value
 
 
 # ---------------------------------------------------------------------------
@@ -740,13 +1037,18 @@ def _shifted(A: YoungFunction, grid: str, k: float):
     return tau[lo:lo + n], v[lo:lo + n], v[lo + s:lo + s + n]
 
 
+def _sweep_curves(A: YoungFunction) -> list:
+    """A's log-curves on the grids of the balance sweep, filled on first read."""
+    return [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
+
+
 def _sweep_shifted(A: YoungFunction, k: float) -> np.ndarray:
     """ln A(2^k e^tau) at every tau of ``_SWEEP_TAU``: exact index shifts on
     the dense and mid parts (NaN where 2^k e^tau is below the grid), linear
     interpolation on the tail."""
     # fill every curve before the parts exist: a conjugate's evaluator needs
     # tens of MB of temporaries, and they should not stack on the parts
-    curves = [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
+    curves = _sweep_curves(A)
     parts = []
     for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
         if grid != "tail":
@@ -923,7 +1225,10 @@ def _assert_convex(A: YoungFunction):
     finite = np.isfinite(v)
     g = grid[finite]
     v = v[finite]
-    sec = np.diff(np.concatenate(([0.0], v))) / np.diff(np.concatenate(([0.0], g)))
+    rise, run = np.diff(np.concatenate(([0.0], v))), np.diff(np.concatenate(([0.0], g)))
+    # like the values, only the secants within float range are compared
+    fits = rise / np.finfo(float).max < run
+    g, sec = g[fits], rise[fits] / run[fits]
     bad = np.diff(sec) < -1e-9 * np.maximum(sec[:-1], 1e-300)
     if bad.any():
         raise DomainError(f"{A!r} is not convex near t={g[1:][bad][:3]}")

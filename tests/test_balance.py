@@ -81,15 +81,18 @@ def test_linear_pair_fails_primal(catalog):
     assert not rep.primal.holds and rep.dual.holds
 
 
-# (witness_c, threshold_t0, primal margin_ln, dual margin_ln) as first recorded
+# (witness_c, threshold_t0, primal margin_ln, dual margin_ln) as first
+# recorded; the dual margins of the expL and exp_log2 pairs are taken at
+# tau = 6e5, where one ulp of ln A* is 1.2e-10, and were recorded again when
+# the numerical conjugate's values there became correctly rounded
 _EXAMPLE_PAIR_NUMBERS = {
     ("L2_log", "L2_log"): (2.0, 0.0, -0.9344986933283508, -0.3465717005916602),
     ("LlogL", "L1"): (1.0, 1.0, -6.402842700481415e-09, -math.inf),
     ("L2_loglog", "L2_loglog"): (2.0, 0.0, -0.9344970886595547, -0.34657217865648704),
     ("LlogL_loglog", "L_loglog"): (1024.0, 1.0, -0.07813429948873818, -0.20942129305696255),
-    ("expL", "expL_half"): (2.0, 1.0, -1.0965351101155238, -1.3863433307269588),
+    ("expL", "expL_half"): (2.0, 1.0, -1.0965351101155238, -1.3863433308433741),
     ("Linf", "expL"): (2.0, 1.0, -math.inf, -0.5553031917860984),
-    ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203882947564),
+    ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203999362886),
 }
 
 

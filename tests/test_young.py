@@ -1,13 +1,16 @@
+import decimal
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orlicz_korn import young
+from orlicz_korn._numerics import maximize_unimodal
 from orlicz_korn.young import (
-    ConjugateYoung, DomainError, ExpPowerYoung, IndicatorYoung, PowerLogLogYoung,
+    ConjugateYoung, DomainError, ExpLogPowerYoung, ExpPowerYoung, IndicatorYoung, PowerLogLogYoung,
     PowerYoung, ScaledYoung, TabulatedYoung, check_delta2, check_nabla2,
     conjugate, dominates, load_catalog,
 )
@@ -408,19 +411,111 @@ _ORACLE_TAU = young._SWEEP_TAU[young._SWEEP_TAU > 0][::8]
 
 
 def test_conjugate_log_value_of_expL_matches_closed_form(catalog):
-    # A*(s) = s ln s - s + 1, so ln A*(e^tau) = tau + ln(tau - 1 + e^-tau)
+    # A*(s) = s ln s - s + 1, so ln A*(e^tau) = tau + ln(tau - 1 + e^-tau);
+    # the differences are within one ulp of ln A* (2.9e-11 at most), and
+    # within 4e-13 at tau ~ 0, where the closed form cancels
     tau = _ORACLE_TAU
     got = ConjugateYoung(catalog["expL"]).log_value_logt(tau)
-    assert np.max(np.abs(got - (tau + np.log(tau - 1.0 + np.exp(-tau))))) <= 1e-9
+    want = tau + np.log(tau - 1.0 + np.exp(-tau))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)) + 1e-12)
 
 
-@pytest.mark.parametrize("p, tol", [(1.5, 2e-9), (2.0, 1e-9), (3.0, 1e-9)])
-def test_conjugate_log_value_of_powers_matches_closed_form(p, tol):
-    # for t^1.5 the golden-section search resolves ln A*(e^tau) = 3 tau + c
-    # only to about 1.2e-9 (5 ulp) beyond tau ~ 3e5
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_conjugate_log_value_of_powers_matches_closed_form(p):
+    # every difference is at most one ulp of ln A*, which reaches 1.8e6
+    # (an ulp of 2.3e-10) for t^1.5
     A = PowerYoung(p)
     got = ConjugateYoung(A).log_value_logt(_ORACLE_TAU)
-    assert np.max(np.abs(got - A.conjugate().log_value_logt(_ORACLE_TAU))) <= tol
+    want = A.conjugate().log_value_logt(_ORACLE_TAU)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)) + 1e-12)
+
+
+def _decimal_conjugate_log(p, alpha, gamma, tau):
+    """ln A*(e^tau) of A(t) = t^p L^alpha M^gamma, L = ln(1 + t), M = ln(1 + L),
+    in 60-digit decimal arithmetic: bisect A'(t) = e^tau in sigma = ln t,
+    then ln(t e^tau - A(t))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, 10 ** 9, -10 ** 9
+        D = decimal.Decimal
+        s = D(tau).exp()
+
+        def parts(sigma):
+            t = sigma.exp()
+            L = (1 + t).ln()
+            M = (1 + L).ln()
+            q = t / (1 + t)
+            A = t ** p * L ** alpha * M ** gamma
+            return t, A, A / t * (p + alpha * q / L + gamma * q / ((1 + L) * M))
+
+        lo, hi = D(-60), D(10) ** 7
+        while hi - lo > D(10) ** -30 * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if parts(mid)[2] < s else (lo, mid)
+        t, A, _ = parts(lo)
+        return float((t * s - A).ln())
+
+
+@pytest.mark.parametrize("name, pag, tau", [
+    ("L_loglog", (1, 0, 1), 0.5), ("L_loglog", (1, 0, 1), 1.5),
+    ("L_loglog", (1, 0, 1), 2.2), ("L_loglog", (1, 0, 1), 2.5),
+    ("L2_log", (2, 1, 0), 0.5), ("L2_log", (2, 1, 0), 40.0)])
+def test_conjugate_log_value_matches_decimal_oracle(catalog, name, pag, tau):
+    # for L_loglog (p = 1) at tau = 2.2 and 2.5 the root lies near
+    # sigma = 8e3 and 2e5, where A* is a small fraction of r e^tau; the
+    # differences are at most 9 ulp
+    got = ConjugateYoung(catalog[name]).log_value_logt(tau)
+    want = _decimal_conjugate_log(*pag, tau)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_nested_conjugate_returns_the_source(catalog):
+    # A** = A: the outer solve reads the inner conjugate's slope, its root
+    A = catalog["L2_log"]
+    N = ConjugateYoung(ConjugateYoung(A))
+    tau = young._DENSE_GRID[(young._DENSE_GRID > -15.0)][::500]
+    for got, want in ((N.log_value_logt(tau), A.log_value_logt(tau)),
+                      (N.log_slope_logt(tau), A.log_slope_logt(tau))):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(N.log_excess_logt(tau) - A.log_excess_logt(tau)) <= 1e-12)
+
+
+def test_slope_and_excess_of_every_kind_match_central_differences(catalog):
+    # ln A'(e^sigma) against the secant over sigma +- 1e-6, and the excess
+    # fraction against 1 - A(t)/(t A'(t)), away from any kink
+    kinds = [catalog[n] for n in ("L2", "L2_log", "LlogL", "L2_loglog", "expL", "expL_half",
+                                  "exp_log2", "exp_log2_reduced")] + [
+        TabulatedYoung([1.0, 2.0], [1.0, 3.0], 5.0), ScaledYoung(2.0, PowerYoung(2.0), 3.0),
+        ConjugateYoung(catalog["LlogL"])]
+    assert {A.kind for A in kinds} | {"indicator"} == set(young._KINDS)
+    sigma, h = np.array([-0.4, 1.3, 2.7, 4.2]), 1e-6
+    for A in kinds:
+        v, up, down = (A.log_value_logt(sigma + d) for d in (0.0, h, -h))
+        secant = v + np.log((np.exp(up - v) - np.exp(down - v)) / (np.exp(sigma + h) - np.exp(sigma - h)))
+        slope = A.log_slope_logt(sigma)
+        assert np.allclose(slope, secant, rtol=0, atol=1e-8), A
+        assert np.allclose(np.exp(A.log_excess_logt(sigma)), -np.expm1(v - sigma - slope),
+                           rtol=1e-9, atol=1e-12), A
+    I = IndicatorYoung(2.0)
+    assert I.log_slope_logt(np.log([1.0, 3.0])).tolist() == [-math.inf, math.inf]
+    assert I.log_excess_logt(np.log([1.0, 3.0])).tolist() == [-math.inf, 0.0]
+
+
+def test_exp_log_power_beyond_float_e_to_the_a_has_agreeing_evaluators_and_no_warnings():
+    # ln A(e^tau) keeps the -e^a term where a G^beta > 700: at tau = -10
+    # it is ln value(e^-10) = 701.26, not a G^beta = 705.02
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = ExpLogPowerYoung(705.0, 2.0)
+        tau = np.linspace(-20.0, 6.5, 1061)
+        got = A.log_value_logt(tau)
+        value = A.value(np.exp(tau))
+        A.log_slope_logt(tau)
+        A.log_excess_logt(tau)
+    normal = (value >= np.finfo(float).tiny) & np.isfinite(value)
+    assert normal.sum() > 500
+    assert np.all(np.abs(got[normal] - np.log(value[normal]))
+                  <= 1e-12 * np.maximum(1.0, np.abs(got[normal])))
+    assert A.log_value_logt(-10.0) == pytest.approx(701.2631427895207, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +552,79 @@ def test_conjugate_curves_match_per_point_calls(catalog, name):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             alone = [C.log_value_logt(tau[i]) for i in idx]
         assert np.array_equal(curve[idx], alone, equal_nan=True), grid
+
+
+def _bracket_loop_and_golden_search(source, tau):
+    """ln A*(e^tau) as the numerical conjugate once computed it: up to 24
+    bracket passes hi <- 2.2 hi from 60 while the supremand still rises
+    (+inf if it rises at the last), then a 48-step golden-section search on
+    [-45, hi]: the reference for the +inf and -inf sets."""
+
+    def theta(sigma, tau):
+        a = sigma + tau
+        v = source.log_value_logt(sigma)
+        with np.errstate(divide="ignore"):
+            return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
+
+    hi = np.full_like(tau, 60.0)
+    rising = np.arange(tau.size)
+    for _ in range(24):
+        h, t = hi[rising], tau[rising]
+        th1 = theta(h, t)
+        rising = rising[(th1 >= theta(h - 0.25, t)) & (th1 > -np.inf)]
+        if not rising.size:
+            break
+        hi[rising] *= 2.2
+    out = np.full_like(tau, np.inf)
+    done = np.ones(tau.size, dtype=bool)
+    done[rising] = False
+    t = tau[done]
+    out[done] = maximize_unimodal(lambda sigma: theta(sigma, t), np.full_like(t, -45.0), hi[done])
+    return out
+
+
+_NUMERICAL = [n for n, A in load_catalog().items() if isinstance(conjugate(A), ConjugateYoung)]
+
+
+@pytest.mark.parametrize("name", _NUMERICAL)
+def test_conjugate_infinite_sets_match_the_bracket_loop(catalog, name):
+    # the rung ladder finds the loop's first falling rung; sampled at 200
+    # points of each grid and at every point next to a change of the +inf
+    # or -inf set.  From tau = -6 on the finite values moved by at most
+    # 7.4e-6 relative (the p = 1 kinds near the top rung, where the golden
+    # search was off); below, those of exp_log2_reduced moved by up to 31%,
+    # where the old supremand read its ln A(e^sigma) with G - 1 cancelled
+    C = conjugate(catalog[name])
+    rng = np.random.default_rng(11)
+    for grid, tau in young._GRIDS.items():
+        curve = young._log_curve(C, grid)
+        edges = np.flatnonzero((np.diff(np.isposinf(curve)) != 0) | (np.diff(np.isneginf(curve)) != 0))
+        idx = np.unique(np.concatenate((rng.choice(tau.size, 200, replace=False), edges, edges + 1)))
+        want = _bracket_loop_and_golden_search(C.source, tau[idx])
+        assert np.array_equal(np.isposinf(curve[idx]), np.isposinf(want)), grid
+        assert np.array_equal(np.isneginf(curve[idx]), np.isneginf(want)), grid
+        finite = np.isfinite(want) & (tau[idx] >= -6.0)
+        assert np.all(np.abs(curve[idx][finite] - want[finite])
+                      <= 7.4e-6 * np.maximum(1.0, np.abs(want[finite]))), grid
+
+
+def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
+    # the sweep grids of every catalog conjugate that is numerical, each
+    # source counting the points of its own slope calls
+    catalog = load_catalog()
+    slope_points = finite_points = 0
+    for name in _NUMERICAL:
+        A = catalog[name]
+        evaluate = A.log_slope_logt
+
+        def counting(tau, evaluate=evaluate):
+            nonlocal slope_points
+            slope_points += np.size(tau)
+            return evaluate(tau)
+
+        A.log_slope_logt = counting
+        finite_points += sum(int(np.sum(~np.isposinf(v))) for v in young._sweep_curves(conjugate(A)))
+    assert slope_points <= 16 * finite_points
 
 
 def test_calls_of_one_block_start_no_pool(monkeypatch, catalog):
