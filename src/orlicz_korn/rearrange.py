@@ -8,6 +8,18 @@ finite measure space.  The Luxemburg norm is the usual
 computed by bisection with a guaranteed bracket; indicator-kind Young
 functions reproduce the essential supremum exactly.  Modular sums use
 numpy's pairwise summation, so results are reproducible across runs.
+
+The bisection tests about 40 lambda, and the modular is evaluated at about
+five of them.  The modular does not increase with lambda, so a test at or
+below a lambda whose modular exceeded 1 + delta fails, and one at or above
+a lambda whose modular was below 1 - delta fits.  The margin delta
+(``_MODULAR_MARGIN``) exceeds twice the rounding error of the modular, so
+such a verdict is the one an evaluation would give, and lambda is the plain
+bisection's to the bit.  Before a test that no evaluated lambda decides, a
+probe estimates the root from the points so far, interpolating ln M against
+ln lambda, and evaluates the ends of the deeper bisection interval that
+holds the estimate.  When the estimate is right, they are lambda the
+bisection tests anyway, and they decide every test above them.
 """
 
 from __future__ import annotations
@@ -23,6 +35,20 @@ __all__ = ["SampledFunction", "rearrangement", "luxemburg", "norm",
            "holder_check", "DegenerateInputError"]
 
 _LAMBDA_RTOL = 1e-10
+# The margin that makes an inferred verdict exact.  The true modular
+# M(lam) = sum w A(|u|/lam) does not increase with lam, and the computed one
+# is within a relative eta of it: each term carries the rounding of |u|/lam,
+# which A amplifies by t A'(t)/A(t) <= p ln A <= 709 p ulps at a finite value
+# (p the power of the growth: 2 for exp(t^2)), plus a few ulps of A's own
+# evaluation, and the pairwise sum adds about 40 ulps.  For the catalog that
+# is about 1,460 ulps, eta = 1.6e-13.  A modular computed above 1 + delta at
+# lam' is then truly above 1 + delta - eta, so the one computed at any
+# lam <= lam' is above 1 + delta - 2 eta > 1: the verdict there is "fails"
+# without evaluating it, and likewise "fits" at lam >= lam' when the one at
+# lam' was below 1 - delta.
+_MODULAR_MARGIN = 1e-12
+# a guard on the probes made before one bisection test is evaluated itself
+_PROBES_PER_TEST = 8
 
 
 class DegenerateInputError(ValueError):
@@ -71,29 +97,136 @@ def _modular(A: YoungFunction, u_abs: np.ndarray, w: np.ndarray, lam: float) -> 
     return math.inf if np.any(np.isinf(vals)) else total
 
 
+class _Modular:
+    """The modular of one sampled function and the verdicts it decides: a
+    lambda fails at or below one whose modular exceeded 1 + delta, and fits
+    at or above one whose modular was below 1 - delta."""
+
+    def __init__(self, A: YoungFunction, u_abs: np.ndarray, w: np.ndarray):
+        self.A, self.u_abs, self.w = A, u_abs, w
+        self.at = {}                   # lambda -> its modular
+        self.fails_to = -math.inf      # lambda <= this fails
+        self.fits_from = math.inf      # lambda >= this fits
+        self.points = []               # (ln lambda, ln M), in evaluation order
+        self.guess = None              # ln lambda of the last root estimate
+
+    def __call__(self, lam: float) -> float:
+        m = self.at.get(lam)
+        if m is None:
+            m = self.at[lam] = _modular(self.A, self.u_abs, self.w, lam)
+            if m > 1.0 + _MODULAR_MARGIN:
+                self.fails_to = max(self.fails_to, lam)
+            elif m < 1.0 - _MODULAR_MARGIN:
+                self.fits_from = min(self.fits_from, lam)
+            if 0.0 < lam < math.inf and not math.isnan(m):
+                self.points.append((math.log(lam), _log(m)))
+        return m
+
+    def known(self, lam: float):
+        """The verdict at lambda if it needs no evaluation, else None."""
+        if lam <= self.fails_to:
+            return False
+        if lam >= self.fits_from:
+            return True
+        m = self.at.get(lam)
+        return None if m is None else m <= 1.0
+
+    def fits(self, lam: float) -> bool:
+        verdict = self.known(lam)
+        return self(lam) <= 1.0 if verdict is None else verdict
+
+    def probe(self, lo: float, hi: float) -> bool:
+        """Evaluate one end of a deeper interval of the bisection from
+        [lo, hi], the one it reaches if the root is where it is estimated;
+        False if both ends are decided already.
+
+        The estimate (``_root_estimate``) solves f = ln M against
+        x = ln lambda from the points evaluated so far.  Its uncertainty is
+        the square of its distance from the estimate before: the first one
+        has none, and is exact where M is a power of lambda.  The bisection
+        is followed down while its midpoint stays clear of that uncertainty
+        and its interval is wider than its stopping width.  If the root is
+        inside, both ends are lambda the bisection tests anyway."""
+        fail = [x for x, f in self.points if f > 0.0]
+        fit = [x for x, f in self.points if f <= 0.0]
+        if not (fail and fit):
+            return False
+        xa, xb = max(fail), min(fit)
+        x = _root_estimate(self.points, xa, xb)
+        if x is None:
+            return False
+        spread = 0.0 if self.guess is None else abs(x - self.guess) ** 2
+        self.guess = x
+        below, above = math.exp(x - spread), math.exp(x + spread)
+        path = [(lo, hi)]
+        while hi - lo > _LAMBDA_RTOL * hi:
+            mid = 0.5 * (lo + hi)
+            verdict = self.known(mid)
+            if verdict is None:
+                if below < mid < above:
+                    break
+                verdict = mid >= above
+            if verdict:
+                hi = mid
+            else:
+                lo = mid
+            path.append((lo, hi))
+        # on each side the deepest end that decides the tests beyond it: an
+        # end whose modular is within delta of 1 does not, and the end one
+        # interval up is taken instead
+        for side in (0, 1):
+            for interval in reversed(path):
+                end = interval[side]
+                if end <= self.fails_to if side == 0 else end >= self.fits_from:
+                    break
+                if self.known(end) is None:
+                    self(end)
+                    return True
+        return False
+
+
+def _log(m: float) -> float:
+    return math.log(m) if m > 0.0 else -math.inf
+
+
+def _root_estimate(points: list, xa: float, xb: float):
+    """A root of f in (xa, xb), where xa is the largest x with f(x) > 0 and
+    xb the smallest with f(x) <= 0 among ``points`` (x, f(x)): inverse
+    quadratic interpolation through the last three points, else the secant
+    through the last two, else regula falsi on the bracket, whichever first
+    falls strictly inside it; None where the bracket's f is infinite."""
+    tries = []
+    (x0, f0), (x1, f1), (x2, f2) = ([(math.nan, math.nan)] + points)[-3:]
+    if all(map(math.isfinite, (f0, f1, f2))) and f0 != f1 and f1 != f2 and f0 != f2:
+        tries.append(x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                     + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+    if math.isfinite(f1) and math.isfinite(f2) and f1 != f2:
+        tries.append(x2 - f2 * (x2 - x1) / (f2 - f1))
+    fa, fb = (next(f for x, f in points if x == end) for end in (xa, xb))
+    if math.isfinite(fa) and math.isfinite(fb):
+        tries.append(xb - fb * (xb - xa) / (fb - fa))
+    return next((x for x in tries if xa < x < xb), None)
+
+
 def luxemburg(A: YoungFunction, u: SampledFunction) -> float:
-    """Luxemburg norm of u in the Orlicz space of A over the sampled space."""
+    """Luxemburg norm of u in the Orlicz space of A over the sampled space.
+
+    The bracket and the bisection decide lambda; ``_Modular`` answers each
+    test, inferring most verdicts from a few evaluations of the modular
+    (see the module docstring)."""
     u_abs = np.abs(u.values)
     w = u.weights
     peak = float(np.max(u_abs)) if len(u_abs) else 0.0
     if peak == 0.0:
         return 0.0
-    omega = u.total_measure
-    wmin = float(np.min(w))
     # bracket from the inverse at the extreme cell measures, then expand
-    inv_small = float(A.inverse(1.0 / wmin))
-    inv_large = float(A.inverse(1.0 / omega))
+    inv_small, inv_large = np.ravel(A.inverse([1.0 / float(np.min(w)), 1.0 / u.total_measure])).tolist()
     lo = peak / inv_small if inv_small > 0 and math.isfinite(inv_small) else 0.0
     hi = peak / inv_large if inv_large > 0 else peak * 2.0
     if not math.isfinite(hi) or hi <= 0:
         hi = peak
-    verdicts = {}              # lambda -> whether the modular there is <= 1
-
-    def fits(lam: float) -> bool:
-        if lam not in verdicts:
-            verdicts[lam] = _modular(A, u_abs, w, lam) <= 1.0
-        return verdicts[lam]
-
+    modular = _Modular(A, u_abs, w)
+    fits = modular.fits
     for _ in range(200):
         if fits(hi):
             break
@@ -111,6 +244,9 @@ def luxemburg(A: YoungFunction, u: SampledFunction) -> float:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        for _ in range(_PROBES_PER_TEST):
+            if modular.known(mid) is not None or not modular.probe(lo, hi):
+                break
         if fits(mid):
             hi = mid
         else:

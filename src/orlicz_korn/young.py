@@ -157,32 +157,33 @@ class YoungFunction:
 
     # -- generalized right-continuous inverse -------------------------------
     def inverse(self, r):
+        """sup { t : A(t) <= r } elementwise, by monotone bisection of all
+        elements at once: each doubles its own upper end from 1 until A
+        passes r (+inf if it never does within 2400 doublings), then halves
+        [0, that end] 120 times."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise DomainError("inverse needs r >= 0")
-        if r.ndim == 0:
-            return self._inverse_scalar(float(r))
-        return np.array([self._inverse_scalar(float(x)) for x in r.ravel()]).reshape(r.shape)
-
-    def _inverse_scalar(self, r: float) -> float:
-        # sup { t : A(t) <= r } by bracketed monotone bisection
-        if math.isinf(r):
-            return math.inf
-        hi = 1.0
+        flat = r.ravel()
+        hi = np.ones_like(flat)
+        open_ = ~np.isinf(flat)        # still doubling
+        bounded = np.zeros(flat.shape, dtype=bool)
         for _ in range(2400):
-            if self.value(np.asarray(hi)) > r:
+            idx = np.flatnonzero(open_)
+            if not len(idx):
                 break
-            hi *= 2.0
-        else:
-            return math.inf
-        lo = 0.0
+            passed = self.value(hi[idx]) > flat[idx]
+            bounded[idx[passed]] = True
+            open_[idx[passed]] = False
+            hi[idx[~passed]] *= 2.0
+        lo = np.zeros_like(flat)
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            if self.value(np.asarray(mid)) <= r:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+            below = self.value(mid) <= flat
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = np.where(bounded, lo, np.inf)
+        return out.reshape(r.shape) if r.ndim else float(out[0])
 
     # -- conjugation ---------------------------------------------------------
     def conjugate(self) -> "YoungFunction":
@@ -755,6 +756,9 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
     with np.errstate(over="ignore"):
         secants = np.diff(np.concatenate(([0.0], v))) / widths
     secants = np.maximum.accumulate(np.maximum(secants, 0.0))
+    if math.isinf(secants[0]):
+        raise DomainError(f"the secant slopes of {A!r} overflow from the first tabulation node on "
+                          f"(A({bp[0]:.3g}) = {v[0]:.3g}), so the numerical conjugate has no finite piece")
     if finite.all():
         final = secants[-1]
     else:

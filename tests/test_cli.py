@@ -157,6 +157,9 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
      "--B", "L2"],
     ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 1e300, "beta": 2}}',
      "--B", "L2"],
+    # every secant slope of the conjugate's tabulation overflows
+    ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 705, "beta": 2}}',
+     "--B", "L2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     for name, text in {"bad": "{bad", "list": "[1]", "trials": '{"trials": 1.5}',

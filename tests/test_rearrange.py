@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orlicz_korn import hardy
 from orlicz_korn import rearrange as ra
 from orlicz_korn import young
 from orlicz_korn.rearrange import DegenerateInputError, SampledFunction
@@ -98,6 +100,115 @@ def test_luxemburg_evaluates_each_lambda_once(catalog, name, monkeypatch):
         lams.clear()
         ra.luxemburg(catalog[name], _sf(rng.standard_normal(n) * 3, rng.uniform(0.05, 0.4, n)))
         assert lams and len(set(lams)) == len(lams), (n, lams)
+
+
+def _bisection_reference(A, u):
+    """The Luxemburg norm by the plain bisection, evaluating the modular at
+    every lambda it tests (once each): (lambda, evaluations)."""
+    u_abs = np.abs(u.values)
+    w = u.weights
+    peak = float(np.max(u_abs)) if len(u_abs) else 0.0
+    if peak == 0.0:
+        return 0.0, 0
+    omega = u.total_measure
+    wmin = float(np.min(w))
+    inv_small = float(A.inverse(1.0 / wmin))
+    inv_large = float(A.inverse(1.0 / omega))
+    lo = peak / inv_small if inv_small > 0 and math.isfinite(inv_small) else 0.0
+    hi = peak / inv_large if inv_large > 0 else peak * 2.0
+    if not math.isfinite(hi) or hi <= 0:
+        hi = peak
+    verdicts = {}
+
+    def fits(lam):
+        if lam not in verdicts:
+            verdicts[lam] = ra._modular(A, u_abs, w, lam) <= 1.0
+        return verdicts[lam]
+
+    for _ in range(200):
+        if fits(hi):
+            break
+        hi *= 2.0
+    lo = min(lo, hi)
+    for _ in range(200):
+        if lo <= 0 or not fits(lo):
+            break
+        lo *= 0.5
+    if lo <= 0:
+        lo = hi * 1e-18
+    while fits(lo) and lo > hi * 1e-30:
+        lo *= 0.5
+    if fits(lo):
+        return lo, len(verdicts)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= ra._LAMBDA_RTOL * hi:
+            break
+    return hi, len(verdicts)
+
+
+def _norm_counting(A, u):
+    """(luxemburg(A, u), the modular evaluations it made)."""
+    calls = []
+    modular = ra._modular
+
+    def spy(*args):
+        calls.append(args[-1])
+        return modular(*args)
+
+    with mock.patch.object(ra, "_modular", spy):
+        return ra.luxemburg(A, u), len(calls)
+
+
+_FUNCTIONS = []
+
+
+def _functions():
+    # every catalog function, its conjugate, an indicator and a scaled copy
+    if not _FUNCTIONS:
+        for A in young.load_catalog().values():
+            _FUNCTIONS.extend([A, young.conjugate(A)])
+        _FUNCTIONS.extend([IndicatorYoung(0.3), young.ScaledYoung(2.5, young.load_catalog()["LlogL"], 0.4)])
+    return _FUNCTIONS
+
+
+@st.composite
+def _sampled(draw):
+    n = draw(st.integers(1, 400))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(1e-10, 10.0), min_size=n, max_size=n))
+    return _sf(values, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 31), _sampled())
+def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
+    A = _functions()[which]
+    want, evaluations = _bisection_reference(A, u)
+    got, spent = _norm_counting(A, u)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (A, got, want)
+    assert spent <= evaluations, (A, spent, evaluations)
+
+
+@pytest.mark.parametrize("pair", [("L2", "L2"), ("L1", "L1")])
+def test_hardy_family_norms_take_at_most_8_evaluations(catalog, pair):
+    # the trial family and the spike sweep of verify_hardy; the plain
+    # bisection took 42.6 evaluations per norm here
+    A, B = (catalog[name] for name in pair)
+    per_norm = []
+
+    def counted(C, u):
+        lam, spent = _norm_counting(C, u)
+        per_norm.append(spent)
+        return lam
+
+    with mock.patch.object(ra, "norm", counted):
+        hardy.verify_hardy(A, B)
+    assert len(per_norm) > 250 and max(per_norm) <= 8, (len(per_norm), max(per_norm))
 
 
 def test_zero_function():

@@ -518,6 +518,49 @@ def test_exp_log_power_beyond_float_e_to_the_a_has_agreeing_evaluators_and_no_wa
     assert A.log_value_logt(-10.0) == pytest.approx(701.2631427895207, rel=1e-12)
 
 
+def test_conjugate_whose_secants_all_overflow_names_the_overflow():
+    # A(1e-6) is about 7.8e302 for a = 705, so every secant slope of the
+    # tabulation is +inf; this used to surface as an error about a power kind
+    with pytest.raises(DomainError, match="secant slopes .* overflow"):
+        conjugate(ExpLogPowerYoung(705.0, 2.0))
+
+
+def _inverse_one_at_a_time(A, r):
+    # sup { t : A(t) <= r } by the scalar doubling and 120 halvings the
+    # array inverse performs element by element
+    if math.isinf(r):
+        return math.inf
+    hi = 1.0
+    for _ in range(2400):
+        if A.value(np.asarray(hi)) > r:
+            break
+        hi *= 2.0
+    else:
+        return math.inf
+    lo = 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if A.value(np.asarray(mid)) <= r:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_bisected_inverse_of_an_array_matches_one_element_at_a_time(catalog):
+    rng = np.random.default_rng(12)
+    r = np.concatenate([10.0 ** rng.uniform(-12.0, 15.0, 40), [0.0, 1.0, 5e-324, 1e300, math.inf]])
+    kinds = (PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung)
+    for name, A in catalog.items():
+        if not isinstance(A, kinds):
+            continue
+        got = A.inverse(r.reshape(5, 9))
+        assert got.shape == (5, 9)
+        want = [_inverse_one_at_a_time(A, x) for x in r]
+        assert got.ravel().tolist() == want, name
+        assert A.inverse(2.5) == _inverse_one_at_a_time(A, 2.5) and type(A.inverse(2.5)) is float
+
+
 # ---------------------------------------------------------------------------
 # the numerical conjugate evaluates each point on its own
 # ---------------------------------------------------------------------------
