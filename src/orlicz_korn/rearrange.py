@@ -147,12 +147,11 @@ class _Modular:
         is followed down while its midpoint stays clear of that uncertainty
         and its interval is wider than its stopping width.  If the root is
         inside, both ends are lambda the bisection tests anyway."""
-        fail = [x for x, f in self.points if f > 0.0]
-        fit = [x for x, f in self.points if f <= 0.0]
-        if not (fail and fit):
+        fail = max((p for p in self.points if p[1] > 0.0), default=None)
+        fit = min((p for p in self.points if p[1] <= 0.0), default=None)
+        if fail is None or fit is None:
             return False
-        xa, xb = max(fail), min(fit)
-        x = _root_estimate(self.points, xa, xb)
+        x = _root_estimate(self.points, fail, fit)
         if x is None:
             return False
         spread = 0.0 if self.guess is None else abs(x - self.guess) ** 2
@@ -189,12 +188,13 @@ def _log(m: float) -> float:
     return math.log(m) if m > 0.0 else -math.inf
 
 
-def _root_estimate(points: list, xa: float, xb: float):
-    """A root of f in (xa, xb), where xa is the largest x with f(x) > 0 and
-    xb the smallest with f(x) <= 0 among ``points`` (x, f(x)): inverse
-    quadratic interpolation through the last three points, else the secant
-    through the last two, else regula falsi on the bracket, whichever first
-    falls strictly inside it; None where the bracket's f is infinite."""
+def _root_estimate(points: list, fail: tuple, fit: tuple):
+    """A root of f between the points (x, f(x)) ``fail`` (the largest x with
+    f(x) > 0) and ``fit`` (the smallest with f(x) <= 0): inverse quadratic
+    interpolation through the last three ``points``, else the secant through
+    the last two, else regula falsi on the bracket, whichever first falls
+    strictly inside it; None if none does."""
+    (xa, fa), (xb, fb) = fail, fit
     tries = []
     (x0, f0), (x1, f1), (x2, f2) = ([(math.nan, math.nan)] + points)[-3:]
     if all(map(math.isfinite, (f0, f1, f2))) and f0 != f1 and f1 != f2 and f0 != f2:
@@ -202,7 +202,6 @@ def _root_estimate(points: list, xa: float, xb: float):
                      + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
     if math.isfinite(f1) and math.isfinite(f2) and f1 != f2:
         tries.append(x2 - f2 * (x2 - x1) / (f2 - f1))
-    fa, fb = (next(f for x, f in points if x == end) for end in (xa, xb))
     if math.isfinite(fa) and math.isfinite(fb):
         tries.append(xb - fb * (xb - xa) / (fb - fa))
     return next((x for x in tries if xa < x < xb), None)

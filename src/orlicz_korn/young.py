@@ -166,15 +166,13 @@ class YoungFunction:
             raise DomainError("inverse needs r >= 0")
         flat = r.ravel()
         hi = np.ones_like(flat)
-        open_ = ~np.isinf(flat)        # still doubling
-        bounded = np.zeros(flat.shape, dtype=bool)
+        doubling = ~np.isinf(flat)
         for _ in range(2400):
-            idx = np.flatnonzero(open_)
+            idx = np.flatnonzero(doubling)
             if not len(idx):
                 break
             passed = self.value(hi[idx]) > flat[idx]
-            bounded[idx[passed]] = True
-            open_[idx[passed]] = False
+            doubling[idx[passed]] = False
             hi[idx[~passed]] *= 2.0
         lo = np.zeros_like(flat)
         for _ in range(120):
@@ -182,7 +180,7 @@ class YoungFunction:
             below = self.value(mid) <= flat
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        out = np.where(bounded, lo, np.inf)
+        out = np.where(np.isinf(flat) | doubling, np.inf, lo)
         return out.reshape(r.shape) if r.ndim else float(out[0])
 
     # -- conjugation ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -164,16 +165,12 @@ def _norm_counting(A, u):
         return ra.luxemburg(A, u), len(calls)
 
 
-_FUNCTIONS = []
-
-
+@functools.cache
 def _functions():
     # every catalog function, its conjugate, an indicator and a scaled copy
-    if not _FUNCTIONS:
-        for A in young.load_catalog().values():
-            _FUNCTIONS.extend([A, young.conjugate(A)])
-        _FUNCTIONS.extend([IndicatorYoung(0.3), young.ScaledYoung(2.5, young.load_catalog()["LlogL"], 0.4)])
-    return _FUNCTIONS
+    catalog = young.load_catalog()
+    return tuple([F for A in catalog.values() for F in (A, young.conjugate(A))] + [
+        IndicatorYoung(0.3), young.ScaledYoung(2.5, catalog["LlogL"], 0.4)])
 
 
 @st.composite
@@ -185,7 +182,7 @@ def _sampled(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 31), _sampled())
+@given(st.integers(0, 31), _sampled())            # 32 functions
 def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
     A = _functions()[which]
     want, evaluations = _bisection_reference(A, u)
@@ -197,7 +194,7 @@ def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
 @pytest.mark.parametrize("pair", [("L2", "L2"), ("L1", "L1")])
 def test_hardy_family_norms_take_at_most_8_evaluations(catalog, pair):
     # the trial family and the spike sweep of verify_hardy; the plain
-    # bisection took 42.6 evaluations per norm here
+    # bisection takes 39.5 (L2) and 42.1 (L1) evaluations per norm here
     A, B = (catalog[name] for name in pair)
     per_norm = []
 
