@@ -137,8 +137,9 @@ class _Modular:
 
     def probe(self, lo: float, hi: float) -> bool:
         """Evaluate one end of a deeper interval of the bisection from
-        [lo, hi], the one it reaches if the root is where it is estimated;
-        False if both ends are decided already.
+        [lo, hi], the one it reaches if the root is where it is estimated.
+        Returns whether it evaluated one: not without an estimate, nor when
+        every end it would take is decided already.
 
         The estimate (``_root_estimate``) solves f = ln M against
         x = ln lambda from the points evaluated so far.  Its uncertainty is
