@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rearrange
+from . import hardy, rearrange
 from .rearrange import SampledFunction
 from .young import DomainError, YoungFunction, conjugate
 
@@ -368,23 +368,6 @@ def poincare_ratio(A: YoungFunction, u: GridField, mode: str = "zero_bc") -> flo
 # radial test fields
 # ---------------------------------------------------------------------------
 
-def _suffix_log_integral(edges: np.ndarray, values: np.ndarray, s: np.ndarray,
-                         upper: float) -> np.ndarray:
-    """integral_s^upper f(tau)/tau dtau for a step function f (exact)."""
-    e = np.minimum(edges, upper)
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.maximum(e[1:], 1e-320)) - np.log(np.maximum(e[:-1], 1e-320))
-    cell = values * np.maximum(logw, 0.0)
-    suffix = np.concatenate((np.cumsum(cell[::-1])[::-1], [0.0]))
-    s = np.asarray(s, dtype=float)
-    idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(values) - 1)
-    top = np.minimum(e[idx + 1], upper)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        part = values[idx] * np.maximum(np.log(top) - np.log(np.maximum(s, 1e-320)), 0.0)
-    out = part + suffix[idx + 1]
-    return np.where(s >= upper, 0.0, out)
-
-
 def radial_test_field(h, grid: Grid) -> tuple:
     """Field u(x) = Q x rho(|x|) built from a nonnegative step profile h on
     (0, omega_n), with rho(r) = integral_r^1 h(omega_n t^n)/t dt and a fixed
@@ -393,8 +376,7 @@ def radial_test_field(h, grid: Grid) -> tuple:
 
     The unit ball must fit inside the grid box.
     """
-    from .hardy import StepFunction
-    if not isinstance(h, StepFunction):
+    if not isinstance(h, hardy.StepFunction):
         raise DomainError("h must be a StepFunction on (0, omega_n)")
     if np.any(h.values < 0):
         raise DomainError("h must be nonnegative")
@@ -407,7 +389,7 @@ def radial_test_field(h, grid: Grid) -> tuple:
     r = np.sqrt(sum(x * x for x in X))
     # rho(r) = (1/n) integral_{omega_n r^n}^{omega_n} h(tau)/tau dtau
     tau = omega_n * np.power(np.maximum(r, 1e-300), n)
-    rho = _suffix_log_integral(h.edges, h.values, tau.ravel(), omega_n).reshape(r.shape) / n
+    rho = hardy.suffix_log_integral(h, tau.ravel(), omega_n).reshape(r.shape) / n
     rho = np.where(r >= 1.0, 0.0, rho)
     q = 1.0 / math.sqrt(2.0)
     comps = [q * X[1] * rho, -q * X[0] * rho]
@@ -573,12 +555,11 @@ def random_suite(grid: Grid, count: int, seed: int) -> list:
 
 def radial_suite(grid: Grid) -> list:
     """Radial fields from spike profiles of increasing sharpness."""
-    from .hardy import spike
     n = grid.dim
     omega_n = math.pi if n == 2 else 4.0 * math.pi / 3.0
     out = []
     for delta in _RADIAL_SHARPNESS:
-        u, _ = radial_test_field(spike(omega_n, delta * omega_n), grid)
+        u, _ = radial_test_field(hardy.spike(omega_n, delta * omega_n), grid)
         out.append(u)
     return out
 

@@ -23,8 +23,8 @@ from .rearrange import SampledFunction
 from .young import DomainError, YoungFunction
 
 __all__ = ["StepFunction", "HardyTrial", "HardyReport", "averaging_operator",
-           "dual_operator", "verify_hardy", "rearrangement_reduction_check",
-           "step_on_interval", "spike"]
+           "dual_operator", "suffix_log_integral", "verify_hardy",
+           "rearrangement_reduction_check", "step_on_interval", "spike"]
 
 _PER_DECADE = 96              # cells per decade of the geometric partitions
 _GROWTH_TOL = 0.25            # allowed ratio growth per unit ln(sharpening)
@@ -95,16 +95,25 @@ def averaging_operator(f: StepFunction) -> SampledFunction:
     return SampledFunction(upto_mid / mids, w)
 
 
+def suffix_log_integral(f: StepFunction, s, upper: float) -> np.ndarray:
+    """integral_s^upper f(r)/r dr at each s (exact for the step function f)."""
+    e = np.minimum(f.edges, upper)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.maximum(e[1:], 1e-320)) - np.log(np.maximum(e[:-1], 1e-320))
+    cell = f.values * np.maximum(logw, 0.0)
+    suffix = np.concatenate((np.cumsum(cell[::-1])[::-1], [0.0]))
+    s = np.asarray(s, dtype=float)
+    idx = np.clip(np.searchsorted(f.edges, s, side="right") - 1, 0, len(f.values) - 1)
+    top = np.minimum(e[idx + 1], upper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        part = f.values[idx] * np.maximum(np.log(top) - np.log(np.maximum(s, 1e-320)), 0.0)
+    out = part + suffix[idx + 1]
+    return np.where(s >= upper, 0.0, out)
+
+
 def dual_operator(f: StepFunction) -> SampledFunction:
     """s -> integral_s^L f(r) dr / r, exact at cell midpoints (log weights)."""
-    e = f.edges
-    with np.errstate(divide="ignore"):
-        logw = np.log(e[1:]) - np.log(np.maximum(e[:-1], 1e-320))
-    cell_full = f.values * logw            # integral over each full cell
-    suffix = np.concatenate((np.cumsum(cell_full[::-1])[::-1], [0.0]))
-    mids = f.midpoints
-    part = f.values * (np.log(e[1:]) - np.log(mids))
-    return SampledFunction(suffix[1:] + part, f.widths)
+    return SampledFunction(suffix_log_integral(f, f.midpoints, f.length), f.widths)
 
 
 @dataclass

@@ -123,8 +123,8 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
     if not A.finite_valued:
         raise DomainError("the scale choice needs a finite-valued, invertible "
                           "function on the deviatoric side")
-    if not r > 0:
-        raise DomainError("need r > 0")
+    if not (r > 0 and 0 < r * r < math.inf):
+        raise DomainError("need r > 0 with r^2 a positive finite float")
     if m_max < 0:
         raise DomainError("need m_max >= 0")
     rows = []
@@ -219,8 +219,9 @@ class LaminateRealization:
     """
 
     def __init__(self, L: Laminate, r: float, depth: int):
-        if L.order < 0 or depth < 4 or not r > 0:
-            raise DomainError("need order >= 0, depth >= 4 and r > 0")
+        if L.order < 0 or depth < 4 or not (r > 0 and 0 < r * r < math.inf):
+            raise DomainError("need order >= 0, depth >= 4 and r > 0 with r^2 a "
+                              "positive finite float")
         self.laminate = L
         self.r = float(r)
         self.depth = int(depth)

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -87,11 +86,10 @@ _SWEEP_PARTS = (("dense", 0, _ND),
                 ("tail", 1, int(np.searchsorted(_TAIL_GRID, _TAIL_MAX + 1e-9, "right"))))
 _SWEEP_TAU = np.concatenate([_GRIDS[g][lo:hi] for g, lo, hi in _SWEEP_PARTS])
 
-# The numerical conjugate evaluates tau in blocks of _BLOCK points (larger
-# blocks raise peak memory, smaller ones the cost per numpy pass); calls of
-# more than one block share _POOL, made on first use.
+# The numerical conjugate evaluates tau in blocks of _BLOCK points, one
+# after another, to bound its peak memory (smaller blocks raise the cost per
+# numpy pass).
 _BLOCK = 8192
-_POOL = None
 
 
 class DomainError(ValueError):
@@ -850,26 +848,14 @@ def _conjugate_log_value(source: YoungFunction, tau: np.ndarray, part: int) -> n
 
     A piecewise-linear source answers from its pieces.  Otherwise each point
     is evaluated on its own, so a call of more than ``_BLOCK`` points splits
-    into blocks that run on a pool of one thread per CPU available to the
-    process (numpy releases the interpreter lock inside each pass); the
-    result does not depend on the split.
+    into blocks evaluated in turn; the result does not depend on the split.
     """
     if isinstance(source, _PiecewiseLinear):
         return source._conjugate_root(tau)[part]
     if tau.size <= _BLOCK:
         return _conjugate_block(source, tau)[part]
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        # the CPUs this process may run on, where the platform can tell
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        _POOL = ThreadPoolExecutor(cpus or 1)
-    err = np.geterr()          # numpy's error settings are per thread
-
-    def block(i):
-        with np.errstate(**err):
-            return _conjugate_block(source, tau[i:i + _BLOCK])[part]
-    return np.concatenate(list(_POOL.map(block, range(0, tau.size, _BLOCK))))
+    return np.concatenate([_conjugate_block(source, tau[i:i + _BLOCK])[part]
+                           for i in range(0, tau.size, _BLOCK)])
 
 
 def _theta(source: YoungFunction, sigma, tau):
@@ -1259,7 +1245,7 @@ _KINDS = {cls.kind: (cls, required, optional) for cls, required, optional in (
 def _checked_params(obj) -> tuple:
     """(class, params) of a JSON Young function, with every parameter name
     known and every value a number other than NaN (a list of them for the
-    tabulated breakpoints and slopes; a nested JSON function for "of")."""
+    tabulated breakpoints and slopes; a nested JSON object for "of")."""
     if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise DomainError('a Young function is a JSON object {"kind": ..., "params": {...}}')
     kind = obj["kind"]
@@ -1277,8 +1263,12 @@ def _checked_params(obj) -> tuple:
         raise DomainError(f"kind {kind!r} takes parameters {list(required)}, optionally "
                           f"{list(optional)}; missing {missing}, unknown {unknown}")
     for k, v in params.items():
+        if k == "of":
+            if not isinstance(v, dict):
+                raise DomainError(f"parameter {k!r} of kind {kind!r} must be a JSON object")
+            continue
         values = v if k in ("breakpoints", "slopes") and isinstance(v, list) else [v]
-        if k != "of" and not all(isinstance(x, (int, float)) and x == x for x in values):
+        if not all(isinstance(x, (int, float)) and x == x for x in values):
             raise DomainError(f"parameter {k!r} of kind {kind!r} must be a number, not NaN")
     return cls, params
 

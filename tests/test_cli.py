@@ -124,6 +124,9 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["check-balance", "--A", '{"kind": "power", "params": [2]}', "--B", "L2"],
     ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "0", "--m-max", "2"],
     ["laminate-demo", "--A", "L1", "--B", "L1", "--r", "-1", "--m-max", "2"],
+    # r^2 underflows to 0 or overflows
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "2", "--r", "1e-300"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "2", "--r", "1e300"],
     ["bogovskii", "--A", "L2", "--B", "L2", "--grid", "2"],
     ["verify-korn", "--A", "L2", "--B", "L2", "--grid", "0"],
     ["poincare", "--A", "L2", "--grid", "0"],

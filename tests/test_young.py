@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -586,7 +587,7 @@ def test_conjugate_point_does_not_depend_on_its_batch(catalog):
 @pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
                                   if isinstance(conjugate(A), ConjugateYoung)])
 def test_conjugate_curves_match_per_point_calls(catalog, name):
-    # blocks and the thread pool leave every value as a call on its own gives
+    # blocks leave every value as a call on its own gives
     C = conjugate(catalog[name])
     rng = np.random.default_rng(5)
     for grid, tau in young._GRIDS.items():
@@ -670,12 +671,11 @@ def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
     assert slope_points <= 16 * finite_points
 
 
-def test_calls_of_one_block_start_no_pool(monkeypatch, catalog):
-    monkeypatch.setattr(young, "_POOL", None)
-    C = ConjugateYoung(catalog["expL"])
-    C.log_value_logt(np.linspace(-30.0, 600.0, young._BLOCK))
-    C.log_value_logt(3.0)
-    assert young._POOL is None
+def test_conjugate_curves_start_no_thread(catalog):
+    before = threading.enumerate()
+    curve = young._log_curve(ConjugateYoung(catalog["LlogL"]), "mid")
+    assert curve.size > 2 * young._BLOCK
+    assert threading.enumerate() == before
 
 
 def test_log_value_logt_of_a_scalar_is_a_scalar(catalog):
@@ -727,6 +727,15 @@ def _wrapped(inner):
     return st.one_of(_scaled(inner), st.builds(lambda of: _spec("conjugate", of=of), inner))
 
 
+@pytest.mark.parametrize("spec", [_spec("scaled", m=2, of="L2"),
+                                  _spec("scaled", m=2, of='{"kind": "power", "params": {"p": 2}}'),
+                                  _spec("conjugate", of=[2])])
+def test_a_nested_of_that_is_not_an_object_is_named(spec):
+    with pytest.raises(DomainError) as err:
+        young.from_json(spec)
+    assert str(err.value) == f"parameter 'of' of kind {spec['kind']!r} must be a JSON object"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_LEAF_SPECS, _wrapped(_LEAF_SPECS), _wrapped(_wrapped(_LEAF_SPECS))))
 def test_from_json_inverts_to_json_for_every_kind(spec):
@@ -754,6 +763,26 @@ def test_conjugate_swaps_finite_valued_and_superlinear(spec):
         assume(False)   # a non-convex parameter choice
     assert C.finite_valued == A.superlinear
     assert C.superlinear == A.finite_valued
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_LEAF_SPECS, _scaled(_LEAF_SPECS)),
+       st.lists(st.floats(-20.0, 6.5), min_size=1, max_size=64))
+def test_log_value_logt_agrees_with_value_and_nothing_warns(spec, tau):
+    # ln A(e^tau) against ln value(e^tau) wherever the value is a positive
+    # normal float; building and evaluating raise no numpy warning
+    tau = np.array(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            A = young.from_json(spec)
+        except DomainError:
+            assume(False)   # a non-convex parameter choice or an empty tabulation
+        got = A.log_value_logt(tau)
+        value = A.value(np.exp(tau))
+    normal = (value >= np.finfo(float).tiny) & np.isfinite(value)
+    want = np.log(value[normal])
+    assert np.all(np.abs(got[normal] - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), A
 
 
 @pytest.mark.parametrize("leaf", ['{"kind": "linear_log"}',
