@@ -7,7 +7,8 @@ bytes depend only on the manifest parameters and seed, so re-running a
 manifest reproduces them exactly; the timestamp lives in the manifest only.
 
 Exit codes: 0 success, 1 verdict failure (an expected-holds check failing),
-2 usage errors (including unknown catalog names).
+2 usage errors (including unknown catalog names), each reported as one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ def _resolve(name: str, catalog: dict):
     try:
         return young.resolve(name, catalog)
     except KeyError:
-        print(f"unknown Young function {name!r}; catalog entries:", file=sys.stderr)
-        for key in sorted(catalog):
-            print(f"  {key}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"unknown Young function {name!r}; catalog entries: {', '.join(sorted(catalog))}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +182,18 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as one stderr line
+    (argparse would print its usage block first); its subparsers are of
+    this class too."""
+
+    def error(self, message):
+        _usage_error(message)
+
+
 def _read_config(argv) -> dict:
     """Entries of the --config JSON file, or {} without one."""
-    pre = argparse.ArgumentParser(prog="orlicz-korn", add_help=False)
+    pre = _Parser(prog="orlicz-korn", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
@@ -223,7 +230,7 @@ def _config_default(action: argparse.Action, value):
 
 
 def _build_parser(config: dict) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orlicz-korn",
         description="Numerical toolkit for Korn-type inequalities in Orlicz spaces")
     p.add_argument("--config", help="JSON file whose entries replace flag defaults")

@@ -49,6 +49,10 @@ _LAMBDA_RTOL = 1e-10
 _MODULAR_MARGIN = 1e-12
 # a guard on the probes made before one bisection test is evaluated itself
 _PROBES_PER_TEST = 8
+# No probe below the normal floats: there the rounding of |u|/lam is not
+# relative, so the margin does not hold, and the midpoint of a bisection
+# interval can round to one of its ends, where the path would never end.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 class DegenerateInputError(ValueError):
@@ -91,7 +95,8 @@ def rearrangement(u: SampledFunction) -> SampledFunction:
 
 
 def _modular(A: YoungFunction, u_abs: np.ndarray, w: np.ndarray, lam: float) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
+    # lambda = 0 (a bracket end that underflowed) divides to inf: it never fits
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = A.value(u_abs / lam)
         total = float(np.sum(vals * w))
     return math.inf if np.any(np.isinf(vals)) else total
@@ -139,7 +144,8 @@ class _Modular:
         """Evaluate one end of a deeper interval of the bisection from
         [lo, hi], the one it reaches if the root is where it is estimated.
         Returns whether it evaluated one: not without an estimate, nor when
-        every end it would take is decided already.
+        every end it would take is decided already, nor below
+        ``_NORMAL_MIN``.
 
         The estimate (``_root_estimate``) solves f = ln M against
         x = ln lambda from the points evaluated so far.  Its uncertainty is
@@ -160,6 +166,8 @@ class _Modular:
         below, above = math.exp(x - spread), math.exp(x + spread)
         path = [(lo, hi)]
         while hi - lo > _LAMBDA_RTOL * hi:
+            if hi < _NORMAL_MIN:
+                return False
             mid = 0.5 * (lo + hi)
             verdict = self.known(mid)
             if verdict is None:

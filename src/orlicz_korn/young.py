@@ -3,10 +3,12 @@ doubling-type growth conditions near infinity.
 
 A Young function A is convex, left-continuous, A(0) = 0, not identically 0 or
 infinity.  The package represents them as a closed family of constructors
-(power, power-log, exponential, indicator, tabulated piecewise-linear, scaled,
-numerical conjugate); arbitrary user functions enter through the tabulated
-kind.  All values are extended reals: +inf propagates and comparisons follow
-the convention inf <= inf.
+(power, power-log, exponential, tabulated piecewise-linear, scaled, numerical
+conjugate); arbitrary user functions enter through the tabulated kind, and so
+does the L-infinity indicator (0 on [0, t1], +inf beyond), as its case of one
+flat piece followed by an infinite slope (``indicator``).  All values are
+extended reals: +inf propagates and comparisons follow the convention
+inf <= inf.
 
 Growth verdicts (doubling / lower-doubling / dominance) are semi-decisions
 over a documented search grid with refinement-stability and asymptotic-trend
@@ -29,8 +31,8 @@ from ._numerics import LN2, log_sub_exp, maximize_unimodal
 
 __all__ = [
     "YoungFunction", "PowerYoung", "PowerLogLogYoung",
-    "ExpPowerYoung", "ExpLogPowerYoung", "IndicatorYoung",
-    "TabulatedYoung", "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
+    "ExpPowerYoung", "ExpLogPowerYoung", "TabulatedYoung", "indicator",
+    "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
     "conjugate", "check_delta2", "check_nabla2",
     "dominates", "load_catalog", "from_json", "to_json",
     "resolve", "CATALOG_VERSION", "LEGENDRE_GRID", "DomainError",
@@ -155,13 +157,19 @@ class YoungFunction:
 
     # -- generalized right-continuous inverse -------------------------------
     def inverse(self, r):
-        """sup { t : A(t) <= r } elementwise, by monotone bisection of all
-        elements at once: each doubles its own upper end from 1 until A
-        passes r (+inf if it never does within 2400 doublings), then halves
-        [0, that end] 120 times."""
+        """sup { t : A(t) <= r } elementwise: an array of r's shape, or a
+        float for a scalar r."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise DomainError("inverse needs r >= 0")
+        out = self._inverse(r)
+        return out if r.ndim else float(out)
+
+    def _inverse(self, r):
+        """``inverse`` of a float array r >= 0, by monotone bisection of all
+        elements at once: each doubles its own upper end from 1 until A
+        passes r (+inf if it never does within 2400 doublings), then halves
+        [0, that end] 120 times."""
         flat = r.ravel()
         hi = np.ones_like(flat)
         doubling = ~np.isinf(flat)
@@ -179,7 +187,7 @@ class YoungFunction:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out = np.where(np.isinf(flat) | doubling, np.inf, lo)
-        return out.reshape(r.shape) if r.ndim else float(out[0])
+        return out.reshape(r.shape)
 
     # -- conjugation ---------------------------------------------------------
     def conjugate(self) -> "YoungFunction":
@@ -230,15 +238,12 @@ class PowerYoung(YoungFunction):
         ln_frac = math.log1p(-1.0 / self.p) if self.p > 1.0 else -math.inf
         return np.full_like(np.asarray(tau, dtype=float), ln_frac)
 
-    def inverse(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise DomainError("inverse needs r >= 0")
+    def _inverse(self, r):
         return np.power(r / self.coeff, 1.0 / self.p)
 
     def conjugate(self):
         if self.p == 1.0:
-            return IndicatorYoung(self.coeff)
+            return indicator(self.coeff)
         q = self.p / (self.p - 1.0)
         if -math.log(self.coeff * self.p) / (self.p - 1.0) > _LN_MAX:
             raise DomainError(f"the conjugate of {self!r} has a coefficient beyond float range")
@@ -247,82 +252,6 @@ class PowerYoung(YoungFunction):
 
     def params(self):
         return {"p": self.p, "coeff": self.coeff}
-
-
-class _PiecewiseLinear(YoungFunction):
-    """Slope, excess and conjugate of a convex piecewise-linear kind, read
-    from its knots ``_knots`` (0 first), its values there ``_knot_values``
-    and its slopes ``_densities``: the i-th rules on (knot i, knot i+1], the
-    last one beyond the last knot.  Each answer comes from one piece."""
-
-    def _piece(self, tau):
-        with np.errstate(divide="ignore"):
-            return np.searchsorted(np.log(self._knots[1:]), np.asarray(tau, dtype=float))
-
-    def log_slope_logt(self, tau):
-        with np.errstate(divide="ignore"):
-            return np.log(self._densities[self._piece(tau)])
-
-    def log_excess_logt(self, tau):
-        # t A'(t) - A(t) is constant on a piece, slope * knot - A(knot); the
-        # fraction is 1 on an infinite slope and taken as 0 on a zero one
-        tau = np.asarray(tau, dtype=float)
-        i = self._piece(tau)
-        d = self._densities[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(np.maximum(d * self._knots[i] - self._knot_values[i], 0.0)) - np.log(d) - tau
-        return np.where(np.isinf(d), 0.0, np.where(d > 0, out, -np.inf))
-
-    def _conjugate_root(self, tau):
-        """(ln r, ln A*(e^tau)) with r the knot where the slopes pass e^tau:
-        there r e^tau - A(r) is largest (r = 0 below every slope, +inf above)."""
-        with np.errstate(divide="ignore"):
-            j = np.searchsorted(np.log(self._densities), tau)
-            inside = j < self._densities.size
-            j = np.minimum(j, self._densities.size - 1)
-            root = np.where(inside, np.log(self._knots[j]), np.inf)
-            value = np.where(inside, log_sub_exp(root + tau, np.log(self._knot_values[j])), np.inf)
-        return root, value
-
-
-class IndicatorYoung(_PiecewiseLinear):
-    """A(t) = 0 on [0, t1], +inf beyond: the L-infinity Young function."""
-
-    kind = "indicator"
-    finite_valued = False
-    superlinear = True
-
-    def __init__(self, t1: float = 1.0):
-        if t1 <= 0:
-            raise DomainError("indicator kind needs t1 > 0")
-        self.t1 = float(t1)
-        self._knots = np.array([0.0, self.t1])
-        self._knot_values = np.zeros(2)
-        self._densities = np.array([0.0, np.inf])
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.t1, 0.0, np.inf)
-
-    def log_value_logt(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.where(tau <= math.log(self.t1), -np.inf, np.inf)
-
-    def inverse(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise DomainError("inverse needs r >= 0")
-        return np.where(np.isinf(r), np.inf, self.t1)
-
-    def conjugate(self):
-        return PowerYoung(1.0, self.t1)
-
-    @property
-    def jump_point(self):
-        return self.t1
-
-    def params(self):
-        return {"t1": self.t1}
 
 
 class PowerLogLogYoung(YoungFunction):
@@ -579,7 +508,7 @@ class ExpLogPowerYoung(YoungFunction):
 # tabulated kind (piecewise-linear convex functions, exact conjugation)
 # ---------------------------------------------------------------------------
 
-class TabulatedYoung(_PiecewiseLinear):
+class TabulatedYoung(YoungFunction):
     """Piecewise-linear convex Young function given by the breakpoints of its
     piecewise-constant density.
 
@@ -587,6 +516,11 @@ class TabulatedYoung(_PiecewiseLinear):
     breakpoints[-1] = 0); final_slope rules beyond the last breakpoint and may
     be +inf, which caps the function (L-infinity-like jump).  Densities above
     ``slope_cap`` are clipped and the event is recorded in ``cap_applied``.
+
+    Slope, excess and conjugate root are read from the knots ``_knots`` (0
+    first), the values there ``_knot_values`` and the slopes ``_densities``:
+    the i-th rules on (knot i, knot i+1], the last one beyond the last knot.
+    Each answer comes from one piece.
     """
 
     kind = "tabulated"
@@ -596,8 +530,8 @@ class TabulatedYoung(_PiecewiseLinear):
         sl = np.asarray(slopes, dtype=float)
         if bp.ndim != 1 or sl.shape != bp.shape:
             raise DomainError("breakpoints and slopes must be 1-d arrays of equal length")
-        if len(bp) == 0 or np.any(bp <= 0) or np.any(np.diff(bp) <= 0):
-            raise DomainError("breakpoints must be positive and strictly increasing")
+        if len(bp) == 0 or not np.all((bp > 0) & (bp < math.inf)) or np.any(np.diff(bp) <= 0):
+            raise DomainError("breakpoints must be finite, positive and strictly increasing")
         seq = np.append(sl, float(final_slope))   # checked before the cap
         with np.errstate(invalid="ignore"):       # inf - inf is no fall
             falls = np.diff(seq) < -1e-12 * np.maximum(seq[:-1], 1.0)
@@ -624,7 +558,7 @@ class TabulatedYoung(_PiecewiseLinear):
         t = np.asarray(t, dtype=float)
         inside = np.interp(t, self._knots, self._knot_values)
         beyond_amount = np.maximum(t - self.breakpoints[-1], 0.0)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):   # past float range, A = inf
             tail = np.where(beyond_amount > 0,
                             self.cum_values[-1] + self.final_slope * beyond_amount, 0.0)
         return np.where(t <= self.breakpoints[-1], inside, tail)
@@ -633,8 +567,9 @@ class TabulatedYoung(_PiecewiseLinear):
         tau = np.asarray(tau, dtype=float)
         t_top = self.breakpoints[-1]
         small = tau <= math.log(t_top)
+        # e^ln(t_top) may round above t_top, past the table
         with np.errstate(divide="ignore"):
-            inside = np.log(self.value(np.exp(np.minimum(tau, math.log(t_top)))))
+            inside = np.log(self.value(np.minimum(np.exp(np.minimum(tau, math.log(t_top))), t_top)))
         if math.isinf(self.final_slope):
             tail = np.full_like(tau, np.inf)
         elif self.final_slope == 0.0:
@@ -648,18 +583,44 @@ class TabulatedYoung(_PiecewiseLinear):
             tail = math.log(s) + tau + np.log1p(np.clip(rel, -0.999999999, np.inf))
         return np.where(small, inside, tail)
 
-    def inverse(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise DomainError("inverse needs r >= 0")
+    def _piece(self, tau):
+        with np.errstate(divide="ignore"):
+            return np.searchsorted(np.log(self._knots[1:]), np.asarray(tau, dtype=float))
+
+    def log_slope_logt(self, tau):
+        with np.errstate(divide="ignore"):
+            return np.log(self._densities[self._piece(tau)])
+
+    def log_excess_logt(self, tau):
+        # t A'(t) - A(t) is constant on a piece, slope * knot - A(knot); the
+        # fraction is 1 on an infinite slope and taken as 0 on a zero one
+        tau = np.asarray(tau, dtype=float)
+        i = self._piece(tau)
+        d = self._densities[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log(np.maximum(d * self._knots[i] - self._knot_values[i], 0.0)) - np.log(d) - tau
+        return np.where(np.isinf(d), 0.0, np.where(d > 0, out, -np.inf))
+
+    def _conjugate_root(self, tau):
+        """(ln r, ln A*(e^tau)) with r the knot where the slopes pass e^tau:
+        there r e^tau - A(r) is largest (r = 0 below every slope, +inf above)."""
+        with np.errstate(divide="ignore"):
+            j = np.searchsorted(np.log(self._densities), tau)
+            inside = j < self._densities.size
+            j = np.minimum(j, self._densities.size - 1)
+            root = np.where(inside, np.log(self._knots[j]), np.inf)
+            value = np.where(inside, log_sub_exp(root + tau, np.log(self._knot_values[j])), np.inf)
+        return root, value
+
+    def _inverse(self, r):
         # the piece where A first exceeds r: inside the table its slope is
-        # positive; the final one may be flat (A <= r) or infinite (a jump)
+        # positive; the final one may be flat (A <= r) or infinite (a jump);
+        # a piece too flat to reach r within float range gives +inf
         i = np.searchsorted(self.cum_values, r, side="right")
         slope = self._densities[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = self._knots[i] + (r - self._knot_values[i]) / slope
-        out = np.where(np.isinf(r) | (slope == 0.0), np.inf, out)
-        return out if out.ndim else float(out)
+        return np.where(np.isinf(r) | (slope == 0.0), np.inf, out)
 
     def conjugate(self):
         # vertices of A: (t_i, A_i); slopes s_i on (t_{i-1}, t_i); the
@@ -677,12 +638,22 @@ class TabulatedYoung(_PiecewiseLinear):
     @property
     def jump_point(self):
         # the knot where the first infinite slope starts
-        return self._knots[np.argmax(np.isinf(self._densities))] if self.superlinear else None
+        return float(self._knots[np.argmax(np.isinf(self._densities))]) if self.superlinear else None
 
     def params(self):
         return {"breakpoints": self.breakpoints.tolist(),
                 "slopes": self.slopes.tolist(),
                 "final_slope": self.final_slope}
+
+
+def indicator(t1: float = 1.0) -> TabulatedYoung:
+    """A(t) = 0 on [0, t1], +inf beyond: the L-infinity Young function, the
+    table of one flat piece followed by an infinite slope."""
+    if not t1 > 0:
+        raise DomainError("indicator kind needs t1 > 0")
+    if math.isinf(t1):
+        raise DomainError("indicator kind needs a finite t1")
+    return TabulatedYoung([t1], [0.0], math.inf)
 
 
 class ScaledYoung(YoungFunction):
@@ -700,7 +671,8 @@ class ScaledYoung(YoungFunction):
         self.superlinear = base.superlinear
 
     def value(self, t):
-        return self.base.value(np.asarray(t, dtype=float) * self.arg_scale) / self.m
+        with np.errstate(over="ignore"):   # past float range, A = inf
+            return self.base.value(np.asarray(t, dtype=float) * self.arg_scale) / self.m
 
     def log_value_logt(self, tau):
         return self.base.log_value_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale)) - math.log(self.m)
@@ -714,8 +686,9 @@ class ScaledYoung(YoungFunction):
     def log_excess_logt(self, tau):
         return self.base.log_excess_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale))
 
-    def inverse(self, r):
-        return self.base.inverse(np.asarray(r, dtype=float) * self.m) / self.arg_scale
+    def _inverse(self, r):
+        with np.errstate(over="ignore"):   # past float range, the inverse is inf
+            return self.base._inverse(r * self.m) / self.arg_scale
 
     def conjugate(self):
         return ScaledYoung(self.m, self.base.conjugate(), self.m / self.arg_scale)
@@ -794,8 +767,8 @@ class ConjugateYoung(YoungFunction):
     def value(self, t):
         return self.table.value(t)
 
-    def inverse(self, r):
-        return self.table.inverse(r)
+    def _inverse(self, r):
+        return self.table._inverse(r)
 
     @property
     def jump_point(self):
@@ -850,7 +823,7 @@ def _conjugate_log_value(source: YoungFunction, tau: np.ndarray, part: int) -> n
     is evaluated on its own, so a call of more than ``_BLOCK`` points splits
     into blocks evaluated in turn; the result does not depend on the split.
     """
-    if isinstance(source, _PiecewiseLinear):
+    if isinstance(source, TabulatedYoung):
         return source._conjugate_root(tau)[part]
     if tau.size <= _BLOCK:
         return _conjugate_block(source, tau)[part]
@@ -1229,17 +1202,18 @@ def _assert_convex(A: YoungFunction):
 # catalog kinds that are special cases of power_log_log (gamma = 0)
 _POWER_LOG_ALIASES = {"power_log": {}, "linear_log": {"p": 1.0, "alpha": 1.0}}
 
-# each JSON kind: its class, its required and its optional parameters
+# each JSON kind: its constructor, its required and its optional parameters
+# (the indicator kind builds a one-piece tabulated function)
 _KINDS = {cls.kind: (cls, required, optional) for cls, required, optional in (
     (PowerYoung, ("p",), ("coeff",)),
     (PowerLogLogYoung, ("p", "alpha"), ("gamma",)),
     (ExpPowerYoung, ("beta",), ()),
     (ExpLogPowerYoung, ("a", "beta"), ("reduced",)),
-    (IndicatorYoung, (), ("t1",)),
     (TabulatedYoung, ("breakpoints", "slopes", "final_slope"), ("slope_cap",)),
     (ScaledYoung, ("m", "of"), ("arg_scale",)),
     (ConjugateYoung, ("of",), ()),
 )}
+_KINDS["indicator"] = (indicator, (), ("t1",))
 
 
 def _checked_params(obj) -> tuple:

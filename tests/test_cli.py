@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz_korn
 from orlicz_korn import fields, young
@@ -119,6 +123,8 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["check-balance", "--A", '{"kind": "power", "params": {"p": 2, "q": 1}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "power", "params": {"p": "x"}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "indicator", "params": {"t1": NaN}}', "--B", "L2"],
+    # t1 = 1e400 reads as inf: A would be 0 everywhere
+    ["verify-hardy", "--A", '{"kind": "indicator", "params": {"t1": 1e400}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"params": {"p": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "power", "params": [2]}', "--B", "L2"],
@@ -236,14 +242,13 @@ def test_bogovskii_gates_only_the_smooth_residuals(tmp_path, suite, code):
     assert rows and all(float(r.split(",")[1]) > 0.05 for r in rows)
 
 
-def _check_balance_stderr(tmp_path, A: str) -> str:
-    """stderr of ``check-balance --A A --B L2`` in a fresh interpreter, which
-    prints each numpy warning (pytest would catch them); it must succeed."""
+def _stderr(tmp_path, *argv) -> str:
+    """stderr of the command in a fresh interpreter, which prints each numpy
+    warning (pytest would catch them); it must succeed."""
     src = os.path.dirname(os.path.dirname(orlicz_korn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "orlicz_korn.cli", "check-balance", "--A", A, "--B", "L2",
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "orlicz_korn.cli", *argv, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0
     return proc.stderr
@@ -252,12 +257,62 @@ def _check_balance_stderr(tmp_path, A: str) -> str:
 def test_check_balance_of_a_fast_exp_log_power_prints_no_warning(tmp_path):
     # its conjugate's table has slopes near 1e306, whose cumulative values
     # overflow to +inf: that means A = inf there, not an error
-    assert _check_balance_stderr(
-        tmp_path, '{"kind": "exp_log_power", "params": {"a": 2, "beta": 3}}') == ""
+    assert _stderr(tmp_path, "check-balance", "--A",
+                   '{"kind": "exp_log_power", "params": {"a": 2, "beta": 3}}', "--B", "L2") == ""
 
 
 def test_check_balance_of_an_exp_power_with_overflowing_secants_prints_no_warning(tmp_path):
     # the last finite values of its tabulation rise so steeply that a secant
     # slope overflows to +inf, as the values beyond it do
-    assert _check_balance_stderr(
-        tmp_path, '{"kind": "exp_power", "params": {"beta": 2.299379324668949}}') == ""
+    assert _stderr(tmp_path, "check-balance", "--A",
+                   '{"kind": "exp_power", "params": {"beta": 2.299379324668949}}', "--B", "L2") == ""
+
+
+def test_laminate_demo_of_a_table_whose_tail_overflows_prints_no_warning(tmp_path):
+    # B(t_m) = 1 + 1e300 (t_m - 1) is +inf for the larger t_m
+    assert _stderr(tmp_path, "laminate-demo", "--A", "L2", "--B",
+                   '{"kind":"tabulated","params":{"breakpoints":[1],"slopes":[1],"final_slope":1e300}}',
+                   "--m-max", "6", "--r", "1e-8") == ""
+
+
+# small valid flags of every subcommand but classify-examples (about 5 s a
+# call), and values that are invalid for some flag
+_VALID_FLAGS = {
+    "check-balance": {"--A": "L2", "--B": "L2"},
+    "verify-hardy": {"--A": "L1", "--B": "L1", "--L": "1", "--trials": "1", "--seed": "1"},
+    "verify-korn": {"--A": "L2", "--B": "L2", "--grid": "4", "--mode": "full", "--operator": "E",
+                    "--suite": "smooth", "--trials": "1", "--dim": "2", "--seed": "1"},
+    "laminate-demo": {"--m-max": "1", "--A": "L1", "--B": "L1", "--r": "1", "--depth": "4",
+                      "--grid": "8"},
+    "bogovskii": {"--grid": "4", "--A": "L2", "--B": "L2", "--suite": "spike"},
+    "poincare": {"--A": "L2", "--grid": "4", "--mode": "full", "--suite": "smooth", "--trials": "1",
+                 "--seed": "1"},
+    "negative-norm": {"--A": "L2", "--grid": "4", "--dim": "2", "--trials": "1", "--seed": "1"},
+}
+_INVALID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", "-1e400", "2.5", "x", "", "{bad",
+                   "[1]", '{"kind": "power"}', '{"kind": "nosuch"}', "nosuch")
+
+
+@st.composite
+def _argv_with_one_invalid_flag(draw):
+    command = draw(st.sampled_from(sorted(_VALID_FLAGS)))
+    flags = _VALID_FLAGS[command]
+    bad = draw(st.sampled_from(sorted(flags)))
+    value = draw(st.sampled_from(_INVALID_VALUES))
+    argv = [command] + [a for f, v in flags.items() for a in (f, value if f == bad else v)]
+    return argv + (["--realize"] if command == "laminate-demo" else [])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv_with_one_invalid_flag())
+def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, argv):
+    # 0, 1 or 2 and no traceback (an exception out of main would be one); a
+    # usage error is one line on stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(tmp_path_factory.mktemp("out"))])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert err.getvalue().startswith("orlicz-korn: error: ")

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import resource
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,7 +14,7 @@ from orlicz_korn import hardy
 from orlicz_korn import rearrange as ra
 from orlicz_korn import young
 from orlicz_korn.rearrange import DegenerateInputError, SampledFunction
-from orlicz_korn.young import DomainError, IndicatorYoung, PowerYoung
+from orlicz_korn.young import DomainError, PowerYoung, indicator
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +76,7 @@ def test_constant_on_unit_measure():
 
 def test_indicator_is_essential_sup():
     u = _sf([1.0, -7.0, 4.0], [0.2, 0.5, 0.3])
-    assert ra.norm(IndicatorYoung(1.0), u) == pytest.approx(7.0, rel=1e-10)
+    assert ra.norm(indicator(1.0), u) == pytest.approx(7.0, rel=1e-10)
 
 
 def test_modular_at_the_norm(catalog):
@@ -170,7 +174,7 @@ def _functions():
     # every catalog function, its conjugate, an indicator and a scaled copy
     catalog = young.load_catalog()
     return tuple([F for A in catalog.values() for F in (A, young.conjugate(A))] + [
-        IndicatorYoung(0.3), young.ScaledYoung(2.5, catalog["LlogL"], 0.4)])
+        indicator(0.3), young.ScaledYoung(2.5, catalog["LlogL"], 0.4)])
 
 
 @st.composite
@@ -189,6 +193,30 @@ def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
     got, spent = _norm_counting(A, u)
     assert got == want or (math.isnan(got) and math.isnan(want)), (A, got, want)
     assert spent <= evaluations, (A, spent, evaluations)
+
+
+_SUBNORMAL_SAMPLES = [[1e-320], [1e-322, 5e-323], [1e-312, 3e-312], [5e-324]]
+
+
+def test_luxemburg_of_subnormal_samples_is_the_bisection_and_ends(catalog):
+    # below lambda ~ 1e-312 the midpoint of a bisection interval rounds to
+    # one of its ends; the probe once followed such a path forever, adding
+    # to it until memory ran out, so the norms run in a child process whose
+    # address space is capped at 2 GiB
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(ra.__file__))
+    code = ("import numpy as np; from orlicz_korn import rearrange as ra, young; "
+            "cat = young.load_catalog(); "
+            f"print([ra.luxemburg(cat[n], ra.SampledFunction(np.array(v), np.full(len(v), 0.5))) "
+            f"for n in ('L2', 'LlogL', 'expL') for v in {_SUBNORMAL_SAMPLES}])")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=capped, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [_bisection_reference(catalog[n], _sf(v, np.full(len(v), 0.5)))[0]
+            for n in ("L2", "LlogL", "expL") for v in _SUBNORMAL_SAMPLES]
+    assert proc.stdout.strip() == repr(want)
 
 
 @pytest.mark.parametrize("pair", [("L2", "L2"), ("L1", "L1")])

@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from orlicz_korn import young
 from orlicz_korn._numerics import maximize_unimodal
 from orlicz_korn.young import (
-    ConjugateYoung, DomainError, ExpLogPowerYoung, ExpPowerYoung, IndicatorYoung, PowerLogLogYoung,
+    ConjugateYoung, DomainError, ExpLogPowerYoung, ExpPowerYoung, PowerLogLogYoung,
     PowerYoung, ScaledYoung, TabulatedYoung, check_delta2, check_nabla2,
-    conjugate, dominates, load_catalog,
+    conjugate, dominates, indicator, load_catalog,
 )
 
 
@@ -90,12 +90,11 @@ def test_cubic_conjugate_closed_form_matches_brute_force():
 
 
 def test_indicator_conjugate_is_linear():
-    At = conjugate(IndicatorYoung(2.5))
+    At = conjugate(indicator(2.5))
     assert isinstance(At, PowerYoung) and At.p == 1.0
     assert float(At(3.0)) == pytest.approx(7.5)
     back = conjugate(At)
-    assert isinstance(back, IndicatorYoung)
-    assert back.t1 == pytest.approx(2.5)
+    assert isinstance(back, TabulatedYoung) and back.jump_point == 2.5
 
 
 def test_involution_closed_form_pairs():
@@ -156,7 +155,7 @@ def test_inverse_contract(catalog):
 
 
 def test_inverse_right_continuity_at_plateau():
-    A = IndicatorYoung(2.0)
+    A = indicator(2.0)
     assert float(A.inverse(0.0)) == pytest.approx(2.0)
     assert float(A.inverse(5.0)) == pytest.approx(2.0)
 
@@ -303,6 +302,26 @@ def test_tabulated_inverse_with_leading_zero_slopes():
     # so the zero-density stretch (0, 2] maps to its right end
     T = TabulatedYoung([1, 2, 3], [0, 0, 2], 4)
     assert T.inverse(np.array([0.0, 1.0, 6.0, np.inf])).tolist() == [2.0, 2.5, 4.0, math.inf]
+
+
+def test_tabulated_and_scaled_value_and_inverse_overflow_to_inf_silently():
+    # a steep tail passes the float range; a flat piece reaches r only beyond
+    # it; a scale factor carries a value or an argument past it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TabulatedYoung([1.0], [1.0], 1e300).value(1e10) == math.inf
+        assert TabulatedYoung([1.0], [1e-310], 1e-310).inverse(1.0) == math.inf
+        assert ScaledYoung(1e-300, PowerYoung(2.0)).value(1e10) == math.inf
+        assert ScaledYoung(1e300, PowerYoung(2.0)).inverse(1e10) == math.inf
+        assert ScaledYoung(1.0, PowerYoung(2.0), 1e-300).inverse(1e300) == math.inf
+
+
+def test_indicator_is_the_one_flat_piece_table_of_the_json_kind():
+    I = young.from_json('{"kind": "indicator", "params": {"t1": 2.5}}')
+    assert young.to_json(I) == young.to_json(TabulatedYoung([2.5], [0.0], math.inf))
+    assert young.to_json(young.from_json('{"kind": "indicator"}')) == young.to_json(indicator(1.0))
+    assert type(I.jump_point) is float and I.jump_point == 2.5
+    assert check_delta2(I).failure_certificate == [1.875]
 
 
 def test_tabulated_jump_starts_at_the_first_infinite_slope():
@@ -496,7 +515,7 @@ def test_slope_and_excess_of_every_kind_match_central_differences(catalog):
         assert np.allclose(slope, secant, rtol=0, atol=1e-8), A
         assert np.allclose(np.exp(A.log_excess_logt(sigma)), -np.expm1(v - sigma - slope),
                            rtol=1e-9, atol=1e-12), A
-    I = IndicatorYoung(2.0)
+    I = indicator(2.0)
     assert I.log_slope_logt(np.log([1.0, 3.0])).tolist() == [-math.inf, math.inf]
     assert I.log_excess_logt(np.log([1.0, 3.0])).tolist() == [-math.inf, 0.0]
 
@@ -682,10 +701,28 @@ def test_log_value_logt_of_a_scalar_is_a_scalar(catalog):
     kinds = list(catalog.values()) + [
         TabulatedYoung([1.0, 2.0], [1.0, 3.0], 5.0), ScaledYoung(2.0, PowerYoung(2.0), 3.0),
         ConjugateYoung(catalog["LlogL"])]
-    assert {A.kind for A in kinds} == set(young._KINDS)
+    assert {A.kind for A in kinds} | {"indicator"} == set(young._KINDS)
     for A in kinds:
         assert np.ndim(A.log_value_logt(3.0)) == 0, A
     assert isinstance(ConjugateYoung(catalog["LlogL"]).log_value_logt(3.0), float)
+
+
+def test_inverse_of_every_kind_checks_r_and_gives_a_float_for_a_scalar(catalog):
+    kinds = list(catalog.values()) + [
+        TabulatedYoung([1.0, 2.0], [1.0, 3.0], 5.0), ScaledYoung(2.0, indicator(0.5), 3.0),
+        ConjugateYoung(catalog["LlogL"])]
+    for A in kinds:
+        assert type(A.inverse(3.0)) is float and type(A.inverse(np.float64(0.0))) is float, A
+        assert A.inverse([3.0]).shape == (1,), A
+        with pytest.raises(DomainError, match=r"inverse needs r >= 0"):
+            A.inverse([1.0, -1.0])
+    for t1 in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="indicator kind needs t1 > 0"):
+            indicator(t1)
+    with pytest.raises(DomainError, match="indicator kind needs a finite t1"):
+        indicator(math.inf)
+    with pytest.raises(DomainError, match="breakpoints must be finite"):
+        TabulatedYoung([1.0, math.inf], [1.0, 2.0], 3.0)
 
 
 @st.composite
@@ -812,9 +849,10 @@ def _loop_inverse(T, r):
             elif T.final_slope == 0.0:
                 out.append(math.inf)
             else:
-                out.append(T.breakpoints[-1] + (rv - T.cum_values[-1]) / T.final_slope)
+                out.append(float(T.breakpoints[-1])
+                           + (float(rv) - float(T.cum_values[-1])) / T.final_slope)
         else:
-            out.append(T._knots[i] + (rv - T._knot_values[i]) / T.slopes[i])
+            out.append(float(T._knots[i]) + (float(rv) - float(T._knot_values[i])) / float(T.slopes[i]))
     return np.array(out)
 
 
@@ -830,7 +868,7 @@ def _loop_conjugate(T):
             prev = s
     dual_final = T.breakpoints[-1] if math.isinf(T.final_slope) else math.inf
     if not dual_bp:
-        return PowerYoung(1.0, dual_final) if not math.isinf(dual_final) else IndicatorYoung(1.0)
+        return PowerYoung(1.0, dual_final) if not math.isinf(dual_final) else indicator(1.0)
     return TabulatedYoung(np.array(dual_bp), np.array(dual_sl), dual_final)
 
 
