@@ -113,7 +113,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         prefix = log_trapezoid_prefix(np.where(np.isnan(g), np.inf, g), xs)
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
-    vB_half = young._sweep_shifted(B_side, 0.5)[0]
+    vB_half = young._sweep_first(B_side, 0.5)
     with np.errstate(invalid="ignore"):
         bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):
@@ -169,11 +169,12 @@ def _compare(lhs, rhs, test, want_witness=False):
     """Pointwise lhs <= rhs + slack at the test points; returns (ok, worst
     margin[, violating t])."""
     with np.errstate(invalid="ignore"):
-        pointwise = (lhs <= rhs + _PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
-        violate = test & ~pointwise
+        # lhs - rhs <= slack would round differently from this form
+        pointwise = (lhs <= rhs + _PASS_SLACK) | (rhs == np.inf) | (lhs == -np.inf)
+        margins = lhs - rhs
+    violate = test & ~pointwise
     ok = not bool(violate.any())
-    with np.errstate(invalid="ignore"):
-        margins = np.where(test, lhs - rhs, -np.inf)
+    margins[~test] = -np.inf
     margin = float(np.nanmax(margins)) if test.any() else -math.inf
     if want_witness:
         worst = [float(np.exp(min(t, 690.0))) for t in _SWEEP_TAU[violate][-6:]]

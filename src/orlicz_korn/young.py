@@ -58,8 +58,8 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # where that is an integer, every dyadic constant 2^k is an exact index
 # shift.  Growth and dominance read the dense, refined and coarse grids; the
 # balance sweep reads dense, mid and tail.  No other module does index
-# arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
-# ``_sweep_shifted``.
+# arithmetic on them: they read ln A(2^k t) through ``_shifted``,
+# ``_sweep_shifted`` and ``_sweep_first``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
@@ -840,10 +840,11 @@ def _theta(source: YoungFunction, sigma, tau):
         return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
 
 
-def _rises(source: YoungFunction, rung: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Whether the supremand still rises at each tau's rung, from
-    sigma - 0.25 to sigma."""
-    h = _RUNGS[rung]
+def _rises(source: YoungFunction, rung: int, tau: np.ndarray) -> np.ndarray:
+    """Whether the supremand still rises at the given rung, from sigma - 0.25
+    to sigma, for each tau: the source is evaluated once at each of the two
+    sigmas, and the two values are broadcast against tau."""
+    h = _RUNGS[rung:rung + 1]
     th = _theta(source, h, tau)
     return (th >= _theta(source, h - 0.25, tau)) & (th > -np.inf)
 
@@ -855,8 +856,8 @@ def _conjugate_block(source: YoungFunction, tau: np.ndarray):
     rung: rising is monotone in the rung, since the supremand is unimodal in
     sigma, so this is the test at every rung.
     """
-    up = np.flatnonzero(_rises(source, np.zeros(tau.size, dtype=int), tau))
-    up = up[_rises(source, np.full(up.size, _RUNGS.size - 1), tau[up])]
+    up = np.flatnonzero(_rises(source, 0, tau))
+    up = up[_rises(source, _RUNGS.size - 1, tau[up])]
     finite = np.ones(tau.size, dtype=bool)
     finite[up] = False
     root = np.full(tau.size, np.inf)
@@ -882,9 +883,10 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     target = np.arcsinh(tau)
     ends = np.concatenate(([_SIGMA_LO], _RUNGS))
     end_slopes = source.log_slope_logt(ends)
-    j = np.clip(np.searchsorted(np.arcsinh(end_slopes), target), 1, _RUNGS.size)
+    end_residuals = np.arcsinh(end_slopes)
+    j = np.clip(np.searchsorted(end_residuals, target), 1, _RUNGS.size)
     a, b = ends[j - 1], ends[j]
-    fa, fb = np.arcsinh(end_slopes[j - 1]) - target, np.arcsinh(end_slopes[j]) - target
+    fa, fb = end_residuals[j - 1] - target, end_residuals[j] - target
     foot = np.flatnonzero(fa >= 0)
     sigma = np.where(fa >= 0, a, b)
     lam = np.where(fa >= 0, end_slopes[j - 1], end_slopes[j])
@@ -926,17 +928,18 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     tau_part = head - sigma
     value = head + ((sigma - (head - tau_part)) + (tau - tau_part) + small)
     # Where the slope at the foot of the bracket is past e^tau already, the
-    # supremum over the bracket is at its foot.  Where the source's
-    # ln A(e^sigma) still leaves the supremand finite there (exp_log_power
-    # rounds ln(e + t) to 1 and A to 0 below t ~ 1e-16, while A'(0) > 0),
-    # the golden-section search over [_SIGMA_LO, rung 0] keeps the answer it
-    # gave before the slope solve: the pinned growth verdicts of
-    # conj(exp_log2) rest on it.
+    # supremum over the bracket is at its foot.  Only where the source's
+    # ln A(e^sigma) still leaves the supremand finite at the foot does the
+    # golden-section search over [_SIGMA_LO, rung 0] run, and keep the answer
+    # it gave before the slope solve: in the catalog that is conj(exp_log2)
+    # for s <= 2 (exp_log_power rounds ln(e + t) to 1 and A to 0 below
+    # t ~ 1e-16, while A'(0) = 2), whose pinned growth verdicts rest on it.
     th = _theta(source, _SIGMA_LO, tau[foot])
     value[foot] = th
     g = foot[th > -np.inf]
-    value[g] = maximize_unimodal(lambda x: _theta(source, x, tau[g]),
-                                 np.full(g.size, _SIGMA_LO), np.full(g.size, _RUNGS[0]))
+    if g.size:
+        value[g] = maximize_unimodal(lambda x: _theta(source, x, tau[g]),
+                                     np.full(g.size, _SIGMA_LO), np.full(g.size, _RUNGS[0]))
     return sigma, value
 
 
@@ -1004,28 +1007,42 @@ def _sweep_curves(A: YoungFunction) -> list:
 
 
 def _sweep_shifted(A: YoungFunction, k: float) -> np.ndarray:
-    """ln A(2^k e^tau) at every tau of ``_SWEEP_TAU``: exact index shifts on
-    the dense and mid parts (NaN where 2^k e^tau is below the grid), linear
+    """ln A(2^k e^tau) at every tau of ``_SWEEP_TAU``, filled part by part
+    into one array: exact index shifts on the dense and mid parts (a slice of
+    the curve, after a NaN head where 2^k e^tau is below the grid), linear
     interpolation on the tail."""
-    # fill every curve before the parts exist: a conjugate's evaluator needs
-    # tens of MB of temporaries, and they should not stack on the parts
+    # fill every curve before the output exists: a conjugate's evaluator
+    # needs tens of MB of temporaries, and they should not stack on it
     curves = _sweep_curves(A)
-    parts = []
+    out = np.empty(_SWEEP_TAU.size)
+    start = 0
     for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
+        part = out[start:start + hi - lo]
+        start += hi - lo
         if grid != "tail":
-            idx = np.arange(lo, hi) + _index_shift(grid, k)
-            parts.append(np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan))
+            s = _index_shift(grid, k)
+            head = min(max(-(lo + s), 0), part.size)
+            part[:head] = np.nan
+            part[head:] = v[lo + s + head:hi + s]
             continue
         tail_tau = _TAIL_GRID[lo:hi] + k * LN2
         with np.errstate(invalid="ignore"):
             finite = np.isfinite(v)
             if finite.all():
-                parts.append(np.interp(tail_tau, _TAIL_GRID, v))
+                part[:] = np.interp(tail_tau, _TAIL_GRID, v)
             else:
                 v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
                 tail = np.interp(tail_tau, _TAIL_GRID, v)
-                parts.append(np.where(tail >= 1e307, np.inf, tail))
-    return np.concatenate(parts)
+                part[:] = np.where(tail >= 1e307, np.inf, tail)
+    return out
+
+
+def _sweep_first(A: YoungFunction, k: float) -> float:
+    """Element 0 of ``_sweep_shifted(A, k)``, read without the rest: ln A at
+    2^k times the first sweep point, NaN if that is below the grid."""
+    grid, lo, _ = _SWEEP_PARTS[0]
+    i = lo + _index_shift(grid, k)
+    return float(_log_curve(A, grid)[i]) if i >= 0 else math.nan
 
 
 def _doubling_ratio(A: YoungFunction, grid: str):

@@ -187,3 +187,40 @@ def test_balance_reads_no_grid_layout_of_young():
              if isinstance(node, ast.ImportFrom) and node.module == "young"
              for alias in node.names}
     assert not read & layout, sorted(read & layout)
+
+
+def _parent_compare(lhs, rhs, test, want_witness=False):
+    """``balance._compare`` with isposinf/isneginf and the difference taken
+    inside np.where: the reference for the one-difference form."""
+    with np.errstate(invalid="ignore"):
+        pointwise = (lhs <= rhs + balance._PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
+        violate = test & ~pointwise
+    ok = not bool(violate.any())
+    with np.errstate(invalid="ignore"):
+        margins = np.where(test, lhs - rhs, -np.inf)
+    margin = float(np.nanmax(margins)) if test.any() else -math.inf
+    if want_witness:
+        worst = [float(np.exp(min(t, 690.0))) for t in young._SWEEP_TAU[violate][-6:]]
+        return ok, margin, worst
+    return ok, margin
+
+
+def test_compare_matches_the_parent_form_on_nan_and_infinities():
+    rng = np.random.default_rng(3)
+    n = young._SWEEP_TAU.size
+    special = np.array([np.nan, np.inf, -np.inf])
+    for trial in range(6):
+        lhs = rng.normal(0.0, 1.0, n)
+        # right-hand sides on both sides of the slack, and exactly at it
+        rhs = lhs - balance._PASS_SLACK + rng.choice([-1e-3, 0.0, 1e-3], n)
+        for v in (lhs, rhs):
+            at = rng.random(n) < 0.05
+            v[at] = rng.choice(special, at.sum())
+        test = rng.random(n) < (0.0, 0.3, 1.0, 0.5, 0.9, 0.1)[trial]
+        test[0] = trial > 0        # a finite margin at a test point
+        lhs[0], rhs[0] = 0.0, 1.0
+        kept = lhs.copy(), rhs.copy()
+        for want_witness in (False, True):
+            assert (balance._compare(lhs, rhs, test, want_witness)
+                    == _parent_compare(lhs, rhs, test, want_witness)), (trial, want_witness)
+        assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)

@@ -690,6 +690,78 @@ def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
     assert slope_points <= 16 * finite_points
 
 
+def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypatch):
+    # every grid of every numerical catalog conjugate; the golden search runs
+    # only on its non-empty bracket arrays, and the rest of a block evaluates
+    # the source at two sigmas per rung test and once at the foot
+    golden = []
+    search = young.maximize_unimodal
+
+    def counting_search(f, lo, hi):
+        golden.append((name, grid, np.size(lo)))
+        return search(f, lo, hi)
+
+    monkeypatch.setattr(young, "maximize_unimodal", counting_search)
+    catalog = load_catalog()
+    source_points = {}
+    for name in _NUMERICAL:
+        A = catalog[name]
+        evaluate = A.log_value_logt
+
+        def counting(tau, evaluate=evaluate, name=name):
+            source_points[name] += np.size(tau)
+            return evaluate(tau)
+
+        source_points[name] = 0
+        A.log_value_logt = counting
+        for grid in young._GRIDS:
+            young._log_curve(conjugate(A), grid)
+    assert all(size for _, _, size in golden), golden
+    assert golden == [("exp_log2", "dense", 3019), ("exp_log2", "refined", 6038)]
+    # measured: exactly 5 per block (2 at rung 0, 2 at the top rung, 1 at
+    # the foot); the per-point rung tests took about 31,000 per block
+    blocks = sum(-(-tau.size // young._BLOCK) for tau in young._GRIDS.values())
+    assert source_points["LlogL"] <= 5 * blocks
+
+
+def _parent_sweep_shifted(A, k):
+    """The sweep reader as an index array, a gather, a where and a
+    concatenate: the reference for the one-array fill."""
+    curves = young._sweep_curves(A)
+    parts = []
+    for (grid, lo, hi), v in zip(young._SWEEP_PARTS, curves):
+        if grid != "tail":
+            idx = np.arange(lo, hi) + young._index_shift(grid, k)
+            parts.append(np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan))
+            continue
+        tail_tau = young._TAIL_GRID[lo:hi] + k * young.LN2
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(v)
+            if finite.all():
+                parts.append(np.interp(tail_tau, young._TAIL_GRID, v))
+            else:
+                v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
+                tail = np.interp(tail_tau, young._TAIL_GRID, v)
+                parts.append(np.where(tail >= 1e307, np.inf, tail))
+    return np.concatenate(parts)
+
+
+def test_sweep_reader_fills_what_the_gather_gave(catalog):
+    # conj(LlogL2)'s curves hold +inf; conj(exp_log2)'s hold its golden points
+    functions = {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
+                 "conj(exp_log2)": conjugate(catalog["exp_log2"])}
+    assert np.isposinf(young._log_curve(functions["conj(LlogL2)"], "mid")).any()
+    for label, A in functions.items():
+        for k in [*young._C_EXPONENTS, 0.5]:
+            got = young._sweep_shifted(A, k)
+            assert got.shape == young._SWEEP_TAU.shape
+            assert np.array_equal(got, _parent_sweep_shifted(A, k), equal_nan=True), (label, k)
+            first = young._sweep_first(A, k)
+            assert type(first) is float
+            assert first == got[0] or (math.isnan(first) and math.isnan(got[0])), (label, k)
+        assert math.isnan(young._sweep_first(A, -10))
+
+
 def test_conjugate_curves_start_no_thread(catalog):
     before = threading.enumerate()
     curve = young._log_curve(ConjugateYoung(catalog["LlogL"]), "mid")
