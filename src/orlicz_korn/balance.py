@@ -33,9 +33,12 @@ __all__ = ["BalanceReport", "balance_integral", "check_balance",
 _PASS_SLACK = math.log(1.10)   # multiplicative slack absorbing quadrature error
 # where a failed sweep reports its divergence trend: the first sweep point
 # past each fraction of young's asymptotic sweep end, and at most that end
+# (all far past the start of every tested suffix)
 _TREND_AT = np.minimum(
     np.searchsorted(_SWEEP_TAU, np.array([0.05, 0.25, 0.5, 1.0]) * young._TAU_MAX, "right"),
     np.searchsorted(_SWEEP_TAU, young._TAU_MAX, "right") - 1)
+# the first sweep point every searched 2^k multiple of which is on the grid
+_FLOOR_AT = int(np.searchsorted(_SWEEP_TAU, young._TAU_FLOOR))
 
 
 @dataclass
@@ -100,7 +103,10 @@ def balance_integral(B: YoungFunction, t0: float, t: float) -> float:
 
 def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerdict:
     """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
-    on the whole sweep grid above t0, else build a failure certificate."""
+    on the whole sweep grid above t0, else build a failure certificate.
+
+    The points tested for a t0 are one suffix of the sorted sweep: tau >=
+    max(ln t0, young._TAU_FLOOR), past the first point at ln t0."""
     xs = _SWEEP_TAU
     # fill A_side's curves before the sweep's own arrays exist, so that the
     # temporaries of its evaluator (a conjugate's slope solve) do not stack
@@ -123,6 +129,12 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     if not diverges_at_zero:
         tail_ln = g[0] - math.log(bottom_slope)
 
+    # ln A(2^k e^tau) grows with k, so passing is monotone in k: if the
+    # largest constant fails, so does every smaller one; else bisect for the
+    # smallest that passes.  Every t0 tests the largest first, so it is read
+    # once.
+    ks = young._C_EXPONENTS
+    top = young._sweep_shifted(A_side, ks[-1])
     last_fail = None
     for t0 in (0.0,) + young._T0_SCAN:
         if t0 == 0.0 and diverges_at_zero:
@@ -130,34 +142,27 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
                 False, 0.0, math.inf, [0.0],
                 {"reason": "integral diverges at the origin; t0 = 0 impossible"})
             continue
-        tau0 = math.log(t0) if t0 > 0 else -np.inf
-        i0 = int(np.searchsorted(xs, tau0)) if t0 > 0 else 0
+        i0 = int(np.searchsorted(xs, math.log(t0))) if t0 > 0 else 0
+        start = max(i0 + 1, _FLOOR_AT)
         if t0 > 0:
-            lhs = xs + log_sub_exp(prefix, prefix[i0])
+            lhs = xs[start:] + log_sub_exp(prefix[start:], prefix[i0])
         else:
-            lhs = xs + np.logaddexp(prefix, tail_ln)
-        test = xs >= max(tau0, young._TAU_FLOOR)
-        test[:i0 + 1] = False
-        # ln A(2^k e^tau) grows with k, so passing is monotone in k: if the
-        # largest constant fails, so does every smaller one; else bisect for
-        # the smallest that passes
-        ks = young._C_EXPONENTS
-        rhs = young._sweep_shifted(A_side, ks[-1])
-        ok, margin = _compare(lhs, rhs, test)
-        if ok:
-            del rhs   # hold one right-hand side at a time, for peak memory
+            lhs = xs[start:] + np.logaddexp(prefix[start:], tail_ln)
+        margin, violate = _compare(lhs, top[start:])
+        if not violate.any():
+            del top   # hold one right-hand side at a time, for peak memory
             fails, passes = -1, len(ks) - 1
             while passes - fails > 1:
                 mid = (fails + passes) // 2
-                ok, mid_margin = _compare(lhs, young._sweep_shifted(A_side, ks[mid]), test)
-                if ok:
-                    passes, margin = mid, mid_margin
-                else:
+                mid_margin, violate = _compare(lhs, young._sweep_shifted(A_side, ks[mid])[start:])
+                if violate.any():
                     fails = mid
+                else:
+                    passes, margin = mid, mid_margin
             return GrowthVerdict(True, t0, 2.0 ** ks[passes], [], {"margin_ln": margin})
-        ok, margin, worst = _compare(lhs, rhs, test, want_witness=True)
+        worst = [float(np.exp(min(t, 690.0))) for t in xs[start:][violate][-6:]]
         with np.errstate(invalid="ignore"):
-            trend = [float(lhs[j] - rhs[j]) for j in _TREND_AT]
+            trend = [float(lhs[j - start] - top[j]) for j in _TREND_AT]
         last_fail = GrowthVerdict(
             False, t0, math.inf, worst,
             {"reason": "no (c, t0) on the search grid certifies the bound",
@@ -165,21 +170,14 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     return last_fail
 
 
-def _compare(lhs, rhs, test, want_witness=False):
-    """Pointwise lhs <= rhs + slack at the test points; returns (ok, worst
-    margin[, violating t])."""
+def _compare(lhs, rhs):
+    """Pointwise lhs <= rhs + slack on aligned suffixes of the sweep; returns
+    (worst margin, -inf if every margin is NaN; the mask of violations)."""
     with np.errstate(invalid="ignore"):
         # lhs - rhs <= slack would round differently from this form
         pointwise = (lhs <= rhs + _PASS_SLACK) | (rhs == np.inf) | (lhs == -np.inf)
-        margins = lhs - rhs
-    violate = test & ~pointwise
-    ok = not bool(violate.any())
-    margins[~test] = -np.inf
-    margin = float(np.nanmax(margins)) if test.any() else -math.inf
-    if want_witness:
-        worst = [float(np.exp(min(t, 690.0))) for t in _SWEEP_TAU[violate][-6:]]
-        return ok, margin, worst
-    return ok, margin
+        margin = float(np.nanmax(lhs - rhs, initial=-np.inf))
+    return margin, ~pointwise
 
 
 def check_balance(A: YoungFunction, B: YoungFunction) -> BalanceReport:

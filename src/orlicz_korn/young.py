@@ -98,6 +98,14 @@ class DomainError(ValueError):
     """Argument outside the domain of a Young-function operation."""
 
 
+def _finite(kind: str, **params):
+    """Raise a DomainError naming the first of the parameters that is not a
+    finite number (JSON's 1e400 reads as inf)."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{kind} kind needs a finite {name}")
+
+
 _SERIES_TERMS = 20
 
 
@@ -217,6 +225,7 @@ class PowerYoung(YoungFunction):
     kind = "power"
 
     def __init__(self, p: float, coeff: float = 1.0):
+        _finite("power", p=p, coeff=coeff)
         if p < 1 or coeff <= 0:
             raise DomainError("power kind needs p >= 1, coeff > 0")
         self.p = float(p)
@@ -265,6 +274,7 @@ class PowerLogLogYoung(YoungFunction):
     kind = "power_log_log"
 
     def __init__(self, p: float, alpha: float, gamma: float = 0.0):
+        _finite("power_log_log", p=p, alpha=alpha, gamma=gamma)
         if p < 1 or alpha < 0 or gamma < 0:
             raise DomainError("power_log_log kind needs p >= 1, alpha, gamma >= 0")
         self.p = float(p)
@@ -334,6 +344,7 @@ class ExpPowerYoung(YoungFunction):
     superlinear = True
 
     def __init__(self, beta: float):
+        _finite("exp_power", beta=beta)
         if beta <= 0:
             raise DomainError("exp_power kind needs beta > 0")
         self.beta = float(beta)
@@ -435,6 +446,7 @@ class ExpLogPowerYoung(YoungFunction):
     superlinear = True
 
     def __init__(self, a: float, beta: float, reduced: bool = False):
+        _finite("exp_log_power", a=a, beta=beta)
         if a <= 0 or beta <= 1:
             raise DomainError("exp_log_power kind needs a > 0, beta > 1")
         if a > _LN_MAX:
@@ -651,8 +663,7 @@ def indicator(t1: float = 1.0) -> TabulatedYoung:
     table of one flat piece followed by an infinite slope."""
     if not t1 > 0:
         raise DomainError("indicator kind needs t1 > 0")
-    if math.isinf(t1):
-        raise DomainError("indicator kind needs a finite t1")
+    _finite("indicator", t1=t1)
     return TabulatedYoung([t1], [0.0], math.inf)
 
 
@@ -662,6 +673,7 @@ class ScaledYoung(YoungFunction):
     kind = "scaled"
 
     def __init__(self, m: float, base: YoungFunction, arg_scale: float = 1.0):
+        _finite("scaled", m=m, arg_scale=arg_scale)
         if m <= 0 or arg_scale <= 0:
             raise DomainError("scaled kind needs m > 0 and arg_scale > 0")
         self.m = float(m)
@@ -691,7 +703,10 @@ class ScaledYoung(YoungFunction):
             return self.base._inverse(r * self.m) / self.arg_scale
 
     def conjugate(self):
-        return ScaledYoung(self.m, self.base.conjugate(), self.m / self.arg_scale)
+        scale = self.m / self.arg_scale
+        if not 0.0 < scale < math.inf:
+            raise DomainError(f"the conjugate of {self!r} has an arg_scale beyond float range")
+        return ScaledYoung(self.m, self.base.conjugate(), scale)
 
     @property
     def jump_point(self):
@@ -992,13 +1007,14 @@ def _index_shift(grid: str, k: float) -> int:
     return int(s)
 
 
-def _shifted(A: YoungFunction, grid: str, k: float):
-    """Aligned (tau, ln A(e^tau), ln A(2^k e^tau)) on the named grid, at every
-    point whose 2^k multiple is on the grid too: an exact index shift."""
+def _shifted(A: YoungFunction, grid: str, k: float, tau_lo: float):
+    """Aligned (tau, ln A(e^tau), ln A(2^k e^tau)) on the named grid, at each
+    tau >= tau_lo whose 2^k multiple is on the grid too: slices of the sorted
+    grid that start at tau_lo, with an exact index shift."""
     s = _index_shift(grid, k)
     tau, v = _GRIDS[grid], _log_curve(A, grid)
-    lo, n = max(-s, 0), len(v) - abs(s)
-    return tau[lo:lo + n], v[lo:lo + n], v[lo + s:lo + s + n]
+    lo, hi = max(-s, 0, int(np.searchsorted(tau, tau_lo))), len(v) - max(s, 0)
+    return tau[lo:hi], v[lo:hi], v[lo + s:hi + s]
 
 
 def _sweep_curves(A: YoungFunction) -> list:
@@ -1045,9 +1061,9 @@ def _sweep_first(A: YoungFunction, k: float) -> float:
     return float(_log_curve(A, grid)[i]) if i >= 0 else math.nan
 
 
-def _doubling_ratio(A: YoungFunction, grid: str):
-    """(tau, ln A(t), ln A(2t), ln A(2t) - ln A(t)) on the named grid."""
-    tau, v, v2 = _shifted(A, grid, 1)
+def _doubling_ratio(A: YoungFunction, grid: str, tau_lo: float):
+    """(tau, ln A(t), ln A(2t), ln A(2t) - ln A(t)) at tau >= tau_lo of the named grid."""
+    tau, v, v2 = _shifted(A, grid, 1, tau_lo)
     with np.errstate(invalid="ignore"):
         return tau, v, v2, v2 - v
 
@@ -1078,17 +1094,15 @@ def _tail_probe(tau, r, frac):
 
 
 def _delta2_at(A, tau_lo, t0):
-    td, vd0, vd2, rd = _doubling_ratio(A, "dense")
-    tc, _, _, rc = _doubling_ratio(A, "coarse")
-    md = td >= tau_lo
-    mc = tc >= tau_lo
+    td, vd0, vd2, rd = _doubling_ratio(A, "dense", tau_lo)
+    tc, _, _, rc = _doubling_ratio(A, "coarse", tau_lo)
     # A jumps from 0 to positive inside the window: no finite constant
-    zero_to_pos = md & np.isneginf(vd0) & ~np.isneginf(vd2)
+    zero_to_pos = np.isneginf(vd0) & ~np.isneginf(vd2)
     if zero_to_pos.any():
         ts = np.exp(td[zero_to_pos][-4:])
         return GrowthVerdict(False, t0, math.inf, ts.tolist(),
                              {"reason": "A(2t) > 0 = A(t): no finite doubling constant"})
-    r_all = np.concatenate((rd[md], rc[mc]))
+    r_all = np.concatenate((rd, rc))
     informative = np.isfinite(r_all)
     if not informative.any():
         # finite-valued functions only reach here by overflowing the whole
@@ -1106,8 +1120,8 @@ def _delta2_at(A, tau_lo, t0):
                              {"reason": "doubling ratio grows without bound",
                               "ratio_log_tail": tail})
     # refinement stability of the certified constant (dense window, 2x finer)
-    t2, _, _, r2 = _doubling_ratio(A, "refined")
-    m2 = (t2 >= tau_lo) & np.isfinite(r2)
+    _, _, _, r2 = _doubling_ratio(A, "refined", tau_lo)
+    m2 = np.isfinite(r2)
     sup2 = float(np.max(r2[m2])) if m2.any() else sup
     sup_all = max(sup, sup2, tail[-1])
     drift = abs(math.expm1(min(abs(sup2 - sup), 1.0)))
@@ -1129,13 +1143,11 @@ def check_nabla2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
 
 
 def _nabla2_at(A, tau_lo, t0):
-    td, vd, _, rd = _doubling_ratio(A, "dense")
-    tc, _, _, rc = _doubling_ratio(A, "coarse")
-    md = td >= tau_lo
-    mc = tc >= tau_lo
+    td, vd, _, rd = _doubling_ratio(A, "dense", tau_lo)
+    tc, _, _, rc = _doubling_ratio(A, "coarse", tau_lo)
     # informative points: 0 < A(t) < inf (zero or infinite A(t) satisfy any C)
-    id_ = md & np.isfinite(rd) & np.isfinite(vd)
-    ic = mc & np.isfinite(rc)
+    id_ = np.isfinite(rd) & np.isfinite(vd)
+    ic = np.isfinite(rc)
     if not (id_.any() or ic.any()):
         return GrowthVerdict(True, t0, 4.0, [], {"reason": "vacuous"})
     r_all = np.concatenate((rd[id_], rc[ic]))
@@ -1152,10 +1164,11 @@ def _nabla2_at(A, tau_lo, t0):
                              [float(np.exp(min(t, 690.0))) for t in worst],
                              {"reason": "doubling ratio not bounded away from 2",
                               "gap_tail": [g1, g2]})
-    t2, v2, _, r2 = _doubling_ratio(A, "refined")
-    m2 = (t2 >= tau_lo) & np.isfinite(r2) & np.isfinite(v2)
+    _, v2, _, r2 = _doubling_ratio(A, "refined", tau_lo)
+    m2 = np.isfinite(r2) & np.isfinite(v2)
     inf2 = float(np.min(r2[m2])) if m2.any() else inf_log
-    c = math.exp(min(inf_log, inf2, g2 + LN2))
+    # a ratio past float range still certifies the largest float constant
+    c = math.exp(min(inf_log, inf2, g2 + LN2, _LN_MAX))
     drift = abs(math.exp(min(inf2, 10.0)) - math.exp(min(inf_log, 10.0))) / math.exp(min(inf_log, 10.0))
     if c <= 2.0 * (1.0 + 1e-12) or drift > _REFINE_DRIFT:
         return GrowthVerdict(False, t0, 2.0, [float(np.exp(min(t_all[np.argmin(r_all)], 690.0)))],
@@ -1184,11 +1197,11 @@ def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) ->
 
 def _dominance_violations(A, B, grid, k, tau_lo):
     """The tau >= tau_lo of the named grid where ln B(t) <= ln A(2^k t) fails."""
-    tau, b, _ = _shifted(B, grid, k)
-    _, _, a = _shifted(A, grid, k)
+    tau, b, _ = _shifted(B, grid, k, tau_lo)
+    _, _, a = _shifted(A, grid, k, tau_lo)
     with np.errstate(invalid="ignore"):
         ok = (b <= a + 1e-9) | np.isneginf(b) | np.isposinf(a)
-    return tau[(tau >= tau_lo) & ~ok]
+    return tau[~ok]
 
 
 # ---------------------------------------------------------------------------

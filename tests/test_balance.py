@@ -1,13 +1,15 @@
 import ast
 import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_korn import balance, young
 from orlicz_korn.balance import balance_integral, check_balance, classify_catalog_pairs
-from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, dominates
+from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, ScaledYoung, dominates
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,42 @@ def test_classify_catalog_pairs_all_hold(catalog):
 
 
 # ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+# the paper states every condition up to equivalence, and the searched
+# constants 2^-10 .. 2^10 absorb a scaling A(t) -> A(lambda t) / m with m and
+# lambda in [1/4, 4]
+_SCALING = st.floats(0.25, 4.0)
+# the acceptance verdicts (primal, dual) of the example pairs and controls
+_PAIR_VERDICTS = {**{(a, b): (True, True) for a, b, _ in balance.EXAMPLE_PAIRS},
+                  ("LlogL", "LlogL"): (False, True), ("expL", "expL"): (True, False),
+                  ("L2", "L2"): (True, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(young.load_catalog())), conj=st.booleans(),
+       m=_SCALING, lam=_SCALING)
+def test_growth_verdicts_are_invariant_under_scaling(catalog, name, conj, m, lam):
+    A = young.conjugate(catalog[name]) if conj else catalog[name]
+    for check in (young.check_delta2, young.check_nabla2):
+        assert check(ScaledYoung(m, A, lam)).holds == check(A).holds, check.__name__
+
+
+@settings(max_examples=12, deadline=None)
+@given(pair=st.sampled_from(sorted(_PAIR_VERDICTS)), scale_a=st.booleans(),
+       m=_SCALING, lam=_SCALING)
+def test_balance_verdicts_are_invariant_under_scaling(catalog, pair, scale_a, m, lam):
+    A, B = catalog[pair[0]], catalog[pair[1]]
+    if scale_a:
+        A = ScaledYoung(m, A, lam)
+    else:
+        B = ScaledYoung(m, B, lam)
+    rep = check_balance(A, B)
+    assert (rep.primal.holds, rep.dual.holds) == _PAIR_VERDICTS[pair]
+
+
+# ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
 
@@ -206,21 +244,41 @@ def _parent_compare(lhs, rhs, test, want_witness=False):
 
 
 def test_compare_matches_the_parent_form_on_nan_and_infinities():
+    # the tested points of every sweep verdict are one suffix of the sweep,
+    # past its first point: _compare on the suffix against the parent's mask
     rng = np.random.default_rng(3)
     n = young._SWEEP_TAU.size
     special = np.array([np.nan, np.inf, -np.inf])
-    for trial in range(6):
+    for trial, start in enumerate((1, n - 1, *rng.integers(1, n, 4), n // 2)):
         lhs = rng.normal(0.0, 1.0, n)
         # right-hand sides on both sides of the slack, and exactly at it
         rhs = lhs - balance._PASS_SLACK + rng.choice([-1e-3, 0.0, 1e-3], n)
         for v in (lhs, rhs):
             at = rng.random(n) < 0.05
             v[at] = rng.choice(special, at.sum())
-        test = rng.random(n) < (0.0, 0.3, 1.0, 0.5, 0.9, 0.1)[trial]
-        test[0] = trial > 0        # a finite margin at a test point
+        if trial == 6:
+            lhs[start:] = np.nan   # every margin NaN: the worst is -inf
         lhs[0], rhs[0] = 0.0, 1.0
         kept = lhs.copy(), rhs.copy()
-        for want_witness in (False, True):
-            assert (balance._compare(lhs, rhs, test, want_witness)
-                    == _parent_compare(lhs, rhs, test, want_witness)), (trial, want_witness)
+        margin, violate = balance._compare(lhs[start:], rhs[start:])
+        worst = [float(np.exp(min(t, 690.0))) for t in young._SWEEP_TAU[start:][violate][-6:]]
+        assert ((not violate.any(), margin, worst)
+                == _parent_compare(lhs, rhs, np.arange(n) >= start, True)), (trial, start)
         assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)
+    assert margin == -math.inf
+
+
+@pytest.mark.parametrize("name, compares", [("LlogL", 10), ("expL", 9)])
+def test_each_right_hand_side_is_read_once_per_check(monkeypatch, name, compares):
+    # every t0 tests the largest constant first, on one read of it; a failed
+    # t0 takes its witness from that same comparison.  The integrand is ln B
+    # at k = 0, so only a right-hand side of the same function repeats it
+    reads, calls = [], []
+    sweep, compare = young._sweep_shifted, balance._compare
+    monkeypatch.setattr(young, "_sweep_shifted", lambda A, k: reads.append((id(A), k)) or sweep(A, k))
+    monkeypatch.setattr(balance, "_compare", lambda *a, **kw: calls.append(1) or compare(*a, **kw))
+    A = young.load_catalog()[name]
+    check_balance(A, A)
+    repeats = [key for key, n in Counter(reads).items() if n > 1]
+    assert all(k == 0 and reads.count((f, k)) == 2 for f, k in repeats), reads
+    assert len(calls) == compares

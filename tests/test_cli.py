@@ -125,6 +125,26 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["check-balance", "--A", '{"kind": "indicator", "params": {"t1": NaN}}', "--B", "L2"],
     # t1 = 1e400 reads as inf: A would be 0 everywhere
     ["verify-hardy", "--A", '{"kind": "indicator", "params": {"t1": 1e400}}', "--B", "L2"],
+    # so does every other parameter of a closed-form or scaled kind
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": 1e400}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power", "params": {"p": 2, "coeff": Infinity}}',
+     "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power_log_log", "params": {"p": 1e400, "alpha": 1}}',
+     "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power_log_log", "params": {"p": 1, "alpha": 1e400}}',
+     "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "power_log_log", "params": {"p": 1, "alpha": 1, '
+     '"gamma": 1e400}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "exp_power", "params": {"beta": 1e400}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 2, "beta": 1e400}}',
+     "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 1e400, "of": {"kind": "power", '
+     '"params": {"p": 2}}}}', "--B", "L2"],
+    ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 2, "arg_scale": 1e400, '
+     '"of": {"kind": "power", "params": {"p": 2}}}}', "--B", "L2"],
+    # the conjugate's arg_scale m / arg_scale overflows
+    ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 1e300, "arg_scale": 1e-300, '
+     '"of": {"kind": "power", "params": {"p": 2}}}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "scaled", "params": {"m": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"params": {"p": 2}}', "--B", "L2"],
     ["check-balance", "--A", '{"kind": "power", "params": [2]}', "--B", "L2"],

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import json
 import math
 import threading
@@ -213,6 +214,13 @@ def test_nabla2_linear_log_fails(catalog):
 def test_nabla2_power2():
     v = check_nabla2(PowerYoung(2))
     assert v.holds and v.witness_constant == pytest.approx(4.0, rel=1e-6)
+
+
+def test_nabla2_reports_the_largest_float_for_a_ratio_past_float_range(catalog):
+    # at t >= 1, ln A(2t) - ln A(t) of this doubly exponential function
+    # exceeds the log of the largest float everywhere
+    v = check_nabla2(ScaledYoung(4.0, conjugate(catalog["L_loglog"]), 4.0))
+    assert v.holds and v.witness_constant == math.exp(young._LN_MAX)
 
 
 def test_indicator_growth_conventions(catalog):
@@ -762,6 +770,31 @@ def test_sweep_reader_fills_what_the_gather_gave(catalog):
         assert math.isnan(young._sweep_first(A, -10))
 
 
+def _parent_shifted(A, grid, k, tau_lo):
+    """The growth reader over every shiftable point, then masked by tau >=
+    tau_lo: the reference for the reader that starts its slices there."""
+    s = young._index_shift(grid, k)
+    tau, v = young._GRIDS[grid], young._log_curve(A, grid)
+    lo, n = max(-s, 0), len(v) - abs(s)
+    tau, v, v2 = tau[lo:lo + n], v[lo:lo + n], v[lo + s:lo + s + n]
+    keep = tau >= tau_lo
+    return tau[keep], v[keep], v2[keep]
+
+
+def test_growth_reader_slices_what_the_mask_kept(catalog):
+    functions = {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
+                 "conj(exp_log2)": conjugate(catalog["exp_log2"])}
+    # the tail grid has no exact shift by these 2^k
+    grids = [grid for grid in young._GRIDS if grid != "tail"]
+    for label, A in functions.items():
+        for grid, k, tau_lo in itertools.product(
+                grids, (-10, 1, 10), (-14.0, young._TAU_FLOOR, 0.0, math.log(1000.0))):
+            got, want = young._shifted(A, grid, k, tau_lo), _parent_shifted(A, grid, k, tau_lo)
+            assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), \
+                (label, grid, k, tau_lo)
+    assert np.isposinf(young._log_curve(functions["conj(LlogL2)"], "coarse")).any()
+
+
 def test_conjugate_curves_start_no_thread(catalog):
     before = threading.enumerate()
     curve = young._log_curve(ConjugateYoung(catalog["LlogL"]), "mid")
@@ -834,6 +867,22 @@ def _scaled(inner):
 
 def _wrapped(inner):
     return st.one_of(_scaled(inner), st.builds(lambda of: _spec("conjugate", of=of), inner))
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("power", {"p": math.inf}, "p"), ("power", {"p": 2.0, "coeff": math.inf}, "coeff"),
+    ("power_log_log", {"p": math.inf, "alpha": 1.0}, "p"),
+    ("power_log_log", {"p": 1.0, "alpha": math.inf}, "alpha"),
+    ("power_log_log", {"p": 1.0, "alpha": 1.0, "gamma": math.inf}, "gamma"),
+    ("exp_power", {"beta": math.inf}, "beta"),
+    ("exp_log_power", {"a": 2.0, "beta": math.inf}, "beta"),
+    ("scaled", {"m": math.inf, "of": _spec("power", p=2.0)}, "m"),
+    ("scaled", {"m": 2.0, "arg_scale": math.inf, "of": _spec("power", p=2.0)}, "arg_scale"),
+])
+def test_an_infinite_parameter_is_named(kind, params, name):
+    # JSON's 1e400 reads as inf; a tabulated slope of inf is a jump instead
+    with pytest.raises(DomainError, match=f"^{kind} kind needs a finite {name}$"):
+        young.from_json(_spec(kind, **params))
 
 
 @pytest.mark.parametrize("spec", [_spec("scaled", m=2, of="L2"),
