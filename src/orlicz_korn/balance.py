@@ -144,7 +144,11 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
             continue
         i0 = int(np.searchsorted(xs, math.log(t0))) if t0 > 0 else 0
         start = max(i0 + 1, _FLOOR_AT)
-        if t0 > 0:
+        if t0 > 0 and prefix[i0] == np.inf:
+            # B_side is +inf by xs[i0] and does not decrease, so the integral to
+            # every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
+            lhs = np.full(xs.size - start, np.inf)
+        elif t0 > 0:
             lhs = xs[start:] + log_sub_exp(prefix[start:], prefix[i0])
         else:
             lhs = xs[start:] + np.logaddexp(prefix[start:], tail_ln)

@@ -305,7 +305,7 @@ class PowerLogLogYoung(YoungFunction):
         return out
 
     def _rates(self, tau):
-        """(tau, ln(A(t)/t), c) with t A'(t)/A(t) = p + c and
+        """(ln(A(t)/t), c) with t A'(t)/A(t) = p + c and
         c = alpha q/L + gamma q/((1 + L) M), q = t/(1 + t), L = ln(1 + t),
         M = ln(1 + L): the terms of A' and A' - A/t, nonnegative, so
         nothing cancels, also at p = 1."""
@@ -321,14 +321,14 @@ class PowerLogLogYoung(YoungFunction):
             if self.gamma:
                 c = c + self.gamma * q / ((1.0 + L) * np.log1p(L))
                 ln_ratio = ln_ratio + self.gamma * np.log(np.log1p(L))
-        return tau, ln_ratio, c
+        return ln_ratio, c
 
     def log_slope_logt(self, tau):
-        _, ln_ratio, c = self._rates(tau)
+        ln_ratio, c = self._rates(tau)
         return ln_ratio + np.log(self.p + c)
 
     def log_excess_logt(self, tau):
-        _, _, c = self._rates(tau)
+        _, c = self._rates(tau)
         with np.errstate(divide="ignore"):
             return np.log((self.p - 1.0) + c) - np.log(self.p + c)
 
@@ -390,9 +390,7 @@ class ExpPowerYoung(YoungFunction):
         return raw
 
     def log_value_logt(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        x = np.exp(np.minimum(self.beta * tau, 709.0))  # t**beta
-        x = np.where(self.beta * tau > 709.0, np.inf, x)
+        tau, x = self._power(tau)
         with np.errstate(invalid="ignore", over="ignore"):
             out = np.where(x > 700.0, x, np.log(np.expm1(np.minimum(x, 700.0))))
         if self.t_splice > 0:
@@ -732,9 +730,7 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
         raise DomainError("function overflows on the whole tabulation grid")
     bp = LEGENDRE_GRID[finite]
     v = vals[finite]
-    keep = v > 0
-    first_pos = np.argmax(keep) if keep.any() else None
-    if first_pos is None:
+    if not (v > 0).any():
         raise DomainError("function is zero on the whole tabulation grid")
     widths = np.diff(np.concatenate(([0.0], bp)))
     with np.errstate(over="ignore"):
@@ -765,9 +761,8 @@ class ConjugateYoung(YoungFunction):
     5.8e-4 low at s = 1e8, while ``log_value_logt`` stays within one ulp of
     ln A* on the balance sweep out to tau = 6e5 (2.9e-11; 2.3e-10 for the
     conjugate of t^1.5, where ln A* reaches 1.8e6).  Each tau is evaluated
-    on its own: its value is +inf exactly when its supremand
-    r e^tau - source(r) still rises at the top rung of the bracket ladder
-    ``_RUNGS``.
+    on its own: its value is +inf exactly where the source's slope at the
+    top rung of the bracket ladder ``_RUNGS`` stays below e^tau.
     """
 
     kind = "conjugate"
@@ -820,9 +815,9 @@ class ConjugateYoung(YoungFunction):
 
 
 # The bracket ladder of the numerical conjugate: rung p is 60 * 2.2^p, by
-# repeated multiplication.  A tau whose supremand still rises at the top rung
-# (sigma ~ 4.5e9) has A*(e^tau) = +inf; any other tau is bracketed between
-# two ends of the ladder, the foot _SIGMA_LO and the rungs.
+# repeated multiplication.  A*(e^tau) is +inf exactly where the source's
+# slope at the top rung (sigma ~ 4.5e9) stays below e^tau; any other tau is
+# bracketed between two ends of the ladder, the foot _SIGMA_LO and the rungs.
 _RUNGS = np.array(list(itertools.accumulate([2.2] * 23, operator.mul, initial=60.0)))
 _SIGMA_LO = -45.0
 _ROOT_XTOL = 4.0 * np.finfo(float).eps    # root bracket width, relative to max(1, |ends|)
@@ -841,8 +836,8 @@ def _conjugate_log_value(source: YoungFunction, tau: np.ndarray, part: int) -> n
     if isinstance(source, TabulatedYoung):
         return source._conjugate_root(tau)[part]
     if tau.size <= _BLOCK:
-        return _conjugate_block(source, tau)[part]
-    return np.concatenate([_conjugate_block(source, tau[i:i + _BLOCK])[part]
+        return _slope_root(source, tau)[part]
+    return np.concatenate([_slope_root(source, tau[i:i + _BLOCK])[part]
                            for i in range(0, tau.size, _BLOCK)])
 
 
@@ -855,50 +850,26 @@ def _theta(source: YoungFunction, sigma, tau):
         return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
 
 
-def _rises(source: YoungFunction, rung: int, tau: np.ndarray) -> np.ndarray:
-    """Whether the supremand still rises at the given rung, from sigma - 0.25
-    to sigma, for each tau: the source is evaluated once at each of the two
-    sigmas, and the two values are broadcast against tau."""
-    h = _RUNGS[rung:rung + 1]
-    th = _theta(source, h, tau)
-    return (th >= _theta(source, h - 0.25, tau)) & (th > -np.inf)
-
-
-def _conjugate_block(source: YoungFunction, tau: np.ndarray):
-    """``_conjugate_log_value`` on one block.
-
-    A tau is +inf where its supremand still rises at rung 0 and at the top
-    rung: rising is monotone in the rung, since the supremand is unimodal in
-    sigma, so this is the test at every rung.
-    """
-    up = np.flatnonzero(_rises(source, 0, tau))
-    up = up[_rises(source, _RUNGS.size - 1, tau[up])]
-    finite = np.ones(tau.size, dtype=bool)
-    finite[up] = False
-    root = np.full(tau.size, np.inf)
-    value = np.full(tau.size, np.inf)
-    root[finite], value[finite] = _slope_root(source, tau[finite])
-    root[value == -np.inf] = -np.inf       # A* = 0 there, and so is its slope
-    return root, value
-
-
 def _slope_root(source: YoungFunction, tau: np.ndarray):
     """(sigma, ln A*(e^tau)) at the root sigma of ln A'(e^sigma) = tau.
 
     The bracket is read off the slopes at the ends of the ladder, the foot
     _SIGMA_LO and the rungs: it runs up to the first end whose slope reaches
-    e^tau, from the end before.  Illinois regula falsi runs on the residual
+    e^tau, from the end before.  Sigma and the value are +inf exactly where
+    the source's slope at the top rung stays below e^tau, and sigma is -inf
+    where the value is (A* = 0).  Illinois regula falsi runs on the residual
     asinh(ln A'(e^sigma)) - asinh(tau), which stays within a few hundred
     where ln A' spans e^60.  The value r s - A(r) is read through
     r (A'(r) - A(r)/r) - r (A'(r) - s), exact at any sigma, so its error is
     second order in the root's.  Without a sign change in the bracket the
-    supremum over it is at an end: at the top rung the same expression, at
-    the foot the supremand itself.
+    root is its upper end, where the same expression holds, or the supremum
+    over it is at the foot: the supremand itself.
     """
     target = np.arcsinh(tau)
     ends = np.concatenate(([_SIGMA_LO], _RUNGS))
     end_slopes = source.log_slope_logt(ends)
     end_residuals = np.arcsinh(end_slopes)
+    up = end_residuals[-1] < target
     j = np.clip(np.searchsorted(end_residuals, target), 1, _RUNGS.size)
     a, b = ends[j - 1], ends[j]
     fa, fb = end_residuals[j - 1] - target, end_residuals[j] - target
@@ -934,14 +905,14 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     # r s - A(r) = r s (kappa - (1 - kappa) m), where kappa is the excess
     # fraction 1 - A(r)/(r A'(r)) and m = A'(r)/s - 1 the residual; sigma + tau
     # is summed with its rounding error (Knuth's two-sum), so that the value
-    # is rounded once
+    # is rounded once (NaN at tau = +inf, which is set to +inf below)
     kappa = np.exp(source.log_excess_logt(sigma))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = np.expm1(lam - tau)
         small = np.log(np.fmax(kappa - (1.0 - kappa) * m, 0.0))
-    head = sigma + tau
-    tau_part = head - sigma
-    value = head + ((sigma - (head - tau_part)) + (tau - tau_part) + small)
+        head = sigma + tau
+        tau_part = head - sigma
+        value = head + ((sigma - (head - tau_part)) + (tau - tau_part) + small)
     # Where the slope at the foot of the bracket is past e^tau already, the
     # supremum over the bracket is at its foot.  Only where the source's
     # ln A(e^sigma) still leaves the supremand finite at the foot does the
@@ -955,6 +926,8 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     if g.size:
         value[g] = maximize_unimodal(lambda x: _theta(source, x, tau[g]),
                                      np.full(g.size, _SIGMA_LO), np.full(g.size, _RUNGS[0]))
+    sigma[up] = value[up] = np.inf
+    sigma[value == -np.inf] = -np.inf
     return sigma, value
 
 

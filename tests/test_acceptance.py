@@ -8,16 +8,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from orlicz_korn import balance, bogovskii, fields, hardy, laminate
 from orlicz_korn import rearrange as ra
 from orlicz_korn import young
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
 
 
 def _report(num, ok, detail):

@@ -12,11 +12,6 @@ from orlicz_korn.balance import balance_integral, check_balance, classify_catalo
 from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, ScaledYoung, dominates
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
-
-
 # ---------------------------------------------------------------------------
 # the integral transform
 # ---------------------------------------------------------------------------
@@ -81,6 +76,28 @@ def test_exp_pair_fails_dual(catalog):
 def test_linear_pair_fails_primal(catalog):
     rep = check_balance(catalog["L1"], catalog["L1"])
     assert not rep.primal.holds and rep.dual.holds
+
+
+# each B side is +inf from t = 1 (or 0.5) on, so from every scanned t0 > 0
+# the integral to any tested t is +inf, and no A(c t) bounds it
+@pytest.mark.parametrize("name_a, name_b, side", [
+    ("L2", "Linf", "primal"), ("expL", "Linf", "primal"), ("LlogL", "Linf", "primal"),
+    ("L2", "indicator(0.5)", "primal"), ("L1", "L2", "dual"), ("L1", "LlogL", "dual"),
+])
+def test_an_integral_that_is_infinite_from_t0_fails(catalog, name_a, name_b, side):
+    B = young.indicator(0.5) if name_b == "indicator(0.5)" else catalog[name_b]
+    verdict = getattr(check_balance(catalog[name_a], B), side)
+    assert not verdict.holds and verdict.failure_certificate
+    assert verdict.diagnostics["worst_margin_ln"] == math.inf
+
+
+@pytest.mark.parametrize("name, side", [("L1", "dual"), ("Linf", "primal")])
+def test_an_indicator_pair_holds_from_the_constant_one(catalog, name, side):
+    # A_side(c t) is +inf past t = 1/c and the integral past t = 1, so c = 1
+    # is the smallest dyadic constant that passes from t0 = 1
+    verdict = getattr(check_balance(catalog[name], catalog[name]), side)
+    assert verdict.holds
+    assert (verdict.witness_constant, verdict.threshold_t0) == (1.0, 1.0)
 
 
 # (witness_c, threshold_t0, primal margin_ln, dual margin_ln) as first

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orlicz_korn import bogovskii as bog
-from orlicz_korn import fields, young
+from orlicz_korn import fields
 from orlicz_korn.young import DomainError
 
 
@@ -81,11 +81,6 @@ def _reference_apply(cfg, f_cells):
                 a1 += float(np.sum(contrib * ey))
             out[:, i, j] = a0, a1
     return out
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
 
 
 @pytest.fixture(scope="module")

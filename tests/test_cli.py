@@ -46,6 +46,12 @@ def test_check_balance_writes_csv_and_manifest(tmp_path):
     assert manifest["tool_version"]
 
 
+def test_check_balance_fails_a_b_that_is_infinite_past_t0(tmp_path):
+    rc, out = run(tmp_path, "check-balance", "--A", "L2", "--B", "Linf")
+    assert rc == 0
+    assert (out / "balance.csv").read_text().splitlines()[1] == "L2,Linf,False,False,inf,inf"
+
+
 def test_laminate_demo_m0(tmp_path):
     rc, out = run(tmp_path, "laminate-demo", "--m-max", "0",
                   "--A", "L1", "--B", "L1")

@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from orlicz_korn import fields, hardy, young
+from orlicz_korn import fields, hardy
 from orlicz_korn.fields import (
     ConfigurationError, Grid, GridField, KernelBasis, KernelMembership,
     dev_sym_gradient, gradient, korn_ratio, negative_norm_lower_bound,
     poincare_ratio, project_kernel, radial_test_field, sym_gradient,
 )
 from orlicz_korn.young import DomainError
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
 
 
 @pytest.fixture(scope="module")

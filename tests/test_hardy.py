@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from orlicz_korn import hardy, rearrange, young
+from orlicz_korn import hardy, rearrange
 from orlicz_korn.hardy import (
     StepFunction, averaging_operator, dual_operator, spike, step_on_interval,
     verify_hardy, rearrangement_reduction_check,
 )
 from orlicz_korn.young import DomainError
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
 
 
 def test_average_of_constant_is_constant():

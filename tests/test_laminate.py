@@ -4,17 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orlicz_korn import fields, laminate, young
+from orlicz_korn import fields, laminate
 from orlicz_korn.laminate import (
     blowup_curve, build_laminate, build_laminate_recursive,
     exact_korn_l1_ratio, moment, realize_field,
 )
 from orlicz_korn.young import DomainError, PowerYoung
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
 
 
 def _frob(M):

@@ -37,6 +37,40 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _dead_helpers(sources: list) -> list:
+    """Private functions, classes, methods and module constants that no
+    module of ``sources`` loads by name or as an attribute.  Names bound by
+    unpacking are not checked: young unpacks its sweep grids together, and
+    only the tests read two of them."""
+    defined, loaded = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return sorted(name for name in defined - loaded
+                  if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_dead_helper_check_sees_functions_methods_classes_and_constants():
+    source = ("_A = 1\n_B = _A\n_C: int = 3\nclass _K:\n    def _m(self): pass\n"
+              "    def __init__(self): pass\n    def _used(self): return _A\n"
+              "def _f(): return _K()._used()\n")
+    assert _dead_helpers([source]) == ["_B", "_C", "_f", "_m"]
+    assert _dead_helpers([source, "from m import _f, _B\n_f(); x = _B.y\n"]) == ["_C", "_m"]
+
+
+def test_every_private_helper_is_used_somewhere_in_the_package():
+    assert _dead_helpers([path.read_text() for path in MODULES]) == []
+
+
 def test_cli_reaches_the_library_only_through_its_public_names():
     # the CLI parses flags and writes files; the numerics live in the library
     tree = ast.parse((pathlib.Path(orlicz_korn.__file__).parent / "cli.py").read_text())

@@ -17,11 +17,6 @@ from orlicz_korn.rearrange import DegenerateInputError, SampledFunction
 from orlicz_korn.young import DomainError, PowerYoung, indicator
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return young.load_catalog()
-
-
 def _sf(values, weights=None):
     values = np.asarray(values, dtype=float)
     if weights is None:

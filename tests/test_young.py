@@ -18,11 +18,6 @@ from orlicz_korn.young import (
 )
 
 
-@pytest.fixture(scope="module")
-def catalog():
-    return load_catalog()
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -701,7 +696,7 @@ def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
 def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypatch):
     # every grid of every numerical catalog conjugate; the golden search runs
     # only on its non-empty bracket arrays, and the rest of a block evaluates
-    # the source at two sigmas per rung test and once at the foot
+    # the source once, at the foot: +inf is read off the ladder's end slopes
     golden = []
     search = young.maximize_unimodal
 
@@ -726,10 +721,59 @@ def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypa
             young._log_curve(conjugate(A), grid)
     assert all(size for _, _, size in golden), golden
     assert golden == [("exp_log2", "dense", 3019), ("exp_log2", "refined", 6038)]
-    # measured: exactly 5 per block (2 at rung 0, 2 at the top rung, 1 at
-    # the foot); the per-point rung tests took about 31,000 per block
+    # exactly 1 per block, at the foot
     blocks = sum(-(-tau.size // young._BLOCK) for tau in young._GRIDS.values())
-    assert source_points["LlogL"] <= 5 * blocks
+    assert source_points["LlogL"] == blocks
+
+
+def _rise_test_pre_pass(source, tau):
+    """(ln r, ln A*(e^tau)) with +inf decided as the conjugate once did,
+    before the slope solve: where the supremand still rises from sigma - 0.25
+    to sigma at rung 0 and at the top rung.  The slope solve runs on the
+    rest: the reference for reading +inf off the ladder's end slopes."""
+
+    def rises(h, t):
+        th = young._theta(source, h, t)
+        return (th >= young._theta(source, h - 0.25, t)) & (th > -np.inf)
+
+    up = np.flatnonzero(rises(young._RUNGS[:1], tau))
+    up = up[rises(young._RUNGS[-1:], tau[up])]
+    rest = np.ones(tau.size, dtype=bool)
+    rest[up] = False
+    root, value = np.full(tau.size, np.inf), np.full(tau.size, np.inf)
+    root[rest], value[rest] = young._slope_root(source, tau[rest])
+    root[value == -np.inf] = -np.inf
+    return root, value
+
+
+@pytest.mark.parametrize("name", ["LlogL", "L_loglog", "expL", "t"])
+def test_conjugate_reads_inf_off_the_ladder_as_the_rise_test_did(catalog, name):
+    C = (young.from_json({"kind": "conjugate", "params": {"of": {"kind": "power", "params": {"p": 1}}}})
+         if name == "t" else conjugate(catalog[name]))
+    for grid in ("dense", "coarse", "tail"):
+        tau = young._GRIDS[grid]
+        root, value = _rise_test_pre_pass(C.source, tau)
+        assert np.array_equal(C.log_value_logt(tau), value, equal_nan=True), grid
+        assert np.array_equal(C.log_slope_logt(tau), root, equal_nan=True), grid
+
+
+@pytest.mark.parametrize("name", ["LlogL", "L_loglog", "LlogL2", "LlogL_loglog"])
+def test_conjugate_is_inf_just_past_the_top_rung_slope(catalog, name):
+    # the +inf set starts at the top rung's slope, to the rounding of asinh;
+    # a finite difference of the supremand at sigma ~ 4.5e9 is noise there
+    A = catalog[name]
+    edge = float(A.log_slope_logt(young._RUNGS[-1]))
+    C = conjugate(A)
+    below, above = C.log_value_logt(np.array([edge - 1e-13, edge + 1e-13]))
+    assert np.isfinite(below) and above == np.inf
+    assert C.log_slope_logt(edge + 1e-13) == np.inf
+
+
+def test_conjugate_of_an_empty_tau_is_empty(catalog):
+    C = conjugate(catalog["LlogL"])
+    for read in (C.log_value_logt, C.log_slope_logt, C.log_excess_logt):
+        out = read(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def _parent_sweep_shifted(A, k):
