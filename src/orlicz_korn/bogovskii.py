@@ -11,10 +11,17 @@ a polynomial of degree <= n+7 in r, so 6-node Gauss-Legendre evaluates it
 exactly; the outer integral uses midpoint cell quadrature away from x and a
 polar rule over the node-aligned square patch around the |x-y|^(1-n)
 singularity.  div(T f) = f is never assumed: the residual is measured.
+
+The kernel K(x, y) of T is equivariant under every symmetry R of the square
+that maps the node grid and the bump ball onto themselves:
+K(R x, R y) = R K(x, y).  ``apply`` builds it for one node per orbit of that
+group only (about one eighth of the nodes of ``make_config``'s grids) and reads
+every other node off the permuted source: (T f)(R x) = R [K_x . (f o R)].
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +45,14 @@ _N_INNER, _N_BAND = 8, 3
 _LENGTH, _RADIUS = 1.0, 0.22
 # core radii of the spike suite, as fractions of the side length
 _SPIKE_SHARPNESS = (0.2, 0.1, 0.05, 0.025)
+# The 8 symmetries of the square about its midpoint, the identity first: the
+# symmetry (axes, signs) maps the point u to (signs[0] u[axes[0]],
+# signs[1] u[axes[1]]), and a vector the same way.
+_SQUARE = tuple((axes, np.array(signs)) for axes in ((0, 1), (1, 0))
+                for signs in itertools.product((1, -1), repeat=2))
+# a ball centre within this many cell widths of a symmetry axis lies on it:
+# the slack covers the rounding of the centre's cell coordinates
+_CENTRE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,6 +162,30 @@ def _row_kernel(cfg: BogovskiiConfig, x0: float, x1: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetries(cfg: BogovskiiConfig) -> list:
+    """The symmetries of the square (``_SQUARE``) that map the node grid and
+    the bump ball onto themselves: the kernel is equivariant under each,
+    K(Rx, Ry) = R K(x, y)."""
+    g = cfg.grid
+    h = g.spacing[0]
+    # the ball centre about the box midpoint, in cell widths
+    off = np.array([(c - o) / h - 0.5 * e for c, o, e in zip(cfg.center, g.origin, g.extents)])
+    return [(axes, signs) for axes, signs in _SQUARE
+            if (axes == (0, 1) or g.extents[0] == g.extents[1])
+            and np.all(np.abs(signs * off[list(axes)] - off) <= _CENTRE_TOL)]
+
+
+def _image(symmetry, shape: tuple) -> np.ndarray:
+    """Flat index of the image of each point of an index grid of the given
+    shape (cells: extents, nodes: extents + 1), centred on the box midpoint."""
+    axes, signs = symmetry
+    # doubled coordinates about the midpoint, which are integers
+    u = np.stack(np.meshgrid(*(2 * np.arange(s) - (s - 1) for s in shape), indexing="ij"))
+    v = signs[:, None, None] * u[list(axes)]
+    return np.ravel_multi_index(tuple((v[c] + shape[c] - 1) // 2 for c in range(2)),
+                                shape).ravel()
+
+
 def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
     """Evaluate the divergence right-inverse of f at the grid nodes.
 
@@ -154,10 +193,16 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
     stack of shape (m, *grid.extents), giving a list of m GridFields.  Each
     source must be mean-zero (relative tolerance 1e-8 against its L1 mass).
     f is treated as piecewise constant on cells; quadrature refines the
-    cells by graded subdivision toward the kernel singularity.  The kernel
-    does not depend on f: it is built one node row at a time and contracted
-    with each source in turn, so a source's field does not depend on the
-    other sources of its stack.
+    cells by graded subdivision toward the kernel singularity.
+
+    The kernel does not depend on f.  It is built for one node per orbit of
+    the configuration's symmetry group (the symmetries of the square that
+    map the node grid and the bump ball onto themselves), one node row at a
+    time, and each row is contracted with every source in turn, once per
+    symmetry R: (T f)(R x) = R [K_x . (f o R)].  Each node takes its value
+    from the first symmetry that reaches it.  One matrix-vector product per
+    source keeps a source's field independent of the other sources of its
+    stack.
     """
     g = cfg.grid
     f = np.asarray(f_cells, dtype=float)
@@ -176,13 +221,30 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
     if len(stack) == 0:
         return []
     nx, ny = g.node_shape
+    group = _symmetries(cfg)
+    images = [_image(R, g.node_shape) for R in group]
+    # the fundamental nodes: the first node of each orbit in flat order
+    fundamental = np.flatnonzero(np.min(images, axis=0) == np.arange(nx * ny))
+    written = np.zeros(nx * ny, dtype=bool)
+    firsts = []
+    for image in images:
+        reached = image[fundamental]
+        firsts.append(~written[reached])
+        written[reached] = True
+    permuted = [stack[:, _image(R, g.extents)] for R in group]     # f o R
     x1 = g.origin[1] + np.arange(ny) * hy
-    out = np.zeros((len(stack), 2, nx, ny))
-    for i in range(nx):
-        kernel = _row_kernel(cfg, g.origin[0] + i * hx, x1).reshape(2 * ny, -1)
-        for k, fv in enumerate(stack):
-            out[k, :, i, :] = (kernel @ fv).reshape(2, ny)
-    bfs = [GridField(g, c) for c in out]
+    out = np.zeros((len(stack), 2, nx * ny))
+    for i in np.unique(fundamental // ny):
+        row = np.flatnonzero(fundamental // ny == i)
+        nodes = fundamental[row]
+        kernel = _row_kernel(cfg, g.origin[0] + i * hx, x1[nodes % ny]).reshape(2 * row.size, -1)
+        for (axes, signs), image, first, sources in zip(group, images, firsts, permuted):
+            keep = first[row]
+            targets = image[nodes[keep]]
+            for k, fv in enumerate(sources):
+                v = (kernel @ fv).reshape(2, row.size)[:, keep]
+                out[k][:, targets] = signs[:, None] * v[list(axes)]
+    bfs = [GridField(g, c.reshape(2, nx, ny)) for c in out]
     return bfs[0] if single else bfs
 
 

@@ -788,7 +788,16 @@ class ConjugateYoung(YoungFunction):
         """ln r (part 0) or ln A*(e^tau) (part 1) at each tau, where r is the
         source's slope root."""
         tau = np.asarray(tau, dtype=float)
-        out = _conjugate_log_value(self.source, tau.ravel(), part).reshape(tau.shape)
+        flat = tau.ravel()
+        if np.isfinite(tau).all():
+            out = _conjugate_log_value(self.source, flat, part)
+        else:
+            # the limits of both parts are -inf at tau = -inf and +inf at
+            # +inf; NaN stays NaN
+            out = flat.copy()
+            finite = np.isfinite(flat)
+            out[finite] = _conjugate_log_value(self.source, flat[finite], part)
+        out = out.reshape(tau.shape)
         return out if out.ndim else float(out)
 
     def log_value_logt(self, tau):
@@ -804,7 +813,7 @@ class ConjugateYoung(YoungFunction):
         root = np.asarray(self._solve(tau, 0))
         finite = np.isfinite(root)
         out = self.source.log_value_logt(np.where(finite, root, 0.0)) - root - np.asarray(tau, dtype=float)
-        return np.where(finite, out, np.where(root > 0, 0.0, -np.inf))
+        return np.select([finite, root > 0, root < 0], [out, 0.0, -np.inf], np.nan)
 
     def conjugate(self):
         # honest round trip: conjugate the tabulated representation exactly

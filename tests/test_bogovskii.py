@@ -123,8 +123,21 @@ def test_mean_zero_required_of_every_source_of_a_stack(cfg32, smooth32):
         bog.apply(cfg32, stack)
 
 
-def test_stacked_sources_match_the_per_node_reference():
-    cfg = bog.make_config(12)
+# make_config's grids have the 8 symmetries of the square, for even and odd
+# cell counts; an off-centre ball keeps one mirror, a non-square box its two
+# mirrors
+_CONFIGS = {
+    "square12": lambda: bog.make_config(12),
+    "square13": lambda: bog.make_config(13),
+    "off_centre_ball": lambda: bog.BogovskiiConfig(fields.Grid.box((12, 12)), (0.45, 0.5), 0.22),
+    "non_square_box": lambda: bog.BogovskiiConfig(
+        fields.Grid.box((12, 10), lengths=(1.2, 1.0)), (0.6, 0.5), 0.22),
+}
+
+
+@pytest.mark.parametrize("name", _CONFIGS)
+def test_stacked_sources_match_the_per_node_reference(name):
+    cfg = _CONFIGS[name]()
     sources = bog.smooth_suite(cfg) + bog.spike_suite(cfg)
     bfs = bog.apply(cfg, np.array(sources))
     assert len(bfs) == len(sources)
@@ -140,6 +153,55 @@ def test_stacked_solve_is_independent_of_the_stack(suite):
     bfs = bog.apply(cfg, np.array(sources))
     for f, bf in zip(sources, bfs):
         assert np.array_equal(bf.components, bog.apply(cfg, f).components)
+
+
+# the symmetries of the square as (swap, sx, sy): a node or cell array a
+# over the centred grid becomes a o R = a[::sx, ::sy], transposed if swap,
+# and R maps the vector (v0, v1) to (sx w0, sy w1), w = (v1, v0) if swap
+_SQUARE = [(swap, sx, sy) for swap in (False, True) for sx in (1, -1) for sy in (1, -1)]
+
+
+def _compose(a, swap, sx, sy):
+    a = a[::sx, ::sy]
+    return a.T if swap else a
+
+
+def _inverse_turn(v, swap, sx, sy):
+    # R^-1 v: undo the signs, then the swap
+    w = (sx * v[0], sy * v[1])
+    return np.array(w[::-1] if swap else w)
+
+
+@pytest.mark.parametrize("swap, sx, sy", _SQUARE)
+def test_field_is_equivariant_under_the_symmetries_of_the_square(swap, sx, sy):
+    # T(f o R) = R^-1 (T f) o R, since K(R x, R y) = R K(x, y)
+    cfg = bog.make_config(16)
+    f = bog.smooth_suite(cfg)[3] + 0.5 * bog.spike_suite(cfg)[1]
+    tf = bog.apply(cfg, f).components
+    want = _inverse_turn([_compose(c, swap, sx, sy) for c in tf], swap, sx, sy)
+    got = bog.apply(cfg, _compose(f, swap, sx, sy)).components
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(tf))
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (lambda: bog.make_config(32), 153),
+    (lambda: bog.make_config(33), 153),
+    (lambda: bog.make_config(64), 561),
+    (_CONFIGS["off_centre_ball"], 13 * 7),
+    (_CONFIGS["non_square_box"], 7 * 6),
+], ids=["square32", "square33", "square64", "off_centre_ball", "non_square_box"])
+def test_kernel_rows_are_built_for_one_node_per_orbit(monkeypatch, make, nodes):
+    built = []
+    row_kernel = bog._row_kernel
+
+    def counting(cfg, x0, x1):
+        built.append(len(x1))
+        return row_kernel(cfg, x0, x1)
+
+    monkeypatch.setattr(bog, "_row_kernel", counting)
+    cfg = make()
+    bog.apply(cfg, np.zeros(cfg.grid.extents))
+    assert sum(built) == nodes
 
 
 def test_linearity(cfg32, smooth32):

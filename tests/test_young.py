@@ -608,6 +608,24 @@ def test_conjugate_point_does_not_depend_on_its_batch(catalog):
 
 @pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
                                   if isinstance(conjugate(A), ConjugateYoung)])
+@pytest.mark.parametrize("tau, want", [
+    (math.nan, (math.nan, math.nan, math.nan)),
+    (math.inf, (math.inf, math.inf, 0.0)),
+    (-math.inf, (-math.inf, -math.inf, -math.inf)),
+])
+def test_conjugate_readers_give_the_limits_at_non_finite_tau(catalog, name, tau, want):
+    # (ln slope, ln value, ln excess); a finite point beside it keeps its value
+    C = conjugate(catalog[name])
+    readers = (C.log_slope_logt, C.log_value_logt, C.log_excess_logt)
+    got = [float(read(tau)) for read in readers]
+    assert np.array_equal(got, want, equal_nan=True)
+    for read, w in zip(readers, want):
+        pair = read(np.array([tau, 1.5]))
+        assert np.array_equal(pair, [w, float(read(1.5))], equal_nan=True)
+
+
+@pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
+                                  if isinstance(conjugate(A), ConjugateYoung)])
 def test_conjugate_curves_match_per_point_calls(catalog, name):
     # blocks leave every value as a call on its own gives
     C = conjugate(catalog[name])
