@@ -889,28 +889,41 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     a, b, fa, fb, target = a[k], b[k], fa[k], fb[k], target[k]
     tol = _ROOT_XTOL * np.maximum(1.0, np.maximum(-a, b))
     moved_a = moved_b = np.zeros(k.size, dtype=bool)
+    # a point is recorded in the iteration it finishes in and then rides
+    # along, unread, until fewer than half of the working arrays are live
+    live = np.ones(k.size, dtype=bool)
+    n_live = k.size
     for _ in range(_ROOT_ITERS):
         if not k.size:
             break
         with np.errstate(invalid="ignore"):
             x = (a * fb - b * fa) / (fb - fa)
-        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        bad = ~((x > a) & (x < b))
+        if bad.any():
+            x[bad] = 0.5 * (a[bad] + b[bad])
         lx = source.log_slope_logt(x)
         rx = np.arcsinh(lx) - target
         left, right = rx < 0, rx > 0
         # Illinois: halve the residual of an end that is kept twice in a row
-        fa = np.where(left, rx, np.where(moved_b, 0.5 * fa, fa))
-        fb = np.where(right, rx, np.where(moved_a, 0.5 * fb, fb))
-        a, b = np.where(left, x, a), np.where(right, x, b)
+        np.multiply(fa, 0.5, out=fa, where=moved_b)
+        np.multiply(fb, 0.5, out=fb, where=moved_a)
+        np.copyto(fa, rx, where=left)
+        np.copyto(fb, rx, where=right)
+        np.copyto(a, x, where=left)
+        np.copyto(b, x, where=right)
         moved_a, moved_b = left, right
-        going = (b - a > tol) & (left | right)
-        if not going.all():
-            done = ~going
+        going = live & (b - a > tol) & (left | right)
+        n_going = np.count_nonzero(going)
+        if n_going < n_live:
+            done = live ^ going
             sigma[k[done]], lam[k[done]] = x[done], lx[done]
-            k, a, b, fa, fb, tol, moved_a, moved_b, target, x, lx = (
-                v[going] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, x, lx))
-    if k.size:                 # out of iterations: the last point
-        sigma[k], lam[k] = x, lx
+            live, n_live = going, n_going
+            if 2 * n_live < k.size:
+                i = np.flatnonzero(live)
+                k, a, b, fa, fb, tol, moved_a, moved_b, target, live = (
+                    v[i] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, live))
+    if n_live:                 # out of iterations: the last point
+        sigma[k[live]], lam[k[live]] = x[live], lx[live]
     # r s - A(r) = r s (kappa - (1 - kappa) m), where kappa is the excess
     # fraction 1 - A(r)/(r A'(r)) and m = A'(r)/s - 1 the residual; sigma + tau
     # is summed with its rounding error (Knuth's two-sum), so that the value
