@@ -761,8 +761,9 @@ class ConjugateYoung(YoungFunction):
     5.8e-4 low at s = 1e8, while ``log_value_logt`` stays within one ulp of
     ln A* on the balance sweep out to tau = 6e5 (2.9e-11; 2.3e-10 for the
     conjugate of t^1.5, where ln A* reaches 1.8e6).  Each tau is evaluated
-    on its own: its value is +inf exactly where the source's slope at the
-    top rung of the bracket ladder ``_RUNGS`` stays below e^tau.
+    on its own, by Illinois regula falsi between two neighbouring ends of the
+    fixed bracket ladder ``_ENDS``: its value is +inf exactly where the
+    source's slope at the top rung ``_RUNGS[-1]`` stays below e^tau.
     """
 
     kind = "conjugate"
@@ -823,12 +824,18 @@ class ConjugateYoung(YoungFunction):
         return {"of": to_json(self.source)}
 
 
-# The bracket ladder of the numerical conjugate: rung p is 60 * 2.2^p, by
-# repeated multiplication.  A*(e^tau) is +inf exactly where the source's
-# slope at the top rung (sigma ~ 4.5e9) stays below e^tau; any other tau is
-# bracketed between two ends of the ladder, the foot _SIGMA_LO and the rungs.
+# The bracket ladder of the numerical conjugate.  Rung p is 60 * 2.2^p, by
+# repeated multiplication.  Its ends _ENDS are 64 evenly spaced ends on
+# [_SIGMA_LO, 60), then 16 geometric sub-ends 60 * 2.2^p * 2.2^(i/16) per
+# rung, then the top rung: 433 ends that hold every rung bit for bit.
+# A*(e^tau) is +inf exactly where the source's slope at the top rung
+# (sigma ~ 4.5e9) stays below e^tau; any other tau is bracketed between two
+# neighbouring ends, whose residuals start Illinois a few steps from the root.
 _RUNGS = np.array(list(itertools.accumulate([2.2] * 23, operator.mul, initial=60.0)))
 _SIGMA_LO = -45.0
+_ENDS = np.concatenate((np.linspace(_SIGMA_LO, _RUNGS[0], 64, endpoint=False),
+                        (_RUNGS[:-1, None] * 2.2 ** (np.arange(16) / 16)).ravel(),
+                        _RUNGS[-1:]))
 _ROOT_XTOL = 4.0 * np.finfo(float).eps    # root bracket width, relative to max(1, |ends|)
 _ROOT_ITERS = 100
 
@@ -862,25 +869,25 @@ def _theta(source: YoungFunction, sigma, tau):
 def _slope_root(source: YoungFunction, tau: np.ndarray):
     """(sigma, ln A*(e^tau)) at the root sigma of ln A'(e^sigma) = tau.
 
-    The bracket is read off the slopes at the ends of the ladder, the foot
-    _SIGMA_LO and the rungs: it runs up to the first end whose slope reaches
-    e^tau, from the end before.  Sigma and the value are +inf exactly where
-    the source's slope at the top rung stays below e^tau, and sigma is -inf
-    where the value is (A* = 0).  Illinois regula falsi runs on the residual
-    asinh(ln A'(e^sigma)) - asinh(tau), which stays within a few hundred
-    where ln A' spans e^60.  The value r s - A(r) is read through
-    r (A'(r) - A(r)/r) - r (A'(r) - s), exact at any sigma, so its error is
-    second order in the root's.  Without a sign change in the bracket the
+    The bracket is read off the slopes at the ends ``_ENDS`` of the ladder,
+    from the foot _SIGMA_LO to the top rung: it runs up to the first end
+    whose slope reaches e^tau, from the end before.  Sigma and the value are
+    +inf exactly where the source's slope at the top rung stays below e^tau,
+    and sigma is -inf where the value is (A* = 0).  Illinois regula falsi
+    runs on the residual asinh(ln A'(e^sigma)) - asinh(tau), which stays
+    within a few hundred where ln A' spans e^60; from two neighbouring ends
+    it takes about 5 slope evaluations a point.  The value r s - A(r) is read
+    through r (A'(r) - A(r)/r) - r (A'(r) - s), exact at any sigma, so its
+    error is second order in the root's.  Without a sign change in the bracket the
     root is its upper end, where the same expression holds, or the supremum
     over it is at the foot: the supremand itself.
     """
     target = np.arcsinh(tau)
-    ends = np.concatenate(([_SIGMA_LO], _RUNGS))
-    end_slopes = source.log_slope_logt(ends)
+    end_slopes = source.log_slope_logt(_ENDS)
     end_residuals = np.arcsinh(end_slopes)
     up = end_residuals[-1] < target
-    j = np.clip(np.searchsorted(end_residuals, target), 1, _RUNGS.size)
-    a, b = ends[j - 1], ends[j]
+    j = np.clip(np.searchsorted(end_residuals, target), 1, _ENDS.size - 1)
+    a, b = _ENDS[j - 1], _ENDS[j]
     fa, fb = end_residuals[j - 1] - target, end_residuals[j] - target
     foot = np.flatnonzero(fa >= 0)
     sigma = np.where(fa >= 0, a, b)
@@ -894,7 +901,7 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     live = np.ones(k.size, dtype=bool)
     n_live = k.size
     for _ in range(_ROOT_ITERS):
-        if not k.size:
+        if not n_live:
             break
         with np.errstate(invalid="ignore"):
             x = (a * fb - b * fa) / (fb - fa)

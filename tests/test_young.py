@@ -692,9 +692,10 @@ def test_conjugate_infinite_sets_match_the_bracket_loop(catalog, name):
                       <= 7.4e-6 * np.maximum(1.0, np.abs(want[finite]))), grid
 
 
-def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
+def test_balance_sweep_takes_at_most_6_slope_points_per_finite_point():
     # the sweep grids of every catalog conjugate that is numerical, each
-    # source counting the points of its own slope calls
+    # source counting the points of its own slope calls: 4.81 per finite
+    # point on the ladder of 433 ends, 8.05 on the 24 rungs alone
     catalog = load_catalog()
     slope_points = finite_points = 0
     for name in _NUMERICAL:
@@ -708,7 +709,18 @@ def test_balance_sweep_takes_at_most_16_slope_points_per_finite_point():
 
         A.log_slope_logt = counting
         finite_points += sum(int(np.sum(~np.isposinf(v))) for v in young._sweep_curves(conjugate(A)))
-    assert slope_points <= 16 * finite_points
+    assert slope_points <= 6 * finite_points
+
+
+def test_bracket_ladder_holds_the_rungs_and_its_residuals_are_sorted(catalog):
+    ends = young._ENDS
+    assert ends[0] == young._SIGMA_LO and np.all(np.diff(ends) > 0)
+    assert np.isin(young._RUNGS, ends).all() and ends[-1] == young._RUNGS[-1]
+    # searchsorted reads each bracket off the end residuals (+inf where an
+    # exponential kind's slope overflows)
+    for name in _NUMERICAL:
+        residuals = np.arcsinh(catalog[name].log_slope_logt(ends))
+        assert np.all(residuals[1:] >= residuals[:-1]), name
 
 
 def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypatch):
