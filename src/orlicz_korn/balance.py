@@ -112,11 +112,15 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # temporaries of its evaluator (a conjugate's slope solve) do not stack
     # on them in peak memory
     young._sweep_curves(A_side)
-    g = young._sweep_shifted(B_side, 0)     # ln B(e^s), then ln B(e^s) - s
-    vB0 = g[0]
-    g -= xs
+    ln_b = young._sweep_shifted(B_side, 0)     # ln B(e^s)
+    vB0 = ln_b[0]
     with np.errstate(invalid="ignore"):
-        prefix = log_trapezoid_prefix(np.where(np.isnan(g), np.inf, g), xs)
+        # the integrand ln B(e^s) - s, taken as +inf where ln B is NaN
+        prefix = log_trapezoid_prefix(
+            np.subtract(ln_b, xs, out=np.full(xs.size, np.inf), where=~np.isnan(ln_b)), xs)
+    # a self-pair's right-hand side at k = 0 is this same read
+    rhs_0 = ln_b if A_side is B_side else None
+    del ln_b
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
     vB_half = young._sweep_first(B_side, 0.5)
@@ -127,7 +131,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     diverges_at_zero = not (bottom_slope > 1e-9) or math.isinf(vB0)
     tail_ln = -np.inf
     if not diverges_at_zero:
-        tail_ln = g[0] - math.log(bottom_slope)
+        tail_ln = vB0 - xs[0] - math.log(bottom_slope)
 
     # ln A(2^k e^tau) grows with k, so passing is monotone in k: if the
     # largest constant fails, so does every smaller one; else bisect for the
@@ -158,7 +162,9 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
             fails, passes = -1, len(ks) - 1
             while passes - fails > 1:
                 mid = (fails + passes) // 2
-                mid_margin, violate = _compare(lhs, young._sweep_shifted(A_side, ks[mid])[start:])
+                rhs = rhs_0 if ks[mid] == 0 and rhs_0 is not None else young._sweep_shifted(A_side, ks[mid])
+                mid_margin, violate = _compare(lhs, rhs[start:])
+                del rhs   # not held while the next one is read
                 if violate.any():
                     fails = mid
                 else:
