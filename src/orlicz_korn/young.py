@@ -878,9 +878,9 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     within a few hundred where ln A' spans e^60; from two neighbouring ends
     it takes about 5 slope evaluations a point.  The value r s - A(r) is read
     through r (A'(r) - A(r)/r) - r (A'(r) - s), exact at any sigma, so its
-    error is second order in the root's.  Without a sign change in the bracket the
-    root is its upper end, where the same expression holds, or the supremum
-    over it is at the foot: the supremand itself.
+    error is second order in the root's.  Without a sign change in the
+    bracket the root is its upper end, where the same expression holds, or
+    the supremum over it is at the foot: the supremand itself.
     """
     target = np.arcsinh(tau)
     end_slopes = source.log_slope_logt(_ENDS)

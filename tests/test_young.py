@@ -694,8 +694,8 @@ def test_conjugate_infinite_sets_match_the_bracket_loop(catalog, name):
 
 def test_balance_sweep_takes_at_most_6_slope_points_per_finite_point():
     # the sweep grids of every catalog conjugate that is numerical, each
-    # source counting the points of its own slope calls: 4.81 per finite
-    # point on the ladder of 433 ends, 8.05 on the 24 rungs alone
+    # source counting the points of its own slope calls (4.81 per finite
+    # point when the bound was set)
     catalog = load_catalog()
     slope_points = finite_points = 0
     for name in _NUMERICAL:
