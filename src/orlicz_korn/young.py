@@ -47,6 +47,8 @@ LEGENDRE_GRID = np.geomspace(1e-6, 1e9, 2048)
 
 _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinement
 _LN_MAX = math.log(np.finfo(float).max)   # e^x is a float iff x <= _LN_MAX
+# the bracket ends of the generic inverse: 2^0, 2^1, ..., 2^1023, the largest float
+_INVERSE_ENDS = np.append(2.0 ** np.arange(1024), np.finfo(float).max)
 
 # The search settings shared by the growth checks, dominance and the balance
 # sweep: the dyadic constants 2^k and the thresholds t0 (dominance and
@@ -126,6 +128,16 @@ def _x_minus_log1p(x):
     return out
 
 
+def _bisect(below, lo, hi):
+    """Halve the brackets [lo, hi] (arrays) all at once, keeping the upper
+    half where ``below`` holds at the midpoint 0.5 lo + 0.5 hi (which cannot
+    overflow), until every midpoint rounds to an end; the final (lo, hi)."""
+    while not np.all(((mid := 0.5 * lo + 0.5 * hi) == lo) | (mid == hi)):
+        keep = below(mid)
+        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
@@ -174,28 +186,16 @@ class YoungFunction:
         return out if r.ndim else float(out)
 
     def _inverse(self, r):
-        """``inverse`` of a float array r >= 0, by monotone bisection of all
-        elements at once: each doubles its own upper end from 1 until A
-        passes r (+inf if it never does within 2400 doublings), then halves
-        [0, that end] 120 times."""
+        """``inverse`` of a float array r >= 0, by bisection of all elements at
+        once: from the first of the ends 1, 2, 4, ..., 2^1023, the largest
+        float (``_INVERSE_ENDS``) where A passes r and the end before it (or 0),
+        halving until every midpoint rounds to an end; +inf where A passes r at
+        no end.  So r = 0 gives the largest t at which ``value`` rounds to 0."""
         flat = r.ravel()
-        hi = np.ones_like(flat)
-        doubling = ~np.isinf(flat)
-        for _ in range(2400):
-            idx = np.flatnonzero(doubling)
-            if not len(idx):
-                break
-            passed = self.value(hi[idx]) > flat[idx]
-            doubling[idx[passed]] = False
-            hi[idx[~passed]] *= 2.0
-        lo = np.zeros_like(flat)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            below = self.value(mid) <= flat
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = np.where(np.isinf(flat) | doubling, np.inf, lo)
-        return out.reshape(r.shape)
+        j = np.searchsorted(self.value(_INVERSE_ENDS), flat, "right")
+        lo, _ = _bisect(lambda t: self.value(t) <= flat, np.where(j > 0, _INVERSE_ENDS[j - 1], 0.0),
+                        _INVERSE_ENDS[np.minimum(j, _INVERSE_ENDS.size - 1)])
+        return np.where(j == _INVERSE_ENDS.size, np.inf, lo).reshape(r.shape)
 
     # -- conjugation ---------------------------------------------------------
     def conjugate(self) -> "YoungFunction":
@@ -248,7 +248,9 @@ class PowerYoung(YoungFunction):
         return np.full_like(np.asarray(tau, dtype=float), ln_frac)
 
     def _inverse(self, r):
-        return np.power(r / self.coeff, 1.0 / self.p)
+        with np.errstate(over="ignore"):   # where r / coeff overflows, the root need not
+            q, e = r / self.coeff, 1.0 / self.p
+            return np.where(np.isinf(q), np.power(r, e) / self.coeff ** e, np.power(q, e))
 
     def conjugate(self):
         if self.p == 1.0:
@@ -298,8 +300,10 @@ class PowerLogLogYoung(YoungFunction):
     def log_value_logt(self, tau):
         tau = np.asarray(tau, dtype=float)
         L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
+        out = self.p * tau
         with np.errstate(divide="ignore"):
-            out = self.p * tau + self.alpha * np.log(L)
+            if self.alpha:
+                out = out + self.alpha * np.log(L)
             if self.gamma:
                 out = out + self.gamma * np.log(np.log1p(L))
         return out
@@ -366,17 +370,11 @@ class ExpPowerYoung(YoungFunction):
         if math.log((1.0 - b) / b) / b > _LN_MAX:    # ln t_c
             raise beyond
         t_c = ((1.0 - b) / b) ** (1.0 / b)
-        lo = t_c
         hi = max(2.0 * t_c, 2.0)
         while g(hi) < 0:
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        t_s = 0.5 * (lo + hi)
+        lo, hi = _bisect(lambda t: g(float(t)) < 0, t_c, hi)
+        t_s = float(0.5 * lo + 0.5 * hi)
         if not math.isfinite(t_s):
             raise beyond
         return t_s, raw(t_s) / t_s
@@ -385,13 +383,13 @@ class ExpPowerYoung(YoungFunction):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):
             raw = np.expm1(np.power(t, self.beta))
-        if self.t_splice > 0:
-            return np.where(t <= self.t_splice, self.slope * t, raw)
+            if self.t_splice > 0:
+                return np.where(t <= self.t_splice, self.slope * t, raw)
         return raw
 
     def log_value_logt(self, tau):
         tau, x = self._power(tau)
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.where(x > 700.0, x, np.log(np.expm1(np.minimum(x, 700.0))))
         if self.t_splice > 0:
             out = np.where(tau <= math.log(self.t_splice), math.log(self.slope) + tau, out)
@@ -455,9 +453,10 @@ class ExpLogPowerYoung(YoungFunction):
         _assert_convex(self)
 
     def _G(self, logept):
-        # logept = log(e + t)
+        # logept = log(e + t); G(inf) = inf
         if self.reduced:
-            return logept - (self.beta - 1.0) * np.log(logept)
+            with np.errstate(invalid="ignore"):
+                return np.where(logept == np.inf, np.inf, logept - (self.beta - 1.0) * np.log(logept))
         return logept
 
     def value(self, t):

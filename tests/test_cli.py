@@ -62,6 +62,14 @@ def test_laminate_demo_m0(tmp_path):
     assert ratio == 0.0
 
 
+def test_laminate_demo_solves_the_scale_of_a_large_r(tmp_path):
+    # the scale inverts LlogL at 2^(m-1) / r^2 = 5e-81, far below 1
+    rc, out = run(tmp_path, "laminate-demo", "--A", "LlogL", "--B", "L1",
+                  "--r", "1e40", "--m-max", "2")
+    assert rc == 0
+    assert len((out / "blowup.csv").read_text().strip().splitlines()) == 1 + 3
+
+
 def test_verify_korn_runs(tmp_path):
     rc, out = run(tmp_path, "verify-korn", "--A", "L2", "--B", "L2",
                   "--grid", "8", "--suite", "smooth", "--trials", "2")

@@ -548,21 +548,23 @@ def test_conjugate_whose_secants_all_overflow_names_the_overflow():
         conjugate(ExpLogPowerYoung(705.0, 2.0))
 
 
+# the kinds whose inverse is the generic bisection
+_BISECTED = (PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung)
+
+
 def _inverse_one_at_a_time(A, r):
-    # sup { t : A(t) <= r } by the scalar doubling and 120 halvings the
-    # array inverse performs element by element
-    if math.isinf(r):
-        return math.inf
-    hi = 1.0
-    for _ in range(2400):
+    # sup { t : A(t) <= r } by the scalar rule the array inverse follows
+    # element by element: the first of 1, 2, 4, ..., 2^1023, the largest
+    # float where A passes r, then halving from the end before it (or 0)
+    # until the midpoint rounds to an end
+    lo = 0.0
+    for hi in [2.0 ** k for k in range(1024)] + [np.finfo(float).max]:
         if A.value(np.asarray(hi)) > r:
             break
-        hi *= 2.0
+        lo = hi
     else:
         return math.inf
-    lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
         if A.value(np.asarray(mid)) <= r:
             lo = mid
         else:
@@ -573,15 +575,45 @@ def _inverse_one_at_a_time(A, r):
 def test_bisected_inverse_of_an_array_matches_one_element_at_a_time(catalog):
     rng = np.random.default_rng(12)
     r = np.concatenate([10.0 ** rng.uniform(-12.0, 15.0, 40), [0.0, 1.0, 5e-324, 1e300, math.inf]])
-    kinds = (PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung)
     for name, A in catalog.items():
-        if not isinstance(A, kinds):
+        if not isinstance(A, _BISECTED):
             continue
         got = A.inverse(r.reshape(5, 9))
         assert got.shape == (5, 9)
         want = [_inverse_one_at_a_time(A, x) for x in r]
         assert got.ravel().tolist() == want, name
         assert A.inverse(2.5) == _inverse_one_at_a_time(A, 2.5) and type(A.inverse(2.5)) is float
+
+
+@pytest.mark.parametrize("A", [A for A in load_catalog().values() if isinstance(A, _BISECTED)]
+                         + [PowerLogLogYoung(1, 0, 0), PowerLogLogYoung(1, 0.01)], ids=repr)
+def test_bisected_inverse_is_the_last_float_at_or_below_r_at_extreme_scales(A):
+    # roots far below the bracket [0, 1] and above 2^1023 are exact too
+    r = np.array([1e-300, 1e-80, 1e-60, 1e-20, 1.0, 1e300, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = A.inverse(r)
+        assert np.all(A.value(t) <= r) and np.all(r < A.value(np.nextafter(t, math.inf))), t
+
+
+def test_power_inverse_past_the_coefficient_overflow_is_the_float_root(catalog):
+    # conj(L2) = t^2 / 4: 1.7e308 / 0.25 overflows, the root 2.6e154 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("L2", "L3"):
+            C = conjugate(catalog[name])
+            root = math.exp((math.log(1.7e308) - math.log(C.coeff)) / C.p)
+            assert C.inverse(1.7e308) == pytest.approx(root, rel=1e-13), name
+
+
+@pytest.mark.parametrize("name", list(load_catalog()))
+def test_closed_forms_give_the_limits_at_infinite_arguments(catalog, name):
+    # A(inf) = inf, and ln A(e^tau) is -inf at tau = -inf and +inf at +inf
+    A = catalog[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert A.value(np.asarray(math.inf)) == math.inf
+        assert A.log_value_logt(np.array([-math.inf, math.inf])).tolist() == [-math.inf, math.inf]
 
 
 # ---------------------------------------------------------------------------
