@@ -1,5 +1,5 @@
-"""Shared numerical kernels: stable log-scale arithmetic, bracketing searches,
-quadrature.
+"""Shared numerical kernels: stable log-scale arithmetic, a log-domain
+trapezoid rule and a bracketing search.
 
 Everything here works on plain floats / numpy arrays and knows nothing about
 Young functions.  Values of +inf and -inf are legal throughout and follow the
@@ -14,19 +14,24 @@ import numpy as np
 
 LN2 = math.log(2.0)
 _GOLDEN_ITERS = 48            # golden-section steps of maximize_unimodal
-# adaptive_simpson: relative tolerance, absolute floor and recursion depth
-_SIMPSON_REL_TOL, _SIMPSON_ABS_FLOOR, _SIMPSON_MAX_DEPTH = 1e-8, 1e-12, 48
 
 
 def log_sub_exp(a, b):
     """log(max(exp(a) - exp(b), 0)), elementwise; -inf wherever b >= a."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    below = b < a
+    # one output array, each step in place: b - a where b < a (else 0), then
+    # a + log1p(-exp(.)), then the -inf and +inf cases
+    out = np.zeros(below.shape)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        diff = np.where(b < a, b - a, 0.0)
-        out = a + np.log1p(-np.exp(diff))
-        out = np.where(b >= a, -np.inf, out)
-        out = np.where(np.isinf(a) & (a > 0) & (b < a), np.inf, out)
+        np.subtract(b, a, out=out, where=below)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.add(a, out, out=out)
+    np.copyto(out, -np.inf, where=b >= a)
+    np.copyto(out, np.inf, where=np.isposinf(a) & below)
     return out
 
 
@@ -37,12 +42,15 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
     Handles log_f values of -inf (zero integrand) and +inf (divergent).
     """
     lf = np.asarray(log_f, dtype=float)
-    dx = np.diff(x)
-    with np.errstate(invalid="ignore", over="ignore"):
-        cell = np.logaddexp(lf[:-1], lf[1:]) + np.log(dx) - LN2
     prefix = np.empty(len(x))
     prefix[0] = -np.inf
-    prefix[1:] = np.logaddexp.accumulate(cell)
+    cell = prefix[1:]     # each cell's log integral, then summed in place
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.logaddexp(lf[:-1], lf[1:], out=cell)
+        dx = np.diff(x)
+        cell += np.log(dx, out=dx)
+        cell -= LN2
+    np.logaddexp.accumulate(cell, out=cell)
     return prefix
 
 
@@ -78,33 +86,3 @@ def maximize_unimodal(f, lo, hi):
         f1, f2 = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
     return best
 
-
-def adaptive_simpson(f, a: float, b: float) -> float:
-    """Adaptive Simpson quadrature with a relative tolerance, an absolute
-    floor and a depth limit (the ``_SIMPSON_*`` constants)."""
-    if b <= a:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        xm1 = 0.5 * (x0 + 0.5 * (x0 + x2))
-        xm2 = 0.5 * (0.5 * (x0 + x2) + x2)
-        fm1 = f(xm1)
-        fm2 = f(xm2)
-        xm = 0.5 * (x0 + x2)
-        left = simpson(x0, xm, f0, fm1, f1)
-        right = simpson(xm, x2, f1, fm2, f2)
-        if not (math.isfinite(left) and math.isfinite(right)):
-            return left + right
-        err = left + right - whole
-        tol = max(_SIMPSON_ABS_FLOOR, _SIMPSON_REL_TOL * (abs(left) + abs(right)))
-        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        return (recurse(x0, xm, f0, fm1, f1, left, depth + 1)
-                + recurse(xm, x2, f1, fm2, f2, right, depth + 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 0)

@@ -6,14 +6,30 @@ For a pair (A, B) the primal condition asks for constants c > 0, t0 >= 0 with
 
 and the dual condition asks the same with the conjugates in swapped roles.
 Both are semi-decided over the finite search that ``young`` defines for all
-growth verdicts: its dyadic constants c, thresholds t0 and the balance sweep
-in tau = ln t, read through ``young._sweep_shifted``.  A pass reports the
-first stable (c, t0); a fail carries violating t values and a divergence
-diagnostic, since a finite search cannot prove nonexistence.
+growth verdicts: its dyadic constants c = 2^-10 .. 2^10, thresholds
+t0 = 0, 1, 10, 100, 1000 and the balance sweep in tau = ln t up to 6e5, read
+through ``young._sweep_shifted`` and ``young._sweep_at``.  A pass reports the
+first stable (c, t0): the first t0, with the smallest c; a fail carries
+violating t values and a divergence diagnostic, since a finite search cannot
+prove nonexistence.
+
+Each (t0, c) test is tried first on the screen, every 64th point of the
+sweep: a violation there is a violation of the test, so a constant that
+fails the screen is never read in full, and only the smallest constant that
+passes the screen (and, if it fails, larger ones) is tested on every point.
+The verdicts, constants, margins and certificates are those of testing every
+point.
 
 The sweep runs in the log domain, far beyond float range of t, so failures
 whose witnesses live there, such as (t log(1+t), t log(1+t)), are still
-detected inside the dyadic c grid.
+detected inside the dyadic c grid.  Its reach is still finite.  For
+A = t^p L^alpha and B = t^p L^beta with L = log(1 + t), the primal ratio of
+the two sides grows like (ln t)^g, with the log gap g = beta - alpha for
+p > 1 and g = beta + 1 - alpha for p = 1.  Up to constant factors, it shows
+on the sweep only where (ln t)^g outgrows c^p for c = 2^10 at ln t = 6e5,
+that is, where g ln(6e5) > 10 p ln 2: g > 0.52 p.  A smaller gap passes with
+some c <= 2^10 over the whole sweep, so a pass says that the bound holds up
+to such slowly growing factors.
 """
 
 from __future__ import annotations
@@ -24,11 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import young
-from ._numerics import LN2, adaptive_simpson, log_sub_exp, log_trapezoid_prefix
-from .young import _SWEEP_TAU, DomainError, GrowthVerdict, PowerYoung, YoungFunction
+from ._numerics import LN2, log_sub_exp, log_trapezoid_prefix
+from .young import _SWEEP_TAU, GrowthVerdict, YoungFunction
 
-__all__ = ["BalanceReport", "balance_integral", "check_balance",
-           "classify_catalog_pairs", "EXAMPLE_PAIRS"]
+__all__ = ["BalanceReport", "check_balance", "classify_catalog_pairs", "EXAMPLE_PAIRS"]
 
 _PASS_SLACK = math.log(1.10)   # multiplicative slack absorbing quadrature error
 # where a failed sweep reports its divergence trend: the first sweep point
@@ -39,6 +54,10 @@ _TREND_AT = np.minimum(
     np.searchsorted(_SWEEP_TAU, young._TAU_MAX, "right") - 1)
 # the first sweep point every searched 2^k multiple of which is on the grid
 _FLOOR_AT = int(np.searchsorted(_SWEEP_TAU, young._TAU_FLOOR))
+# the screen: every _SCREEN_STRIDE-th sweep point, on which each test is
+# tried before the whole suffix
+_SCREEN_STRIDE = 64
+_SCREEN_AT = np.arange(0, _SWEEP_TAU.size, _SCREEN_STRIDE)
 
 
 @dataclass
@@ -54,50 +73,6 @@ class BalanceReport:
 
 
 # ---------------------------------------------------------------------------
-# moderate-argument integral (float domain)
-# ---------------------------------------------------------------------------
-
-def balance_integral(B: YoungFunction, t0: float, t: float) -> float:
-    """t * integral_{t0}^{t} B(s)/s^2 ds, adaptive quadrature (rel 1e-8,
-    abs floor 1e-12); closed form for power kinds."""
-    if t < t0 or t0 < 0:
-        raise DomainError("need 0 <= t0 <= t")
-    if t == t0:
-        return 0.0
-    if isinstance(B, PowerYoung):
-        p, c = B.p, B.coeff
-        if p == 1.0:
-            inner = math.inf if t0 == 0.0 else c * math.log(t / t0)
-        else:
-            inner = c * (t ** (p - 1.0) - t0 ** (p - 1.0)) / (p - 1.0)
-        return t * inner
-
-    def integrand_sigma(sig):
-        s = math.exp(sig)
-        return float(B(np.asarray(s))) / s
-
-    total = 0.0
-    if t0 > 0.0:
-        total = adaptive_simpson(integrand_sigma, math.log(t0), math.log(t))
-    else:
-        # geometric panels toward 0; non-decaying contributions => divergent
-        top = math.log(t)
-        contributions = []
-        for k in range(260):
-            a, b = top - (k + 1) * LN2, top - k * LN2
-            piece = adaptive_simpson(integrand_sigma, a, b)
-            contributions.append(piece)
-            total += piece
-            if piece <= 1e-14 * total + 1e-300:
-                break
-            if k >= 48 and piece > 0.5 * contributions[k - 8]:
-                return math.inf
-        else:
-            return math.inf
-    return t * total
-
-
-# ---------------------------------------------------------------------------
 # log-domain sweep machinery
 # ---------------------------------------------------------------------------
 
@@ -106,7 +81,10 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     on the whole sweep grid above t0, else build a failure certificate.
 
     The points tested for a t0 are one suffix of the sorted sweep: tau >=
-    max(ln t0, young._TAU_FLOOR), past the first point at ln t0."""
+    max(ln t0, young._TAU_FLOOR), past the first point at ln t0.  Each
+    constant is tried on the screen (every ``_SCREEN_STRIDE``-th sweep point)
+    first, and only a constant that passes there is tested on the whole
+    suffix; the verdict is the one a test of every point would give."""
     xs = _SWEEP_TAU
     # fill A_side's curves before the sweep's own arrays exist, so that the
     # temporaries of its evaluator (a conjugate's slope solve) do not stack
@@ -114,13 +92,14 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     young._sweep_curves(A_side)
     ln_b = young._sweep_shifted(B_side, 0)     # ln B(e^s)
     vB0 = ln_b[0]
-    with np.errstate(invalid="ignore"):
-        # the integrand ln B(e^s) - s, taken as +inf where ln B is NaN
-        prefix = log_trapezoid_prefix(
-            np.subtract(ln_b, xs, out=np.full(xs.size, np.inf), where=~np.isnan(ln_b)), xs)
-    # a self-pair's right-hand side at k = 0 is this same read
+    # a self-pair's right-hand side at k = 0 is this same read; otherwise the
+    # integrand ln B(e^s) - s is formed in its place
     rhs_0 = ln_b if A_side is B_side else None
-    del ln_b
+    with np.errstate(invalid="ignore"):
+        integrand = np.subtract(ln_b, xs, out=None if A_side is B_side else ln_b)
+    integrand[np.isnan(integrand)] = np.inf    # where ln B is NaN
+    prefix = log_trapezoid_prefix(integrand, xs)
+    del ln_b, integrand
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
     vB_half = young._sweep_first(B_side, 0.5)
@@ -133,61 +112,97 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     if not diverges_at_zero:
         tail_ln = vB0 - xs[0] - math.log(bottom_slope)
 
-    # ln A(2^k e^tau) grows with k, so passing is monotone in k: if the
-    # largest constant fails, so does every smaller one; else bisect for the
-    # smallest that passes.  Every t0 tests the largest first, so it is read
-    # once.
+    # ln A(2^k e^tau) grows with k, so passing is monotone in k, on the screen
+    # and on the suffix: bisect for the smallest constant that passes.  A
+    # violation on the screen is one on the suffix, so the suffix is tested
+    # from the smallest constant that passes the screen up, and a t0 whose
+    # screen fails at the largest constant fails without a full test (but the
+    # last t0, whose failure is reported).  Each screen is read once per
+    # check, and a full right-hand side is held one at a time.
     ks = young._C_EXPONENTS
-    top = young._sweep_shifted(A_side, ks[-1])
-    last_fail = None
-    for t0 in (0.0,) + young._T0_SCAN:
+    top = len(ks) - 1
+    screens = {}     # index into ks -> A_side's read at the screen points
+    if rhs_0 is not None:
+        screens[ks.index(0)] = rhs_0[_SCREEN_AT]
+    t0s = (0.0,) + young._T0_SCAN
+    for t0 in t0s:
         if t0 == 0.0 and diverges_at_zero:
-            last_fail = GrowthVerdict(
-                False, 0.0, math.inf, [0.0],
-                {"reason": "integral diverges at the origin; t0 = 0 impossible"})
             continue
         i0 = int(np.searchsorted(xs, math.log(t0))) if t0 > 0 else 0
         start = max(i0 + 1, _FLOOR_AT)
-        if t0 > 0 and prefix[i0] == np.inf:
-            # B_side is +inf by xs[i0] and does not decrease, so the integral to
-            # every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
-            lhs = np.full(xs.size - start, np.inf)
-        elif t0 > 0:
-            lhs = xs[start:] + log_sub_exp(prefix[start:], prefix[i0])
+        first = int(np.searchsorted(_SCREEN_AT, start))
+
+        def lhs_at(at):
+            """t * integral_{t0}^t B_side(s)/s^2 ds, in logs, at the sweep points at."""
+            if t0 > 0 and prefix[i0] == np.inf:
+                # B_side is +inf by xs[i0] and does not decrease, so the integral
+                # to every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
+                return np.full(xs[at].size, np.inf)
+            if t0 > 0:
+                return xs[at] + log_sub_exp(prefix[at], prefix[i0])
+            return xs[at] + np.logaddexp(prefix[at], tail_ln)
+
+        screen_lhs = lhs_at(_SCREEN_AT[first:])
+
+        def screen_passes(i):
+            if i not in screens:
+                screens[i] = young._sweep_at(A_side, ks[i], _SCREEN_AT)
+            return not _violations(screen_lhs, screens[i][first:]).any()
+
+        found = _first_pass(screen_passes, -1, top + 1, top)
+        if found > top and t0 != t0s[-1]:
+            continue
+        lhs = lhs_at(slice(start, None))
+        compared = {}    # index into ks -> (margin, violations) on the suffix
+
+        def passes(i):
+            rhs = rhs_0 if ks[i] == 0 and rhs_0 is not None else young._sweep_shifted(A_side, ks[i])
+            compared[i] = _compare(lhs, rhs[start:])
+            return not compared[i][1].any()
+
+        # the screen failed below found, so the suffix does; where the screen
+        # fails even at the largest constant, that one test gives the witness
+        found = _first_pass(passes, min(found, top) - 1, top + 1, min(found, top))
+        if found <= top:
+            return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": compared[found][0]})
+    # the last t0 failed: its certificate comes from the largest constant
+    margin, violate = compared[top]
+    worst = [float(np.exp(min(t, 690.0))) for t in xs[start:][violate][-6:]]
+    with np.errstate(invalid="ignore"):
+        trend = list(map(float, lhs[_TREND_AT - start] - young._sweep_at(A_side, ks[top], _TREND_AT)))
+    return GrowthVerdict(
+        False, t0, math.inf, worst,
+        {"reason": "no (c, t0) on the search grid certifies the bound",
+         "worst_margin_ln": margin, "ratio_trend_ln": trend})
+
+
+def _first_pass(passes, fails, hi, probe):
+    """The smallest i in (fails, hi) with passes(i), else hi, for a test that
+    fails at i = fails and is monotone in i: it tries probe first, then
+    bisects."""
+    while hi - fails > 1:
+        if passes(probe):
+            hi = probe
         else:
-            lhs = xs[start:] + np.logaddexp(prefix[start:], tail_ln)
-        margin, violate = _compare(lhs, top[start:])
-        if not violate.any():
-            del top   # hold one right-hand side at a time, for peak memory
-            fails, passes = -1, len(ks) - 1
-            while passes - fails > 1:
-                mid = (fails + passes) // 2
-                rhs = rhs_0 if ks[mid] == 0 and rhs_0 is not None else young._sweep_shifted(A_side, ks[mid])
-                mid_margin, violate = _compare(lhs, rhs[start:])
-                del rhs   # not held while the next one is read
-                if violate.any():
-                    fails = mid
-                else:
-                    passes, margin = mid, mid_margin
-            return GrowthVerdict(True, t0, 2.0 ** ks[passes], [], {"margin_ln": margin})
-        worst = [float(np.exp(min(t, 690.0))) for t in xs[start:][violate][-6:]]
-        with np.errstate(invalid="ignore"):
-            trend = [float(lhs[j - start] - top[j]) for j in _TREND_AT]
-        last_fail = GrowthVerdict(
-            False, t0, math.inf, worst,
-            {"reason": "no (c, t0) on the search grid certifies the bound",
-             "worst_margin_ln": margin, "ratio_trend_ln": trend})
-    return last_fail
+            fails = probe
+        probe = (fails + hi) // 2
+    return hi
+
+
+def _violations(lhs, rhs):
+    """The mask of points of aligned parts of the sweep where lhs <= rhs +
+    slack fails."""
+    with np.errstate(invalid="ignore"):
+        # lhs - rhs <= slack would round differently from this form
+        return ~((lhs <= rhs + _PASS_SLACK) | (rhs == np.inf) | (lhs == -np.inf))
 
 
 def _compare(lhs, rhs):
-    """Pointwise lhs <= rhs + slack on aligned suffixes of the sweep; returns
-    (worst margin, -inf if every margin is NaN; the mask of violations)."""
+    """(worst margin lhs - rhs, -inf if every margin is NaN; the mask of
+    violations) on aligned suffixes of the sweep."""
     with np.errstate(invalid="ignore"):
-        # lhs - rhs <= slack would round differently from this form
-        pointwise = (lhs <= rhs + _PASS_SLACK) | (rhs == np.inf) | (lhs == -np.inf)
         margin = float(np.nanmax(lhs - rhs, initial=-np.inf))
-    return margin, ~pointwise
+    return margin, _violations(lhs, rhs)
 
 
 def check_balance(A: YoungFunction, B: YoungFunction) -> BalanceReport:

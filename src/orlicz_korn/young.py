@@ -61,7 +61,7 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # shift.  Growth and dominance read the dense, refined and coarse grids; the
 # balance sweep reads dense, mid and tail.  No other module does index
 # arithmetic on them: they read ln A(2^k t) through ``_shifted``,
-# ``_sweep_shifted`` and ``_sweep_first``.
+# ``_sweep_shifted``, ``_sweep_at`` and ``_sweep_first``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
@@ -234,7 +234,13 @@ class PowerYoung(YoungFunction):
 
     def value(self, t):
         with np.errstate(over="ignore"):
-            return self.coeff * np.power(t, self.p)
+            out = self.coeff * np.power(t, self.p)
+            if self.coeff < 1.0:
+                # where t^p overflows, coeff t^p need not: scale t first there
+                far = np.isinf(out) & np.isfinite(t)
+                if far.any():
+                    out = np.where(far, np.power(t * self.coeff ** (1.0 / self.p), self.p), out)[()]
+        return out
 
     def log_value_logt(self, tau):
         return math.log(self.coeff) + self.p * np.asarray(tau, dtype=float)
@@ -680,8 +686,15 @@ class ScaledYoung(YoungFunction):
         self.superlinear = base.superlinear
 
     def value(self, t):
+        t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):   # past float range, A = inf
-            return self.base.value(np.asarray(t, dtype=float) * self.arg_scale) / self.m
+            out = np.asarray(self.base.value(t * self.arg_scale) / self.m)
+            # where arg_scale t or the base's value overflows, A need not:
+            # read it off the log curve there (a NaN there keeps the +inf)
+            far = np.isinf(out) & np.isfinite(t)
+            if far.any():
+                out[far] = np.fmin(np.inf, np.exp(self.log_value_logt(np.log(t[far]))))
+        return out[()]
 
     def log_value_logt(self, tau):
         return self.base.log_value_logt(np.asarray(tau, dtype=float) + math.log(self.arg_scale)) - math.log(self.m)
@@ -697,7 +710,13 @@ class ScaledYoung(YoungFunction):
 
     def _inverse(self, r):
         with np.errstate(over="ignore"):   # past float range, the inverse is inf
-            return self.base._inverse(r * self.m) / self.arg_scale
+            rm = r * self.m
+            out = np.asarray(self.base._inverse(rm) / self.arg_scale)
+        # where r m overflows, the root need not: bisect A itself there
+        far = np.isinf(rm) & np.isfinite(r)
+        if far.any():
+            out[far] = YoungFunction._inverse(self, r[far])
+        return out
 
     def conjugate(self):
         scale = self.m / self.arg_scale
@@ -1042,16 +1061,42 @@ def _sweep_shifted(A: YoungFunction, k: float) -> np.ndarray:
             part[:head] = np.nan
             part[head:] = v[lo + s + head:hi + s]
             continue
-        tail_tau = _TAIL_GRID[lo:hi] + k * LN2
-        with np.errstate(invalid="ignore"):
-            finite = np.isfinite(v)
-            if finite.all():
-                part[:] = np.interp(tail_tau, _TAIL_GRID, v)
-            else:
-                v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
-                tail = np.interp(tail_tau, _TAIL_GRID, v)
-                part[:] = np.where(tail >= 1e307, np.inf, tail)
+        np.add(_TAIL_GRID[lo:hi], k * LN2, out=part)     # the shifted tau, read in place
+        part[:] = _tail_read(v, part)
     return out
+
+
+def _sweep_at(A: YoungFunction, k: float, idx) -> np.ndarray:
+    """``_sweep_shifted(A, k)[idx]`` for an array of sweep indices, bit for
+    bit, read without building the rest: a gather on the dense and mid parts
+    (NaN where 2^k e^tau is below the grid), interpolation at the tail points."""
+    curves = _sweep_curves(A)
+    idx = np.asarray(idx, dtype=np.intp)
+    out = np.empty(idx.size)
+    start = 0
+    for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
+        at = (idx >= start) & (idx < start + hi - lo)
+        j = idx[at] + (lo - start)     # the points' indices on their own grid
+        start += hi - lo
+        if grid == "tail":
+            out[at] = _tail_read(v, _TAIL_GRID[j] + k * LN2)
+        else:
+            j += _index_shift(grid, k)
+            out[at] = np.where(j >= 0, v[np.maximum(j, 0)], np.nan)
+    return out
+
+
+def _tail_read(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The tail curve v interpolated linearly at tau, with NaN and +inf read
+    as +inf."""
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(v)
+        if finite.all():
+            return np.interp(tau, _TAIL_GRID, v)
+        v = np.nan_to_num(np.where(finite, v, np.inf), copy=False, posinf=1e308)
+        tail = np.interp(tau, _TAIL_GRID, v)
+        tail[tail >= 1e307] = np.inf
+    return tail
 
 
 def _sweep_first(A: YoungFunction, k: float) -> float:

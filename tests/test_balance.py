@@ -8,13 +8,89 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orlicz_korn import balance, young
-from orlicz_korn.balance import balance_integral, check_balance, classify_catalog_pairs
+from orlicz_korn._numerics import LN2, log_sub_exp, log_trapezoid_prefix
+from orlicz_korn.balance import check_balance, classify_catalog_pairs
 from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, ScaledYoung, dominates
 
 
 # ---------------------------------------------------------------------------
-# the integral transform
+# the integral transform in the float domain: the oracle for the log sweep
 # ---------------------------------------------------------------------------
+
+# adaptive_simpson: relative tolerance, absolute floor and recursion depth
+_SIMPSON_REL_TOL, _SIMPSON_ABS_FLOOR, _SIMPSON_MAX_DEPTH = 1e-8, 1e-12, 48
+
+
+def adaptive_simpson(f, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with a relative tolerance, an absolute
+    floor and a depth limit (the ``_SIMPSON_*`` constants)."""
+    if b <= a:
+        return 0.0
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, depth):
+        xm1 = 0.5 * (x0 + 0.5 * (x0 + x2))
+        xm2 = 0.5 * (0.5 * (x0 + x2) + x2)
+        fm1 = f(xm1)
+        fm2 = f(xm2)
+        xm = 0.5 * (x0 + x2)
+        left = simpson(x0, xm, f0, fm1, f1)
+        right = simpson(xm, x2, f1, fm2, f2)
+        if not (math.isfinite(left) and math.isfinite(right)):
+            return left + right
+        err = left + right - whole
+        tol = max(_SIMPSON_ABS_FLOOR, _SIMPSON_REL_TOL * (abs(left) + abs(right)))
+        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        return (recurse(x0, xm, f0, fm1, f1, left, depth + 1)
+                + recurse(xm, x2, f1, fm2, f2, right, depth + 1))
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, 0)
+
+
+def balance_integral(B, t0: float, t: float) -> float:
+    """t * integral_{t0}^{t} B(s)/s^2 ds, adaptive quadrature (rel 1e-8,
+    abs floor 1e-12); closed form for power kinds."""
+    if t < t0 or t0 < 0:
+        raise DomainError("need 0 <= t0 <= t")
+    if t == t0:
+        return 0.0
+    if isinstance(B, PowerYoung):
+        p, c = B.p, B.coeff
+        if p == 1.0:
+            inner = math.inf if t0 == 0.0 else c * math.log(t / t0)
+        else:
+            inner = c * (t ** (p - 1.0) - t0 ** (p - 1.0)) / (p - 1.0)
+        return t * inner
+
+    def integrand_sigma(sig):
+        s = math.exp(sig)
+        return float(B(np.asarray(s))) / s
+
+    total = 0.0
+    if t0 > 0.0:
+        total = adaptive_simpson(integrand_sigma, math.log(t0), math.log(t))
+    else:
+        # geometric panels toward 0; non-decaying contributions => divergent
+        top = math.log(t)
+        contributions = []
+        for k in range(260):
+            a, b = top - (k + 1) * LN2, top - k * LN2
+            piece = adaptive_simpson(integrand_sigma, a, b)
+            contributions.append(piece)
+            total += piece
+            if piece <= 1e-14 * total + 1e-300:
+                break
+            if k >= 48 and piece > 0.5 * contributions[k - 8]:
+                return math.inf
+        else:
+            return math.inf
+    return t * total
+
 
 def test_integral_square_kind():
     # B = s^2 makes the integrand identically 1
@@ -285,17 +361,62 @@ def test_compare_matches_the_parent_form_on_nan_and_infinities():
     assert margin == -math.inf
 
 
-@pytest.mark.parametrize("name, compares", [("LlogL", 10), ("expL", 9)])
-def test_each_right_hand_side_is_read_once_per_check(monkeypatch, name, compares):
-    # every t0 tests the largest constant first, on one read of it; a failed
-    # t0 takes its witness from that same comparison.  The integrand is ln B
-    # at k = 0, and a self-pair's right-hand side at k = 0 reuses that read
-    reads, calls = [], []
-    sweep, compare = young._sweep_shifted, balance._compare
-    monkeypatch.setattr(young, "_sweep_shifted", lambda A, k: reads.append((id(A), k)) or sweep(A, k))
-    monkeypatch.setattr(balance, "_compare", lambda *a, **kw: calls.append(1) or compare(*a, **kw))
+def _parent_log_sub_exp(a, b):
+    """``log_sub_exp`` as three np.where passes: the reference for the
+    in-place form."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        diff = np.where(b < a, b - a, 0.0)
+        out = a + np.log1p(-np.exp(diff))
+        out = np.where(b >= a, -np.inf, out)
+        return np.where(np.isinf(a) & (a > 0) & (b < a), np.inf, out)
+
+
+def _parent_log_trapezoid_prefix(log_f, x):
+    """``log_trapezoid_prefix`` with its cells in a temporary: the reference
+    for the in-place form."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        cell = np.logaddexp(log_f[:-1], log_f[1:]) + np.log(np.diff(x)) - LN2
+    return np.concatenate([[-np.inf], np.logaddexp.accumulate(cell)])
+
+
+def test_the_sweep_kernels_in_place_keep_their_bits():
+    rng = np.random.default_rng(5)
+    special = np.array([np.nan, np.inf, -np.inf])
+    x = np.cumsum(rng.random(2000) + 1e-3)
+    for trial in range(4):
+        f = rng.normal(0.0, 30.0, x.size)
+        at = rng.random(x.size) < 0.05 * trial
+        f[at] = rng.choice(special[1:], at.sum())     # the sweep reads NaN as +inf
+        assert (log_trapezoid_prefix(f, x).tobytes()
+                == _parent_log_trapezoid_prefix(f, x).tobytes()), trial
+        f[at] = rng.choice(special, at.sum())
+        for a, b in ((f, f[::-1]), (f, f[7]), (f[3], f), (f, np.inf), (np.inf, -np.inf), (2.0, 1.0)):
+            got = log_sub_exp(a, b)
+            assert type(got) is np.ndarray and got.tobytes() == _parent_log_sub_exp(a, b).tobytes()
+
+
+@pytest.mark.parametrize("name, full, screens, compares", [("LlogL", 3, 5, 2), ("expL", 3, 5, 2)])
+def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, full, screens, compares):
+    # each constant is screened on one read per condition; a screen that
+    # fails at the largest constant needs no full compare, but the last t0's
+    # does, for its witness, and its trend reads the 4 _TREND_AT points.  The
+    # integrand is ln B at k = 0, and a self-pair's right-hand side at k = 0
+    # (full or screened) reuses that read
     A = young.load_catalog()[name]
     check_balance(A, A)
-    repeats = [key for key, n in Counter(reads).items() if n > 1]
-    assert not repeats, reads
-    assert len(calls) == compares
+    assert not [key for key, n in Counter(sweep_work.full + sweep_work.screen).items() if n > 1]
+    assert len(sweep_work.full) == full
+    assert Counter(n for _, _, n in sweep_work.screen) == {balance._SCREEN_AT.size: screens, 4: 1}
+    assert len(sweep_work.compares) == compares
+
+
+def test_the_workload_pairs_test_few_full_right_hand_sides(sweep_work, catalog):
+    # the 7 example pairs and the 3 controls of the balance benchmark: a test
+    # that fails on the screen reads and compares nothing in full (106 full
+    # reads and 103 full compares when every test read the whole sweep)
+    for pair in _PAIR_VERDICTS:
+        check_balance(catalog[pair[0]], catalog[pair[1]])
+    assert len(sweep_work.full) <= 42
+    assert len(sweep_work.compares) <= 24

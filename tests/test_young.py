@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orlicz_korn import young
+from orlicz_korn import balance, young
 from orlicz_korn._numerics import maximize_unimodal
 from orlicz_korn.young import (
     ConjugateYoung, DomainError, ExpLogPowerYoung, ExpPowerYoung, PowerLogLogYoung,
@@ -315,8 +315,27 @@ def test_tabulated_and_scaled_value_and_inverse_overflow_to_inf_silently():
         assert TabulatedYoung([1.0], [1.0], 1e300).value(1e10) == math.inf
         assert TabulatedYoung([1.0], [1e-310], 1e-310).inverse(1.0) == math.inf
         assert ScaledYoung(1e-300, PowerYoung(2.0)).value(1e10) == math.inf
-        assert ScaledYoung(1e300, PowerYoung(2.0)).inverse(1e10) == math.inf
+        assert ScaledYoung(1e300, PowerYoung(2.0)).inverse(1e10) == pytest.approx(1e155, rel=1e-13)
         assert ScaledYoung(1.0, PowerYoung(2.0), 1e-300).inverse(1e300) == math.inf
+
+
+def test_power_and_scaled_values_and_roots_in_float_range_are_finite(catalog):
+    # coeff t^p, base(arg_scale t) and r m overflow where A or its root is a
+    # float; elsewhere the plain forms keep their bits
+    t_max = 2.6076809620810593e154    # conj(L2) = t^2 / 4 reaches the largest float here
+    C = conjugate(catalog["L2"])
+    S = ScaledYoung(1e300, PowerYoung(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert C.value(t_max) == pytest.approx(1.7e308, rel=1e-15)
+        assert C.value(np.array([3.0, t_max, 1e155, np.inf])).tolist() == [2.25, C.value(t_max), math.inf, math.inf]
+        assert C.inverse(C.value(t_max)) == pytest.approx(t_max, rel=1e-15)
+        assert S.value(1e155) == pytest.approx(1e10, rel=1e-13)
+        assert S.value(np.array([3.0, 1e155, 1e305, np.inf]))[[0, 2, 3]].tolist() == [9e-300, math.inf, math.inf]
+        assert S.inverse(np.array([1e10, 1.0, np.inf]))[1:].tolist() == [1e150, math.inf]
+        t = S.inverse(1e10)
+        assert S.value(t) <= 1e10 < S.value(np.nextafter(t, math.inf))
+    assert type(C.value(t_max)) is type(C.value(3.0)) is type(S.value(3.0)) is np.float64
 
 
 def test_indicator_is_the_one_flat_piece_table_of_the_json_kind():
@@ -874,6 +893,25 @@ def test_sweep_reader_fills_what_the_gather_gave(catalog):
             assert type(first) is float
             assert first == got[0] or (math.isnan(first) and math.isnan(got[0])), (label, k)
         assert math.isnan(young._sweep_first(A, -10))
+
+
+def test_sweep_reads_at_chosen_points_are_the_full_reads_there_bit_for_bit(catalog):
+    # the balance screen, the points on both sides of the dense/mid and
+    # mid/tail joins, the first point (below the grid for k < 0), and none
+    functions = {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
+                 "conj(exp_log2)": conjugate(catalog["exp_log2"])}
+    n_dense, n_mid = (hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])
+    point_sets = [balance._SCREEN_AT, np.arange(n_dense - 2, n_dense + 2),
+                  np.arange(n_dense + n_mid - 2, n_dense + n_mid + 2), np.array([0]),
+                  np.array([], dtype=int)]
+    for label, A in functions.items():
+        for k in [*young._C_EXPONENTS, 0.5]:
+            full = young._sweep_shifted(A, k)
+            for idx in point_sets:
+                got = young._sweep_at(A, k, idx)
+                assert got.dtype == full.dtype and got.shape == idx.shape
+                assert got.tobytes() == full[idx].tobytes(), (label, k, idx[:2])
+    assert math.isnan(young._sweep_at(functions["L2"], -1, [0])[0])
 
 
 def _parent_shifted(A, grid, k, tau_lo):
