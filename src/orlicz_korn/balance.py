@@ -83,8 +83,9 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     The points tested for a t0 are one suffix of the sorted sweep: tau >=
     max(ln t0, young._TAU_FLOOR), past the first point at ln t0.  Each
     constant is tried on the screen (every ``_SCREEN_STRIDE``-th sweep point)
-    first, and only a constant that passes there is tested on the whole
-    suffix; the verdict is the one a test of every point would give."""
+    first, and the whole suffix is tested only from the smallest constant
+    that passes there up; the verdict is the one a test of every point would
+    give."""
     xs = _SWEEP_TAU
     # fill A_side's curves before the sweep's own arrays exist, so that the
     # temporaries of its evaluator (a conjugate's slope solve) do not stack
@@ -102,7 +103,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     del ln_b, integrand
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
-    vB_half = young._sweep_first(B_side, 0.5)
+    vB_half = float(young._sweep_at(B_side, 0.5, [0])[0])
     with np.errstate(invalid="ignore"):
         bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):

@@ -61,7 +61,7 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # shift.  Growth and dominance read the dense, refined and coarse grids; the
 # balance sweep reads dense, mid and tail.  No other module does index
 # arithmetic on them: they read ln A(2^k t) through ``_shifted``,
-# ``_sweep_shifted``, ``_sweep_at`` and ``_sweep_first``.
+# ``_sweep_shifted`` and ``_sweep_at``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
@@ -1097,14 +1097,6 @@ def _tail_read(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
         tail = np.interp(tau, _TAIL_GRID, v)
         tail[tail >= 1e307] = np.inf
     return tail
-
-
-def _sweep_first(A: YoungFunction, k: float) -> float:
-    """Element 0 of ``_sweep_shifted(A, k)``, read without the rest: ln A at
-    2^k times the first sweep point, NaN if that is below the grid."""
-    grid, lo, _ = _SWEEP_PARTS[0]
-    i = lo + _index_shift(grid, k)
-    return float(_log_curve(A, grid)[i]) if i >= 0 else math.nan
 
 
 def _doubling_ratio(A: YoungFunction, grid: str, tau_lo: float):

@@ -403,12 +403,13 @@ def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, full, scr
     # fails at the largest constant needs no full compare, but the last t0's
     # does, for its witness, and its trend reads the 4 _TREND_AT points.  The
     # integrand is ln B at k = 0, and a self-pair's right-hand side at k = 0
-    # (full or screened) reuses that read
+    # (full or screened) reuses that read; each condition reads ln B at
+    # 2^0.5 times the first sweep point for the integrand's slope toward 0
     A = young.load_catalog()[name]
     check_balance(A, A)
     assert not [key for key, n in Counter(sweep_work.full + sweep_work.screen).items() if n > 1]
     assert len(sweep_work.full) == full
-    assert Counter(n for _, _, n in sweep_work.screen) == {balance._SCREEN_AT.size: screens, 4: 1}
+    assert Counter(n for _, _, n in sweep_work.screen) == {balance._SCREEN_AT.size: screens, 4: 1, 1: 2}
     assert len(sweep_work.compares) == compares
 
 
