@@ -8,10 +8,9 @@ and the dual condition asks the same with the conjugates in swapped roles.
 Both are semi-decided over the finite search that ``young`` defines for all
 growth verdicts: its dyadic constants c = 2^-10 .. 2^10, thresholds
 t0 = 0, 1, 10, 100, 1000 and the balance sweep in tau = ln t up to 6e5, read
-through ``young._sweep_shifted`` and ``young._sweep_at``.  A pass reports the
-first stable (c, t0): the first t0, with the smallest c; a fail carries
-violating t values and a divergence diagnostic, since a finite search cannot
-prove nonexistence.
+through ``young._sweep_read``.  A pass reports the first stable (c, t0): the
+first t0, with the smallest c; a fail carries violating t values and a
+divergence diagnostic, since a finite search cannot prove nonexistence.
 
 Each (t0, c) test is tried first on the screen, every 64th point of the
 sweep: a violation there is a violation of the test, so a constant that
@@ -57,7 +56,6 @@ _FLOOR_AT = int(np.searchsorted(_SWEEP_TAU, young._TAU_FLOOR))
 # the screen: every _SCREEN_STRIDE-th sweep point, on which each test is
 # tried before the whole suffix
 _SCREEN_STRIDE = 64
-_SCREEN_AT = np.arange(0, _SWEEP_TAU.size, _SCREEN_STRIDE)
 
 
 @dataclass
@@ -91,7 +89,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # temporaries of its evaluator (a conjugate's slope solve) do not stack
     # on them in peak memory
     young._sweep_curves(A_side)
-    ln_b = young._sweep_shifted(B_side, 0)     # ln B(e^s)
+    ln_b = young._sweep_read(B_side, 0)     # ln B(e^s)
     vB0 = ln_b[0]
     # a self-pair's right-hand side at k = 0 is this same read; otherwise the
     # integrand ln B(e^s) - s is formed in its place
@@ -103,7 +101,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     del ln_b, integrand
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
-    vB_half = float(young._sweep_at(B_side, 0.5, [0])[0])
+    vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1))[0])
     with np.errstate(invalid="ignore"):
         bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):
@@ -124,14 +122,14 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     top = len(ks) - 1
     screens = {}     # index into ks -> A_side's read at the screen points
     if rhs_0 is not None:
-        screens[ks.index(0)] = rhs_0[_SCREEN_AT]
+        screens[ks.index(0)] = rhs_0[::_SCREEN_STRIDE]
     t0s = (0.0,) + young._T0_SCAN
     for t0 in t0s:
         if t0 == 0.0 and diverges_at_zero:
             continue
         i0 = int(np.searchsorted(xs, math.log(t0))) if t0 > 0 else 0
         start = max(i0 + 1, _FLOOR_AT)
-        first = int(np.searchsorted(_SCREEN_AT, start))
+        first = -(-start // _SCREEN_STRIDE)      # the first screen point in the suffix
 
         def lhs_at(at):
             """t * integral_{t0}^t B_side(s)/s^2 ds, in logs, at the sweep points at."""
@@ -143,22 +141,23 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
                 return xs[at] + log_sub_exp(prefix[at], prefix[i0])
             return xs[at] + np.logaddexp(prefix[at], tail_ln)
 
-        screen_lhs = lhs_at(_SCREEN_AT[first:])
+        screen_lhs = lhs_at(slice(first * _SCREEN_STRIDE, None, _SCREEN_STRIDE))
 
         def screen_passes(i):
             if i not in screens:
-                screens[i] = young._sweep_at(A_side, ks[i], _SCREEN_AT)
+                screens[i] = young._sweep_read(A_side, ks[i], slice(0, None, _SCREEN_STRIDE))
             return not _violations(screen_lhs, screens[i][first:]).any()
 
         found = _first_pass(screen_passes, -1, top + 1, top)
         if found > top and t0 != t0s[-1]:
             continue
         lhs = lhs_at(slice(start, None))
-        compared = {}    # index into ks -> (margin, violations) on the suffix
+        compared = {}    # index into ks -> (margin, violations, rhs at _TREND_AT)
 
         def passes(i):
-            rhs = rhs_0 if ks[i] == 0 and rhs_0 is not None else young._sweep_shifted(A_side, ks[i])
-            compared[i] = _compare(lhs, rhs[start:])
+            at = slice(start, None)
+            rhs = rhs_0[at] if ks[i] == 0 and rhs_0 is not None else young._sweep_read(A_side, ks[i], at)
+            compared[i] = (*_compare(lhs, rhs), rhs[_TREND_AT - start])
             return not compared[i][1].any()
 
         # the screen failed below found, so the suffix does; where the screen
@@ -167,10 +166,10 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         if found <= top:
             return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": compared[found][0]})
     # the last t0 failed: its certificate comes from the largest constant
-    margin, violate = compared[top]
+    margin, violate, rhs_trend = compared[top]
     worst = [float(np.exp(min(t, 690.0))) for t in xs[start:][violate][-6:]]
     with np.errstate(invalid="ignore"):
-        trend = list(map(float, lhs[_TREND_AT - start] - young._sweep_at(A_side, ks[top], _TREND_AT)))
+        trend = list(map(float, lhs[_TREND_AT - start] - rhs_trend))
     return GrowthVerdict(
         False, t0, math.inf, worst,
         {"reason": "no (c, t0) on the search grid certifies the bound",

@@ -60,8 +60,8 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # where that is an integer, every dyadic constant 2^k is an exact index
 # shift.  Growth and dominance read the dense, refined and coarse grids; the
 # balance sweep reads dense, mid and tail.  No other module does index
-# arithmetic on them: they read ln A(2^k t) through ``_shifted``,
-# ``_sweep_shifted`` and ``_sweep_at``.
+# arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
+# ``_sweep_read``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
@@ -1042,47 +1042,31 @@ def _sweep_curves(A: YoungFunction) -> list:
     return [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
 
 
-def _sweep_shifted(A: YoungFunction, k: float) -> np.ndarray:
-    """ln A(2^k e^tau) at every tau of ``_SWEEP_TAU``, filled part by part
-    into one array: exact index shifts on the dense and mid parts (a slice of
-    the curve, after a NaN head where 2^k e^tau is below the grid), linear
-    interpolation on the tail."""
+def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarray:
+    """ln A(2^k e^tau) at ``_SWEEP_TAU[at]``, for a slice with a positive
+    step, filled part by part into one array: strided slices of the curve on
+    the dense and mid parts (after a NaN head where 2^k e^tau is below the
+    grid), linear interpolation on the tail."""
     # fill every curve before the output exists: a conjugate's evaluator
     # needs tens of MB of temporaries, and they should not stack on it
     curves = _sweep_curves(A)
-    out = np.empty(_SWEEP_TAU.size)
-    start = 0
+    first, stop, step = at.indices(_SWEEP_TAU.size)
+    out = np.empty(len(range(first, stop, step)))
+    n = base = 0         # points filled; the sweep index of the part's first point
     for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
-        part = out[start:start + hi - lo]
-        start += hi - lo
+        m = len(range(first, min(base + hi - lo, stop), step))   # points up to the part's end
+        part = out[n:m]
+        j = first + n * step - base + lo      # its first point, on its own grid
+        n, base = m, base + hi - lo
         if grid != "tail":
-            s = _index_shift(grid, k)
-            head = min(max(-(lo + s), 0), part.size)
-            part[:head] = np.nan
-            part[head:] = v[lo + s + head:hi + s]
-            continue
-        np.add(_TAIL_GRID[lo:hi], k * LN2, out=part)     # the shifted tau, read in place
-        part[:] = _tail_read(v, part)
-    return out
-
-
-def _sweep_at(A: YoungFunction, k: float, idx) -> np.ndarray:
-    """``_sweep_shifted(A, k)[idx]`` for an array of sweep indices, bit for
-    bit, read without building the rest: a gather on the dense and mid parts
-    (NaN where 2^k e^tau is below the grid), interpolation at the tail points."""
-    curves = _sweep_curves(A)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.empty(idx.size)
-    start = 0
-    for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
-        at = (idx >= start) & (idx < start + hi - lo)
-        j = idx[at] + (lo - start)     # the points' indices on their own grid
-        start += hi - lo
-        if grid == "tail":
-            out[at] = _tail_read(v, _TAIL_GRID[j] + k * LN2)
-        else:
             j += _index_shift(grid, k)
-            out[at] = np.where(j >= 0, v[np.maximum(j, 0)], np.nan)
+            head = min(max(-(j // step), 0), part.size)
+            part[:head] = np.nan
+            part[head:] = v[j + head * step:j + part.size * step:step]
+            continue
+        # the shifted tau, read in place
+        np.add(_TAIL_GRID[j:j + part.size * step:step], k * LN2, out=part)
+        part[:] = _tail_read(v, part)
     return out
 
 

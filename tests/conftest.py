@@ -1,6 +1,5 @@
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from orlicz_korn import balance, young
@@ -13,14 +12,12 @@ def catalog():
 
 @pytest.fixture
 def sweep_work(monkeypatch):
-    """The balance sweep's work, as it happens: ``full`` lists the full reads
-    (``young._sweep_shifted``) as (id(A), k), ``screen`` the reads at chosen
-    sweep points (``young._sweep_at``) as (id(A), k, number of points), and
-    ``compares`` the size of each full compare (``balance._compare``)."""
-    work = SimpleNamespace(full=[], screen=[], compares=[])
-    sweep, at, compare = young._sweep_shifted, young._sweep_at, balance._compare
-    monkeypatch.setattr(young, "_sweep_shifted", lambda A, k: work.full.append((id(A), k)) or sweep(A, k))
-    monkeypatch.setattr(young, "_sweep_at",
-                        lambda A, k, idx: work.screen.append((id(A), k, np.size(idx))) or at(A, k, idx))
+    """The balance sweep's work, as it happens: ``reads`` lists the reads of
+    ``young._sweep_read`` as (id(A), k, slice), and ``compares`` the size of
+    each full compare (``balance._compare``)."""
+    work = SimpleNamespace(reads=[], compares=[])
+    read, compare = young._sweep_read, balance._compare
+    monkeypatch.setattr(young, "_sweep_read",
+                        lambda A, k, at=slice(None): work.reads.append((id(A), k, at)) or read(A, k, at))
     monkeypatch.setattr(balance, "_compare", lambda lhs, rhs: work.compares.append(lhs.size) or compare(lhs, rhs))
     return work

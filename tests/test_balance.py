@@ -397,19 +397,26 @@ def test_the_sweep_kernels_in_place_keep_their_bits():
             assert type(got) is np.ndarray and got.tobytes() == _parent_log_sub_exp(a, b).tobytes()
 
 
-@pytest.mark.parametrize("name, full, screens, compares", [("LlogL", 3, 5, 2), ("expL", 3, 5, 2)])
-def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, full, screens, compares):
+def _read_kind(at):
+    """What a sweep read covers: the screen, the first point, or a suffix."""
+    if at.step == balance._SCREEN_STRIDE:
+        return "screen"
+    return "point" if at.stop == 1 else "suffix"
+
+
+@pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 3, 5, 2), ("expL", 3, 5, 2)])
+def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, screens, compares):
     # each constant is screened on one read per condition; a screen that
     # fails at the largest constant needs no full compare, but the last t0's
-    # does, for its witness, and its trend reads the 4 _TREND_AT points.  The
-    # integrand is ln B at k = 0, and a self-pair's right-hand side at k = 0
-    # (full or screened) reuses that read; each condition reads ln B at
-    # 2^0.5 times the first sweep point for the integrand's slope toward 0
+    # does, for its witness and its trend.  The integrand is ln B at k = 0,
+    # and a self-pair's right-hand side at k = 0 (full or screened) reuses
+    # that read; each condition reads ln B at 2^0.5 times the first sweep
+    # point for the integrand's slope toward 0
     A = young.load_catalog()[name]
     check_balance(A, A)
-    assert not [key for key, n in Counter(sweep_work.full + sweep_work.screen).items() if n > 1]
-    assert len(sweep_work.full) == full
-    assert Counter(n for _, _, n in sweep_work.screen) == {balance._SCREEN_AT.size: screens, 4: 1, 1: 2}
+    reads = [(a, k, _read_kind(at)) for a, k, at in sweep_work.reads]
+    assert not [key for key, n in Counter(reads).items() if n > 1]
+    assert Counter(kind for _, _, kind in reads) == {"suffix": suffixes, "screen": screens, "point": 2}
     assert len(sweep_work.compares) == compares
 
 
@@ -419,5 +426,5 @@ def test_the_workload_pairs_test_few_full_right_hand_sides(sweep_work, catalog):
     # reads and 103 full compares when every test read the whole sweep)
     for pair in _PAIR_VERDICTS:
         check_balance(catalog[pair[0]], catalog[pair[1]])
-    assert len(sweep_work.full) <= 42
+    assert sum(_read_kind(at) == "suffix" for _, _, at in sweep_work.reads) <= 42
     assert len(sweep_work.compares) <= 24

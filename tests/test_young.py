@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orlicz_korn import balance, young
 from orlicz_korn._numerics import maximize_unimodal
@@ -879,35 +879,47 @@ def _parent_sweep_shifted(A, k):
     return np.concatenate(parts)
 
 
-def test_sweep_reader_fills_what_the_gather_gave(catalog):
+@pytest.fixture(scope="module")
+def sweep_functions(catalog):
     # conj(LlogL2)'s curves hold +inf; conj(exp_log2)'s hold its golden points
-    functions = {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
-                 "conj(exp_log2)": conjugate(catalog["exp_log2"])}
-    assert np.isposinf(young._log_curve(functions["conj(LlogL2)"], "mid")).any()
-    for label, A in functions.items():
+    return {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
+            "conj(exp_log2)": conjugate(catalog["exp_log2"])}
+
+
+def test_sweep_reader_fills_what_the_gather_gave(sweep_functions):
+    assert np.isposinf(young._log_curve(sweep_functions["conj(LlogL2)"], "mid")).any()
+    for label, A in sweep_functions.items():
         for k in [*young._C_EXPONENTS, 0.5]:
-            got = young._sweep_shifted(A, k)
+            got = young._sweep_read(A, k)
             assert got.shape == young._SWEEP_TAU.shape
             assert np.array_equal(got, _parent_sweep_shifted(A, k), equal_nan=True), (label, k)
+    # the first point's 2^-10 multiple is below the grid
+    assert math.isnan(young._sweep_read(sweep_functions["L2"], -10, slice(0, 1))[0])
 
 
-def test_sweep_reads_at_chosen_points_are_the_full_reads_there_bit_for_bit(catalog):
-    # the balance screen, the points on both sides of the dense/mid and
-    # mid/tail joins, the first point (below the grid for k < 0), and none
-    functions = {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
-                 "conj(exp_log2)": conjugate(catalog["exp_log2"])}
-    n_dense, n_mid = (hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])
-    point_sets = [balance._SCREEN_AT, np.arange(n_dense - 2, n_dense + 2),
-                  np.arange(n_dense + n_mid - 2, n_dense + n_mid + 2), np.array([0]),
-                  np.array([], dtype=int)]
-    for label, A in functions.items():
-        for k in [*young._C_EXPONENTS, 0.5]:
-            full = young._sweep_shifted(A, k)
-            for idx in point_sets:
-                got = young._sweep_at(A, k, idx)
-                assert got.dtype == full.dtype and got.shape == idx.shape
-                assert got.tobytes() == full[idx].tobytes(), (label, k, idx[:2])
-    assert math.isnan(young._sweep_at(functions["L2"], -10, [0])[0])
+_N_DENSE, _N_MID = (hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])
+# slice ends: any sweep index or none, with the points on both sides of the
+# dense/mid and mid/tail joins and the first and last points drawn often
+_SWEEP_END = st.one_of(
+    st.none(), st.integers(-young._SWEEP_TAU.size - 2, young._SWEEP_TAU.size + 2),
+    st.sampled_from([0, 1, _N_DENSE - 1, _N_DENSE, _N_DENSE + 1, _N_DENSE + _N_MID - 1,
+                     _N_DENSE + _N_MID, _N_DENSE + _N_MID + 1, young._SWEEP_TAU.size - 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(["L2", "conj(LlogL2)", "conj(exp_log2)"]),
+       k=st.sampled_from([*young._C_EXPONENTS, 0.5]), start=_SWEEP_END, stop=_SWEEP_END,
+       step=st.one_of(st.none(), st.integers(1, 3), st.sampled_from([balance._SCREEN_STRIDE, 10 ** 6])))
+@example(label="L2", k=-10, start=0, stop=None, step=balance._SCREEN_STRIDE)    # the screen
+@example(label="conj(LlogL2)", k=10, start=_N_DENSE + _N_MID - 2, stop=None, step=None)
+@example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
+def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, label, k,
+                                                                     start, stop, step):
+    at = slice(start, stop, step)
+    full = _parent_sweep_shifted(sweep_functions[label], k)[at]
+    got = young._sweep_read(sweep_functions[label], k, at)
+    assert got.dtype == full.dtype and got.shape == full.shape
+    assert got.tobytes() == full.tobytes()
 
 
 def _parent_shifted(A, grid, k, tau_lo):
