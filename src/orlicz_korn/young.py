@@ -1064,23 +1064,27 @@ def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarr
             part[:head] = np.nan
             part[head:] = v[j + head * step:j + part.size * step:step]
             continue
-        # the shifted tau, read in place
+        # the shifted tau, read in place; for k <= -5 the first ones fall
+        # below the tail grid, into the mid grid's overlap
         np.add(_TAIL_GRID[j:j + part.size * step:step], k * LN2, out=part)
-        part[:] = _tail_read(v, part)
+        below = int(np.searchsorted(part, _TAIL_GRID[0]))
+        if below:
+            part[:below] = _interp(part[:below], _MID_GRID, _log_curve(A, "mid"))
+        part[below:] = _interp(part[below:], _TAIL_GRID, v)
     return out
 
 
-def _tail_read(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The tail curve v interpolated linearly at tau, with NaN and +inf read
-    as +inf."""
+def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The curve v on grid interpolated linearly at tau, with NaN and +inf
+    read as +inf."""
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(v)
         if finite.all():
-            return np.interp(tau, _TAIL_GRID, v)
+            return np.interp(tau, grid, v)
         v = np.nan_to_num(np.where(finite, v, np.inf), copy=False, posinf=1e308)
-        tail = np.interp(tau, _TAIL_GRID, v)
-        tail[tail >= 1e307] = np.inf
-    return tail
+        out = np.interp(tau, grid, v)
+        out[out >= 1e307] = np.inf
+    return out
 
 
 def _doubling_ratio(A: YoungFunction, grid: str, tau_lo: float):

@@ -857,9 +857,21 @@ def test_conjugate_of_an_empty_tau_is_empty(catalog):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
+def _parent_interp(tau, grid, v):
+    """v on grid interpolated at tau, NaN and +inf read as +inf."""
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(v)
+        if finite.all():
+            return np.interp(tau, grid, v)
+        v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
+        out = np.interp(tau, grid, v)
+        return np.where(out >= 1e307, np.inf, out)
+
+
 def _parent_sweep_shifted(A, k):
     """The sweep reader as an index array, a gather, a where and a
-    concatenate: the reference for the one-array fill."""
+    concatenate, with every shifted tail point interpolated on both the mid
+    and the tail grid: the reference for the one-array fill."""
     curves = young._sweep_curves(A)
     parts = []
     for (grid, lo, hi), v in zip(young._SWEEP_PARTS, curves):
@@ -868,14 +880,9 @@ def _parent_sweep_shifted(A, k):
             parts.append(np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan))
             continue
         tail_tau = young._TAIL_GRID[lo:hi] + k * young.LN2
-        with np.errstate(invalid="ignore"):
-            finite = np.isfinite(v)
-            if finite.all():
-                parts.append(np.interp(tail_tau, young._TAIL_GRID, v))
-            else:
-                v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
-                tail = np.interp(tail_tau, young._TAIL_GRID, v)
-                parts.append(np.where(tail >= 1e307, np.inf, tail))
+        parts.append(np.where(tail_tau < young._TAIL_GRID[0],
+                              _parent_interp(tail_tau, young._MID_GRID, curves[1]),
+                              _parent_interp(tail_tau, young._TAIL_GRID, v)))
     return np.concatenate(parts)
 
 
@@ -898,6 +905,16 @@ def test_sweep_reader_fills_what_the_gather_gave(sweep_functions):
 
 
 _N_DENSE, _N_MID = (hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])
+
+
+@pytest.mark.parametrize("k", [-10, -5])
+@pytest.mark.parametrize("p, coeff", [(2.0, 1.0), (1.5, 0.25)])
+def test_the_first_tail_points_of_the_sweep_are_the_closed_form(k, p, coeff):
+    # for k <= -5 the first shifted tail points fall below the tail grid;
+    # np.interp on it would clamp them to ln A(e^2e4)
+    at = slice(_N_DENSE + _N_MID, _N_DENSE + _N_MID + 3)
+    tau = young._SWEEP_TAU[at] + k * young.LN2
+    assert young._sweep_read(PowerYoung(p, coeff), k, at) == pytest.approx(math.log(coeff) + p * tau, rel=1e-14)
 # slice ends: any sweep index or none, with the points on both sides of the
 # dense/mid and mid/tail joins and the first and last points drawn often
 _SWEEP_END = st.one_of(
