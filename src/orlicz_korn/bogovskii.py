@@ -83,14 +83,6 @@ def make_config(cells: int) -> BogovskiiConfig:
                            _RADIUS * _LENGTH)
 
 
-def bump_integral_check(cfg: BogovskiiConfig) -> float:
-    """Cell quadrature of the bump; should equal 1 to ~1e-6 on usable grids."""
-    Xc = cfg.grid.cell_coords()
-    rho2 = sum((x - c) ** 2 for x, c in zip(Xc, cfg.center)) / cfg.radius ** 2
-    w = cfg.bump_norm * np.clip(1.0 - rho2, 0.0, None) ** 4
-    return float(np.sum(w) * cfg.grid.cell_volume)
-
-
 def _ray_integral(cfg: BogovskiiConfig, px: np.ndarray, py: np.ndarray,
                   ex: np.ndarray, ey: np.ndarray, rmin: np.ndarray) -> np.ndarray:
     """integral_rmin^inf omega(y + r e) r^(n-1) dr along unit rays e from the

@@ -288,19 +288,6 @@ class LaminateRealization:
         ramp_avg = float(np.mean(Phi(G)))
         return core + kappa * ramp_avg
 
-    # -- gradient histogram ------------------------------------------------
-    def gradient_region_fractions(self) -> dict:
-        """Measure fractions of the clean atom regions vs ramp layers."""
-        out = {"ramp": 0.0}
-        weight = 1.0
-        for k, st in enumerate(self.stages):
-            kappa = 2.0 * st.ramp / st.trans_len
-            out["ramp"] += weight * kappa
-            out[f"atom_{k}"] = weight * (1.0 - kappa) * st.lam
-            weight *= (1.0 - kappa) * (1.0 - st.lam)
-        out["final"] = weight
-        return out
-
     # -- sampling ------------------------------------------------------------
     def as_grid_field(self, cells: int) -> GridField:
         grid = Grid.box((cells, cells), lengths=self.r, origin=(0.0, 0.0))
