@@ -65,8 +65,7 @@ class BogovskiiConfig:
         if self.grid.dim != 2:
             raise DomainError("the divergence solver is implemented for planar grids")
         lo = [self.grid.origin[j] for j in range(2)]
-        hi = [self.grid.origin[j] + self.grid.spacing[j] * self.grid.extents[j]
-              for j in range(2)]
+        hi = [o + L for o, L in zip(self.grid.origin, self.grid.lengths)]
         for j in range(2):
             if not (lo[j] + self.radius <= self.center[j] <= hi[j] - self.radius):
                 raise DomainError("bump ball must sit inside the domain")
@@ -274,7 +273,7 @@ def ratio_suite(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
 
 def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:
     Xc = cfg.grid.cell_coords()
-    L = cfg.grid.spacing[0] * cfg.grid.extents[0]
+    L = cfg.grid.lengths[0]
     x, y = Xc[0] / L, Xc[1] / L
     g0 = np.clip(1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.33 ** 2, 0.0, None) ** 2
     if not g0.sum() > 0:
@@ -287,7 +286,7 @@ def smooth_suite(cfg: BogovskiiConfig) -> list:
     """Five fixed smooth sources, compactly supported and exactly mean-zero
     (mean compensated by a fixed interior bump, not by a global shift)."""
     Xc = cfg.grid.cell_coords()
-    L = cfg.grid.spacing[0] * cfg.grid.extents[0]
+    L = cfg.grid.lengths[0]
     x, y = Xc[0] / L, Xc[1] / L
     window = (np.sin(math.pi * x) * np.sin(math.pi * y)) ** 2
     g0 = _mean_one_bump(cfg)
@@ -305,7 +304,7 @@ def smooth_suite(cfg: BogovskiiConfig) -> list:
 def spike_suite(cfg: BogovskiiConfig) -> list:
     """Mean-zero dipoles with shrinking positive cores."""
     Xc = cfg.grid.cell_coords()
-    L = cfg.grid.spacing[0] * cfg.grid.extents[0]
+    L = cfg.grid.lengths[0]
     x, y = Xc[0] / L, Xc[1] / L
     out = []
     for d in _SPIKE_SHARPNESS:

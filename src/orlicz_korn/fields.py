@@ -87,6 +87,11 @@ class Grid:
         return tuple(e + 1 for e in self.extents)
 
     @property
+    def lengths(self) -> tuple:
+        """The box's side lengths: spacing times cells, per axis."""
+        return tuple(h * e for h, e in zip(self.spacing, self.extents))
+
+    @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -380,8 +385,7 @@ def radial_test_field(h, grid: Grid) -> tuple:
         raise DomainError("h must be a StepFunction on (0, omega_n)")
     if np.any(h.values < 0):
         raise DomainError("h must be nonnegative")
-    if any(o > -1.0 or o + hj * e < 1.0
-           for o, hj, e in zip(grid.origin, grid.spacing, grid.extents)):
+    if any(o > -1.0 or o + L < 1.0 for o, L in zip(grid.origin, grid.lengths)):
         raise DomainError("the unit ball must fit inside the grid box")
     n = grid.dim
     omega_n = math.pi if n == 2 else 4.0 * math.pi / 3.0
@@ -434,7 +438,7 @@ def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
     gradients of its bumps, shape (bumps, dim, *cell_shape), and their norms
     ||grad phi||_{L^conj(A)}; bumps whose norm is zero are left out."""
     At = conjugate(A)
-    lengths = [grid.spacing[j] * grid.extents[j] for j in range(grid.dim)]
+    lengths = grid.lengths
     grads, norms = [], []
     for scale in (0.45, 0.24, 0.12):
         half = [scale * L for L in lengths]
@@ -497,8 +501,7 @@ def _bubble(grid: Grid):
     X = grid.node_coords()
     out = np.ones(grid.node_shape)
     for j, x in enumerate(X):
-        span = grid.spacing[j] * grid.extents[j]
-        xhat = (x - grid.origin[j]) / span
+        xhat = (x - grid.origin[j]) / grid.lengths[j]
         out = out * np.sin(math.pi * np.clip(xhat, 0.0, 1.0))
     return out
 
@@ -535,7 +538,7 @@ def random_suite(grid: Grid, count: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     n = grid.dim
     X = grid.node_coords()
-    span = [grid.spacing[j] * grid.extents[j] for j in range(n)]
+    span = grid.lengths
     xhat = [(X[j] - grid.origin[j]) / span[j] for j in range(n)]
     out = []
     for _ in range(count):

@@ -17,6 +17,13 @@ def grid3():
     return Grid.box(8, lengths=2.0, origin=(-1.0, -1.0, -1.0), dim=3)
 
 
+def test_grid_lengths_are_the_box_lengths():
+    g = Grid.box((3, 7), lengths=(1.0, 2.2), origin=(0.5, -1.0))
+    assert g.lengths == (g.spacing[0] * 3, g.spacing[1] * 7)
+    assert g.lengths == pytest.approx((1.0, 2.2), rel=1e-15)
+    assert g.node_coords()[1][0, -1] == -1.0 + g.lengths[1]
+
+
 def _affine_field(grid, M, b=None):
     X = grid.node_coords()
     n = grid.dim
