@@ -26,9 +26,10 @@ A = t^p L^alpha and B = t^p L^beta with L = log(1 + t), the primal ratio of
 the two sides grows like (ln t)^g, with the log gap g = beta - alpha for
 p > 1 and g = beta + 1 - alpha for p = 1.  Up to constant factors, it shows
 on the sweep only where (ln t)^g outgrows c^p for c = 2^10 at ln t = 6e5,
-that is, where g ln(6e5) > 10 p ln 2: g > 0.52 p.  A smaller gap passes with
-some c <= 2^10 over the whole sweep, so a pass says that the bound holds up
-to such slowly growing factors.
+that is, where g ln(6e5) > 10 p ln 2: g > 0.52 p (for p = 1 the integral's
+factor 1/(beta + 1) lifts this by ln(beta + 1) / ln(6e5), 0.1 at beta = 3).
+A smaller gap passes with some c <= 2^10 over the whole sweep, so a pass
+says that the bound holds up to such slowly growing factors.
 """
 
 from __future__ import annotations

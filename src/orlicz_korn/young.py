@@ -1081,8 +1081,7 @@ def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
         finite = np.isfinite(v)
         if finite.all():
             return np.interp(tau, grid, v)
-        v = np.nan_to_num(np.where(finite, v, np.inf), copy=False, posinf=1e308)
-        out = np.interp(tau, grid, v)
+        out = np.interp(tau, grid, np.where(finite, v, 1e308))
         out[out >= 1e307] = np.inf
     return out
 
