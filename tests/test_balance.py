@@ -241,11 +241,9 @@ def test_balance_verdicts_are_invariant_under_scaling(catalog, pair, scale_a, m,
 
 # For A = t^p L^alpha and B = t^p L^beta, L = log(1 + t), the pair holds iff
 # beta <= alpha for p > 1 and iff beta <= alpha - 1 for p = 1.  The search
-# sees a log gap g (beta - alpha for p > 1, beta + 1 - alpha for p = 1) only
-# where g > 0.52 p (the module docstring) up to constant factors: for p = 1
-# the integral carries 1/(beta + 1), down to 1/4, which moves the threshold
-# up by ln 4 / ln 6e5 = 0.1 (p = 1, alpha = 2.484375, beta = 2.09375 passes
-# at c = 1024 with g = 0.61), so "fails" is asserted from 0.52 p + 0.15.
+# sees the log gap g only where g > 0.52 p, and for p = 1 up to 0.1 more
+# (balance's docstring; p = 1, alpha = 2.484375, beta = 2.09375 passes at
+# c = 1024 with g = 0.61), so "fails" is asserted from 0.52 p + 0.15.
 # p in (1, 1.1) is left out: near p = 1+ the integral's factor 1/(p - 1)
 # outruns the reach of the constants 2^k <= 2^10.
 @settings(max_examples=15, deadline=None)

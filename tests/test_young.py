@@ -915,6 +915,8 @@ def test_the_first_tail_points_of_the_sweep_are_the_closed_form(k, p, coeff):
     at = slice(_N_DENSE + _N_MID, _N_DENSE + _N_MID + 3)
     tau = young._SWEEP_TAU[at] + k * young.LN2
     assert young._sweep_read(PowerYoung(p, coeff), k, at) == pytest.approx(math.log(coeff) + p * tau, rel=1e-14)
+
+
 # slice ends: any sweep index or none, with the points on both sides of the
 # dense/mid and mid/tail joins and the first and last points drawn often
 _SWEEP_END = st.one_of(
