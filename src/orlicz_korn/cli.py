@@ -133,11 +133,13 @@ def _cmd_laminate_demo(args, A, B) -> int:
         print(f"m={row['m']:2d} t_m={row['t_m']:.6g} ratio={row['ratio']:.6g}")
     tables = {"blowup.csv": (["m", "t_m", "sym_moment", "full_moment", "ratio"], rows)}
     if args.realize:
-        realized = laminate.realization_suite(args.m_max, args.r, args.depth, args.grid)
-        for row, u in realized:
+        realized = []
+        for row, u in laminate.realization_suite(args.m_max, args.r, args.depth, args.grid):
             fields.save_field(u, os.path.join(args.out, f"laminate_m{row[0]}"))
+            realized.append(row)
+            del u            # before the suite builds the next field
         tables["realize.csv"] = (["m", "exact_moment", "realized_moment", "rel_gap"],
-                                 [row for row, _ in realized])
+                                 realized)
     _emit(args, tables)
     return 0
 

@@ -95,10 +95,13 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def node_coords(self):
-        axes = [self.origin[j] + self.spacing[j] * np.arange(self.extents[j] + 1)
+    def node_axes(self) -> list:
+        """The node coordinates along each axis, one 1-d array per axis."""
+        return [self.origin[j] + self.spacing[j] * np.arange(self.extents[j] + 1)
                 for j in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij")
+
+    def node_coords(self):
+        return np.meshgrid(*self.node_axes(), indexing="ij")
 
     def cell_coords(self):
         axes = [self.origin[j] + self.spacing[j] * (np.arange(self.extents[j]) + 0.5)
@@ -340,6 +343,15 @@ def _kernel_quotient(num: float, den: float, kernel: str) -> float:
     return num / den
 
 
+def _check_operator(operator: str, dim: int) -> None:
+    """Raise DomainError unless the Korn operator is measurable in dim."""
+    if operator not in ("E", "ED"):
+        raise DomainError("operator must be 'E' or 'ED'")
+    if operator == "ED" and dim < 3:
+        raise DomainError("deviatoric mode needs a 3-d grid; "
+                          "the 2-d trace-free theory is out of scope")
+
+
 def korn_ratio(A: YoungFunction, B: YoungFunction, u: GridField,
                mode: str = "zero_bc", operator: str = "ED") -> float:
     """||grad(u - Pu)||_{L^B} / ||Eu or EDu||_{L^A}.
@@ -349,11 +361,7 @@ def korn_ratio(A: YoungFunction, B: YoungFunction, u: GridField,
     "full_domain" subtracts the projection onto the operator kernel first.
     Raises KernelMembership when the denominator vanishes.
     """
-    if operator not in ("E", "ED"):
-        raise DomainError("operator must be 'E' or 'ED'")
-    if operator == "ED" and u.grid.dim < 3:
-        raise DomainError("deviatoric mode needs a 3-d grid; "
-                          "the 2-d trace-free theory is out of scope")
+    _check_operator(operator, u.grid.dim)
     w = _reduce(u, mode, "sigma" if operator == "ED" else "R")
     denom_tensor = dev_sym_gradient(w) if operator == "ED" else sym_gradient(w)
     num = norm_of_tensor(B, gradient(w))
@@ -601,6 +609,8 @@ def korn_suite(A: YoungFunction, B: YoungFunction, suite: str, cells: int, dim: 
                mode: str, operator: str, trials: int, seed: int) -> list:
     """Per-trial Korn ratios for a named suite on its box of cells^dim
     cells; rows (label, ratio)."""
+    # the laminate fields are 2-d whatever dim is: reject before building any
+    _check_operator(operator, 2 if suite == "laminate" else dim)
     return _suite_rows(suite, cells, dim, trials, seed,
                        lambda u: korn_ratio(A, B, u, mode, operator))
 
@@ -645,7 +655,7 @@ def save_field(u: GridField, basepath: str, fmt: str = "bin") -> None:
         json.dump(meta, fh, indent=1)
     flat = u.components.reshape(u.grid.dim, -1)
     if fmt == "bin":
-        flat.astype("<f8").tofile(basepath + ".bin")
+        np.asarray(flat, dtype="<f8").tofile(basepath + ".bin")
     elif fmt == "csv":
         np.savetxt(basepath + ".csv", flat.T, delimiter=",",
                    header=",".join(f"u{i}" for i in range(u.grid.dim)), comments="")

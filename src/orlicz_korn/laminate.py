@@ -40,6 +40,9 @@ _T, _R = 1.0, 1.0
 _SUITE_CELLS, _SUITE_DEPTH, _EXACT_DEPTH = 1024, 5, 64
 # realization_suite realizes the laminates of scale _T up to this level
 _REALIZE_LEVELS = 3
+# as_grid_field evaluates the displacement on blocks of whole node rows, about
+# this many nodes a block, so that its temporaries stay a small part of a field
+_BLOCK_NODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -290,9 +293,16 @@ class LaminateRealization:
 
     # -- sampling ------------------------------------------------------------
     def as_grid_field(self, cells: int) -> GridField:
+        """v at the nodes of cells^2 cells on (0, r)^2, zero on the boundary.
+        ``displacement`` is elementwise, so filling the field a block of
+        rows at a time gives each node the bits of a whole-grid call."""
         grid = Grid.box((cells, cells), lengths=self.r, origin=(0.0, 0.0))
-        X = grid.node_coords()
-        v = np.stack(self.displacement(X[0], X[1]))
+        x, y = grid.node_axes()
+        v = np.empty((2, x.size, y.size))
+        rows = max(1, _BLOCK_NODES // y.size)
+        for i in range(0, x.size, rows):
+            v[0, i:i + rows], v[1, i:i + rows] = self.displacement(
+                *np.meshgrid(x[i:i + rows], y, indexing="ij"))
         _zero_boundary(v)
         return GridField(grid, v, boundary_flag=True)
 
@@ -308,21 +318,20 @@ def korn_suite_fields(m_max: int) -> list:
             .as_grid_field(_SUITE_CELLS) for m in range(1, m_max + 1)]
 
 
-def realization_suite(m_max: int, r: float, depth: int, cells: int) -> list:
-    """Pairs (row, field) for m = 1..min(m_max, _REALIZE_LEVELS): the
+def realization_suite(m_max: int, r: float, depth: int, cells: int):
+    """Yield pairs (row, field) for m = 1..min(m_max, _REALIZE_LEVELS), one
+    at a time, so that a caller who drops each field keeps one alive: the
     laminate of scale _T realized on (0, r)^2 at the given depth, with row
     (m, exact, realized, rel_gap) comparing the exact moment of |G| (times
     r^2) with the realized one, and the field sampled on cells^2 cells."""
     phi = lambda M: np.linalg.norm(M, axis=(-2, -1))
-    out = []
     for m in range(1, min(m_max, _REALIZE_LEVELS) + 1):
         L = build_laminate(m, _T)
         real = realize_field(L, r, depth)
         exact = moment(L, phi) * r ** 2
         realized = real.moment(phi)
-        out.append(([m, exact, realized, abs(realized - exact) / max(abs(exact), 1e-300)],
-                    real.as_grid_field(cells)))
-    return out
+        yield ([m, exact, realized, abs(realized - exact) / max(abs(exact), 1e-300)],
+               real.as_grid_field(cells))
 
 
 def exact_korn_l1_ratio(m: int) -> float:

@@ -945,8 +945,9 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
             live, n_live = going, n_going
             if 2 * n_live < k.size:
                 i = np.flatnonzero(live)
-                k, a, b, fa, fb, tol, moved_a, moved_b, target, live = (
-                    v[i] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, live))
+                k, a, b, fa, fb, tol, moved_a, moved_b, target, live, x, lx = (
+                    v[i] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, live,
+                                   x, lx))
     if n_live:                 # out of iterations: the last point
         sigma[k[live]], lam[k[live]] = x[live], lx[live]
     # r s - A(r) = r s (kappa - (1 - kappa) m), where kappa is the excess
@@ -1064,25 +1065,38 @@ def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarr
             part[:head] = np.nan
             part[head:] = v[j + head * step:j + part.size * step:step]
             continue
+        if not part.size:
+            continue
         # the shifted tau, read in place; for k <= -5 the first ones fall
         # below the tail grid, into the mid grid's overlap
         np.add(_TAIL_GRID[j:j + part.size * step:step], k * LN2, out=part)
         below = int(np.searchsorted(part, _TAIL_GRID[0]))
         if below:
             part[:below] = _interp(part[:below], _MID_GRID, _log_curve(A, "mid"))
-        part[below:] = _interp(part[below:], _TAIL_GRID, v)
+        if below < part.size:
+            part[below:] = _interp(part[below:], _TAIL_GRID, v)
     return out
 
 
 def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The curve v on grid interpolated linearly at tau, with NaN and +inf
-    read as +inf."""
+    """The curve v on grid interpolated linearly at the ascending, non-empty
+    tau, with NaN and +inf read as +inf.  Only the window of grid nodes that
+    tau falls between is read: np.interp gives each point the same bits from
+    it as from the whole curve."""
+    lo = max(int(np.searchsorted(grid, tau[0], "right")) - 1, 0)
+    hi = int(np.searchsorted(grid, tau[-1])) + 1
+    w = v[lo:hi]
     with np.errstate(invalid="ignore"):
-        finite = np.isfinite(v)
+        finite = np.isfinite(w)
         if finite.all():
-            return np.interp(tau, grid, v)
-        out = np.interp(tau, grid, np.where(finite, v, 1e308))
-        out[out >= 1e307] = np.inf
+            out = np.interp(tau, grid[lo:hi], w)
+        else:
+            out = np.interp(tau, grid[lo:hi], np.where(finite, w, 1e308))
+        # past 1e307 reads +inf wherever v has a node that is not finite,
+        # also outside the window; only then is the whole curve scanned
+        big = out >= 1e307
+        if big.any() and not (finite.all() and np.isfinite(v).all()):
+            out[big] = np.inf
     return out
 
 

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_korn
-from orlicz_korn import fields, young
+from orlicz_korn import fields, laminate, young
 from orlicz_korn.cli import main
 
 
@@ -245,6 +246,32 @@ def test_laminate_realize_creates_fresh_out(tmp_path):
     assert rc == 0
     assert (out / "laminate_m1.bin").exists()
     assert (out / "realize.csv").exists()
+
+
+def test_verify_korn_rejects_the_deviatoric_laminate_suite_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    def unbuilt(m_max):
+        raise AssertionError("the laminate fields were built")
+    monkeypatch.setattr(laminate, "korn_suite_fields", unbuilt)
+    rc, _ = run(tmp_path, "verify-korn", "--A", "L2", "--B", "L2", "--suite", "laminate")
+    assert rc == 2
+    assert capsys.readouterr().err == ("orlicz-korn: error: deviatoric mode needs a 3-d grid; "
+                                       "the 2-d trace-free theory is out of scope\n")
+
+
+def test_laminate_realize_keeps_one_field_alive(tmp_path):
+    # the default grid, 512^2 cells: one field is 2 * 513^2 doubles
+    field_bytes = 2 * 513 ** 2 * 8
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "laminate-demo", "--A", "L1", "--B", "L1", "--realize",
+                      "--m-max", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert [(out / f"laminate_m{m}.bin").stat().st_size for m in (1, 2, 3)] == [field_bytes] * 3
+    assert peak <= 2 * field_bytes
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -234,13 +235,54 @@ def test_realization_suite_matches_the_per_level_loop():
         realized = real.moment(_frob)
         rows.append([m, exact, realized, abs(realized - exact) / max(abs(exact), 1e-300)])
         grids.append(real.as_grid_field(cells))
-    suite = laminate.realization_suite(m_max, r, depth, cells)
+    # the suite is a generator: read it once, into a list
+    suite = list(laminate.realization_suite(m_max, r, depth, cells))
     assert [row for row, _ in suite] == rows
+    assert len(suite) == len(grids)
     for (_, u), v in zip(suite, grids):
         assert u.grid == v.grid and u.boundary_flag == v.boundary_flag
         assert np.array_equal(u.components, v.components)
     assert [row[0] for row, _ in laminate.realization_suite(10, 1.0, 8, 4)] == [1, 2, 3]
-    assert laminate.realization_suite(0, 1.0, 8, 4) == []
+    assert list(laminate.realization_suite(0, 1.0, 8, 4)) == []
+
+
+def _whole_grid_field(real, cells):
+    """The displacement evaluated on the whole node grid at once, boundary
+    zeroed: the reference for the field filled in row blocks."""
+    grid = fields.Grid.box((cells, cells), lengths=real.r, origin=(0.0, 0.0))
+    v = np.stack(real.displacement(*grid.node_coords()))
+    fields._zero_boundary(v)
+    return grid, v
+
+
+@pytest.mark.parametrize("cells, block_nodes", [
+    (2, None), (16, None), (33, None),
+    # 513 node rows, in blocks of 31 rows: the last block holds 17
+    (512, None),
+    # 17 node rows in blocks of 5 and of 1
+    (16, 100), (16, 1)])
+def test_grid_field_in_row_blocks_is_the_whole_grid_evaluation(monkeypatch, cells, block_nodes):
+    if block_nodes is not None:
+        monkeypatch.setattr(laminate, "_BLOCK_NODES", block_nodes)
+    real = realize_field(build_laminate(3, 1.0), 1.0, 8)
+    grid, v = _whole_grid_field(real, cells)
+    u = real.as_grid_field(cells)
+    assert u.grid == grid and u.boundary_flag
+    assert u.components.dtype == v.dtype and u.components.shape == v.shape
+    assert u.components.tobytes() == v.tobytes()
+
+
+def test_grid_field_peaks_below_two_fields():
+    real = realize_field(build_laminate(3, 1.0), 1.0, 8)
+    field_bytes = 2 * 513 ** 2 * 8
+    tracemalloc.start()
+    try:
+        u = real.as_grid_field(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.components.nbytes == field_bytes
+    assert peak <= 2 * field_bytes
 
 
 def test_sampled_korn_ratio_grows_then_exact_tracks(catalog):

@@ -932,6 +932,8 @@ _SWEEP_END = st.one_of(
 @example(label="L2", k=-10, start=0, stop=None, step=balance._SCREEN_STRIDE)    # the screen
 @example(label="conj(LlogL2)", k=10, start=_N_DENSE + _N_MID - 2, stop=None, step=None)
 @example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
+# one tail point, below the tail grid: read on the mid grid alone
+@example(label="L2", k=-10, start=_N_DENSE + _N_MID, stop=_N_DENSE + _N_MID + 1, step=None)
 def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, label, k,
                                                                      start, stop, step):
     at = slice(start, stop, step)
@@ -939,6 +941,39 @@ def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_funct
     got = young._sweep_read(sweep_functions[label], k, at)
     assert got.dtype == full.dtype and got.shape == full.shape
     assert got.tobytes() == full.tobytes()
+
+
+def test_interp_reads_a_window_as_the_whole_curve():
+    grid = np.arange(6.0)
+    curves = {"finite": np.array([0.0, 1.0, 2e307, 3e307, 4e307, 5e307]),
+              # past 1e307 reads +inf once the curve has a node that is not
+              # finite, though no window below holds it
+              "inf at the end": np.array([0.0, 1.0, 2e307, 3e307, 4e307, np.inf]),
+              "nan at the start": np.array([np.nan, 1.0, 2.0, 3e307, 4.0, 5.0])}
+    taus = [[-1.0], [0.0], [0.5], [2.5], [2.0, 3.0], [1.5, 2.5, 3.5], [4.5], [5.0], [7.0],
+            [-1.0, 7.0]]
+    for label, v in curves.items():
+        for tau in taus:
+            tau = np.array(tau)
+            assert young._interp(tau, grid, v).tobytes() == _parent_interp(tau, grid, v).tobytes(), \
+                (label, tau)
+    assert young._interp(np.array([2.5]), grid, curves["inf at the end"])[0] == np.inf
+    assert young._interp(np.array([2.5]), grid, curves["finite"])[0] == 2.5e307
+
+
+@pytest.mark.parametrize("name", ["L2_log", "expL2"])
+@pytest.mark.parametrize("iters", range(3, 9))
+def test_slope_root_out_of_iterations_gives_its_last_iterates(monkeypatch, catalog, name, iters):
+    # the last iteration may compact the working arrays; the points still
+    # live then are read at their last iterate
+    tau = young._GRIDS["mid"][:8192]
+    want = ConjugateYoung(catalog[name]).log_value_logt(tau)
+    monkeypatch.setattr(young, "_ROOT_ITERS", iters)
+    got = ConjugateYoung(catalog[name]).log_value_logt(tau)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite] == pytest.approx(want[finite], rel=1e-6)
 
 
 def _parent_shifted(A, grid, k, tau_lo):
