@@ -918,7 +918,7 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     # along, unread, until fewer than half of the working arrays are live
     live = np.ones(k.size, dtype=bool)
     n_live = k.size
-    for _ in range(_ROOT_ITERS):
+    for it in range(_ROOT_ITERS):
         if not n_live:
             break
         with np.errstate(invalid="ignore"):
@@ -938,6 +938,8 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
         np.copyto(b, x, where=right)
         moved_a, moved_b = left, right
         going = live & (b - a > tol) & (left | right)
+        if it == _ROOT_ITERS - 1:      # out of iterations: each point at its last iterate
+            going[:] = False
         n_going = np.count_nonzero(going)
         if n_going < n_live:
             done = live ^ going
@@ -945,11 +947,8 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
             live, n_live = going, n_going
             if 2 * n_live < k.size:
                 i = np.flatnonzero(live)
-                k, a, b, fa, fb, tol, moved_a, moved_b, target, live, x, lx = (
-                    v[i] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, live,
-                                   x, lx))
-    if n_live:                 # out of iterations: the last point
-        sigma[k[live]], lam[k[live]] = x[live], lx[live]
+                k, a, b, fa, fb, tol, moved_a, moved_b, target, live = (
+                    v[i] for v in (k, a, b, fa, fb, tol, moved_a, moved_b, target, live))
     # r s - A(r) = r s (kappa - (1 - kappa) m), where kappa is the excess
     # fraction 1 - A(r)/(r A'(r)) and m = A'(r)/s - 1 the residual; sigma + tau
     # is summed with its rounding error (Knuth's two-sum), so that the value
@@ -1090,13 +1089,13 @@ def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
         finite = np.isfinite(w)
         if finite.all():
             out = np.interp(tau, grid[lo:hi], w)
+            # past 1e307 reads +inf where v has a node that is not finite,
+            # also outside the window; only then is the whole curve scanned
+            if out.max() < 1e307 or np.isfinite(v).all():
+                return out
         else:
             out = np.interp(tau, grid[lo:hi], np.where(finite, w, 1e308))
-        # past 1e307 reads +inf wherever v has a node that is not finite,
-        # also outside the window; only then is the whole curve scanned
-        big = out >= 1e307
-        if big.any() and not (finite.all() and np.isfinite(v).all()):
-            out[big] = np.inf
+        out[out >= 1e307] = np.inf
     return out
 
 
