@@ -1079,11 +1079,15 @@ def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarr
 
 def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The curve v on grid interpolated linearly at the ascending, non-empty
-    tau, with NaN and +inf read as +inf.  Only the window of grid nodes that
-    tau falls between is read: np.interp gives each point the same bits from
-    it as from the whole curve."""
+    tau, with NaN and +inf read as +inf.  Only a window of the curve is
+    read, one that holds the two nodes around each point: np.interp gives
+    each point the same bits from it as from the whole curve.  Where the
+    curve has more nodes than tau has points, so has the window, since
+    np.interp otherwise tabulates a slope per node (memory that tracemalloc
+    does not see)."""
     lo = max(int(np.searchsorted(grid, tau[0], "right")) - 1, 0)
-    hi = int(np.searchsorted(grid, tau[-1])) + 1
+    hi = max(int(np.searchsorted(grid, tau[-1])) + 1, lo + tau.size + 1)
+    lo = max(min(lo, grid.size - (hi - lo)), 0)
     w = v[lo:hi]
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(w)

@@ -951,7 +951,7 @@ def test_interp_reads_a_window_as_the_whole_curve():
               "inf at the end": np.array([0.0, 1.0, 2e307, 3e307, 4e307, np.inf]),
               "nan at the start": np.array([np.nan, 1.0, 2.0, 3e307, 4.0, 5.0])}
     taus = [[-1.0], [0.0], [0.5], [2.5], [2.0, 3.0], [1.5, 2.5, 3.5], [4.5], [5.0], [7.0],
-            [-1.0, 7.0]]
+            [-1.0, 7.0], np.linspace(2.1, 2.9, 9), np.linspace(4.2, 8.0, 5)]
     for label, v in curves.items():
         for tau in taus:
             tau = np.array(tau)
@@ -959,6 +959,21 @@ def test_interp_reads_a_window_as_the_whole_curve():
                 (label, tau)
     assert young._interp(np.array([2.5]), grid, curves["inf at the end"])[0] == np.inf
     assert young._interp(np.array([2.5]), grid, curves["finite"])[0] == 2.5e307
+
+
+def test_sweep_reads_interpolate_on_more_nodes_than_points(sweep_functions, monkeypatch):
+    # np.interp tabulates a slope per node, untraced, on a curve of no more
+    # nodes than points; the whole-curve reads never did on the sweep grids
+    sizes, interp = [], np.interp
+    def spy(x, xp, fp):
+        sizes.append((len(xp), len(x)))
+        return interp(x, xp, fp)
+    monkeypatch.setattr(np, "interp", spy)
+    for A in sweep_functions.values():
+        for k in [*young._C_EXPONENTS, 0.5]:
+            for at in (slice(None), slice(-1, None)):
+                young._sweep_read(A, k, at)
+    assert sizes and all(nodes > points for nodes, points in sizes)
 
 
 @pytest.mark.parametrize("name", ["L2_log", "expL2"])
