@@ -947,7 +947,7 @@ def test_interp_reads_a_window_as_the_whole_curve():
     grid = np.arange(6.0)
     curves = {"finite": np.array([0.0, 1.0, 2e307, 3e307, 4e307, 5e307]),
               # past 1e307 reads +inf once the curve has a node that is not
-              # finite, though no window below holds it
+              # finite, also where the window of the points does not hold it
               "inf at the end": np.array([0.0, 1.0, 2e307, 3e307, 4e307, np.inf]),
               "nan at the start": np.array([np.nan, 1.0, 2.0, 3e307, 4.0, 5.0])}
     taus = [[-1.0], [0.0], [0.5], [2.5], [2.0, 3.0], [1.5, 2.5, 3.5], [4.5], [5.0], [7.0],
@@ -979,8 +979,8 @@ def test_sweep_reads_interpolate_on_more_nodes_than_points(sweep_functions, monk
 @pytest.mark.parametrize("name", ["L2_log", "expL2"])
 @pytest.mark.parametrize("iters", range(3, 9))
 def test_slope_root_out_of_iterations_gives_its_last_iterates(monkeypatch, catalog, name, iters):
-    # the last iteration may compact the working arrays; the points still
-    # live then are read at their last iterate
+    # out of iterations, each point still live ends at its last iterate,
+    # also where the last iteration compacted the working arrays
     tau = young._GRIDS["mid"][:8192]
     want = ConjugateYoung(catalog[name]).log_value_logt(tau)
     monkeypatch.setattr(young, "_ROOT_ITERS", iters)
