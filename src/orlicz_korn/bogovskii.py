@@ -239,19 +239,18 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
     return bfs[0] if single else bfs
 
 
-def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray,
-                 bf: GridField | None = None) -> float:
-    """||div(T f) - f||_inf / ||f||_inf (discrete cell-centered divergence)."""
-    bf = bf if bf is not None else apply(cfg, f_cells)
+def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray, bf: GridField) -> float:
+    """||div(T f) - f||_inf / ||f||_inf (discrete cell-centered divergence),
+    with bf = T f the solved field (``apply``)."""
     div = fields.divergence(bf)
     denom = float(np.max(np.abs(f_cells)))
     return float(np.max(np.abs(div - f_cells))) / denom
 
 
 def norm_bound_ratio(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
-                     f_cells: np.ndarray, bf: GridField | None = None) -> float:
-    """||grad(T f)||_{L^B} / ||f||_{L^A}."""
-    bf = bf if bf is not None else apply(cfg, f_cells)
+                     f_cells: np.ndarray, bf: GridField) -> float:
+    """||grad(T f)||_{L^B} / ||f||_{L^A}, with bf = T f the solved field
+    (``apply``)."""
     num = fields.norm_of_tensor(B, fields.gradient(bf))
     den = fields.norm_of_cells(A, f_cells, cfg.grid)
     if den == 0.0:
@@ -271,10 +270,12 @@ def ratio_suite(cfg: BogovskiiConfig, A: YoungFunction, B: YoungFunction,
             for i, (f, bf) in enumerate(zip(sources, bfs))]
 
 
-def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:
-    Xc = cfg.grid.cell_coords()
-    L = cfg.grid.lengths[0]
-    x, y = Xc[0] / L, Xc[1] / L
+def _unit_cell_coords(cfg: BogovskiiConfig) -> np.ndarray:
+    """The cell centres (x, y) in units of the side length."""
+    return np.stack(cfg.grid.cell_coords()) / cfg.grid.lengths[0]
+
+
+def _mean_one_bump(cfg: BogovskiiConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     g0 = np.clip(1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.33 ** 2, 0.0, None) ** 2
     if not g0.sum() > 0:
         raise DomainError("no cell centre lies inside the compensating bump; "
@@ -285,11 +286,9 @@ def _mean_one_bump(cfg: BogovskiiConfig) -> np.ndarray:
 def smooth_suite(cfg: BogovskiiConfig) -> list:
     """Five fixed smooth sources, compactly supported and exactly mean-zero
     (mean compensated by a fixed interior bump, not by a global shift)."""
-    Xc = cfg.grid.cell_coords()
-    L = cfg.grid.lengths[0]
-    x, y = Xc[0] / L, Xc[1] / L
+    x, y = _unit_cell_coords(cfg)
     window = (np.sin(math.pi * x) * np.sin(math.pi * y)) ** 2
-    g0 = _mean_one_bump(cfg)
+    g0 = _mean_one_bump(cfg, x, y)
     raw = [
         np.sin(2 * math.pi * x) * np.sin(2 * math.pi * y),
         window * np.sin(4 * math.pi * x),
@@ -302,18 +301,15 @@ def smooth_suite(cfg: BogovskiiConfig) -> list:
 
 
 def spike_suite(cfg: BogovskiiConfig) -> list:
-    """Mean-zero dipoles with shrinking positive cores."""
-    Xc = cfg.grid.cell_coords()
-    L = cfg.grid.lengths[0]
-    x, y = Xc[0] / L, Xc[1] / L
+    """Mean-zero dipoles with shrinking positive cores and one fixed sink."""
+    x, y = _unit_cell_coords(cfg)
+    vol = cfg.grid.cell_volume
+    sink = np.clip(1.0 - ((x - 0.7) ** 2 + (y - 0.5) ** 2) / 0.2 ** 2, 0.0, None) ** 2
+    sink_mass = sink.sum()
     out = []
     for d in _SPIKE_SHARPNESS:
         core = np.clip(1.0 - ((x - 0.35) ** 2 + (y - 0.5) ** 2) / d ** 2, 0.0, None) ** 2
-        sink = np.clip(1.0 - ((x - 0.7) ** 2 + (y - 0.5) ** 2) / 0.2 ** 2, 0.0, None) ** 2
         core_mass = core.sum()
-        sink_mass = sink.sum()
-        if core_mass == 0 or sink_mass == 0:
-            continue
-        f = core / (core_mass * cfg.grid.cell_volume) - sink / (sink_mass * cfg.grid.cell_volume)
-        out.append(f)
+        if core_mass > 0 and sink_mass > 0:
+            out.append(core / (core_mass * vol) - sink / (sink_mass * vol))
     return out

@@ -203,9 +203,19 @@ def gradient(u: GridField) -> TensorField:
                                     for j in range(g.dim)], axis=1))
 
 
+def _sym_part(G: TensorField) -> TensorField:
+    """(G + G^T) / 2, a new tensor field."""
+    return TensorField(G.grid, 0.5 * (G.entries + G.entries.swapaxes(0, 1)))
+
+
+def _trace_free(E: TensorField) -> TensorField:
+    """E - (tr E / dim) I, in place."""
+    E.entries[np.diag_indices(E.grid.dim)] -= E.trace() / E.grid.dim
+    return E
+
+
 def sym_gradient(u: GridField) -> TensorField:
-    G = gradient(u).entries
-    return TensorField(u.grid, 0.5 * (G + G.swapaxes(0, 1)))
+    return _sym_part(gradient(u))
 
 
 def dev_sym_gradient(u: GridField) -> TensorField:
@@ -213,10 +223,7 @@ def dev_sym_gradient(u: GridField) -> TensorField:
         raise DomainError(
             "the trace-free symmetric gradient kernel theory needs dimension >= 3; "
             "use the plain symmetric gradient on 2-d grids")
-    E = sym_gradient(u)
-    diag = np.arange(u.grid.dim)
-    E.entries[diag, diag] -= E.trace() / u.grid.dim
-    return E
+    return _trace_free(_sym_part(gradient(u)))
 
 
 def divergence(u: GridField) -> np.ndarray:
@@ -283,12 +290,12 @@ def project_kernel(u: GridField, mode: str = "sigma") -> GridField:
     discrete (trapezoidal) L2 inner product; idempotent and linear."""
     basis = KernelBasis(u.grid, mode)
     rows = basis.generators.reshape(len(basis), -1)
-    wfull = np.tile(_node_weights(u.grid).ravel(), u.grid.dim)
-    gram = (rows * wfull) @ rows.T
+    weighted = rows * np.tile(_node_weights(u.grid).ravel(), u.grid.dim)
+    gram = weighted @ rows.T
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConfigurationError(f"kernel basis Gram matrix ill-conditioned (cond={cond:.3g}); refine the grid")
-    coef = np.linalg.solve(gram, (rows * wfull) @ u.components.ravel())
+    coef = np.linalg.solve(gram, weighted @ u.components.ravel())
     return GridField(u.grid, (coef @ rows).reshape(u.components.shape))
 
 
@@ -359,13 +366,14 @@ def korn_ratio(A: YoungFunction, B: YoungFunction, u: GridField,
     mode "zero_bc" takes P = 0 and requires exact boundary zeros (the field is
     zero-padded before differentiation, mirroring continuation by zero); mode
     "full_domain" subtracts the projection onto the operator kernel first.
-    Raises KernelMembership when the denominator vanishes.
+    Raises KernelMembership when the denominator vanishes.  Both tensors
+    are read off one gradient of the reduced field.
     """
     _check_operator(operator, u.grid.dim)
     w = _reduce(u, mode, "sigma" if operator == "ED" else "R")
-    denom_tensor = dev_sym_gradient(w) if operator == "ED" else sym_gradient(w)
-    num = norm_of_tensor(B, gradient(w))
-    return _kernel_quotient(num, norm_of_tensor(A, denom_tensor), operator)
+    G = gradient(w)
+    E = _trace_free(_sym_part(G)) if operator == "ED" else _sym_part(G)
+    return _kernel_quotient(norm_of_tensor(B, G), norm_of_tensor(A, E), operator)
 
 
 def poincare_ratio(A: YoungFunction, u: GridField, mode: str = "zero_bc") -> float:
@@ -596,12 +604,15 @@ def _suite_rows(suite: str, cells: int, dim: int, trials: int, seed: int, ratio)
     else:
         raise DomainError(f"unknown suite {suite!r}")
     rows = []
-    for i, u in enumerate(trial_fields):
+    # no enumerate: its reused pair would hold a streamed field while the
+    # suite builds the next one
+    for u in trial_fields:
         try:
             r = ratio(u)
         except KernelMembership:
             r = float("nan")
-        rows.append((f"{suite}_{i}", r))
+        rows.append((f"{suite}_{len(rows)}", r))
+        del u            # before a streamed suite builds the next field
     return rows
 
 

@@ -14,6 +14,7 @@ witnesses unboundedness when the balance conditions fail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,11 @@ __all__ = ["StepFunction", "HardyTrial", "HardyReport", "averaging_operator",
 
 _PER_DECADE = 96              # cells per decade of the geometric partitions
 _GROWTH_TOL = 0.25            # allowed ratio growth per unit ln(sharpening)
+# the powers k of the log spikes ln(L/s)^k; the largest integrates to k! L
+# over (0, L), the largest integral of the trial family, which leaves the
+# float range past L = _MAX_L
+_LOG_SPIKE_POWERS = range(1, 9)
+_MAX_L = sys.float_info.max / math.factorial(_LOG_SPIKE_POWERS[-1])
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def _trial_family(report: balance.BalanceReport, L: float, trials: int,
     mids = 0.5 * (edges[:-1] + edges[1:])
     for i, theta in enumerate(np.linspace(0.05, 0.92, 16)):
         fams.append((StepFunction(edges, mids ** (-theta)), f"power_spike_{i}"))
-    for i, k in enumerate(range(1, 9)):
+    for i, k in enumerate(_LOG_SPIKE_POWERS):
         fams.append((StepFunction(edges, np.log(L / mids) ** k), f"log_spike_{i}"))
     for cond in (report.primal, report.dual):
         for t in cond.failure_certificate[:4]:
@@ -157,6 +163,11 @@ def _trial_family(report: balance.BalanceReport, L: float, trials: int,
                 delta = max(min(L / 2.0, L / t), L * 1e-9)
                 fams.append((spike(L, delta), f"certificate_{t:.3g}"))
     return fams
+
+
+def _averaging_plus_dual(f: StepFunction) -> SampledFunction:
+    """s -> (H f + H* f)(s), the majorant of the rearrangement reduction."""
+    return SampledFunction(averaging_operator(f).values + dual_operator(f).values, f.widths)
 
 
 def _ratios(A, B, f: StepFunction, operators: tuple) -> list:
@@ -168,9 +179,12 @@ def _ratios(A, B, f: StepFunction, operators: tuple) -> list:
 def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
                  trials: int = 64, seed: int = 20240) -> HardyReport:
     """Worst Hardy-operator norm ratios over the fixed trial family, plus a
-    spike-sharpness sweep diagnosing unboundedness."""
-    if not (math.isfinite(L) and L > 0):
-        raise DomainError("need a finite L > 0")
+    spike-sharpness sweep diagnosing unboundedness.  L must lie in
+    (0, max float / 8!] (about 4.46e303), where every integral of the
+    family is a finite float."""
+    if not 0 < L <= _MAX_L:
+        raise DomainError(f"need 0 < L <= {_MAX_L:.6g}, where the trial family's "
+                          "integrals stay finite")
     if trials < 1:
         raise DomainError("need trials >= 1")
     report = balance.check_balance(A, B)
@@ -208,13 +222,7 @@ def rearrangement_reduction_check(A: YoungFunction, B: YoungFunction,
         raise DomainError("psi must be nonnegative")
 
     def ratio(f: StepFunction) -> float:
-        denom = rearrange.norm(A, f.sampled())
-        if denom == 0.0:
-            return 0.0
-        h = averaging_operator(f)
-        hd = dual_operator(f)
-        combined = SampledFunction(h.values + hd.values, h.weights)
-        return rearrange.norm(B, combined) / denom
+        return _ratios(A, B, f, (_averaging_plus_dual,))[0]
 
     def sharpened(lam: float) -> StepFunction:
         # concentrate the profile toward 0 on the same interval (0, L)

@@ -121,7 +121,8 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
     symmetric-part moment: r^2 2^-m A(2 |G(t_m, t_m)|) = 1/2.
 
     For pairs violating the primal balance condition the ratio column grows
-    without bound in m; for admissible pairs it stays bounded.
+    without bound in m; for admissible pairs it stays bounded.  A target
+    2^(m-1) / r^2 past the float range is rejected before any row is built.
     """
     if not A.finite_valued:
         raise DomainError("the scale choice needs a finite-valued, invertible "
@@ -130,6 +131,12 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
         raise DomainError("need r > 0 with r^2 a positive finite float")
     if m_max < 0:
         raise DomainError("need m_max >= 0")
+    try:
+        top = 2.0 ** (m_max - 1) / r ** 2
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise DomainError(f"no finite scale solves the normalization at m={m_max}")
     rows = []
     for m in range(0, m_max + 1):
         target = 2.0 ** (m - 1) / r ** 2
@@ -141,13 +148,10 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
         sym = []
         full = []
         for w, al, be in L.atoms:
+            dfull = math.hypot(float(al - abar), float(be - abar)) * t_m
             # symmetric parts: only the G(t, t) atom is symmetric, the rest
             # are skew, so X^sym is either the atom itself or zero
-            if al == -be:
-                dsym = math.hypot(float(abar), float(abar)) * t_m
-            else:
-                dsym = math.hypot(float(al - abar), float(be - abar)) * t_m
-            dfull = math.hypot(float(al - abar), float(be - abar)) * t_m
+            dsym = math.hypot(float(abar), float(abar)) * t_m if al == -be else dfull
             sym.append(float(w) * float(A(np.asarray(dsym))))
             full.append(float(w) * float(B(np.asarray(dfull))))
         sym_m = math.fsum(sym)
@@ -183,27 +187,23 @@ def _plan_stages(m: int, t: float, r: float, depth: int) -> list:
     """Alternating-direction split plan; every period exact-fits its
     interval and each stage refines the transverse scale by ``depth``."""
     stages = []
-    lx, ly = r, r
+    lengths = [r, r]          # the current interval length along each axis
     for level in range(m, 0, -1):
         s = t * 2.0 ** (-level)
-        # split 1: average G(s, s) -> atom G(s, -s) (w 1/3) + G(s, 2s)
-        parent = np.array([[0.0, s], [s, 0.0]])
-        atom = np.array([[0.0, s], [-s, 0.0]])
-        lam, delta = 1.0 / 3.0, -3.0 * s
-        n = max(1, round(lx / min(ly / depth, lx)))
-        p = lx / n
-        w = min(p / 4.0, ly / 8.0)
-        stages.append(_Stage(0, 1, lam, delta, parent, atom, p, w, lx, ly))
-        lx, ly = (1.0 - lam) * p, ly - 2.0 * w
-        # split 2: average G(s, 2s) -> atom G(-2s, 2s) (w 1/4) + G(2s, 2s)
-        parent = np.array([[0.0, s], [2.0 * s, 0.0]])
-        atom = np.array([[0.0, -2.0 * s], [2.0 * s, 0.0]])
-        lam, delta = 1.0 / 4.0, -4.0 * s
-        n = max(1, round(ly / min(lx / depth, ly)))
-        p = ly / n
-        w = min(p / 4.0, lx / 8.0)
-        stages.append(_Stage(1, 0, lam, delta, parent, atom, p, w, ly, lx))
-        ly, lx = (1.0 - lam) * p, lx - 2.0 * w
+        # (axis, comp, lam, delta, parent, atom) of the level's two splits:
+        # average G(s, s) -> atom G(s, -s) (w 1/3) + G(s, 2s), then
+        # average G(s, 2s) -> atom G(-2s, 2s) (w 1/4) + G(2s, 2s)
+        splits = ((0, 1, 1.0 / 3.0, -3.0 * s, [[0.0, s], [s, 0.0]], [[0.0, s], [-s, 0.0]]),
+                  (1, 0, 1.0 / 4.0, -4.0 * s, [[0.0, s], [2.0 * s, 0.0]],
+                   [[0.0, -2.0 * s], [2.0 * s, 0.0]]))
+        for axis, comp, lam, delta, parent, atom in splits:
+            osc, trans = lengths[axis], lengths[1 - axis]
+            n = max(1, round(osc / min(trans / depth, osc)))
+            p = osc / n
+            w = min(p / 4.0, trans / 8.0)
+            stages.append(_Stage(axis, comp, lam, delta, np.array(parent), np.array(atom),
+                                 p, w, osc, trans))
+            lengths[axis], lengths[1 - axis] = (1.0 - lam) * p, trans - 2.0 * w
     return stages
 
 
@@ -235,32 +235,26 @@ class LaminateRealization:
         self.final = np.array([[0.0, L.scale], [L.scale, 0.0]])
 
     # -- pointwise displacement -------------------------------------------
-    def displacement(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        vx = np.zeros_like(x)
-        vy = np.zeros_like(x)
-        xi = [x.copy(), y.copy()]
-        active = np.ones(x.shape, dtype=bool)
-        scale = np.ones(x.shape)
+    def displacement(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """v at the points (x, y), one array of shape (2, *x.shape)."""
+        xi = [np.array(x, dtype=float), np.array(y, dtype=float)]
+        scale = np.ones(xi[0].shape)
+        active = np.ones(scale.shape, dtype=bool)
+        v = np.zeros((2, *scale.shape))
         for st in self.stages:
             d, tax = st.axis, 1 - st.axis
             eta = np.mod(xi[d], st.period)
             chi = np.clip(np.minimum(xi[tax], st.trans_len - xi[tax]) / st.ramp,
                           0.0, 1.0)
             phi = _profile(eta, st.lam, st.period)
-            corr = np.where(active, scale * chi * phi * st.delta, 0.0)
-            if st.comp == 0:
-                vx += corr
-            else:
-                vy += corr
+            v[st.comp] += np.where(active, scale * chi * phi * st.delta, 0.0)
             legacy = eta >= st.lam * st.period
             core = (xi[tax] >= st.ramp) & (xi[tax] <= st.trans_len - st.ramp)
             active = active & legacy & core
             scale = np.where(active, scale * chi, scale)
             xi[d] = eta - st.lam * st.period
             xi[tax] = xi[tax] - st.ramp
-        return vx, vy
+        return v
 
     # -- moments of the realized gradient ----------------------------------
     def moment(self, Phi) -> float:
@@ -301,8 +295,7 @@ class LaminateRealization:
         v = np.empty((2, x.size, y.size))
         rows = max(1, _BLOCK_NODES // y.size)
         for i in range(0, x.size, rows):
-            v[0, i:i + rows], v[1, i:i + rows] = self.displacement(
-                *np.meshgrid(x[i:i + rows], y, indexing="ij"))
+            v[:, i:i + rows] = self.displacement(*np.meshgrid(x[i:i + rows], y, indexing="ij"))
         _zero_boundary(v)
         return GridField(grid, v, boundary_flag=True)
 
@@ -312,10 +305,12 @@ def realize_field(L: Laminate, r: float, depth: int) -> LaminateRealization:
     return LaminateRealization(L, r, depth)
 
 
-def korn_suite_fields(m_max: int) -> list:
-    """Sampled laminate displacements for the Korn harness, m = 1..m_max."""
-    return [realize_field(build_laminate(m, _T), _R, _SUITE_DEPTH)
-            .as_grid_field(_SUITE_CELLS) for m in range(1, m_max + 1)]
+def korn_suite_fields(m_max: int):
+    """Yield the sampled laminate displacements for the Korn harness, m =
+    1..m_max, one at a time, so that a caller who drops each field keeps one
+    alive."""
+    for m in range(1, m_max + 1):
+        yield realize_field(build_laminate(m, _T), _R, _SUITE_DEPTH).as_grid_field(_SUITE_CELLS)
 
 
 def realization_suite(m_max: int, r: float, depth: int, cells: int):

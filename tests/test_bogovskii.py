@@ -225,10 +225,10 @@ def test_linearity(cfg32, smooth32):
 
 def test_divergence_residual_and_refinement(smooth32, cfg32):
     # second-order decay of the divergence residual under grid refinement
-    res32 = bog.div_residual(cfg32, smooth32[0])
+    res32 = bog.div_residual(cfg32, smooth32[0], bog.apply(cfg32, smooth32[0]))
     cfg64 = bog.make_config(64)
     f64 = bog.smooth_suite(cfg64)[0]
-    res64 = bog.div_residual(cfg64, f64)
+    res64 = bog.div_residual(cfg64, f64, bog.apply(cfg64, f64))
     assert res64 <= 0.05
     assert res64 <= 0.55 * res32
 
@@ -241,7 +241,7 @@ def test_output_supported_inside(cfg32, smooth32):
 
 
 def test_norm_ratio_bounded_square_pair(cfg32, smooth32, catalog):
-    rs = [bog.norm_bound_ratio(cfg32, catalog["L2"], catalog["L2"], f)
+    rs = [bog.norm_bound_ratio(cfg32, catalog["L2"], catalog["L2"], f, bog.apply(cfg32, f))
           for f in smooth32[:3]]
     assert all(math.isfinite(r) and r < 50 for r in rs)
 
@@ -261,7 +261,10 @@ def test_norm_ratio_spike_behavior(cfg32, catalog):
 def test_ratio_suite_matches_per_source_calls(catalog):
     cfg = bog.make_config(16)
     A, B = catalog["LlogL"], catalog["L1"]
-    expected = [(f"spike_{i}", bog.div_residual(cfg, f), bog.norm_bound_ratio(cfg, A, B, f))
-                for i, f in enumerate(bog.spike_suite(cfg))]
+    # each source solved on its own, against ratio_suite's stacked solve
+    sources = bog.spike_suite(cfg)
+    solved = [bog.apply(cfg, f) for f in sources]
+    expected = [(f"spike_{i}", bog.div_residual(cfg, f, bf), bog.norm_bound_ratio(cfg, A, B, f, bf))
+                for i, (f, bf) in enumerate(zip(sources, solved))]
     assert expected
     assert bog.ratio_suite(cfg, A, B, "spike") == expected

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,10 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     # every secant slope of the conjugate's tabulation overflows
     ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 705, "beta": 2}}',
      "--B", "L2"],
+    # the normalization target 2^(m-1) / r^2 leaves the float range at m = 1025
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "2000"],
+    # just past the largest L whose trial integrals are finite floats
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "4.46e303"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     for name, text in {"bad": "{bad", "list": "[1]", "trials": '{"trials": 1.5}',
@@ -272,6 +277,27 @@ def test_laminate_realize_keeps_one_field_alive(tmp_path):
     assert rc == 0
     assert [(out / f"laminate_m{m}.bin").stat().st_size for m in (1, 2, 3)] == [field_bytes] * 3
     assert peak <= 2 * field_bytes
+
+
+def test_verify_korn_laminate_suite_keeps_one_field_alive(tmp_path, monkeypatch):
+    # each build records which of the fields built before it are still alive
+    built, alive_at_build = [], []
+    as_grid_field = laminate.LaminateRealization.as_grid_field
+
+    def tracked(self, cells):
+        alive_at_build.append([ref() is not None for ref in built])
+        u = as_grid_field(self, cells)
+        built.append(weakref.ref(u))
+        return u
+
+    monkeypatch.setattr(laminate.LaminateRealization, "as_grid_field", tracked)
+    rc, out = run(tmp_path, "verify-korn", "--A", "L1", "--B", "L1", "--suite", "laminate",
+                  "--operator", "E", "--trials", "2")
+    assert rc == 0
+    rows = [r.split(",") for r in (out / "korn_ratios.csv").read_text().strip().splitlines()[1:]]
+    assert [label for label, _ in rows] == ["laminate_0", "laminate_1"]
+    assert all(math.isfinite(float(r)) for _, r in rows)
+    assert alive_at_build == [[], [False]]
 
 
 @pytest.mark.parametrize("argv", [

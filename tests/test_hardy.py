@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ def test_length_rescaling_invariance(catalog):
     r1 = verify_hardy(catalog["L2"], catalog["L2"], 1.0, trials=48)
     r2 = verify_hardy(catalog["L2"], catalog["L2"], 2.0, trials=48)
     assert r2.worst_avg.ratio_avg == pytest.approx(r1.worst_avg.ratio_avg, rel=0.05)
+
+
+def test_verify_hardy_takes_L_up_to_where_the_trial_integrals_leave_float_range(catalog):
+    # the log spike ln(L/s)^8 integrates to 8! L; at the bound no trial
+    # overflows (a RuntimeWarning fails the test), just past it L is refused
+    L2 = catalog["L2"]
+    assert hardy._MAX_L == sys.float_info.max / math.factorial(8)
+    rep = verify_hardy(L2, L2, hardy._MAX_L, trials=1)
+    ratios = [r for t in rep.trials for r in (t.ratio_avg, t.ratio_dual)]
+    assert all(math.isfinite(r) for r in ratios + [r for _, r in rep.spike_sweep])
+    with pytest.raises(DomainError):
+        verify_hardy(L2, L2, float(np.nextafter(hardy._MAX_L, math.inf)), trials=1)
 
 
 def test_trials_validation(catalog):

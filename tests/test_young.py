@@ -223,6 +223,14 @@ def test_indicator_growth_conventions(catalog):
     assert check_nabla2(catalog["Linf"]).holds
 
 
+def test_nabla2_holds_vacuously_where_every_doubling_ratio_leaves_float_range():
+    # A(t) = exp(t^10000) - 1: from t0 = 1 on, ln A(2t) = (2t)^10000 is +inf
+    # at every grid point, so no doubling ratio is finite
+    v = check_nabla2(ExpPowerYoung(1e4))
+    assert v.holds and v.threshold_t0 == 1.0
+    assert v.diagnostics == {"reason": "vacuous"}
+
+
 # (witness_constant, threshold_t0) of delta2 and nabla2 near infinity, for
 # each catalog function and then for its conjugate, as first recorded
 _GROWTH_NUMBERS = {
@@ -508,6 +516,22 @@ def test_conjugate_log_value_matches_decimal_oracle(catalog, name, pag, tau):
     got = ConjugateYoung(catalog[name]).log_value_logt(tau)
     want = _decimal_conjugate_log(*pag, tau)
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("T", [TabulatedYoung([1.0, 2.0, 5.0], [0.5, 2.0, 3.0], 4.0),
+                               TabulatedYoung([1.0, 2.0], [1.0, 3.0], math.inf)])
+def test_numerical_conjugate_of_a_table_is_the_exact_conjugate(T):
+    # conjugate(T) is the exact table T.conjugate(); a ConjugateYoung of a
+    # table answers from the table's pieces instead of the slope solve
+    tau = np.concatenate((np.linspace(-30.0, 700.0, 7301), np.log([0.5, 1.0, 2.0, 3.0, 4.0])))
+    got = ConjugateYoung(T).log_value_logt(tau)
+    want = T.conjugate().log_value_logt(tau)
+    finite = np.isfinite(want)
+    # A* = 0 below the first slope, and +inf past a finite final slope
+    assert (want == -np.inf).any()
+    assert (want == np.inf).any() == math.isfinite(T.final_slope)
+    assert np.array_equal(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
 
 
 def test_nested_conjugate_returns_the_source(catalog):
