@@ -655,32 +655,24 @@ def negative_norm_suite(A: YoungFunction, grid: Grid, trials: int, seed: int) ->
 
 
 # ---------------------------------------------------------------------------
-# field I/O: flat binary or CSV node values + JSON header
+# field I/O: flat binary node values + JSON header
 # ---------------------------------------------------------------------------
 
-def save_field(u: GridField, basepath: str, fmt: str = "bin") -> None:
+def save_field(u: GridField, basepath: str) -> None:
     meta = {"extents": list(u.grid.extents), "spacing": list(u.grid.spacing),
             "origin": list(u.grid.origin), "boundary_flag": u.boundary_flag,
-            "format": fmt, "dtype": "float64"}
+            "format": "bin", "dtype": "float64"}
     with open(basepath + ".json", "w") as fh:
         json.dump(meta, fh, indent=1)
-    flat = u.components.reshape(u.grid.dim, -1)
-    if fmt == "bin":
-        np.asarray(flat, dtype="<f8").tofile(basepath + ".bin")
-    elif fmt == "csv":
-        np.savetxt(basepath + ".csv", flat.T, delimiter=",",
-                   header=",".join(f"u{i}" for i in range(u.grid.dim)), comments="")
-    else:
-        raise DomainError("fmt must be 'bin' or 'csv'")
+    np.asarray(u.components.reshape(u.grid.dim, -1), dtype="<f8").tofile(basepath + ".bin")
 
 
 def load_field(basepath: str) -> GridField:
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
+    if meta.get("format") != "bin":
+        raise DomainError(f"field format must be 'bin', not {meta.get('format')!r}")
     grid = Grid(tuple(meta["extents"]), tuple(meta["spacing"]), tuple(meta["origin"]))
-    if meta["format"] == "bin":
-        flat = np.fromfile(basepath + ".bin", dtype="<f8")
-    else:
-        flat = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1).T
+    flat = np.fromfile(basepath + ".bin", dtype="<f8")
     return GridField(grid, flat.reshape(grid.dim, *grid.node_shape),
                      boundary_flag=bool(meta.get("boundary_flag")))

@@ -6,9 +6,12 @@ Starting from a Dirac at G(t, t), each construction level splits off one
 skew-leaning atom by a rank-one move in the b-coordinate (weight 1/3) and one
 by a rank-one move in the a-coordinate (weight 1/4 of the remainder), leaving
 half the mass on the previous-level measure; after m levels the average is
-exactly G(t/2^m, t/2^m) and the atom count is 2m + 1.  All weights and atom
-coordinates are kept as exact rationals (dyadic over 3 * 2^m), so the blow-up
-diagnostics are immune to float cancellation at scale 2^-m.
+exactly G(t/2^m, t/2^m) and the atom count is 2m + 1.  ``Laminate`` keeps
+weights and atom coordinates as exact rationals (dyadic over 3 * 2^m), and so
+its mass and barycentre are exact.  ``blowup_curve`` reads the same atoms as
+floats, with the same bits: for m <= 1024 a power of two is exact and a
+difference, third or sixth rounds once, as float() of the Fraction does, and
+fsum does not depend on the order of its terms.
 
 The realization builds the classical nested sawtooth with transverse cutoff
 ramps; every oscillation count exact-fits its interval, so the only
@@ -131,35 +134,24 @@ def blowup_curve(A: YoungFunction, B: YoungFunction, m_max: int,
         raise DomainError("need r > 0 with r^2 a positive finite float")
     if m_max < 0:
         raise DomainError("need m_max >= 0")
-    try:
-        top = 2.0 ** (m_max - 1) / r ** 2
-    except OverflowError:
-        top = math.inf
-    if not math.isfinite(top):
+    # 2^(m-1) leaves the float range past m = 1024
+    if m_max > 1024 or not math.isfinite(2.0 ** (m_max - 1) / r ** 2):
         raise DomainError(f"no finite scale solves the normalization at m={m_max}")
+    scales = A.inverse(np.array([2.0 ** (m - 1) / r ** 2 for m in range(m_max + 1)])) / (2.0 * SQRT2)
+    bad = ~((scales > 0) & np.isfinite(scales))
+    if bad.any():
+        raise DomainError(f"no finite scale solves the normalization at m={int(np.argmax(bad))}")
     rows = []
-    for m in range(0, m_max + 1):
-        target = 2.0 ** (m - 1) / r ** 2
-        t_m = float(A.inverse(target)) / (2.0 * SQRT2)
-        if not (t_m > 0 and math.isfinite(t_m)):
-            raise DomainError(f"no finite scale solves the normalization at m={m}")
-        L = build_laminate(m, t_m)
-        abar, _ = L.barycenter_coeffs()
-        sym = []
-        full = []
-        for w, al, be in L.atoms:
-            dfull = math.hypot(float(al - abar), float(be - abar)) * t_m
-            # symmetric parts: only the G(t, t) atom is symmetric, the rest
-            # are skew, so X^sym is either the atom itself or zero
-            dsym = math.hypot(float(abar), float(abar)) * t_m if al == -be else dfull
-            sym.append(float(w) * float(A(np.asarray(dsym))))
-            full.append(float(w) * float(B(np.asarray(dfull))))
-        sym_m = math.fsum(sym)
-        full_m = math.fsum(full)
-        if sym_m > 0:
-            ratio = full_m / sym_m
-        else:
-            ratio = 0.0 if full_m == 0.0 else math.inf
+    for m, t_m in enumerate(scales.tolist()):
+        # the atoms of build_laminate(m, t_m) and its barycentre abar, as floats
+        abar, p = 2.0 ** -m, np.ldexp(1.0, -np.arange(1, m + 1))
+        w = np.concatenate(([abar], abar / p / 3, abar / p / 6))
+        dfull = np.hypot(np.concatenate(([1.0], p, -2 * p)) - abar,
+                         np.concatenate(([1.0], -p, 2 * p)) - abar) * t_m
+        # the symmetric part of G(t, t) is itself; that of a skew atom is 0
+        dsym = np.concatenate((dfull[:1], np.full(2 * m, math.hypot(abar, abar) * t_m)))
+        sym_m, full_m = math.fsum(w * A(dsym)), math.fsum(w * B(dfull))
+        ratio = full_m / sym_m if sym_m > 0 else (0.0 if full_m == 0.0 else math.inf)
         rows.append({"m": m, "t_m": t_m, "sym_moment": sym_m,
                      "full_moment": full_m, "ratio": ratio})
     return rows

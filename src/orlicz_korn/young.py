@@ -529,8 +529,7 @@ class TabulatedYoung(YoungFunction):
 
     slopes[i] is the density on (breakpoints[i-1], breakpoints[i]] (with
     breakpoints[-1] = 0); final_slope rules beyond the last breakpoint and may
-    be +inf, which caps the function (L-infinity-like jump).  Densities above
-    ``slope_cap`` are clipped and the event is recorded in ``cap_applied``.
+    be +inf, which caps the function (L-infinity-like jump).
 
     Slope, excess and conjugate root are read from the knots ``_knots`` (0
     first), the values there ``_knot_values`` and the slopes ``_densities``:
@@ -540,21 +539,18 @@ class TabulatedYoung(YoungFunction):
 
     kind = "tabulated"
 
-    def __init__(self, breakpoints, slopes, final_slope, slope_cap: float = np.inf):
+    def __init__(self, breakpoints, slopes, final_slope):
         bp = np.asarray(breakpoints, dtype=float)
         sl = np.asarray(slopes, dtype=float)
         if bp.ndim != 1 or sl.shape != bp.shape:
             raise DomainError("breakpoints and slopes must be 1-d arrays of equal length")
         if len(bp) == 0 or not np.all((bp > 0) & (bp < math.inf)) or np.any(np.diff(bp) <= 0):
             raise DomainError("breakpoints must be finite, positive and strictly increasing")
-        seq = np.append(sl, float(final_slope))   # checked before the cap
+        seq = np.append(sl, float(final_slope))
         with np.errstate(invalid="ignore"):       # inf - inf is no fall
             falls = np.diff(seq) < -1e-12 * np.maximum(seq[:-1], 1.0)
         if np.any(seq < 0) or np.any(falls | (np.isinf(seq[:-1]) & np.isfinite(seq[1:]))):
             raise DomainError("slopes and final_slope must be nonnegative and nondecreasing")
-        self.cap_applied = bool(np.any(sl > slope_cap) or final_slope > slope_cap)
-        sl = np.minimum(sl, slope_cap)
-        final_slope = min(final_slope, slope_cap) if not math.isinf(slope_cap) else final_slope
         self.breakpoints = bp
         self.slopes = np.maximum.accumulate(sl)
         self.final_slope = float(final_slope)
@@ -769,11 +765,12 @@ class ConjugateYoung(YoungFunction):
 
     ``value`` and ``inverse`` read the exact conjugate of the secant
     tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
-    linearly interpolated supremand maximized on that grid); the norms use
-    it.  ``log_value_logt`` solves the source's slope equation A'(r) = e^tau
-    for sigma = ln r and reads ln A*(e^tau) = ln r + ln(A'(r) - A(r)/r)
-    from the source's closed forms (the Fenchel-Young equality), so the
-    far-field growth stays faithful; the growth and balance sweeps use it.
+    linearly interpolated supremand maximized on that grid), or of the
+    source itself where it is a table; the norms use it.  ``log_value_logt``
+    solves the source's slope equation A'(r) = e^tau for sigma = ln r and
+    reads ln A*(e^tau) = ln r + ln(A'(r) - A(r)/r) from the source's closed
+    forms (the Fenchel-Young equality), so the far-field growth stays
+    faithful; the growth and balance sweeps use it.
     The two differ by the tabulation error: for expL, against
     A*(s) = s ln s - s + 1, the table is 2.9e-5 (relative) low at s = 1.5 and
     5.8e-4 low at s = 1e8, while ``log_value_logt`` stays within one ulp of
@@ -788,7 +785,7 @@ class ConjugateYoung(YoungFunction):
 
     def __init__(self, source: YoungFunction):
         self.source = source
-        self.table = _tabulate(source).conjugate()
+        self.table = (source if isinstance(source, TabulatedYoung) else _tabulate(source)).conjugate()
         # exact, where the truncated table is not
         self.finite_valued = source.superlinear
         self.superlinear = source.finite_valued
@@ -1281,7 +1278,7 @@ _KINDS = {cls.kind: (cls, required, optional) for cls, required, optional in (
     (PowerLogLogYoung, ("p", "alpha"), ("gamma",)),
     (ExpPowerYoung, ("beta",), ()),
     (ExpLogPowerYoung, ("a", "beta"), ("reduced",)),
-    (TabulatedYoung, ("breakpoints", "slopes", "final_slope"), ("slope_cap",)),
+    (TabulatedYoung, ("breakpoints", "slopes", "final_slope"), ()),
     (ScaledYoung, ("m", "of"), ("arg_scale",)),
     (ConjugateYoung, ("of",), ()),
 )}

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,25 @@ def test_laminate_demo_solves_the_scale_of_a_large_r(tmp_path):
                   "--r", "1e40", "--m-max", "2")
     assert rc == 0
     assert len((out / "blowup.csv").read_text().strip().splitlines()) == 1 + 3
+
+
+def test_laminate_demo_runs_to_the_largest_order(tmp_path):
+    # m = 1024 is the last order whose target 2^(m-1) is a float; no numpy
+    # warning on the way (the suite makes each one an error)
+    rc, out = run(tmp_path, "laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1024")
+    assert rc == 0
+    assert len((out / "blowup.csv").read_text().strip().splitlines()) == 1 + 1025
+
+
+def test_check_balance_of_the_conjugate_of_an_indicator(tmp_path):
+    # the conjugate of a table is its exact conjugate, here the function 2t
+    spec = '{"kind": "conjugate", "params": {"of": {"kind": "indicator", "params": {"t1": 2}}}}'
+    rc, out = run(tmp_path, "check-balance", "--A", spec, "--B", "L2")
+    assert rc == 0
+    assert (out / "balance.csv").read_text().splitlines()[1].endswith(",L2,False,False,inf,inf")
+    C, P = young.from_json(spec), young.PowerYoung(1.0, 2.0)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
+    assert np.array_equal(C.value(t), P.value(t)) and np.array_equal(C.inverse(t), P.inverse(t))
 
 
 def test_verify_korn_runs(tmp_path):
@@ -190,6 +210,9 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["--config", "{tmp}/realize.json", "laminate-demo", "--A", "L1", "--B", "L1",
      "--m-max", "1"],
     ["--config", "{tmp}/grid.json", "verify-korn", "--A", "L2", "--B", "L2"],
+    # the tabulated kind takes no slope cap
+    ["check-balance", "--A", '{"kind": "tabulated", "params": {"breakpoints": [1, 2], '
+     '"slopes": [1, 5], "final_slope": 6, "slope_cap": 10}}', "--B", "L2"],
     # a final slope below the last slope is not convex
     ["check-balance", "--A", '{"kind": "tabulated", "params": {"breakpoints": [1, 2], '
      '"slopes": [1, 5], "final_slope": 1}}', "--B", "L2"],

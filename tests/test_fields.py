@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -365,16 +366,24 @@ def test_negative_norm_rejects_a_stack_of_the_wrong_shape(catalog, shape):
 # I/O
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fmt", ["bin", "csv"])
-def test_field_io_round_trip(tmp_path, grid3, fmt):
+def test_field_io_round_trip(tmp_path, grid3):
     rng = np.random.default_rng(5)
     u = GridField(grid3, [rng.standard_normal(grid3.node_shape) for _ in range(3)])
     base = str(tmp_path / "field")
-    fields.save_field(u, base, fmt)
+    fields.save_field(u, base)
     v = fields.load_field(base)
     assert v.grid == u.grid
     for a, b in zip(u.components, v.components):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_load_field_rejects_a_format_other_than_bin(tmp_path, grid3):
+    base = str(tmp_path / "field")
+    fields.save_field(GridField(grid3, np.zeros((3, *grid3.node_shape))), base)
+    meta = json.loads((tmp_path / "field.json").read_text())
+    (tmp_path / "field.json").write_text(json.dumps({**meta, "format": "csv"}))
+    with pytest.raises(DomainError, match="'csv'"):
+        fields.load_field(base)
 
 
 def test_fields_are_single_float_arrays(grid3, catalog):

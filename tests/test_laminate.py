@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orlicz_korn import fields, laminate
+from orlicz_korn import fields, laminate, young
 from orlicz_korn.laminate import (
     blowup_curve, build_laminate, build_laminate_recursive,
     exact_korn_l1_ratio, moment, realize_field,
@@ -128,6 +129,82 @@ def test_blowup_scale_doubling_control(catalog):
     rows = blowup_curve(catalog["L1"], catalog["L1"], 12, 1.0)
     for a, b in zip(rows[4:], rows[5:]):
         assert b["t_m"] <= 2.0 * a["t_m"] * (1 + 1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_atoms(m):
+    """(w, alpha - abar, beta - abar, skew) of build_laminate(m)'s atoms, and
+    abar, each rounded once from its exact Fraction."""
+    L = build_laminate(m, 1.0)
+    abar, _ = L.barycenter_coeffs()
+    return [(float(w), float(al - abar), float(be - abar), al == -be)
+            for w, al, be in L.atoms], float(abar)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_scale(A, m, r):
+    return float(A.inverse(2.0 ** (m - 1) / r ** 2)) / (2.0 * math.sqrt(2.0))
+
+
+def _oracle_row(A, B, m, r):
+    """Row m of blowup_curve as it was computed atom by atom: the scale from
+    a scalar inverse, the atoms as exact Fractions, and A and B evaluated at
+    one 0-d array per atom (A at a skew atom once, as every skew atom has
+    the same symmetric distance; ``value`` without the sign check of
+    ``__call__``, as every distance is >= 0)."""
+    t_m = _oracle_scale(A, m, r)
+    atoms, abar = _exact_atoms(m)
+    a_skew = float(A.value(np.asarray(math.hypot(abar, abar) * t_m)))
+    sym, full = [], []
+    for w, dal, dbe, skew in atoms:
+        dfull = math.hypot(dal, dbe) * t_m
+        sym.append(w * (a_skew if skew else float(A.value(np.asarray(dfull)))))
+        full.append(w * float(B.value(np.asarray(dfull))))
+    sym_m, full_m = math.fsum(sym), math.fsum(full)
+    if sym_m > 0:
+        ratio = full_m / sym_m
+    else:
+        ratio = 0.0 if full_m == 0.0 else math.inf
+    return {"m": m, "t_m": t_m, "sym_moment": sym_m, "full_moment": full_m, "ratio": ratio}
+
+
+_FINITE_VALUED = [name for name, A in young.load_catalog().items() if A.finite_valued]
+
+
+@pytest.mark.parametrize("name_A", _FINITE_VALUED)
+def test_blowup_rows_are_the_per_atom_fraction_rows(catalog, name_A):
+    # every catalog B, at four r and two m_max: the same rows, bit for bit;
+    # row m does not depend on m_max, so the oracle runs once to 40
+    A = catalog[name_A]
+    for B in catalog.values():
+        for r in (0.3, 1.0, 7.0, 1e10):
+            want = [_oracle_row(A, B, m, r) for m in range(41)]
+            assert blowup_curve(A, B, 10, r) == want[:11], (B, r)
+            assert blowup_curve(A, B, 40, r) == want, (B, r)
+
+
+def test_blowup_last_row_at_the_largest_order(catalog):
+    # m_max = 1024 is the last order whose target 2^(m-1) is a float
+    rows = blowup_curve(catalog["L1"], catalog["L1"], 1024, 1.0)
+    assert len(rows) == 1025
+    assert rows[-1] == _oracle_row(catalog["L1"], catalog["L1"], 1024, 1.0)
+
+
+def test_blowup_evaluates_each_side_once_per_order(monkeypatch):
+    # one inverse for all the scales, and one value call per order on each side
+    A, B = PowerYoung(1.0), PowerYoung(2.0)
+    calls = {"inverse": 0, "A": 0, "B": 0}
+
+    def counted(key, f):
+        def g(*args):
+            calls[key] += 1
+            return f(*args)
+        return g
+    monkeypatch.setattr(A, "inverse", counted("inverse", A.inverse))
+    monkeypatch.setattr(A, "value", counted("A", A.value))
+    monkeypatch.setattr(B, "value", counted("B", B.value))
+    assert len(blowup_curve(A, B, 12, 1.0)) == 13
+    assert calls == {"inverse": 1, "A": 13, "B": 13}
 
 
 def test_blowup_order_zero_defined(catalog):

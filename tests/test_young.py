@@ -364,12 +364,6 @@ def test_tabulated_jump_starts_at_the_first_infinite_slope():
     assert young.to_json(flat.conjugate()) == young.to_json(PowerYoung(1.0, 1.0))
 
 
-def test_tabulated_slope_cap_recorded():
-    T = TabulatedYoung([1.0, 2.0], [1.0, 50.0], 80.0, slope_cap=10.0)
-    assert T.cap_applied
-    assert T.slopes.tolist() == [1.0, 10.0] and T.final_slope == 10.0
-
-
 def test_json_round_trip(catalog):
     for name, A in catalog.items():
         B = young.from_json(young.to_json(A))
