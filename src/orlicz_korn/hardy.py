@@ -34,6 +34,10 @@ _GROWTH_TOL = 0.25            # allowed ratio growth per unit ln(sharpening)
 # float range past L = _MAX_L
 _LOG_SPIKE_POWERS = range(1, 9)
 _MAX_L = sys.float_info.max / math.factorial(_LOG_SPIKE_POWERS[-1])
+# the family's smallest partition edge is L * 1e-12, inside a certificate
+# spike of width L * 1e-9, whose height 1e9 / L is its largest 1/delta: from
+# _MIN_L on, every edge and every 1/delta is a normal float
+_MIN_L = sys.float_info.min * 1e12
 
 
 @dataclass(frozen=True)
@@ -180,11 +184,12 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
                  trials: int = 64, seed: int = 20240) -> HardyReport:
     """Worst Hardy-operator norm ratios over the fixed trial family, plus a
     spike-sharpness sweep diagnosing unboundedness.  L must lie in
-    (0, max float / 8!] (about 4.46e303), where every integral of the
-    family is a finite float."""
-    if not 0 < L <= _MAX_L:
-        raise DomainError(f"need 0 < L <= {_MAX_L:.6g}, where the trial family's "
-                          "integrals stay finite")
+    [min normal float * 1e12, max float / 8!] (about [2.23e-296, 4.46e303]),
+    where every edge and 1/delta of the family is a normal float and every
+    integral of it a finite one."""
+    if not _MIN_L <= L <= _MAX_L:
+        raise DomainError(f"need {_MIN_L!r} <= L <= {_MAX_L:.6g}, where the trial family's "
+                          "edges stay normal floats and its integrals finite")
     if trials < 1:
         raise DomainError("need trials >= 1")
     report = balance.check_balance(A, B)

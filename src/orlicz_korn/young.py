@@ -785,7 +785,9 @@ class ConjugateYoung(YoungFunction):
 
     def __init__(self, source: YoungFunction):
         self.source = source
-        self.table = (source if isinstance(source, TabulatedYoung) else _tabulate(source)).conjugate()
+        is_table = isinstance(source, TabulatedYoung)   # a table answers from its pieces
+        self.table = (source if is_table else _tabulate(source)).conjugate()
+        self._root = source._conjugate_root if is_table else lambda tau: _slope_root(source, tau)
         # exact, where the truncated table is not
         self.finite_valued = source.superlinear
         self.superlinear = source.finite_valued
@@ -801,18 +803,17 @@ class ConjugateYoung(YoungFunction):
         return self.table.jump_point
 
     def _solve(self, tau, part: int):
-        """ln r (part 0) or ln A*(e^tau) (part 1) at each tau, where r is the
-        source's slope root."""
+        """Part 0 or 1 of (ln r, ln sup_r { r e^tau - source(r) }) at each tau,
+        r the maximizer, the root of source'(r) = e^tau.  The output starts as
+        a copy of tau (NaN and +-inf keep themselves, the limits of both parts)
+        whose finite points are solved in place, one ``_BLOCK`` slice after
+        another, each on its own: the result does not depend on the split."""
         tau = np.asarray(tau, dtype=float)
-        flat = tau.ravel()
-        if np.isfinite(tau).all():
-            out = _conjugate_log_value(self.source, flat, part)
-        else:
-            # the limits of both parts are -inf at tau = -inf and +inf at
-            # +inf; NaN stays NaN
-            out = flat.copy()
-            finite = np.isfinite(flat)
-            out[finite] = _conjugate_log_value(self.source, flat[finite], part)
+        out = tau.ravel().copy()
+        for i in range(0, out.size, _BLOCK):
+            block = out[i:i + _BLOCK]
+            finite = np.isfinite(block)
+            block[finite] = self._root(block[finite])[part]
         out = out.reshape(tau.shape)
         return out if out.ndim else float(out)
 
@@ -855,23 +856,6 @@ _ROOT_XTOL = 4.0 * np.finfo(float).eps    # root bracket width, relative to max(
 _ROOT_ITERS = 100
 
 
-def _conjugate_log_value(source: YoungFunction, tau: np.ndarray, part: int) -> np.ndarray:
-    """Part 0 or 1 of (ln r, ln sup_r { r e^tau - source(r) }) at each point
-    of the 1-d array tau, where r is the maximizer: the root of
-    source'(r) = e^tau.
-
-    A piecewise-linear source answers from its pieces.  Otherwise each point
-    is evaluated on its own, so a call of more than ``_BLOCK`` points splits
-    into blocks evaluated in turn; the result does not depend on the split.
-    """
-    if isinstance(source, TabulatedYoung):
-        return source._conjugate_root(tau)[part]
-    if tau.size <= _BLOCK:
-        return _slope_root(source, tau)[part]
-    return np.concatenate([_slope_root(source, tau[i:i + _BLOCK])[part]
-                           for i in range(0, tau.size, _BLOCK)])
-
-
 def _theta(source: YoungFunction, sigma, tau):
     """The supremand ln(e^(sigma + tau) - source(e^sigma)): log_sub_exp for
     finite sigma + tau, in fewer passes."""
@@ -898,8 +882,11 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     the supremum over it is at the foot: the supremand itself.
     """
     target = np.arcsinh(tau)
-    end_slopes = source.log_slope_logt(_ENDS)
-    end_residuals = np.arcsinh(end_slopes)
+    memo = _memo(source)
+    if "ladder" not in memo:
+        end_slopes = source.log_slope_logt(_ENDS)
+        memo["ladder"] = end_slopes, np.arcsinh(end_slopes)
+    end_slopes, end_residuals = memo["ladder"]
     up = end_residuals[-1] < target
     j = np.clip(np.searchsorted(end_residuals, target), 1, _ENDS.size - 1)
     a, b = _ENDS[j - 1], _ENDS[j]
@@ -981,7 +968,8 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
 
 def _memo(A: YoungFunction) -> dict:
     """The per-object store of what is derived from A: its log-curve on each
-    sweep grid, filled on first read, and its conjugate."""
+    sweep grid, filled on first read, its conjugate, and its slopes at the
+    ladder's ends ``_ENDS`` with their arcsinh ("ladder", for ``_slope_root``)."""
     return vars(A).setdefault("_memo", {})
 
 
@@ -1347,5 +1335,6 @@ def resolve(name_or_json: str, catalog: dict | None = None) -> YoungFunction:
         return from_json(s)
     catalog = catalog if catalog is not None else load_catalog()
     if s not in catalog:
-        raise KeyError(s)
+        raise DomainError(f"unknown Young function {name_or_json!r}; "
+                          f"catalog entries: {', '.join(sorted(catalog))}")
     return catalog[s]

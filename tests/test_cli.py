@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -32,9 +33,12 @@ def test_malformed_flag_exits_2():
     assert main(["check-balance", "--nope"]) == 2
 
 
-def test_unknown_young_name_exits_2(tmp_path):
+def test_unknown_young_name_exits_2(tmp_path, capsys):
     rc, _ = run(tmp_path, "check-balance", "--A", "missing", "--B", "L2")
     assert rc == 2
+    entries = ", ".join(sorted(young.load_catalog()))
+    assert capsys.readouterr().err == (f"orlicz-korn: error: unknown Young function 'missing'; "
+                                       f"catalog entries: {entries}\n")
 
 
 def test_check_balance_writes_csv_and_manifest(tmp_path):
@@ -87,6 +91,10 @@ def test_check_balance_of_the_conjugate_of_an_indicator(tmp_path):
     rc, out = run(tmp_path, "check-balance", "--A", spec, "--B", "L2")
     assert rc == 0
     assert (out / "balance.csv").read_text().splitlines()[1].endswith(",L2,False,False,inf,inf")
+    # the name cell holds the JSON's commas, quoted
+    with open(out / "balance.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6] and rows[1][0] == spec
     C, P = young.from_json(spec), young.PowerYoung(1.0, 2.0)
     t = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
     assert np.array_equal(C.value(t), P.value(t)) and np.array_equal(C.inverse(t), P.inverse(t))
@@ -232,6 +240,9 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
     ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "2000"],
     # just past the largest L whose trial integrals are finite floats
     ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "4.46e303"],
+    # below the smallest L whose trial edges and 1/delta are normal floats
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "1e-320", "--trials", "2"],
+    ["verify-hardy", "--A", "L2", "--B", "L2", "--L", "1e-308", "--trials", "2"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     for name, text in {"bad": "{bad", "list": "[1]", "trials": '{"trials": 1.5}',

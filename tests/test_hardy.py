@@ -121,6 +121,20 @@ def test_verify_hardy_takes_L_up_to_where_the_trial_integrals_leave_float_range(
         verify_hardy(L2, L2, float(np.nextafter(hardy._MAX_L, math.inf)), trials=1)
 
 
+def test_verify_hardy_takes_L_down_to_where_the_trial_edges_stay_normal(catalog):
+    # L1 fails its primal condition, so its family holds certificate spikes
+    # of width L * 1e-9 with inner edges at L * 1e-12; at the bound none is
+    # subnormal (a RuntimeWarning fails the test), just below it L is refused
+    L1 = catalog["L1"]
+    assert hardy._MIN_L == sys.float_info.min * 1e12
+    rep = verify_hardy(L1, L1, hardy._MIN_L, trials=1)
+    assert any(t.label.startswith("certificate_") for t in rep.trials)
+    ratios = [r for t in rep.trials for r in (t.ratio_avg, t.ratio_dual)]
+    assert all(math.isfinite(r) for r in ratios + [r for _, r in rep.spike_sweep])
+    with pytest.raises(DomainError):
+        verify_hardy(L1, L1, float(np.nextafter(hardy._MIN_L, 0.0)), trials=1)
+
+
 def test_trials_validation(catalog):
     with pytest.raises(DomainError):
         verify_hardy(catalog["L2"], catalog["L2"], 1.0, trials=0)

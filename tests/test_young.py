@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +376,12 @@ def test_json_round_trip(catalog):
 def test_resolve_inline_json():
     A = young.resolve('{"kind": "power", "params": {"p": 2}}')
     assert float(A(3.0)) == 9.0
+
+
+def test_resolve_names_the_catalog_for_an_unknown_name(catalog):
+    with pytest.raises(DomainError) as err:
+        young.resolve("nosuch", catalog)
+    assert str(err.value) == f"unknown Young function 'nosuch'; catalog entries: {', '.join(sorted(catalog))}"
 
 
 def test_conjugate_kind_reports_source():
@@ -823,6 +830,48 @@ def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypa
     # exactly 1 per block, at the foot
     blocks = sum(-(-tau.size // young._BLOCK) for tau in young._GRIDS.values())
     assert source_points["LlogL"] == blocks
+
+
+def test_conjugate_sweep_curves_read_the_ladder_once():
+    # the slopes at the ladder's ends are a fixed function of the source, so
+    # the three sweep curves (56 blocks between them) read them once
+    source = load_catalog()["LlogL"]
+    slope, ladder_reads = source.log_slope_logt, []
+
+    def counting(tau):
+        if np.array_equal(tau, young._ENDS):
+            ladder_reads.append(np.size(tau))
+        return slope(tau)
+
+    source.log_slope_logt = counting
+    C = ConjugateYoung(source)
+    for grid in ("dense", "mid", "tail"):
+        young._log_curve(C, grid)
+    assert ladder_reads == [young._ENDS.size]
+
+
+def _traced_peak(evaluate, tau):
+    """(evaluate(tau), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            out = evaluate(tau)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", _NUMERICAL)
+def test_conjugate_curve_holds_its_output_and_one_block(name):
+    # each block is solved into the output in place, so beyond the output a
+    # whole curve peaks where one block's call does
+    C = ConjugateYoung(load_catalog()[name])
+    for grid in ("mid", "tail"):
+        tau = young._GRIDS[grid]
+        _, block_peak = _traced_peak(C.log_value_logt, tau[:young._BLOCK])
+        curve, peak = _traced_peak(C.log_value_logt, tau)
+        assert tau.size > 16 * young._BLOCK
+        assert peak - curve.nbytes <= 1.1 * block_peak, (grid, peak - curve.nbytes, block_peak)
 
 
 def _rise_test_pre_pass(source, tau):
