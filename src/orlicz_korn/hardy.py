@@ -149,7 +149,7 @@ def _trial_family(report: balance.BalanceReport, L: float, trials: int,
     spikes, plus profiles from the failure certificates in ``report``."""
     rng = np.random.default_rng(seed)
     fams = []
-    n_random = min(64, max(1, trials))
+    n_random = min(64, trials)
     for i in range(n_random):
         n = int(rng.integers(8, 256))
         vals = np.abs(rng.standard_normal(n)) * rng.uniform(0.2, 5.0)

@@ -171,7 +171,6 @@ class _Stage:
     atom: np.ndarray   # 2x2 split-off atom value
     period: float
     ramp: float        # transverse cutoff width
-    osc_len: float     # oscillation interval length
     trans_len: float   # transverse interval length
 
 
@@ -194,7 +193,7 @@ def _plan_stages(m: int, t: float, r: float, depth: int) -> list:
             p = osc / n
             w = min(p / 4.0, trans / 8.0)
             stages.append(_Stage(axis, comp, lam, delta, np.array(parent), np.array(atom),
-                                 p, w, osc, trans))
+                                 p, w, trans))
             lengths[axis], lengths[1 - axis] = (1.0 - lam) * p, trans - 2.0 * w
     return stages
 
@@ -217,7 +216,6 @@ class LaminateRealization:
         if L.order < 0 or depth < 4 or not (r > 0 and 0 < r * r < math.inf):
             raise DomainError("need order >= 0, depth >= 4 and r > 0 with r^2 a "
                               "positive finite float")
-        self.laminate = L
         self.r = float(r)
         self.depth = int(depth)
         self.stages = _plan_stages(L.order, L.scale, r, depth)

@@ -258,6 +258,16 @@ def test_power_log_pairs_follow_the_analytic_rule(p, alpha, beta):
         assert not rep.holds, (rep.primal, rep.dual)
 
 
+# For A = e^(t^a) - 1 and B = e^(t^b) - 1 the primal condition holds iff
+# b <= a and the dual iff b <= a / (1 + a); the failing pair lies past both
+# reaches of the search (balance's docstring).
+@pytest.mark.parametrize("a, b, holds", [(1.0, 1.2, False), (1.0, 0.5, True), (2.0, 0.5, True),
+                                         (0.5, 0.25, True)])
+def test_exp_power_pairs_follow_the_analytic_rule(a, b, holds):
+    rep = check_balance(young.ExpPowerYoung(a), young.ExpPowerYoung(b))
+    assert (rep.primal.holds, rep.dual.holds) == (holds, holds)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

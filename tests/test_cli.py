@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_korn
-from orlicz_korn import fields, laminate, young
+from orlicz_korn import balance, fields, laminate, young
 from orlicz_korn.cli import main
 
 
@@ -51,6 +51,21 @@ def test_check_balance_writes_csv_and_manifest(tmp_path):
     assert manifest["command"] == "check-balance"
     assert manifest["catalog_version"]
     assert manifest["tool_version"]
+
+
+def test_classify_examples_exits_1_on_a_pair_that_is_not_as_expected(tmp_path, monkeypatch):
+    # every example pair is expected to hold; (L2, Linf) does not
+    monkeypatch.setattr(balance, "EXAMPLE_PAIRS", (("L2", "L2", "self"), ("L2", "Linf", "bounded")))
+    rc, out = run(tmp_path / "two", "classify-examples")
+    assert rc == 1
+    with open(out / "classify.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["name_A", "name_B", "primal_holds", "dual_holds", "c", "t0",
+                      "expected", "as_expected"]
+    assert [(r[0], r[1], r[6], r[7]) for r in rows] == [("L2", "L2", "True", "True"),
+                                                        ("L2", "Linf", "True", "False")]
+    monkeypatch.setattr(balance, "EXAMPLE_PAIRS", (("L2", "L2", "self"),))
+    assert run(tmp_path / "one", "classify-examples")[0] == 0
 
 
 def test_check_balance_fails_a_b_that_is_infinite_past_t0(tmp_path):
@@ -410,30 +425,86 @@ _VALID_FLAGS = {
                  "--seed": "1"},
     "negative-norm": {"--A": "L2", "--grid": "4", "--dim": "2", "--trials": "1", "--seed": "1"},
 }
-_INVALID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", "-1e400", "2.5", "x", "", "{bad",
-                   "[1]", '{"kind": "power"}', '{"kind": "nosuch"}', "nosuch")
+_INVALID_VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e300", "-1e300", "1e400",
+                   "-1e400", "2.5", "x", "", "{bad", "[1]", '{"kind": "power"}', '{"kind": "nosuch"}',
+                   "nosuch")
+# the commands that run a balance check, about 0.5 s a run
+_BALANCE_COMMANDS = ("check-balance", "verify-hardy")
+
+# JSON Young functions: each kind's parameters, each a small valid number or
+# one from the edges of the float range and the wrong types; now and then
+# one name is missing or unknown
+_KIND_PARAMS = {"power": ("p", "coeff"), "power_log": ("p", "alpha"), "linear_log": (),
+                "power_log_log": ("p", "alpha", "gamma"), "exp_power": ("beta",),
+                "exp_log_power": ("a", "beta", "reduced"), "indicator": ("t1",),
+                "tabulated": ("breakpoints", "slopes", "final_slope"), "nosuch": ()}
+_PARAM = st.booleans().flatmap(lambda edge: st.sampled_from(
+    (0, -1, 5e-324, 1e-300, 1e300, -1e300, math.inf, math.nan, "1", None, [1], {}, True)
+    if edge else (1, 2, 0.5, 3)))
 
 
 @st.composite
-def _argv_with_one_invalid_flag(draw):
-    command = draw(st.sampled_from(sorted(_VALID_FLAGS)))
+def _young_leaf(draw):
+    kind = draw(st.sampled_from(sorted(_KIND_PARAMS)))
+    names = _KIND_PARAMS[kind]
+    params = {name: draw(st.lists(_PARAM, min_size=1, max_size=3) | _PARAM
+                         if name in ("breakpoints", "slopes") else _PARAM) for name in names}
+    if names and draw(st.integers(0, 7)) == 0:
+        del params[draw(st.sampled_from(names))]
+    if draw(st.integers(0, 7)) == 0:
+        params["q"] = 1
+    return {"kind": kind, "params": params}
+
+
+def _scaled(of):
+    return st.builds(lambda m, s: {"kind": "scaled", "params": {"m": m, "of": of, "arg_scale": s}},
+                     _PARAM, _PARAM)
+
+
+# a leaf, scaled, conjugated (at most once: the slope solve of a conjugate's
+# conjugate is slow), scaled again
+_YOUNG_JSON = (_young_leaf().flatmap(lambda f: st.just(f) | _scaled(f))
+               .flatmap(lambda f: st.just(f) | st.just({"kind": "conjugate", "params": {"of": f}}))
+               .flatmap(lambda f: st.just(f) | _scaled(f)))
+
+
+@st.composite
+def _argv_with_one_drawn_flag(draw):
+    # about one draw in 15 runs a command that makes a balance check
+    balance_run = draw(st.integers(0, 15)) == 0
+    command = draw(st.sampled_from([c for c in sorted(_VALID_FLAGS)
+                                    if (c in _BALANCE_COMMANDS) == balance_run]))
     flags = _VALID_FLAGS[command]
     bad = draw(st.sampled_from(sorted(flags)))
-    value = draw(st.sampled_from(_INVALID_VALUES))
+    values = st.sampled_from(_INVALID_VALUES)
+    if bad in ("--A", "--B"):
+        values |= _YOUNG_JSON.map(json.dumps)
+    value = draw(values)
     argv = [command] + [a for f, v in flags.items() for a in (f, value if f == bad else v)]
     return argv + (["--realize"] if command == "laminate-demo" else [])
 
 
-@settings(max_examples=120, deadline=None)
-@given(_argv_with_one_invalid_flag())
+def _run_in_process(argv, out):
+    """(exit code, stderr, {name: bytes} of the CSVs written) of one run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out)])
+    return code, stderr.getvalue(), {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv_with_one_drawn_flag())
 def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, argv):
     # 0, 1 or 2 and no traceback (an exception out of main would be one); a
-    # usage error is one line on stderr
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", str(tmp_path_factory.mktemp("out"))])
+    # usage error is one line on stderr; every CSV reads back as rows as wide
+    # as its header, and a second run writes the same bytes
+    code, err, tables = _run_in_process(argv, tmp_path_factory.mktemp("out"))
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert len(err.getvalue().strip().splitlines()) == 1
-        assert err.getvalue().startswith("orlicz-korn: error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("orlicz-korn: error: ")
+    for data in tables.values():
+        header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+        assert all(len(row) == len(header) for row in rows)
+    assert _run_in_process(argv, tmp_path_factory.mktemp("again")) == (code, err, tables)

@@ -8,6 +8,9 @@ import pytest
 import orlicz_korn
 
 MODULES = sorted(pathlib.Path(orlicz_korn.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# every module that may read the package's state
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -69,6 +72,38 @@ def test_dead_helper_check_sees_functions_methods_classes_and_constants():
 
 def test_every_private_helper_is_used_somewhere_in_the_package():
     assert _dead_helpers([path.read_text() for path in MODULES]) == []
+
+
+def _unread_attributes(package: list, readers: list) -> list:
+    """Attributes that a module of ``package`` stores on ``self`` or declares
+    as an annotated class field, and that no module of ``readers`` loads as
+    an attribute."""
+    stored, loaded = set(), set()
+    for source in package:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                stored.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                stored |= {s.target.id for s in node.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+    for source in readers:
+        loaded |= {node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(stored - loaded)
+
+
+def test_unread_attribute_check_sees_self_stores_and_annotated_fields():
+    source = ("class K:\n    a: int\n    b: int = 0\n    c = 1\n"
+              "    def __init__(self):\n        self.d = self.e = 2\n        other.f = 3\n"
+              "    def g(self):\n        return self.a + self.d\n")
+    assert _unread_attributes([source], [source]) == ["b", "e"]
+    assert _unread_attributes([source], [source, "k.e\n"]) == ["b"]
+
+
+def test_every_attribute_the_package_stores_is_read_somewhere():
+    assert _unread_attributes([path.read_text() for path in MODULES],
+                              [path.read_text() for path in READERS]) == []
 
 
 def test_cli_reaches_the_library_only_through_its_public_names():

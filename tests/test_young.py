@@ -219,6 +219,26 @@ def test_nabla2_reports_the_largest_float_for_a_ratio_past_float_range(catalog):
     assert v.holds and v.witness_constant == math.exp(young._LN_MAX)
 
 
+@pytest.mark.parametrize("name", ["expL", "exp_log2"])
+def test_global_nabla2_fails_where_the_doubling_ratio_falls_to_2_at_0(catalog, name):
+    # A'(0+) > 0, so A(2t) / A(t) -> 2 as t -> 0 and no C > 2 holds globally;
+    # near infinity the ratio grows, and there it holds
+    v = check_nabla2(catalog[name], near_infinity=False)
+    assert not v.holds and v.witness_constant == 2.0 and v.failure_certificate
+    assert max(v.failure_certificate) < 1e-5
+    assert check_nabla2(catalog[name]).holds
+    # the dual verdict: conj(expL) fails global Delta2 (conj(exp_log2) still
+    # passes it, an artifact of its conjugate's curve near t = 0)
+    if name == "expL":
+        assert not check_delta2(conjugate(catalog[name]), near_infinity=False).holds
+
+
+def test_global_nabla2_still_holds_for_a_power_above_1(catalog):
+    for A in (catalog["L2"], catalog["L3"], conjugate(catalog["L2"])):
+        v = check_nabla2(A, near_infinity=False)
+        assert v.holds and v.threshold_t0 == 0.0
+
+
 def test_indicator_growth_conventions(catalog):
     assert not check_delta2(catalog["Linf"]).holds
     assert check_nabla2(catalog["Linf"]).holds
@@ -314,6 +334,29 @@ def test_tabulated_inverse_with_leading_zero_slopes():
     # so the zero-density stretch (0, 2] maps to its right end
     T = TabulatedYoung([1, 2, 3], [0, 0, 2], 4)
     assert T.inverse(np.array([0.0, 1.0, 6.0, np.inf])).tolist() == [2.0, 2.5, 4.0, math.inf]
+
+
+@pytest.mark.parametrize("slopes, final, raised", [([1e-13], 0.0, 1e-13), ([1.0, 5.0], 5.0 - 1e-12, 5.0),
+                                                    ([0.0, 2.0], 2.0, 2.0), ([1.0, 3.0], 3.0, 3.0)])
+def test_tabulated_densities_never_fall_and_end_positive(slopes, final, raised):
+    # a final slope within the tolerance below the last slope is raised to
+    # it, as the slopes are raised to their running maximum
+    T = TabulatedYoung(np.arange(1.0, len(slopes) + 1.0), slopes, final)
+    assert T.final_slope == raised > 0.0
+    assert np.all(np.diff(T._densities) >= 0.0)
+    assert T.inverse(T.value(2.5)) == pytest.approx(2.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("slopes, final", [([0.0], 0.0), ([np.nan], 1.0), ([1.0], np.nan),
+                                           ([2.0], 1.0), ([np.inf], 1.0)])
+def test_tabulated_rejects_zero_nan_and_falling_slopes(slopes, final):
+    with pytest.raises(DomainError):
+        TabulatedYoung([1.0], slopes, final)
+
+
+def test_tabulated_value_of_nan_is_nan():
+    T = TabulatedYoung([1.0, 2.0], [1.0, 3.0], 5.0)
+    assert np.isnan(T.value(np.nan)) and np.isnan(indicator(1.0).value(np.nan))
 
 
 def test_tabulated_and_scaled_value_and_inverse_overflow_to_inf_silently():
