@@ -554,14 +554,14 @@ class TabulatedYoung(YoungFunction):
         if not np.all(seq >= 0) or np.any(falls | (np.isinf(seq[:-1]) & np.isfinite(seq[1:]))):
             raise DomainError("slopes and final_slope must be nonnegative and nondecreasing")
         self.breakpoints = bp
-        self.slopes = np.maximum.accumulate(sl)
-        self.final_slope = max(float(final_slope), float(self.slopes[-1]))
-        # knots [0, breakpoints], A at the knots, densities with the last piece's
+        self._densities = np.maximum.accumulate(seq)   # slopes, final slope: never falling
+        self.slopes = self._densities[:-1]
+        self.final_slope = float(self._densities[-1])
+        # knots [0, breakpoints] and A at the knots
         self._knots = np.concatenate(([0.0], bp))
         with np.errstate(over="ignore"):   # an infinite value means A = inf there
             self.cum_values = np.cumsum(self.slopes * np.diff(self._knots))
         self._knot_values = np.concatenate(([0.0], self.cum_values))
-        self._densities = np.concatenate((self.slopes, [self.final_slope]))
         if self.final_slope == 0.0:
             raise DomainError("tabulated function is identically zero")
         self.superlinear = math.isinf(self.final_slope)
@@ -1185,10 +1185,10 @@ def _nabla2_at(A, tau_lo, t0):
     decaying = (math.isfinite(g1) and math.isfinite(g2) and g2 < 0.75 * g1
                 ) or (math.isfinite(g2) and g2 < 1e-4)
     if t0 == 0.0:
-        # globally, the same test at the low end, tau = -7 and tau_lo = -14:
-        # the ratio falls to 2 as t -> 0 wherever A'(0+) > 0
-        h1, h2 = (_probe(td, rd, at) - LN2 for at in (-7.0, tau_lo))
-        decaying = decaying or (math.isfinite(h2) and (h2 < 1e-4 or h2 < 0.75 * h1))
+        # globally, the gap at the low end, tau_lo = -14: the ratio falls to 2
+        # as t -> 0 wherever A'(0+) > 0
+        h = _probe(td, rd, tau_lo) - LN2
+        decaying = decaying or (math.isfinite(h) and h < 1e-4)
     if gap <= 1e-9 or decaying:
         worst = t_all[np.argsort(r_all)[:4]]
         return GrowthVerdict(False, t0, 2.0,
