@@ -128,13 +128,10 @@ class GridField:
 
     grid: Grid
     components: np.ndarray
-    boundary_flag: bool = False
 
     def __post_init__(self):
         self.components = _stacked(self.components,
                                    (self.grid.dim, *self.grid.node_shape), "components")
-        if self.boundary_flag and not self.boundary_is_zero():
-            raise DomainError("boundary_flag requires exact zeros on the boundary")
 
     def boundary_is_zero(self) -> bool:
         c = self.components
@@ -335,7 +332,7 @@ def _reduce(u: GridField, mode: str, kernel: str) -> GridField:
     zeros and zero-pads u (mirroring continuation by zero); mode
     "full_domain" subtracts the projection onto the ``kernel`` basis."""
     if mode == "zero_bc":
-        if not u.boundary_flag and not u.boundary_is_zero():
+        if not u.boundary_is_zero():
             raise DomainError("zero_bc mode requires a field vanishing on the boundary")
         return _zero_pad(u)
     if mode == "full_domain":
@@ -537,7 +534,7 @@ def smooth_suite(grid: Grid, count: int = 3) -> list:
     for rec in recipes[:count]:
         comps = bub * np.stack(rec(X))
         _zero_boundary(comps)
-        fields.append(GridField(grid, comps, boundary_flag=True))
+        fields.append(GridField(grid, comps))
     return fields
 
 
@@ -568,7 +565,7 @@ def random_suite(grid: Grid, count: int, seed: int) -> list:
                     term = term * np.sin(math.pi * ks[j] * xhat[j])
                 c += term
         _zero_boundary(comps)
-        out.append(GridField(grid, comps, boundary_flag=True))
+        out.append(GridField(grid, comps))
     return out
 
 
@@ -660,8 +657,7 @@ def negative_norm_suite(A: YoungFunction, grid: Grid, trials: int, seed: int) ->
 
 def save_field(u: GridField, basepath: str) -> None:
     meta = {"extents": list(u.grid.extents), "spacing": list(u.grid.spacing),
-            "origin": list(u.grid.origin), "boundary_flag": u.boundary_flag,
-            "format": "bin", "dtype": "float64"}
+            "origin": list(u.grid.origin), "format": "bin", "dtype": "float64"}
     with open(basepath + ".json", "w") as fh:
         json.dump(meta, fh, indent=1)
     np.asarray(u.components.reshape(u.grid.dim, -1), dtype="<f8").tofile(basepath + ".bin")
@@ -674,5 +670,4 @@ def load_field(basepath: str) -> GridField:
         raise DomainError(f"field format must be 'bin', not {meta.get('format')!r}")
     grid = Grid(tuple(meta["extents"]), tuple(meta["spacing"]), tuple(meta["origin"]))
     flat = np.fromfile(basepath + ".bin", dtype="<f8")
-    return GridField(grid, flat.reshape(grid.dim, *grid.node_shape),
-                     boundary_flag=bool(meta.get("boundary_flag")))
+    return GridField(grid, flat.reshape(grid.dim, *grid.node_shape))

@@ -33,7 +33,7 @@ from .young import DomainError, YoungFunction
 
 __all__ = ["Laminate", "build_laminate", "build_laminate_recursive",
            "moment", "blowup_curve", "realize_field", "LaminateRealization",
-           "korn_suite_fields", "realization_suite"]
+           "korn_suite_fields", "realization_suite", "exact_korn_l1_ratio"]
 
 SQRT2 = math.sqrt(2.0)
 _RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
@@ -287,7 +287,7 @@ class LaminateRealization:
         for i in range(0, x.size, rows):
             v[:, i:i + rows] = self.displacement(*np.meshgrid(x[i:i + rows], y, indexing="ij"))
         _zero_boundary(v)
-        return GridField(grid, v, boundary_flag=True)
+        return GridField(grid, v)
 
 
 def realize_field(L: Laminate, r: float, depth: int) -> LaminateRealization:

@@ -47,6 +47,7 @@ LEGENDRE_GRID = np.geomspace(1e-6, 1e9, 2048)
 
 _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinement
 _LN_MAX = math.log(np.finfo(float).max)   # e^x is a float iff x <= _LN_MAX
+_TINY = float(np.finfo(float).tiny)        # the smallest normal float
 # the bracket ends of the generic inverse: 2^0, 2^1, ..., 2^1023, the largest float
 _INVERSE_ENDS = np.append(2.0 ** np.arange(1024), np.finfo(float).max)
 
@@ -610,17 +611,6 @@ class TabulatedYoung(YoungFunction):
             out = np.log(np.maximum(d * self._knots[i] - self._knot_values[i], 0.0)) - np.log(d) - tau
         return np.where(np.isinf(d), 0.0, np.where(d > 0, out, -np.inf))
 
-    def _conjugate_root(self, tau):
-        """(ln r, ln A*(e^tau)) with r the knot where the slopes pass e^tau:
-        there r e^tau - A(r) is largest (r = 0 below every slope, +inf above)."""
-        with np.errstate(divide="ignore"):
-            j = np.searchsorted(np.log(self._densities), tau)
-            inside = j < self._densities.size
-            j = np.minimum(j, self._densities.size - 1)
-            root = np.where(inside, np.log(self._knots[j]), np.inf)
-            value = np.where(inside, log_sub_exp(root + tau, np.log(self._knot_values[j])), np.inf)
-        return root, value
-
     def _inverse(self, r):
         # the piece where A first exceeds r: its slope is positive, and the
         # final one may be infinite (a jump); a piece too flat to reach r
@@ -670,8 +660,10 @@ class ScaledYoung(YoungFunction):
 
     def __init__(self, m: float, base: YoungFunction, arg_scale: float = 1.0):
         _finite("scaled", m=m, arg_scale=arg_scale)
-        if m <= 0 or arg_scale <= 0:
-            raise DomainError("scaled kind needs m > 0 and arg_scale > 0")
+        # a subnormal scale loses bits: base(arg_scale t) / m is no longer A
+        for name, scale in (("m", m), ("arg_scale", arg_scale)):
+            if scale < _TINY:
+                raise DomainError(f"scaled kind needs {name} >= {_TINY:.6g}, not {scale:.6g}")
         self.m = float(m)
         self.base = base
         self.arg_scale = float(arg_scale)
@@ -713,8 +705,8 @@ class ScaledYoung(YoungFunction):
 
     def conjugate(self):
         scale = self.m / self.arg_scale
-        if not 0.0 < scale < math.inf:
-            raise DomainError(f"the conjugate of {self!r} has an arg_scale beyond float range")
+        if not _TINY <= scale < math.inf:
+            raise DomainError(f"the conjugate of {self!r} has an arg_scale beyond the normal float range")
         return ScaledYoung(self.m, self.base.conjugate(), scale)
 
     @property
@@ -750,24 +742,19 @@ def _tabulate(A: YoungFunction) -> TabulatedYoung:
     if math.isinf(secants[0]):
         raise DomainError(f"the secant slopes of {A!r} overflow from the first tabulation node on "
                           f"(A({bp[0]:.3g}) = {v[0]:.3g}), so the numerical conjugate has no finite piece")
-    if finite.all():
-        final = secants[-1]
-    else:
-        final = math.inf
-    return TabulatedYoung(bp, secants, final)
+    return TabulatedYoung(bp, secants, secants[-1] if finite.all() else math.inf)
 
 
 class ConjugateYoung(YoungFunction):
     """Numerical Young conjugate, answering through two evaluators.
 
-    ``value`` and ``inverse`` read the exact conjugate of the secant
-    tabulation of the source on ``LEGENDRE_GRID`` (equivalently, the
-    linearly interpolated supremand maximized on that grid), or of the
-    source itself where it is a table; the norms use it.  ``log_value_logt``
-    solves the source's slope equation A'(r) = e^tau for sigma = ln r and
-    reads ln A*(e^tau) = ln r + ln(A'(r) - A(r)/r) from the source's closed
-    forms (the Fenchel-Young equality), so the far-field growth stays
-    faithful; the growth and balance sweeps use it.
+    ``value``, ``inverse``, ``jump_point`` and ``conjugate()`` read the exact
+    conjugate of the secant tabulation of the source on ``LEGENDRE_GRID``
+    (equivalently, the linearly interpolated supremand maximized on that
+    grid), built on the first such read; the norms use it.  The log readers
+    solve the source's slope equation A'(r) = e^tau for sigma = ln r and read
+    ln A*(e^tau) = ln r + ln(A'(r) - A(r)/r) from the source's closed forms
+    (the Fenchel-Young equality); the growth and balance sweeps use them.
     The two differ by the tabulation error: for expL, against
     A*(s) = s ln s - s + 1, the table is 2.9e-5 (relative) low at s = 1.5 and
     5.8e-4 low at s = 1e8, while ``log_value_logt`` stays within one ulp of
@@ -775,42 +762,53 @@ class ConjugateYoung(YoungFunction):
     conjugate of t^1.5, where ln A* reaches 1.8e6).  Each tau is evaluated
     on its own, by Illinois regula falsi between two neighbouring ends of the
     fixed bracket ladder ``_ENDS``: its value is +inf exactly where the
-    source's slope at the top rung ``_RUNGS[-1]`` stays below e^tau.
+    source's slope at the top rung ``_RUNGS[-1]`` stays below e^tau.  A table
+    source is its own tabulation; the log readers read its table too.
     """
 
     kind = "conjugate"
 
     def __init__(self, source: YoungFunction):
         self.source = source
-        is_table = isinstance(source, TabulatedYoung)   # a table answers from its pieces
-        self.table = (source if is_table else _tabulate(source)).conjugate()
-        self._root = source._conjugate_root if is_table else lambda tau: _slope_root(source, tau)
         # exact, where the truncated table is not
         self.finite_valued = source.superlinear
         self.superlinear = source.finite_valued
 
+    def _table(self):
+        memo = _memo(self)
+        if "table" not in memo:
+            source = self.source
+            memo["table"] = (source if isinstance(source, TabulatedYoung) else _tabulate(source)).conjugate()
+        return memo["table"]
+
     def value(self, t):
-        return self.table.value(t)
+        return self._table().value(t)
 
     def _inverse(self, r):
-        return self.table._inverse(r)
+        return self._table()._inverse(r)
 
     @property
     def jump_point(self):
-        return self.table.jump_point
+        return self._table().jump_point
 
     def _solve(self, tau, part: int):
         """Part 0 or 1 of (ln r, ln sup_r { r e^tau - source(r) }) at each tau,
-        r the maximizer, the root of source'(r) = e^tau.  The output starts as
-        a copy of tau (NaN and +-inf keep themselves, the limits of both parts)
+        r the maximizer, the root of source'(r) = e^tau; for a table source,
+        the exact table's log slope or log value.  The output starts as a
+        copy of tau (NaN and +-inf keep themselves, the limits of both parts)
         whose finite points are solved in place, one ``_BLOCK`` slice after
         another, each on its own: the result does not depend on the split."""
+        if isinstance(self.source, TabulatedYoung):
+            table = self._table()
+            solve = (table.log_slope_logt, table.log_value_logt)[part]
+        else:
+            solve = lambda t: _slope_root(self.source, t)[part]
         tau = np.asarray(tau, dtype=float)
         out = tau.ravel().copy()
         for i in range(0, out.size, _BLOCK):
             block = out[i:i + _BLOCK]
             finite = np.isfinite(block)
-            block[finite] = self._root(block[finite])[part]
+            block[finite] = solve(block[finite])
         out = out.reshape(tau.shape)
         return out if out.ndim else float(out)
 
@@ -831,7 +829,7 @@ class ConjugateYoung(YoungFunction):
 
     def conjugate(self):
         # honest round trip: conjugate the tabulated representation exactly
-        return self.table.conjugate()
+        return self._table().conjugate()
 
     def params(self):
         return {"of": to_json(self.source)}
@@ -851,15 +849,6 @@ _ENDS = np.concatenate((np.linspace(_SIGMA_LO, _RUNGS[0], 64, endpoint=False),
                         _RUNGS[-1:]))
 _ROOT_XTOL = 4.0 * np.finfo(float).eps    # root bracket width, relative to max(1, |ends|)
 _ROOT_ITERS = 100
-
-
-def _theta(source: YoungFunction, sigma, tau):
-    """The supremand ln(e^(sigma + tau) - source(e^sigma)): log_sub_exp for
-    finite sigma + tau, in fewer passes."""
-    a = sigma + tau
-    v = source.log_value_logt(sigma)
-    with np.errstate(divide="ignore"):
-        return a + np.log1p(-np.exp(np.fmin(v - a, 0.0)))
 
 
 def _slope_root(source: YoungFunction, tau: np.ndarray):
@@ -948,11 +937,12 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
     # it gave before the slope solve: in the catalog that is conj(exp_log2)
     # for s <= 2 (exp_log_power rounds ln(e + t) to 1 and A to 0 below
     # t ~ 1e-16, while A'(0) = 2), whose pinned growth verdicts rest on it.
-    th = _theta(source, _SIGMA_LO, tau[foot])
+    # The supremand is ln(e^(sigma + tau) - A(e^sigma)).
+    th = log_sub_exp(_SIGMA_LO + tau[foot], source.log_value_logt(_SIGMA_LO))
     value[foot] = th
     g = foot[th > -np.inf]
     if g.size:
-        value[g] = maximize_unimodal(lambda x: _theta(source, x, tau[g]),
+        value[g] = maximize_unimodal(lambda x: log_sub_exp(x + tau[g], source.log_value_logt(x)),
                                      np.full(g.size, _SIGMA_LO), np.full(g.size, _RUNGS[0]))
     sigma[up] = value[up] = np.inf
     sigma[value == -np.inf] = -np.inf
@@ -964,9 +954,9 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _memo(A: YoungFunction) -> dict:
-    """The per-object store of what is derived from A: its log-curve on each
-    sweep grid, filled on first read, its conjugate, and its slopes at the
-    ladder's ends ``_ENDS`` with their arcsinh ("ladder", for ``_slope_root``)."""
+    """The per-object store of what is derived from A, filled on first read:
+    its log-curve on each sweep grid, its conjugate, its slopes at the ladder's
+    ends ``_ENDS`` with their arcsinh ("ladder"), and a conjugate's "table"."""
     return vars(A).setdefault("_memo", {})
 
 
@@ -1280,7 +1270,8 @@ _KINDS["indicator"] = (indicator, (), ("t1",))
 def _checked_params(obj) -> tuple:
     """(class, params) of a JSON Young function, with every parameter name
     known and every value a number other than NaN (a list of them for the
-    tabulated breakpoints and slopes; a nested JSON object for "of")."""
+    tabulated breakpoints and slopes; a JSON boolean for "reduced"; a nested
+    JSON object for "of")."""
     if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise DomainError('a Young function is a JSON object {"kind": ..., "params": {...}}')
     kind = obj["kind"]
@@ -1302,9 +1293,16 @@ def _checked_params(obj) -> tuple:
             if not isinstance(v, dict):
                 raise DomainError(f"parameter {k!r} of kind {kind!r} must be a JSON object")
             continue
+        if k == "reduced":
+            if not isinstance(v, bool):
+                raise DomainError(f"parameter {k!r} of kind {kind!r} must be true or false")
+            continue
         values = v if k in ("breakpoints", "slopes") and isinstance(v, list) else [v]
-        if not all(isinstance(x, (int, float)) and x == x for x in values):
-            raise DomainError(f"parameter {k!r} of kind {kind!r} must be a number, not NaN")
+        # a JSON true or false reads as a bool, which Python counts as an int
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+            raise DomainError(f"parameter {k!r} of kind {kind!r} must be a number")
+        if any(x != x for x in values):
+            raise DomainError(f"parameter {k!r} of kind {kind!r} must not be NaN")
     return cls, params
 
 

@@ -331,6 +331,24 @@ def test_check_balance_builds_one_conjugate_and_each_curve_once(monkeypatch):
         young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))
 
 
+def test_balance_checks_and_growth_checks_never_tabulate(monkeypatch):
+    # the check-balance pairs and the growth checks of A and its conjugate
+    # over the catalog read log curves only: no conjugate builds its table
+    tabulated = []
+    tabulate = young._tabulate
+    monkeypatch.setattr(young, "_tabulate", lambda A: tabulated.append(A) or tabulate(A))
+    pairs = [(a, b) for a, b, _ in balance.EXAMPLE_PAIRS]
+    pairs += [("LlogL", "LlogL"), ("expL", "expL"), ("L2", "L2")]
+    for a, b in pairs:
+        catalog = young.load_catalog()
+        check_balance(catalog[a], catalog[b])
+    for A in young.load_catalog().values():
+        for check in (young.check_delta2, young.check_nabla2):
+            check(A)
+            check(young.conjugate(A))
+    assert len(pairs) == 10 and tabulated == []
+
+
 def test_balance_reads_no_grid_layout_of_young():
     # balance reads ln A(2^k t) through young's sweep reader; the grids, their
     # bounds, steps and lengths and the index arithmetic on them stay young's

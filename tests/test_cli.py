@@ -248,9 +248,14 @@ def test_config_entries_are_checked_for_the_subcommand_that_runs(tmp_path):
      "--B", "L2"],
     ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 1e300, "beta": 2}}',
      "--B", "L2"],
-    # every secant slope of the conjugate's tabulation overflows
-    ["check-balance", "--A", '{"kind": "exp_log_power", "params": {"a": 705, "beta": 2}}',
-     "--B", "L2"],
+    # every secant slope of the conjugate's tabulation overflows, and the
+    # norms read the table
+    ["negative-norm", "--A", '{"kind": "exp_log_power", "params": {"a": 705, "beta": 2}}',
+     "--grid", "4", "--trials", "1"],
+    # a subnormal scale turns the smooth base into a staircase
+    ["negative-norm", "--A", '{"kind": "scaled", "params": {"m": 5e-324, "of": {"kind": "scaled", '
+     '"params": {"m": 5e-324, "of": {"kind": "exp_power", "params": {"beta": 1}}, '
+     '"arg_scale": 5e-324}}}}', "--grid", "4", "--dim", "2", "--trials", "1", "--seed", "1"],
     # the normalization target 2^(m-1) / r^2 leaves the float range at m = 1025
     ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "2000"],
     # just past the largest L whose trial integrals are finite floats
@@ -270,6 +275,20 @@ def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("orlicz-korn: error: ")
+
+
+def test_balance_needs_no_conjugate_table_while_the_norms_name_its_overflow(tmp_path, capsys):
+    # every secant slope of this function's tabulation overflows; the balance
+    # check reads only its conjugate's log curves and never builds the table,
+    # while negative-norm's Luxemburg norms read it and exit 2 naming the overflow
+    A = '{"kind": "exp_log_power", "params": {"a": 705, "beta": 2}}'
+    assert run(tmp_path, "check-balance", "--A", A, "--B", "L2")[0] == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "primal=True dual=True c=0.0009765625 t0=1.0"
+    assert run(tmp_path, "negative-norm", "--A", A, "--grid", "4", "--trials", "1")[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("orlicz-korn: error: the secant slopes of ExpLogPowerYoung(a=705.0")
+    assert "overflow from the first tabulation node on" in err
 
 
 def test_verify_korn_dim_2_runs_on_a_2d_grid(tmp_path):

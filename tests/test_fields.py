@@ -377,6 +377,19 @@ def test_field_io_round_trip(tmp_path, grid3):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+def test_load_field_ignores_the_boundary_flag_of_an_old_header(tmp_path, grid3):
+    # headers once carried "boundary_flag"; the field itself says whether it
+    # vanishes on the boundary
+    base = str(tmp_path / "field")
+    fields.save_field(GridField(grid3, np.zeros((3, *grid3.node_shape))), base)
+    with open(base + ".json") as fh:
+        meta = json.load(fh)
+    assert "boundary_flag" not in meta
+    with open(base + ".json", "w") as fh:
+        json.dump({**meta, "boundary_flag": True}, fh)
+    assert fields.load_field(base).boundary_is_zero()
+
+
 def test_load_field_rejects_a_format_other_than_bin(tmp_path, grid3):
     base = str(tmp_path / "field")
     fields.save_field(GridField(grid3, np.zeros((3, *grid3.node_shape))), base)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orlicz_korn import fields, laminate, young
+from orlicz_korn import balance, fields, laminate, young
 from orlicz_korn.laminate import (
     blowup_curve, build_laminate, build_laminate_recursive,
     exact_korn_l1_ratio, moment, realize_field,
@@ -123,6 +123,29 @@ def test_blowup_square_pair_bounded(catalog):
     rows = blowup_curve(catalog["L2"], catalog["L2"], 10, 1.0)
     ratios = [r["ratio"] for r in rows[1:]]
     assert max(ratios) <= min(ratios) * 1.05
+
+
+# The laminate table beside the primal balance verdict: the growth
+# r(200) / r(100) of its ratio column.  The 5 primal passes that grow are
+# the sweep's false passes (a log gap at p = 2 or a loglog factor).
+# the finite-valued example pairs (Linf jumps to infinity) and two controls
+_TREND_BOUNDED = [(a, b) for a, b, _ in balance.EXAMPLE_PAIRS if a != "Linf"]
+_TREND_BOUNDED += [("L2", "L2"), ("expL", "expL")]
+_TREND_FALSE_PASSES = [("L2", "L2_log"), ("L2_loglog", "L2_log"), ("L2", "L2_loglog"),
+                       ("LlogL", "L_loglog"), ("LlogL2", "LlogL_loglog")]
+_TREND_FAILS = [("LlogL", "LlogL"), ("L1", "L1")]
+
+
+def test_laminate_trend_stays_bounded_on_primal_passes_and_grows_on_failures(catalog):
+    growth = {}
+    for a, b in _TREND_BOUNDED + _TREND_FALSE_PASSES + _TREND_FAILS:
+        rows = blowup_curve(catalog[a], catalog[b], 200, 1.0)
+        assert [r["m"] for r in rows] == list(range(201))
+        growth[a, b] = rows[200]["ratio"] / rows[100]["ratio"]
+    # measured: at most 1.0207, 1.18 to 2.05, and 2.04 and 1.98
+    assert all(growth[pair] <= 1.05 for pair in _TREND_BOUNDED), growth
+    assert all(growth[pair] >= 1.15 for pair in _TREND_FALSE_PASSES), growth
+    assert all(growth[pair] >= 1.7 for pair in _TREND_FAILS), growth
 
 
 def test_blowup_scale_doubling_control(catalog):
@@ -298,7 +321,7 @@ def test_realization_gradient_histogram():
 def test_realization_boundary_zero():
     real = realize_field(build_laminate(2, 1.0), 1.0, 16)
     u = real.as_grid_field(256)
-    assert u.boundary_flag and u.boundary_is_zero()
+    assert u.boundary_is_zero()
 
 
 def test_realization_suite_matches_the_per_level_loop():
@@ -317,7 +340,7 @@ def test_realization_suite_matches_the_per_level_loop():
     assert [row for row, _ in suite] == rows
     assert len(suite) == len(grids)
     for (_, u), v in zip(suite, grids):
-        assert u.grid == v.grid and u.boundary_flag == v.boundary_flag
+        assert u.grid == v.grid and u.boundary_is_zero() and v.boundary_is_zero()
         assert np.array_equal(u.components, v.components)
     assert [row[0] for row, _ in laminate.realization_suite(10, 1.0, 8, 4)] == [1, 2, 3]
     assert list(laminate.realization_suite(0, 1.0, 8, 4)) == []
@@ -344,7 +367,7 @@ def test_grid_field_in_row_blocks_is_the_whole_grid_evaluation(monkeypatch, cell
     real = realize_field(build_laminate(3, 1.0), 1.0, 8)
     grid, v = _whole_grid_field(real, cells)
     u = real.as_grid_field(cells)
-    assert u.grid == grid and u.boundary_flag
+    assert u.grid == grid and u.boundary_is_zero()
     assert u.components.dtype == v.dtype and u.components.shape == v.shape
     assert u.components.tobytes() == v.tobytes()
 

@@ -106,6 +106,41 @@ def test_every_attribute_the_package_stores_is_read_somewhere():
                               [path.read_text() for path in READERS]) == []
 
 
+def _all_mismatch(source: str):
+    """(the public top-level functions and classes that ``__all__`` leaves
+    out, the names in ``__all__`` that the module never binds), or None
+    for a module without ``__all__``."""
+    tree = ast.parse(source)
+    listed = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    if not listed:
+        return None
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return sorted(public - set(listed[0])), sorted(set(listed[0]) - bound)
+
+
+def test_all_check_sees_unlisted_functions_and_unbound_names():
+    source = ("from . import m\n__all__ = ['f', 'K', 'C', 'm', 'gone']\nC = 1\n"
+              "def f(): pass\ndef g(): pass\ndef _h(): pass\nclass K: pass\nclass L: pass\n")
+    assert _all_mismatch(source) == (["L", "g"], ["gone"])
+    assert _all_mismatch("def f(): pass\n") is None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_lists_every_public_function_and_class_and_only_bound_names(path):
+    assert _all_mismatch(path.read_text()) in (None, ([], []))
+
+
 def test_cli_reaches_the_library_only_through_its_public_names():
     # the CLI parses flags and writes files; the numerics live in the library
     tree = ast.parse((pathlib.Path(orlicz_korn.__file__).parent / "cli.py").read_text())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from orlicz_korn import balance, young
-from orlicz_korn._numerics import maximize_unimodal
+from orlicz_korn._numerics import log_sub_exp, maximize_unimodal
 from orlicz_korn.young import (
     ConjugateYoung, DomainError, ExpLogPowerYoung, ExpPowerYoung, PowerLogLogYoung,
     PowerYoung, ScaledYoung, TabulatedYoung, check_delta2, check_nabla2,
@@ -568,16 +568,18 @@ def test_conjugate_log_value_matches_decimal_oracle(catalog, name, pag, tau):
                                TabulatedYoung([1.0, 2.0], [1.0, 3.0], math.inf)])
 def test_numerical_conjugate_of_a_table_is_the_exact_conjugate(T):
     # conjugate(T) is the exact table T.conjugate(); a ConjugateYoung of a
-    # table answers from the table's pieces instead of the slope solve
+    # table reads that table's own log readers instead of the slope solve
     tau = np.concatenate((np.linspace(-30.0, 700.0, 7301), np.log([0.5, 1.0, 2.0, 3.0, 4.0])))
-    got = ConjugateYoung(T).log_value_logt(tau)
-    want = T.conjugate().log_value_logt(tau)
-    finite = np.isfinite(want)
+    C, exact = ConjugateYoung(T), T.conjugate()
+    want = exact.log_value_logt(tau)
     # A* = 0 below the first slope, and +inf past a finite final slope
     assert (want == -np.inf).any()
     assert (want == np.inf).any() == math.isfinite(T.final_slope)
-    assert np.array_equal(got[~finite], want[~finite])
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+    limits = np.array([math.nan, -math.inf, math.inf])
+    for reader in ("log_value_logt", "log_slope_logt"):
+        assert np.array_equal(getattr(C, reader)(tau), getattr(exact, reader)(tau), equal_nan=True)
+        # NaN and +-inf keep themselves, as for a smooth source
+        assert np.array_equal(getattr(C, reader)(limits), limits, equal_nan=True)
 
 
 def test_nested_conjugate_returns_the_source(catalog):
@@ -632,9 +634,11 @@ def test_exp_log_power_beyond_float_e_to_the_a_has_agreeing_evaluators_and_no_wa
 
 def test_conjugate_whose_secants_all_overflow_names_the_overflow():
     # A(1e-6) is about 7.8e302 for a = 705, so every secant slope of the
-    # tabulation is +inf; this used to surface as an error about a power kind
+    # tabulation is +inf; this used to surface as an error about a power kind.
+    # The table is built on the first read of a value, not with the conjugate
+    C = conjugate(ExpLogPowerYoung(705.0, 2.0))
     with pytest.raises(DomainError, match="secant slopes .* overflow"):
-        conjugate(ExpLogPowerYoung(705.0, 2.0))
+        C.value(1.0)
 
 
 # the kinds whose inverse is the generic bisection
@@ -926,8 +930,8 @@ def _rise_test_pre_pass(source, tau):
     rest: the reference for reading +inf off the ladder's end slopes."""
 
     def rises(h, t):
-        th = young._theta(source, h, t)
-        return (th >= young._theta(source, h - 0.25, t)) & (th > -np.inf)
+        th = log_sub_exp(h + t, source.log_value_logt(h))
+        return (th >= log_sub_exp(h - 0.25 + t, source.log_value_logt(h - 0.25))) & (th > -np.inf)
 
     up = np.flatnonzero(rises(young._RUNGS[:1], tau))
     up = up[rises(young._RUNGS[-1:], tau[up])]
@@ -1225,6 +1229,53 @@ def test_a_nested_of_that_is_not_an_object_is_named(spec):
     with pytest.raises(DomainError) as err:
         young.from_json(spec)
     assert str(err.value) == f"parameter 'of' of kind {spec['kind']!r} must be a JSON object"
+
+
+_POWER2 = _spec("power", p=2)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # a JSON true reads as a Python int
+    (_spec("power", p=True), "parameter 'p' of kind 'power' must be a number"),
+    (_spec("power", p=2, coeff=False), "parameter 'coeff' of kind 'power' must be a number"),
+    (_spec("scaled", m={}, of=_POWER2), "parameter 'm' of kind 'scaled' must be a number"),
+    (_spec("scaled", m="1", of=_POWER2), "parameter 'm' of kind 'scaled' must be a number"),
+    (_spec("scaled", m=None, of=_POWER2), "parameter 'm' of kind 'scaled' must be a number"),
+    (_spec("scaled", m=[1], of=_POWER2), "parameter 'm' of kind 'scaled' must be a number"),
+    (_spec("tabulated", breakpoints=[1, True], slopes=[1, 2], final_slope=3),
+     "parameter 'breakpoints' of kind 'tabulated' must be a number"),
+    (_spec("scaled", m=math.nan, of=_POWER2), "parameter 'm' of kind 'scaled' must not be NaN"),
+    (_spec("tabulated", breakpoints=[1, 2], slopes=[1, math.nan], final_slope=3),
+     "parameter 'slopes' of kind 'tabulated' must not be NaN"),
+    (_spec("exp_log_power", a=1, beta=2, reduced=1),
+     "parameter 'reduced' of kind 'exp_log_power' must be true or false"),
+    (_spec("exp_log_power", a=1, beta=2, reduced="false"),
+     "parameter 'reduced' of kind 'exp_log_power' must be true or false"),
+    (_spec("exp_log_power", a=1, beta=2, reduced=None),
+     "parameter 'reduced' of kind 'exp_log_power' must be true or false"),
+])
+def test_a_parameter_of_the_wrong_type_or_nan_is_named(spec, message):
+    with pytest.raises(DomainError) as err:
+        young.from_json(spec)
+    assert str(err.value) == message
+
+
+def test_reduced_is_a_json_boolean():
+    for reduced in (False, True):
+        A = young.from_json(json.dumps(_spec("exp_log_power", a=1, beta=2, reduced=reduced)))
+        assert A.reduced is reduced
+    assert young.load_catalog()["exp_log2_reduced"].reduced is True
+
+
+@pytest.mark.parametrize("m, arg_scale, name", [(5e-324, 1.0, "m"), (1.0, 1e-310, "arg_scale"),
+                                                (-4.0, 1.0, "m"), (1.0, 0.0, "arg_scale")])
+def test_scaled_rejects_a_subnormal_scale_by_name(m, arg_scale, name):
+    # e^(5e-324 t) - 1 rounds to whole multiples of 5e-324: a staircase, not convex
+    with pytest.raises(DomainError, match=f"^scaled kind needs {name} >= 2.22507e-308, not "):
+        ScaledYoung(m, ExpPowerYoung(1.0), arg_scale)
+    # the conjugate's scale is m / arg_scale = 1e-310
+    with pytest.raises(DomainError, match="has an arg_scale beyond the normal float range"):
+        ScaledYoung(1e-300, ExpPowerYoung(1.0), 1e10).conjugate()
 
 
 @settings(max_examples=60, deadline=None)
