@@ -1280,6 +1280,8 @@ def test_scaled_rejects_a_subnormal_scale_by_name(m, arg_scale, name):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_LEAF_SPECS, _wrapped(_LEAF_SPECS), _wrapped(_wrapped(_LEAF_SPECS))))
+# builds, but is zero on the whole tabulation grid: raises at the first value
+@example(spec=_spec("conjugate", of=_spec("scaled", m=1.0, arg_scale=1.0, of=_spec("indicator", t1=1.0))))
 def test_from_json_inverts_to_json_for_every_kind(spec):
     try:
         A = young.from_json(spec)
@@ -1288,8 +1290,21 @@ def test_from_json_inverts_to_json_for_every_kind(spec):
     B = young.from_json(json.dumps(young.to_json(A)))
     assert young.to_json(B) == young.to_json(A)
     t = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(B.value(t), A.value(t), equal_nan=True)
+
+    def values(F):
+        # a numerical conjugate tabulates on its first read, and raises there
+        # if its source cannot be tabulated: the copy must raise the same
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return F.value(t)
+        except DomainError as err:
+            return str(err)
+
+    a, b = values(A), values(B)
+    if isinstance(a, str):
+        assert b == a
+    else:
+        assert np.array_equal(b, a, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
