@@ -14,6 +14,8 @@ import numpy as np
 
 LN2 = math.log(2.0)
 _GOLDEN_ITERS = 48            # golden-section steps of maximize_unimodal
+_PREFIX_BLOCK = 4096          # cells per linear-scale block of log_trapezoid_prefix
+_PREFIX_SPAN = 600.0          # how far below its shift a block's first prefix may lie
 
 
 def log_sub_exp(a, b):
@@ -40,17 +42,42 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Returns P with P[i] = log( integral_{x[0]}^{x[i]} exp(log_f) ), P[0] = -inf.
     Handles log_f values of -inf (zero integrand) and +inf (divergent).
+
+    The cells are summed in linear scale, ``_PREFIX_BLOCK`` at a time, under
+    the shift top = max(the prefix so far, the block's largest log_f): one
+    exp per point, a cumsum, the carry, one log.  A block whose top lies more
+    than ``_PREFIX_SPAN`` above the prefix at its first point (its early terms
+    would leave the normal range), or whose log_f holds NaN or +inf or is all
+    -inf, sums in log scale from the carry with ``logaddexp.accumulate``.
     """
     lf = np.asarray(log_f, dtype=float)
+    x = np.asarray(x, dtype=float)
     prefix = np.empty(len(x))
     prefix[0] = -np.inf
-    cell = prefix[1:]     # each cell's log integral, then summed in place
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.logaddexp(lf[:-1], lf[1:], out=cell)
-        dx = np.diff(x)
-        cell += np.log(dx, out=dx)
-        cell -= LN2
-    np.logaddexp.accumulate(cell, out=cell)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for lo in range(0, len(x) - 1, _PREFIX_BLOCK):
+            hi = min(lo + _PREFIX_BLOCK, len(x) - 1)
+            f, carry = lf[lo:hi + 1], prefix[lo]
+            cell = prefix[lo + 1:hi + 1]     # the block's cells, then summed in place
+            top = float(np.maximum(carry, f.max()))
+            # a lower bound on the prefix at the block's first point (where
+            # top is not finite, top - first is not within the span)
+            first = max(carry, f[0] + np.log(0.5 * (x[lo + 1] - x[lo])))
+            if top - first <= _PREFIX_SPAN:
+                w = np.exp(f - top)
+                np.add(w[:-1], w[1:], out=cell)
+                cell *= np.diff(x[lo:hi + 1])
+                cell *= 0.5
+                np.cumsum(cell, out=cell)
+                cell += math.exp(carry - top)
+                np.log(cell, out=cell)
+                cell += top
+            else:
+                np.logaddexp(f[:-1], f[1:], out=cell)
+                cell += np.log(np.diff(x[lo:hi + 1]))
+                cell -= LN2
+                cell[0] = np.logaddexp(carry, cell[0])
+                np.logaddexp.accumulate(cell, out=cell)
     return prefix
 
 

@@ -179,13 +179,17 @@ def test_an_indicator_pair_holds_from_the_constant_one(catalog, name, side):
 # (witness_c, threshold_t0, primal margin_ln, dual margin_ln) as first
 # recorded; the dual margins of the expL and exp_log2 pairs are taken at
 # tau = 6e5, where one ulp of ln A* is 1.2e-10, and were recorded again when
-# the numerical conjugate's values there became correctly rounded
+# the numerical conjugate's values there became correctly rounded.  The
+# primal margin of (expL, expL_half) was recorded again (from
+# -1.0965351101155238, 1.7e-12 relative) when the prefix integral came to be
+# summed in linear scale: the margin is a difference of two logs, and the
+# kernel is within 5.8e-14 of its log-scale sum on the catalog's integrands
 _EXAMPLE_PAIR_NUMBERS = {
     ("L2_log", "L2_log"): (2.0, 0.0, -0.9344986933283508, -0.3465717005916602),
     ("LlogL", "L1"): (1.0, 1.0, -6.402842700481415e-09, -math.inf),
     ("L2_loglog", "L2_loglog"): (2.0, 0.0, -0.9344970886595547, -0.34657217865648704),
     ("LlogL_loglog", "L_loglog"): (1024.0, 1.0, -0.07813429948873818, -0.20942129305696255),
-    ("expL", "expL_half"): (2.0, 1.0, -1.0965351101155238, -1.3863433308433741),
+    ("expL", "expL_half"): (2.0, 1.0, -1.0965351101136525, -1.3863433308433741),
     ("Linf", "expL"): (2.0, 1.0, -math.inf, -0.5553031917860984),
     ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203999362886),
 }
@@ -421,23 +425,51 @@ def _parent_log_sub_exp(a, b):
 
 
 def _parent_log_trapezoid_prefix(log_f, x):
-    """``log_trapezoid_prefix`` with its cells in a temporary: the reference
-    for the in-place form."""
+    """``log_trapezoid_prefix`` summed in log scale over the whole grid: the
+    reference for the linear-scale blocks, and bit for bit what their log-scale
+    fallback gives."""
     with np.errstate(invalid="ignore", over="ignore"):
         cell = np.logaddexp(log_f[:-1], log_f[1:]) + np.log(np.diff(x)) - LN2
-    return np.concatenate([[-np.inf], np.logaddexp.accumulate(cell)])
+        return np.concatenate([[-np.inf], np.logaddexp.accumulate(cell)])
 
 
-def test_the_sweep_kernels_in_place_keep_their_bits():
+# |P - P_parent| <= _PREFIX_REL * max(1, |P_parent|) for the linear-scale
+# blocks of 4,096 cells (5.75e-14 at most on the k = 0 sweep integrands of
+# the catalog functions and their conjugates)
+_PREFIX_REL = 1e-12
+
+
+def _assert_prefix_near_parent(f, x, trial):
+    got, want = log_trapezoid_prefix(f, x), _parent_log_trapezoid_prefix(f, x)
+    for same_set in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(same_set(got), same_set(want)), trial
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= _PREFIX_REL * np.maximum(1.0, np.abs(want[finite]))), trial
+    return got, want
+
+
+def test_the_sweep_kernels_keep_the_parent_values():
     rng = np.random.default_rng(5)
     special = np.array([np.nan, np.inf, -np.inf])
-    x = np.cumsum(rng.random(2000) + 1e-3)
+    x = np.cumsum(rng.random(10_000) + 1e-3)    # 3 blocks of the prefix
     for trial in range(4):
         f = rng.normal(0.0, 30.0, x.size)
         at = rng.random(x.size) < 0.05 * trial
-        f[at] = rng.choice(special[1:], at.sum())     # the sweep reads NaN as +inf
-        assert (log_trapezoid_prefix(f, x).tobytes()
-                == _parent_log_trapezoid_prefix(f, x).tobytes()), trial
+        f[at] = -np.inf
+        _assert_prefix_near_parent(f, x, trial)
+        # +inf or NaN in the second block: the third sums in log scale from it
+        g = f.copy()
+        g[rng.integers(4_200, 8_000)] = special[trial % 2]
+        _assert_prefix_near_parent(g, x, (trial, "special"))
+        # climbing by more than 600 inside a block: that block sums in log
+        # scale, which is the parent's sum bit for bit where every block does
+        g[:] = f
+        g[4_500:8_000] += np.linspace(0.0, 3_000.0, 3_500)
+        _assert_prefix_near_parent(g, x, (trial, "climb"))
+        g = 0.5 * np.arange(x.size) + rng.normal(0.0, 1.0, x.size)
+        g[at] = -np.inf
+        got, want = _assert_prefix_near_parent(g, x, (trial, "steep"))
+        assert got.tobytes() == want.tobytes(), trial
         f[at] = rng.choice(special, at.sum())
         for a, b in ((f, f[::-1]), (f, f[7]), (f[3], f), (f, np.inf), (np.inf, -np.inf), (2.0, 1.0)):
             got = log_sub_exp(a, b)
