@@ -42,6 +42,6 @@ gg = fields.Grid.box(32, lengths=2.2, origin=(-1.1, -1.1, -1.1), dim=3)
 from orlicz_korn import hardy
 omega = 4.0 * math.pi / 3.0
 for delta in (0.3, 0.03, 0.003):
-    u, _ = fields.radial_test_field(hardy.spike(omega, delta * omega), gg)
+    u = fields.radial_test_field(hardy.spike(omega, delta * omega), gg)
     r = fields.korn_ratio(cat["L1"], cat["L1"], u, "zero_bc", "E")
     print(f"  spike sharpness {delta:6.3f}: ratio {r:.3f}")

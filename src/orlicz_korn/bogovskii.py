@@ -177,12 +177,12 @@ def _image(symmetry, shape: tuple) -> np.ndarray:
                                 shape).ravel()
 
 
-def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
+def apply(cfg: BogovskiiConfig, f_cells: np.ndarray) -> list:
     """Evaluate the divergence right-inverse of f at the grid nodes.
 
-    f_cells is one source of shape grid.extents, giving one GridField, or a
-    stack of shape (m, *grid.extents), giving a list of m GridFields.  Each
-    source must be mean-zero (relative tolerance 1e-8 against its L1 mass).
+    f_cells is a stack of m sources, of shape (m, *grid.extents), and the
+    result the list of their m GridFields.  Each source must be mean-zero
+    (relative tolerance 1e-8 against its L1 mass).
     f is treated as piecewise constant on cells; quadrature refines the
     cells by graded subdivision toward the kernel singularity.
 
@@ -197,9 +197,8 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
     """
     g = cfg.grid
     f = np.asarray(f_cells, dtype=float)
-    single = f.shape == tuple(g.extents)
-    if not single and f.shape[1:] != tuple(g.extents):
-        raise DomainError("f must be cell-centered scalar data")
+    if f.shape[1:] != tuple(g.extents):
+        raise DomainError("f must be a stack of cell-centered scalar data")
     stack = f.reshape(-1, math.prod(g.extents))
     for fv in stack:
         mass = abs(float(np.sum(fv))) * g.cell_volume
@@ -235,8 +234,7 @@ def apply(cfg: BogovskiiConfig, f_cells: np.ndarray):
             for k, fv in enumerate(sources):
                 v = (kernel @ fv).reshape(2, row.size)[:, keep]
                 out[k][:, targets] = signs[:, None] * v[list(axes)]
-    bfs = [GridField(g, c.reshape(2, nx, ny)) for c in out]
-    return bfs[0] if single else bfs
+    return [GridField(g, c.reshape(2, nx, ny)) for c in out]
 
 
 def div_residual(cfg: BogovskiiConfig, f_cells: np.ndarray, bf: GridField) -> float:

@@ -386,11 +386,10 @@ def poincare_ratio(A: YoungFunction, u: GridField, mode: str = "zero_bc") -> flo
 # radial test fields
 # ---------------------------------------------------------------------------
 
-def radial_test_field(h, grid: Grid) -> tuple:
+def radial_test_field(h, grid: Grid) -> GridField:
     """Field u(x) = Q x rho(|x|) built from a nonnegative step profile h on
     (0, omega_n), with rho(r) = integral_r^1 h(omega_n t^n)/t dt and a fixed
-    unit-norm skew Q; also returns the companion field
-    v(x) = (integral_{|x|}^1 h(omega_n r^n) dr, 0, ...).
+    unit-norm skew Q.
 
     The unit ball must fit inside the grid box.
     """
@@ -412,17 +411,7 @@ def radial_test_field(h, grid: Grid) -> tuple:
     comps = [q * X[1] * rho, -q * X[0] * rho]
     if n == 3:
         comps.append(np.zeros(grid.node_shape))
-    u = GridField(grid, comps)
-    # companion: radial cell-exact integral of h(omega_n r^n) dr
-    r_edges = np.power(np.minimum(h.edges, omega_n) / omega_n, 1.0 / n)
-    dr = np.diff(r_edges)
-    suffix = np.concatenate((np.cumsum((h.values * dr)[::-1])[::-1], [0.0]))
-    idx = np.clip(np.searchsorted(r_edges, r.ravel(), side="right") - 1, 0, len(dr) - 1)
-    part = h.values[idx] * np.maximum(r_edges[idx + 1] - r.ravel(), 0.0)
-    v1 = np.where(r.ravel() >= 1.0, 0.0, part + suffix[idx + 1]).reshape(r.shape)
-    vcomps = [v1] + [np.zeros(grid.node_shape) for _ in range(n - 1)]
-    v = GridField(grid, vcomps)
-    return u, v
+    return GridField(grid, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +457,20 @@ def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
     return np.reshape(grads, (len(grads), grid.dim, *grid.extents)), norms
 
 
-def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid):
+def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid) -> list:
     """max over a fixed bump dictionary of integral(u div phi) / ||grad
     phi||_{L^conj(A)}: a certified lower bound for the negative-norm
     functional of the distributional gradient of u.
 
-    u_cells is one source of shape grid.extents, giving a float, or a stack
-    of shape (m, *grid.extents), giving a list of m floats.  The dictionary
-    is built once per call; each source's bound is the same float alone or
-    in a stack."""
+    u_cells is a stack of m sources, of shape (m, *grid.extents); the result
+    is the list of their m bounds.  The dictionary is built once per call,
+    and each source's bound does not depend on the rest of the stack."""
     u_cells = np.asarray(u_cells, dtype=float)
-    single = u_cells.shape == tuple(grid.extents)
-    if not single and u_cells.shape[1:] != tuple(grid.extents):
-        raise DomainError("u must be cell-centered scalar data or a stack of it")
+    if u_cells.shape[1:] != tuple(grid.extents):
+        raise DomainError("u must be a stack of cell-centered scalar data")
     dictionary = _bump_dictionary(A, grid)
     bounds = []
-    for u in u_cells.reshape(-1, *grid.extents):
+    for u in u_cells:
         # pairing with u - mean(u) equals the continuum pairing (div phi has
         # zero integral) and kills the quadrature residue for constants
         u = u - u.mean()
@@ -492,7 +479,7 @@ def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid)
             for gk in grads:
                 best = max(best, abs(float(np.sum(u * gk) * grid.cell_volume)) / gn)
         bounds.append(best)
-    return bounds[0] if single else bounds
+    return bounds
 
 
 def negative_norm_upper_bound(A: YoungFunction, u_cells: np.ndarray,
@@ -519,7 +506,7 @@ def _bubble(grid: Grid):
     return out
 
 
-def smooth_suite(grid: Grid, count: int = 3) -> list:
+def smooth_suite(grid: Grid, count: int) -> list:
     """Fixed smooth zero-boundary fields (deterministic)."""
     X = grid.node_coords()
     bub = _bubble(grid)
@@ -573,11 +560,8 @@ def radial_suite(grid: Grid) -> list:
     """Radial fields from spike profiles of increasing sharpness."""
     n = grid.dim
     omega_n = math.pi if n == 2 else 4.0 * math.pi / 3.0
-    out = []
-    for delta in _RADIAL_SHARPNESS:
-        u, _ = radial_test_field(hardy.spike(omega_n, delta * omega_n), grid)
-        out.append(u)
-    return out
+    return [radial_test_field(hardy.spike(omega_n, delta * omega_n), grid)
+            for delta in _RADIAL_SHARPNESS]
 
 
 def _suite_rows(suite: str, cells: int, dim: int, trials: int, seed: int, ratio) -> list:

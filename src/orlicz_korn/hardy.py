@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from .young import DomainError, YoungFunction
 
 __all__ = ["StepFunction", "HardyTrial", "HardyReport", "averaging_operator",
            "dual_operator", "suffix_log_integral", "verify_hardy",
-           "rearrangement_reduction_check", "step_on_interval", "spike"]
+           "step_on_interval", "spike"]
 
 _PER_DECADE = 96              # cells per decade of the geometric partitions
-_GROWTH_TOL = 0.25            # allowed ratio growth per unit ln(sharpening)
 # the powers k of the log spikes ln(L/s)^k; the largest integrates to k! L
 # over (0, L), the largest integral of the trial family, which leaves the
 # float range past L = _MAX_L
@@ -130,17 +129,17 @@ def dual_operator(f: StepFunction) -> SampledFunction:
 class HardyTrial:
     ratio_avg: float
     ratio_dual: float
-    label: str = ""
+    label: str
 
 
 @dataclass
 class HardyReport:
     worst_avg: HardyTrial
     worst_dual: HardyTrial
-    trials: list = field(default_factory=list)
-    spike_sweep: list = field(default_factory=list)   # (delta, ratio_avg)
-    sweep_growing: bool = False
-    balance_holds: bool | None = None
+    trials: list
+    spike_sweep: list             # (delta, ratio_avg)
+    sweep_growing: bool
+    balance_holds: bool
 
 
 def _trial_family(report: balance.BalanceReport, L: float, trials: int,
@@ -167,11 +166,6 @@ def _trial_family(report: balance.BalanceReport, L: float, trials: int,
                 delta = max(min(L / 2.0, L / t), L * 1e-9)
                 fams.append((spike(L, delta), f"certificate_{t:.3g}"))
     return fams
-
-
-def _averaging_plus_dual(f: StepFunction) -> SampledFunction:
-    """s -> (H f + H* f)(s), the majorant of the rearrangement reduction."""
-    return SampledFunction(averaging_operator(f).values + dual_operator(f).values, f.widths)
 
 
 def _ratios(A, B, f: StepFunction, operators: tuple) -> list:
@@ -207,40 +201,3 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
     ratios = [r for _, r in sweep]
     growing = all(b > a * 1.02 for a, b in zip(ratios, ratios[1:]))
     return HardyReport(worst_avg, worst_dual, out, sweep, growing, report.holds)
-
-
-def rearrangement_reduction_check(A: YoungFunction, B: YoungFunction,
-                                  psi: StepFunction) -> bool:
-    """Check that the averaging-plus-dual majorant of a decreasing profile has
-    a finite norm ratio against the profile, stable under sharpening.
-
-    This operationalizes the reduction of the gradient estimate to the two
-    one-dimensional operators: for a pair satisfying the balance conditions
-    the constant depends only on the balance constant, so the ratio
-    ||H psi + H* psi||_B / ||psi||_A stays put when psi is replaced by its
-    measure-rescaled sharpening lam * psi(lam s).  A ratio that keeps growing
-    along the sharpening sweep returns False.
-    """
-    if np.any(np.diff(psi.values) > 1e-12):
-        raise DomainError("psi must be nonincreasing")
-    if np.any(psi.values < 0):
-        raise DomainError("psi must be nonnegative")
-
-    def ratio(f: StepFunction) -> float:
-        return _ratios(A, B, f, (_averaging_plus_dual,))[0]
-
-    def sharpened(lam: float) -> StepFunction:
-        # concentrate the profile toward 0 on the same interval (0, L)
-        edges = np.concatenate((psi.edges / lam, [psi.length]))
-        values = np.concatenate((psi.values * lam, [0.0]))
-        return StepFunction(edges, values)
-
-    r1 = ratio(psi)
-    if r1 == 0.0:
-        return True
-    r4 = ratio(sharpened(4.0))
-    r16 = ratio(sharpened(16.0))
-    if not (math.isfinite(r4) and math.isfinite(r16)):
-        return False
-    slope = (r16 - r4) / math.log(4.0)
-    return slope <= max(_GROWTH_TOL, 0.02 * r1)

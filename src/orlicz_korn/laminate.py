@@ -31,9 +31,9 @@ import numpy as np
 from .fields import Grid, GridField, _zero_boundary
 from .young import DomainError, YoungFunction
 
-__all__ = ["Laminate", "build_laminate", "build_laminate_recursive",
-           "moment", "blowup_curve", "realize_field", "LaminateRealization",
-           "korn_suite_fields", "realization_suite", "exact_korn_l1_ratio"]
+__all__ = ["Laminate", "build_laminate", "moment", "blowup_curve", "realize_field",
+           "LaminateRealization", "korn_suite_fields", "realization_suite",
+           "exact_korn_l1_ratio"]
 
 SQRT2 = math.sqrt(2.0)
 _RAMP_QUAD = 48           # midpoint nodes per ramp-layer side in moment()
@@ -89,26 +89,6 @@ def build_laminate(m: int, t: float) -> Laminate:
         atoms.append((wk / 3, Fraction(1, 2 ** k), -Fraction(1, 2 ** k)))
         atoms.append((wk / 6, -Fraction(2, 2 ** k), Fraction(2, 2 ** k)))
     return Laminate(tuple(atoms), m, float(t))
-
-
-def build_laminate_recursive(m: int, t: float) -> Laminate:
-    """Same measure via the level recursion: at level j the previous measure
-    keeps weight 1/2 and two skew atoms at scale 2^-j enter with weights 1/3
-    and 1/6 (cross-check for the closed form)."""
-    if m < 0 or t <= 0:
-        raise DomainError("need m >= 0 and t > 0")
-    atoms = {(Fraction(1), Fraction(1)): Fraction(1)}
-    for j in range(1, m + 1):
-        nxt = {}
-        for key, w in atoms.items():
-            nxt[key] = nxt.get(key, Fraction(0)) + w * Fraction(1, 2)
-        a1 = (Fraction(1, 2 ** j), -Fraction(1, 2 ** j))
-        a2 = (-Fraction(2, 2 ** j), Fraction(2, 2 ** j))
-        nxt[a1] = nxt.get(a1, Fraction(0)) + Fraction(1, 3)
-        nxt[a2] = nxt.get(a2, Fraction(0)) + Fraction(1, 6)
-        atoms = nxt
-    ordered = sorted(atoms.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
-    return Laminate(tuple((w, al, be) for (al, be), w in ordered), m, float(t))
 
 
 def moment(L: Laminate, Phi) -> float:

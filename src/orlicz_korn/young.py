@@ -48,6 +48,10 @@ LEGENDRE_GRID = np.geomspace(1e-6, 1e9, 2048)
 _REFINE_DRIFT = 0.05          # constants must be stable under 2x grid refinement
 _LN_MAX = math.log(np.finfo(float).max)   # e^x is a float iff x <= _LN_MAX
 _TINY = float(np.finfo(float).tiny)        # the smallest normal float
+# below this tau power_log_log's closed forms lose t = e^tau (they clamp e^-tau
+# at e^700, and t turns subnormal near -708), while L = ln(1 + t) and
+# ln(1 + L) equal t to full precision: its readers give their t -> 0 limits
+_LOG_LOG_LOW = -700.0
 # the bracket ends of the generic inverse: 2^0, 2^1, ..., 2^1023, the largest float
 _INVERSE_ENDS = np.append(2.0 ** np.arange(1024), np.finfo(float).max)
 
@@ -78,7 +82,7 @@ _GRIDS = {name: np.arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
                                ("coarse", _DENSE_HI, _TAU_MAX),
                                ("mid", _DENSE_HI - _OVERLAP * LN2, _TAU_MAX),
                                ("tail", _TAU_MAX, _TAIL_MAX))}
-_DENSE_GRID, _REFINED_GRID, _COARSE_GRID, _MID_GRID, _TAIL_GRID = _GRIDS.values()
+_DENSE_GRID, _MID_GRID, _TAIL_GRID = _GRIDS["dense"], _GRIDS["mid"], _GRIDS["tail"]
 # lowest tested tau: every searched 2^k multiple of it is still on the grid
 _TAU_FLOOR = _DENSE_LO - min(_C_EXPONENTS) * LN2
 
@@ -293,6 +297,8 @@ class PowerLogLogYoung(YoungFunction):
         self.alpha = float(alpha)
         self.gamma = float(gamma)
         self.superlinear = self.p > 1.0 or self.alpha > 0.0 or self.gamma > 0.0
+        # A(t) ~ t^s as t -> 0
+        self._s = self.p + self.alpha + self.gamma
         _assert_convex(self)
 
     def value(self, t):
@@ -316,22 +322,26 @@ class PowerLogLogYoung(YoungFunction):
                 out = out + self.alpha * np.log(L)
             if self.gamma:
                 out = out + self.gamma * np.log(np.log1p(L))
-        return out
+        low = tau < _LOG_LOG_LOW
+        return np.where(low, self._s * tau, out) if low.any() else out
 
     def _rates(self, tau):
         """(ln(A(t)/t), c) with t A'(t)/A(t) = p + c and
         c = alpha q/L + gamma q/((1 + L) M), q = t/(1 + t), L = ln(1 + t),
         M = ln(1 + L): the terms of A' and A' - A/t, nonnegative, so
-        nothing cancels, also at p = 1."""
+        nothing cancels, also at p = 1.  Below ``_LOG_LOG_LOW`` they are
+        their limits at t = 0, ((s - 1) tau, alpha + gamma)."""
         tau = np.asarray(tau, dtype=float)
         if np.all(tau > 40.0):
             # e^-tau is below half an ulp of 1: L = tau and q = 1 exactly
-            L, q = tau, 1.0
+            L, q, low = tau, 1.0, None
         else:
             L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
             q = 1.0 / (1.0 + np.exp(np.minimum(-tau, 700.0)))
+            low = tau < _LOG_LOG_LOW
         c = np.zeros_like(tau)
-        ln_ratio = (self.p - 1.0) * tau
+        # (p - 1) tau is 0 * inf at tau = +-inf for p = 1, where the term is 0
+        ln_ratio = (self.p - 1.0) * tau if self.p > 1.0 else 0.0
         with np.errstate(divide="ignore"):
             if self.alpha:
                 c = c + self.alpha * q / L
@@ -339,6 +349,9 @@ class PowerLogLogYoung(YoungFunction):
             if self.gamma:
                 c = c + self.gamma * q / ((1.0 + L) * np.log1p(L))
                 ln_ratio = ln_ratio + self.gamma * np.log(np.log1p(L))
+        if low is not None and low.any():
+            ln_ratio = np.where(low, (self._s - 1.0) * tau if self._s > 1.0 else 0.0, ln_ratio)
+            c = np.where(low, self.alpha + self.gamma, c)
         return ln_ratio, c
 
     def log_slope_logt(self, tau):

@@ -272,6 +272,25 @@ def test_exp_power_pairs_follow_the_analytic_rule(a, b, holds):
     assert (rep.primal.holds, rep.dual.holds) == (holds, holds)
 
 
+# The same rule on drawn exponents.  "fails" is asserted only past each
+# reach by a margin: for the primal condition where b - a > 0.02 a b, twice
+# its reach; for the dual where its log gap g = 1/a + 1 - 1/b exceeds
+# 0.52 + 0.15, the p = 1 margin of the power-log rule (the conjugates grow
+# like t (ln t)^(1/a) and t (ln t)^(1/b)).
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.3, 3.0), b=st.floats(0.3, 3.0))
+def test_exp_power_pairs_follow_the_analytic_rule_on_drawn_exponents(a, b):
+    rep = check_balance(young.ExpPowerYoung(a), young.ExpPowerYoung(b))
+    if b <= a:
+        assert rep.primal.holds, rep.primal
+    elif b - a > 0.02 * a * b:
+        assert not rep.primal.holds, rep.primal
+    if b <= a / (1.0 + a):
+        assert rep.dual.holds, rep.dual
+    elif 1.0 / a + 1.0 - 1.0 / b > 0.52 + 0.15:
+        assert not rep.dual.holds, rep.dual
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

@@ -115,14 +115,19 @@ def test_bump_ball_must_fit():
 
 def test_zero_input_gives_zero(cfg32):
     f = np.zeros(cfg32.grid.extents)
-    bf = bog.apply(cfg32, f)
+    bf, = bog.apply(cfg32, [f])
     assert max(abs(c).max() for c in bf.components) == 0.0
 
 
 def test_mean_zero_required(cfg32):
     f = np.ones(cfg32.grid.extents)
     with pytest.raises(DomainError):
-        bog.apply(cfg32, f)
+        bog.apply(cfg32, [f])
+
+
+def test_a_source_without_its_stack_axis_is_rejected(cfg32, smooth32):
+    with pytest.raises(DomainError):
+        bog.apply(cfg32, smooth32[0])
 
 
 def test_mean_zero_required_of_every_source_of_a_stack(cfg32, smooth32):
@@ -156,11 +161,12 @@ def test_stacked_sources_match_the_per_node_reference(name):
 
 @pytest.mark.parametrize("suite", ["smooth", "spike"])
 def test_stacked_solve_is_independent_of_the_stack(suite):
+    # each source's field has the same bytes in a stack of one as in the suite's stack
     cfg = bog.make_config(16)
     sources = bog.smooth_suite(cfg) if suite == "smooth" else bog.spike_suite(cfg)
     bfs = bog.apply(cfg, np.array(sources))
     for f, bf in zip(sources, bfs):
-        assert np.array_equal(bf.components, bog.apply(cfg, f).components)
+        assert np.array_equal(bf.components, bog.apply(cfg, [f])[0].components)
 
 
 # the symmetries of the square as (swap, sx, sy): a node or cell array a
@@ -185,9 +191,9 @@ def test_field_is_equivariant_under_the_symmetries_of_the_square(swap, sx, sy):
     # T(f o R) = R^-1 (T f) o R, since K(R x, R y) = R K(x, y)
     cfg = bog.make_config(16)
     f = bog.smooth_suite(cfg)[3] + 0.5 * bog.spike_suite(cfg)[1]
-    tf = bog.apply(cfg, f).components
+    tf = bog.apply(cfg, [f])[0].components
     want = _inverse_turn([_compose(c, swap, sx, sy) for c in tf], swap, sx, sy)
-    got = bog.apply(cfg, _compose(f, swap, sx, sy)).components
+    got = bog.apply(cfg, [_compose(f, swap, sx, sy)])[0].components
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(tf))
 
 
@@ -208,16 +214,16 @@ def test_kernel_rows_are_built_for_one_node_per_orbit(monkeypatch, make, nodes):
 
     monkeypatch.setattr(bog, "_row_kernel", counting)
     cfg = make()
-    bog.apply(cfg, np.zeros(cfg.grid.extents))
+    bog.apply(cfg, [np.zeros(cfg.grid.extents)])
     assert sum(built) == nodes
 
 
 def test_linearity(cfg32, smooth32):
     f1, f2 = smooth32[0], smooth32[3]
     a, b = 1.7, -0.6
-    lhs = bog.apply(cfg32, a * f1 + b * f2)
-    r1 = bog.apply(cfg32, f1)
-    r2 = bog.apply(cfg32, f2)
+    lhs, = bog.apply(cfg32, [a * f1 + b * f2])
+    r1, = bog.apply(cfg32, [f1])
+    r2, = bog.apply(cfg32, [f2])
     for k in range(2):
         rhs = a * r1.components[k] + b * r2.components[k]
         assert np.allclose(lhs.components[k], rhs, rtol=1e-10, atol=1e-12)
@@ -225,23 +231,23 @@ def test_linearity(cfg32, smooth32):
 
 def test_divergence_residual_and_refinement(smooth32, cfg32):
     # second-order decay of the divergence residual under grid refinement
-    res32 = bog.div_residual(cfg32, smooth32[0], bog.apply(cfg32, smooth32[0]))
+    res32 = bog.div_residual(cfg32, smooth32[0], bog.apply(cfg32, [smooth32[0]])[0])
     cfg64 = bog.make_config(64)
     f64 = bog.smooth_suite(cfg64)[0]
-    res64 = bog.div_residual(cfg64, f64, bog.apply(cfg64, f64))
+    res64 = bog.div_residual(cfg64, f64, bog.apply(cfg64, [f64])[0])
     assert res64 <= 0.05
     assert res64 <= 0.55 * res32
 
 
 def test_output_supported_inside(cfg32, smooth32):
-    bf = bog.apply(cfg32, smooth32[0])
+    bf, = bog.apply(cfg32, [smooth32[0]])
     mag = np.sqrt(bf.components[0] ** 2 + bf.components[1] ** 2)
     edge = max(mag[0, :].max(), mag[-1, :].max(), mag[:, 0].max(), mag[:, -1].max())
     assert edge <= 1e-3 * mag.max()
 
 
 def test_norm_ratio_bounded_square_pair(cfg32, smooth32, catalog):
-    rs = [bog.norm_bound_ratio(cfg32, catalog["L2"], catalog["L2"], f, bog.apply(cfg32, f))
+    rs = [bog.norm_bound_ratio(cfg32, catalog["L2"], catalog["L2"], f, bog.apply(cfg32, [f])[0])
           for f in smooth32[:3]]
     assert all(math.isfinite(r) and r < 50 for r in rs)
 
@@ -263,7 +269,7 @@ def test_ratio_suite_matches_per_source_calls(catalog):
     A, B = catalog["LlogL"], catalog["L1"]
     # each source solved on its own, against ratio_suite's stacked solve
     sources = bog.spike_suite(cfg)
-    solved = [bog.apply(cfg, f) for f in sources]
+    solved = [bog.apply(cfg, [f])[0] for f in sources]
     expected = [(f"spike_{i}", bog.div_residual(cfg, f, bf), bog.norm_bound_ratio(cfg, A, B, f, bf))
                 for i, (f, bf) in enumerate(zip(sources, solved))]
     assert expected

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import pydoc
 
 import pytest
 
@@ -11,6 +12,8 @@ MODULES = sorted(pathlib.Path(orlicz_korn.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # every module that may read the package's state
 READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# every module that may call the package, the tests left out
+CALLERS = [p for p in READERS if p.parts[len(ROOT.parts)] != "tests"]
 
 
 def _unused_imports(source: str) -> list:
@@ -40,38 +43,77 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _dead_helpers(sources: list) -> list:
-    """Private functions, classes, methods and module constants that no
-    module of ``sources`` loads by name or as an attribute.  Names bound by
-    unpacking are not checked: young unpacks its sweep grids together, and
-    only the tests read two of them."""
+def _dead_helpers(package: list, callers: list) -> list:
+    """Names that a module of ``package`` defines and no module of
+    ``callers`` loads by name, as an attribute or as a string constant
+    outside ``__all__``: its private functions, classes, methods and module
+    constants (also those bound by unpacking), and its public functions and
+    methods, except the methods that override a method of a base class
+    named by a dotted path (``argparse.ArgumentParser``)."""
     defined, loaded = set(), set()
-    for source in sources:
+    for source in package:
         tree = ast.parse(source)
+        overrides = set()
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                inherited = {name for base in node.bases
+                             for name in dir(pydoc.locate(ast.unparse(base)) or object)}
+                overrides |= {id(f) for f in node.body if getattr(f, "name", None) in inherited}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(node) not in overrides:
                 defined.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                defined.add(node.name)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined |= {t.id for target in targets if target for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and t.id.startswith("_")}
+    for source in callers:
+        tree = ast.parse(source)
+        exported = {id(node) for assign in tree.body if isinstance(assign, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in assign.targets)
+                    for node in ast.walk(assign.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-        for node in tree.body:
-            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+                loaded.add(node.value)
     return sorted(name for name in defined - loaded
-                  if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+                  if not (name.startswith("__") and name.endswith("__")))
 
 
 def test_dead_helper_check_sees_functions_methods_classes_and_constants():
-    source = ("_A = 1\n_B = _A\n_C: int = 3\nclass _K:\n    def _m(self): pass\n"
-              "    def __init__(self): pass\n    def _used(self): return _A\n"
-              "def _f(): return _K()._used()\n")
-    assert _dead_helpers([source]) == ["_B", "_C", "_f", "_m"]
-    assert _dead_helpers([source, "from m import _f, _B\n_f(); x = _B.y\n"]) == ["_C", "_m"]
+    source = ("import argparse\n__all__ = ['f', 'g']\n_A = 1\n_B = _A\n_C: int = 3\n"
+              "(_D, _E), e = _F, _G = 4, 5\nclass _K:\n    def _m(self): pass\n"
+              "    def m(self): pass\n    def __init__(self): pass\n    def _used(self): return _A\n"
+              "class P(argparse.ArgumentParser):\n    def error(self, m): pass\n"
+              "    def warn(self, m): pass\nclass Q: pass\n"
+              "def _f(): return _K()._used(), P\ndef f(): pass\ndef g(): return 'f'\n")
+    assert _dead_helpers([source], [source]) == ["_B", "_C", "_D", "_E", "_F", "_G", "_f",
+                                                 "_m", "g", "m", "warn"]
+    caller = "from m import _f, _B, _D\n_f(); x = _B.y, _D; getattr(k, 'm')\n"
+    assert _dead_helpers([source], [source, caller]) == ["_C", "_E", "_F", "_G", "_m", "g",
+                                                         "warn"]
+
+
+# public toolkit functions that the README names and that only tests call
+_TOOLKIT = ("dominates", "holder_check", "load_field", "rearrangement")
+
+
+def _package_dead_helpers() -> list:
+    return _dead_helpers([path.read_text() for path in MODULES],
+                         [path.read_text() for path in CALLERS])
 
 
 def test_every_private_helper_is_used_somewhere_in_the_package():
-    assert _dead_helpers([path.read_text() for path in MODULES]) == []
+    assert [name for name in _package_dead_helpers() if name.startswith("_")] == []
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in _TOOLKIT if f"`{name}`" not in readme] == []
+    assert [name for name in _package_dead_helpers() if not name.startswith("_")] == list(_TOOLKIT)
 
 
 def _unread_attributes(package: list, readers: list) -> list:

@@ -507,7 +507,7 @@ def test_growth_checks_read_only_the_growth_grids(monkeypatch):
     monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy)
     check_delta2(C)
     check_nabla2(C)
-    growth = (young._DENSE_GRID, young._COARSE_GRID, young._REFINED_GRID)
+    growth = (young._DENSE_GRID, young._GRIDS["coarse"], young._GRIDS["refined"])
     assert seen
     assert sum(tau.size for tau in seen) <= sum(g.size for g in growth)
     for tau in seen:
@@ -728,6 +728,32 @@ def test_closed_forms_give_the_limits_at_infinite_arguments(catalog, name):
         warnings.simplefilter("error")
         assert A.value(np.asarray(math.inf)) == math.inf
         assert A.log_value_logt(np.array([-math.inf, math.inf])).tolist() == [-math.inf, math.inf]
+
+
+@pytest.mark.parametrize("name", [n for n, A in load_catalog().items() if A.kind == "power_log_log"])
+def test_power_log_log_readers_give_their_limits_at_zero_and_at_infinite_tau(catalog, name):
+    # as t -> 0, with s = p + alpha + gamma: ln A -> s tau, ln A' -> ln s +
+    # (s - 1) tau and the excess -> ln((s - 1)/s), which the readers give
+    # where t = e^tau is below rounding against 1; as t -> inf, ln A and ln A'
+    # -> inf and the excess -> ln((p - 1)/p)
+    A = catalog[name]
+    s = A.p + A.alpha + A.gamma
+    tau = np.array([-720.0, -740.0, -800.0, -1e5, -math.inf, math.inf, math.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [read(tau) for read in (A.log_value_logt, A.log_slope_logt, A.log_excess_logt)]
+        edge = [read(np.array([-700.0, np.nextafter(-700.0, -math.inf)]))
+                for read in (A.log_value_logt, A.log_slope_logt, A.log_excess_logt)]
+    at_inf = math.log((A.p - 1.0) / A.p) if A.p > 1.0 else -math.inf
+    want = [np.append(s * tau[:5], [math.inf, math.nan]),
+            np.append(math.log(s) + (s - 1.0) * tau[:5], [math.inf, math.nan]),
+            np.append(np.full(5, math.log((s - 1.0) / s)), [at_inf, math.nan])]
+    for g, w in zip(got, want):
+        assert g[4:].tolist() == pytest.approx(w[4:].tolist(), nan_ok=True)
+        assert g[:4] == pytest.approx(w[:4], rel=1e-15)
+    # the readers meet their limits where they switch to them
+    for pair in edge:
+        assert pair[1] == pytest.approx(pair[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
