@@ -16,6 +16,7 @@ LN2 = math.log(2.0)
 _GOLDEN_ITERS = 48            # golden-section steps of maximize_unimodal
 _PREFIX_BLOCK = 4096          # cells per linear-scale block of log_trapezoid_prefix
 _PREFIX_SPAN = 600.0          # how far below its shift a block's first prefix may lie
+_PREFIX_ROW = 128             # cells per row of a steep block, each row under its own shift
 
 
 def log_sub_exp(a, b):
@@ -47,8 +48,9 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
     the shift top = max(the prefix so far, the block's largest log_f): one
     exp per point, a cumsum, the carry, one log.  A block whose top lies more
     than ``_PREFIX_SPAN`` above the prefix at its first point (its early terms
-    would leave the normal range), or whose log_f holds NaN or +inf or is all
-    -inf, sums in log scale from the carry with ``logaddexp.accumulate``.
+    would leave the normal range) is summed in rows (``_steep_rows``).  A
+    block whose log_f holds NaN or +inf, or one with a row too steep for its
+    own shift, sums in log scale from the carry with ``logaddexp.accumulate``.
     """
     lf = np.asarray(log_f, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -59,26 +61,61 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
             hi = min(lo + _PREFIX_BLOCK, len(x) - 1)
             f, carry = lf[lo:hi + 1], prefix[lo]
             cell = prefix[lo + 1:hi + 1]     # the block's cells, then summed in place
+            dx = np.diff(x[lo:hi + 1])
             top = float(np.maximum(carry, f.max()))
             # a lower bound on the prefix at the block's first point (where
             # top is not finite, top - first is not within the span)
-            first = max(carry, f[0] + np.log(0.5 * (x[lo + 1] - x[lo])))
+            first = max(carry, f[0] + np.log(0.5 * dx[0]))
             if top - first <= _PREFIX_SPAN:
                 w = np.exp(f - top)
                 np.add(w[:-1], w[1:], out=cell)
-                cell *= np.diff(x[lo:hi + 1])
+                cell *= dx
                 cell *= 0.5
                 np.cumsum(cell, out=cell)
                 cell += math.exp(carry - top)
                 np.log(cell, out=cell)
                 cell += top
-            else:
+            elif not (math.isfinite(top) and _steep_rows(f, dx, carry, cell)):
                 np.logaddexp(f[:-1], f[1:], out=cell)
-                cell += np.log(np.diff(x[lo:hi + 1]))
+                cell += np.log(dx)
                 cell -= LN2
                 cell[0] = np.logaddexp(carry, cell[0])
                 np.logaddexp.accumulate(cell, out=cell)
     return prefix
+
+
+def _steep_rows(f, dx, carry, cell) -> bool:
+    """Sum the cells of one block of ``log_trapezoid_prefix`` (log_f at its
+    points f, none NaN or +inf, widths dx, the prefix carry before it) into
+    cell, in rows of ``_PREFIX_ROW`` cells.  Each row sums in linear scale
+    under its largest log_f, the rows' totals are carried in log scale, and
+    each row then takes the shift max(its carry, its largest log_f), as a
+    block does.  False, with cell untouched, unless each row's largest log_f
+    is finite and lies within ``_PREFIX_SPAN`` above max(carry, its first
+    cell's lower bound): a lower bound on the prefix at its first point,
+    since the prefix never falls."""
+    rows = -(-dx.size // _PREFIX_ROW)
+    pad = rows * _PREFIX_ROW - dx.size
+    f = np.concatenate((f, np.full(pad, -np.inf)))
+    left, right = f[:-1].reshape(rows, -1), f[1:].reshape(rows, -1)
+    width = np.concatenate((dx, np.zeros(pad))).reshape(rows, -1)
+    peak = np.maximum(left.max(axis=1), right[:, -1])
+    first = np.maximum(carry, left[:, 0] + np.log(0.5 * width[:, 0]))
+    if not np.all((peak - first <= _PREFIX_SPAN) & (peak > -np.inf)):
+        return False
+    w = np.exp(left - peak[:, None])
+    w += np.exp(right - peak[:, None])
+    w *= width
+    w *= 0.5
+    np.cumsum(w, axis=1, out=w)
+    carries = np.logaddexp.accumulate(np.concatenate(([carry], peak[:-1] + np.log(w[:-1, -1]))))
+    top = np.maximum(carries, peak)
+    w *= np.exp(peak - top)[:, None]
+    w += np.exp(carries - top)[:, None]
+    np.log(w, out=w)
+    w += top[:, None]
+    cell[:] = w.ravel()[:dx.size]
+    return True
 
 
 def maximize_unimodal(f, lo, hi):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_korn import balance, young
+from orlicz_korn import _numerics, balance, young
 from orlicz_korn._numerics import LN2, log_sub_exp, log_trapezoid_prefix
 from orlicz_korn.balance import check_balance, classify_catalog_pairs
 from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, ScaledYoung, dominates
@@ -183,7 +183,12 @@ def test_an_indicator_pair_holds_from_the_constant_one(catalog, name, side):
 # primal margin of (expL, expL_half) was recorded again (from
 # -1.0965351101155238, 1.7e-12 relative) when the prefix integral came to be
 # summed in linear scale: the margin is a difference of two logs, and the
-# kernel is within 5.8e-14 of its log-scale sum on the catalog's integrands
+# kernel is within 5.8e-14 of its log-scale sum on the catalog's integrands.
+# The dual margin of (exp_log2, exp_log2_reduced) was recorded again (from
+# -0.015248203999362886, 1.5e-8 relative) when the conjugate's far mid and
+# tail curves came to be filled between exact nodes: the margin sits at
+# tau = 6e5, and the filled values there are within 2.7e-14 max(1, |ln A*|)
+# of the solved ones
 _EXAMPLE_PAIR_NUMBERS = {
     ("L2_log", "L2_log"): (2.0, 0.0, -0.9344986933283508, -0.3465717005916602),
     ("LlogL", "L1"): (1.0, 1.0, -6.402842700481415e-09, -math.inf),
@@ -191,7 +196,7 @@ _EXAMPLE_PAIR_NUMBERS = {
     ("LlogL_loglog", "L_loglog"): (1024.0, 1.0, -0.07813429948873818, -0.20942129305696255),
     ("expL", "expL_half"): (2.0, 1.0, -1.0965351101136525, -1.3863433308433741),
     ("Linf", "expL"): (2.0, 1.0, -math.inf, -0.5553031917860984),
-    ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203999362886),
+    ("exp_log2", "exp_log2_reduced"): (2.0, 1.0, -0.04188421327199121, -0.015248203766532242),
 }
 
 
@@ -333,25 +338,29 @@ def test_report_witness_bound(catalog):
 
 
 def test_check_balance_builds_one_conjugate_and_each_curve_once(monkeypatch):
+    # each curve is one fill of the memo (the conjugate's far curves are
+    # solved at their nodes, so the sizes of its log reader's calls no
+    # longer count its curves)
     A = young.load_catalog()["LlogL"]
-    built, sizes = [], []
+    built, fills = [], []
     init = young.ConjugateYoung.__init__
-    evaluate = young.ConjugateYoung.log_value_logt
+    log_curve = young._log_curve
 
     def spy_init(self, source):
         built.append(source)
         init(self, source)
 
-    def spy_evaluate(self, tau):
-        sizes.append(np.size(tau))
-        return evaluate(self, tau)
+    def spy_log_curve(B, grid):
+        if grid not in young._memo(B):
+            fills.append((B, grid))
+        return log_curve(B, grid)
 
     monkeypatch.setattr(young.ConjugateYoung, "__init__", spy_init)
-    monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy_evaluate)
+    monkeypatch.setattr(young, "_log_curve", spy_log_curve)
     check_balance(A, A)
     assert len(built) == 1 and built[0] is A
-    assert sorted(sizes) == sorted(g.size for g in (
-        young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))
+    C = young.conjugate(A)
+    assert Counter(fills) == Counter((B, grid) for B in (A, C) for grid in ("dense", "mid", "tail"))
 
 
 def test_balance_checks_and_growth_checks_never_tabulate(monkeypatch):
@@ -480,19 +489,40 @@ def test_the_sweep_kernels_keep_the_parent_values():
         g = f.copy()
         g[rng.integers(4_200, 8_000)] = special[trial % 2]
         _assert_prefix_near_parent(g, x, (trial, "special"))
-        # climbing by more than 600 inside a block: that block sums in log
-        # scale, which is the parent's sum bit for bit where every block does
+        # climbing by more than 600 inside a block: that block sums in rows
+        # of 128 cells, each under its own shift
         g[:] = f
         g[4_500:8_000] += np.linspace(0.0, 3_000.0, 3_500)
         _assert_prefix_near_parent(g, x, (trial, "climb"))
         g = 0.5 * np.arange(x.size) + rng.normal(0.0, 1.0, x.size)
         g[at] = -np.inf
-        got, want = _assert_prefix_near_parent(g, x, (trial, "steep"))
+        _assert_prefix_near_parent(g, x, (trial, "steep"))
+        # climbing by more than 600 inside a row: every block sums in log
+        # scale, which is the parent's sum bit for bit
+        g = 6.0 * np.arange(x.size) + rng.normal(0.0, 1.0, x.size)
+        g[at] = -np.inf
+        got, want = _assert_prefix_near_parent(g, x, (trial, "cliff"))
         assert got.tobytes() == want.tobytes(), trial
         f[at] = rng.choice(special, at.sum())
         for a, b in ((f, f[::-1]), (f, f[7]), (f[3], f), (f, np.inf), (np.inf, -np.inf), (2.0, 1.0)):
             got = log_sub_exp(a, b)
             assert type(got) is np.ndarray and got.tobytes() == _parent_log_sub_exp(a, b).tobytes()
+
+
+@pytest.mark.parametrize("name", ["L2", "L2_log", "L2_loglog"])
+def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name, monkeypatch):
+    # their k = 0 integrands (and their conjugates') climb about 11,000 in a
+    # tail block of 4,096 cells: those blocks sum in rows of 128 cells, not
+    # in log scale, within 1e-13 max(1, |P|) of the log-scale sum
+    rows, steep_rows = [], _numerics._steep_rows
+    monkeypatch.setattr(_numerics, "_steep_rows", lambda *args: rows.append(steep_rows(*args)) or rows[-1])
+    xs = young._SWEEP_TAU
+    for B in (catalog[name], young.conjugate(catalog[name])):
+        f = young._sweep_read(B, 0) - xs
+        got, want = log_trapezoid_prefix(f, xs), _parent_log_trapezoid_prefix(f, xs)
+        assert np.isfinite(want[1:]).all() and rows and all(rows), B
+        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-13 * np.maximum(1.0, np.abs(want[1:]))), B
+        rows.clear()
 
 
 def _read_kind(at):

@@ -373,6 +373,25 @@ def test_tabulated_log_readers_of_nan_are_nan():
     assert indicator(1.0).log_value_logt(tau)[1:].tolist() == [-math.inf, -math.inf, math.inf]
 
 
+@pytest.mark.parametrize("A", [PowerLogLogYoung(1.0, 0.0), PowerLogLogYoung(2.0, 0.0),
+                               PowerYoung(1.0), PowerYoung(2.0, 3.0)], ids=repr)
+def test_power_readers_without_log_factors_give_nan_at_nan(A):
+    # the slope of t (0.0) and the excess of t^p (ln(1 - 1/p), -inf for
+    # p = 1) do not depend on tau; at NaN they are NaN, and elsewhere they
+    # keep their values
+    tau = np.array([np.nan, -np.inf, -3.0, 0.0, 40.0, np.inf])
+    ln_excess = math.log1p(-1.0 / A.p) if A.p > 1.0 else -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (A.log_value_logt, A.log_slope_logt, A.log_excess_logt):
+            assert np.isnan(read(np.nan)), read
+            got = read(tau)
+            assert np.isnan(got[0]) and got[1:].tolist() == [float(read(t)) for t in tau[1:]], read
+        assert A.log_excess_logt(tau)[1:].tolist() == [ln_excess] * 5
+        if A.p == 1.0:
+            assert A.log_slope_logt(tau)[1:].tolist() == [math.log(getattr(A, "coeff", 1.0))] * 5
+
+
 def test_linear_power_slope_is_its_coefficient_everywhere():
     A = PowerYoung(1.0, 2.0)
     with warnings.catch_warnings():
@@ -778,8 +797,10 @@ def test_conjugate_point_does_not_depend_on_its_batch(catalog):
     assert np.array_equal(np.isinf(mid[shared]), np.isinf(dense[below]))
 
 
-@pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
-                                  if isinstance(conjugate(A), ConjugateYoung)])
+_NUMERICAL = [n for n, A in load_catalog().items() if isinstance(conjugate(A), ConjugateYoung)]
+
+
+@pytest.mark.parametrize("name", _NUMERICAL)
 @pytest.mark.parametrize("tau, want", [
     (math.nan, (math.nan, math.nan, math.nan)),
     (math.inf, (math.inf, math.inf, 0.0)),
@@ -796,18 +817,72 @@ def test_conjugate_readers_give_the_limits_at_non_finite_tau(catalog, name, tau,
         assert np.array_equal(pair, [w, float(read(1.5))], equal_nan=True)
 
 
-@pytest.mark.parametrize("name", [n for n, A in load_catalog().items()
-                                  if isinstance(conjugate(A), ConjugateYoung)])
+def _solved(grid: str) -> np.ndarray:
+    """The points of the named grid that the conjugate of a closed-form
+    source solves on their own: all but those between the nodes of the mid
+    and tail grids from tau = ``_FILL_FROM`` on (which are filled, unless
+    their interval is solved too)."""
+    tau = young._GRIDS[grid]
+    solved = np.ones(tau.size, dtype=bool)
+    if grid in ("mid", "tail"):
+        start = int(np.searchsorted(tau, young._FILL_FROM))
+        solved[start:] = False
+        solved[start::young._FILL_STRIDE] = solved[-1] = True
+    return solved
+
+
+def _assert_filled_near(got, want, where):
+    """The same NaN, +inf and -inf sets, and the finite values within
+    1e-13 max(1, |want|)."""
+    for same_set in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(same_set(got), same_set(want)), where
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite]))), where
+
+
+@pytest.mark.parametrize("name", _NUMERICAL)
 def test_conjugate_curves_match_per_point_calls(catalog, name):
-    # blocks leave every value as a call on its own gives
+    # blocks leave every value that is solved as a call on its own gives; the
+    # far mid and tail points between two nodes are filled, within 1e-13
+    # max(1, |v|) of it
     C = conjugate(catalog[name])
     rng = np.random.default_rng(5)
     for grid, tau in young._GRIDS.items():
         curve = young._log_curve(C, grid)
         idx = rng.choice(tau.size, 64, replace=False)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            alone = [C.log_value_logt(tau[i]) for i in idx]
-        assert np.array_equal(curve[idx], alone, equal_nan=True), grid
+            alone = np.array([C.log_value_logt(tau[i]) for i in idx])
+        solved = _solved(grid)[idx]
+        assert np.array_equal(curve[idx][solved], alone[solved], equal_nan=True), grid
+        _assert_filled_near(curve[idx], alone, grid)
+
+
+@pytest.mark.parametrize("name", _NUMERICAL)
+@pytest.mark.parametrize("grid", ["mid", "tail"])
+def test_filled_far_curves_keep_the_nodes_and_the_infinities_of_the_per_point_solve(name, grid):
+    # the oracle is the conjugate's log reader on the whole grid, each point
+    # solved on its own.  Filled points were within 2.7e-14 max(1, |ln A*|)
+    # of it when the fill was built
+    C = ConjugateYoung(load_catalog()[name])
+    tau = young._GRIDS[grid]
+    curve = young._log_curve(C, grid)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        want = C.log_value_logt(tau)
+    solved = _solved(grid)
+    assert curve[solved].tobytes() == want[solved].tobytes()
+    _assert_filled_near(curve, want, (name, grid))
+
+
+def test_a_conjugate_of_a_scaled_table_is_solved_at_every_point():
+    # a table is no closed form: its far curves stay the per-point solve
+    C = young.from_json({"kind": "conjugate", "params": {"of": {"kind": "scaled", "params": {
+        "m": 2.0, "arg_scale": 3.0, "of": {"kind": "tabulated", "params": {
+            "breakpoints": [1.0, 2.0], "slopes": [1.0, 3.0], "final_slope": math.inf}}}}}})
+    for grid in ("mid", "tail"):
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            want = C.log_value_logt(young._GRIDS[grid])
+        assert np.isfinite(want).all()
+        assert young._log_curve(C, grid).tobytes() == want.tobytes(), grid
 
 
 def _bracket_loop_and_golden_search(source, tau):
@@ -839,9 +914,6 @@ def _bracket_loop_and_golden_search(source, tau):
     return out
 
 
-_NUMERICAL = [n for n, A in load_catalog().items() if isinstance(conjugate(A), ConjugateYoung)]
-
-
 @pytest.mark.parametrize("name", _NUMERICAL)
 def test_conjugate_infinite_sets_match_the_bracket_loop(catalog, name):
     # the rung ladder finds the loop's first falling rung; sampled at 200
@@ -870,7 +942,9 @@ def test_balance_sweep_takes_at_most_6_slope_points_per_finite_point():
     # point when the bound was set) and the calls themselves: one per
     # Illinois pass of a block, and one ladder read per source.  A block runs
     # as many passes as its slowest point; 5,042 calls when a secant landing
-    # on an end took the midpoint, 2,768 since it steps inside that end
+    # on an end took the midpoint, 2,768 since it steps inside that end, and
+    # 575 (2,328,874 points, 0.74 per finite point) since the far mid and
+    # tail curves are solved at every 8th point only
     catalog = load_catalog()
     slope_calls = slope_points = finite_points = 0
     for name in _NUMERICAL:
@@ -928,8 +1002,15 @@ def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypa
             young._log_curve(conjugate(A), grid)
     assert all(size for _, _, size in golden), golden
     assert golden == [("exp_log2", "dense", 3019), ("exp_log2", "refined", 6038)]
-    # exactly 1 per block, at the foot
-    blocks = sum(-(-tau.size // young._BLOCK) for tau in young._GRIDS.values())
+    # exactly 1 per block of the points solved, at the foot.  LlogL's
+    # conjugate is +inf on the mid and tail grids from tau = _FILL_FROM on,
+    # so there only the nodes are solved, and no interval between them
+    blocks = 0
+    for grid, tau in young._GRIDS.items():
+        solved = _solved(grid)
+        below = int(np.searchsorted(tau, young._FILL_FROM)) if not solved.all() else tau.size
+        blocks += -(-below // young._BLOCK) + -(-np.count_nonzero(solved[below:]) // young._BLOCK)
+        assert solved.all() or np.isposinf(young._log_curve(conjugate(catalog["LlogL"]), grid)[below:]).all()
     assert source_points["LlogL"] == blocks
 
 
@@ -965,7 +1046,9 @@ def _traced_peak(evaluate, tau):
 @pytest.mark.parametrize("name", _NUMERICAL)
 def test_conjugate_curve_holds_its_output_and_one_block(name):
     # each block is solved into the output in place, so beyond the output a
-    # whole curve peaks where one block's call does
+    # whole curve peaks where one block's call does; so does a filled curve,
+    # whose nodes are solved a block at a time and filled in slices of about
+    # a block
     C = ConjugateYoung(load_catalog()[name])
     for grid in ("mid", "tail"):
         tau = young._GRIDS[grid]
@@ -973,6 +1056,8 @@ def test_conjugate_curve_holds_its_output_and_one_block(name):
         curve, peak = _traced_peak(C.log_value_logt, tau)
         assert tau.size > 16 * young._BLOCK
         assert peak - curve.nbytes <= 1.1 * block_peak, (grid, peak - curve.nbytes, block_peak)
+        curve, peak = _traced_peak(lambda g: young._log_curve(C, g), grid)
+        assert peak - curve.nbytes <= 1.1 * block_peak, (grid, "filled", peak - curve.nbytes, block_peak)
 
 
 def _rise_test_pre_pass(source, tau):
