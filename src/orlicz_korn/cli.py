@@ -27,11 +27,7 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _write_csv(outdir: str, name: str, header, rows) -> str:

@@ -100,8 +100,9 @@ _SWEEP_TAU = np.concatenate([_GRIDS[g][lo:hi] for g, lo, hi in _SWEEP_PARTS])
 # numpy pass).
 _BLOCK = 8192
 # On the mid and tail grids from tau = _FILL_FROM on, the conjugate of a
-# closed-form source is solved at every _FILL_STRIDE-th point and the last
-# (the nodes); the points between two nodes are filled (``_filled_curve``).
+# closed-form source is solved at every _FILL_STRIDE-th point (the nodes)
+# and after the last whole stride; the points between two nodes are filled
+# (``_filled_curve``).
 _FILL_STRIDE = 8
 _FILL_FROM = 200.0
 
@@ -1036,9 +1037,10 @@ class GrowthVerdict:
 def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
     """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``), computed on
     first read and kept in A's memo.  The mid and tail curves of a numerical
-    conjugate of a closed-form source are filled between exact nodes from
-    tau = ``_FILL_FROM`` on (``_filled_curve``); every other curve is A's log
-    reader on the grid."""
+    conjugate of a closed-form source are filled in whole strides between
+    exact nodes from tau = ``_FILL_FROM`` on, and solved after the last
+    stride (``_filled_curve``); every other curve is A's log reader on the
+    grid."""
     memo = _memo(A)
     if grid not in memo:
         tau = _GRIDS[grid]
@@ -1061,81 +1063,61 @@ def _closed_form(A: YoungFunction) -> bool:
 
 def _filled_curve(C: ConjugateYoung, tau: np.ndarray) -> np.ndarray:
     """ln A*(e^tau) of the numerical conjugate C on the ascending, finite
-    tau, as C's log reader gives it below ``_FILL_FROM``.  From there on
-    ``_slope_root`` solves only the nodes: every ``_FILL_STRIDE``-th point
-    and the last one, one call per ``_BLOCK`` of them.  The points between
-    two nodes are
-      - filled by the cubic Hermite interpolant of the nodes' values and
-        exact slopes d ln A*/d tau = s r / A*(s) = e^(tau + sigma - ln A*),
-        where both nodes have a root inside the ladder (above its foot, where
-        the value need not be the supremand at sigma);
-      - the nodes' value where both are the same infinity, since A* does not
-        decrease (and is 0 up to where it is positive);
-      - solved, where neither holds.
-    Over the 11 numerical catalog conjugates the filled points lie within
-    2.7e-14 max(1, |ln A*|) of the solved ones.  The fill runs on slices of
-    about ``_BLOCK`` points, so that beyond the output the curve peaks where
-    one block's solve does."""
+    tau, as C's log reader gives it below ``_FILL_FROM``.  From there on the
+    points run in whole strides: rows of a node and the ``_FILL_STRIDE`` - 1
+    points after it, up to the last node, which ``_slope_root`` solves with
+    the fewer than ``_FILL_STRIDE`` points after it.  The rows are solved
+    and filled ``_BLOCK`` at a time (``_fill_rows``)."""
     out = np.empty(tau.size)
-    start, last = int(np.searchsorted(tau, _FILL_FROM)), tau.size - 1
+    start = int(np.searchsorted(tau, _FILL_FROM))
     if start:
         out[:start] = C.log_value_logt(tau[:start])
-    count = len(range(start, last, _FILL_STRIDE)) + 1
-    carry = None          # (index, value, slope, usable) of the last node solved
-    for first in range(0, count, _BLOCK):
-        at = np.minimum(start + _FILL_STRIDE * np.arange(first, min(first + _BLOCK, count)), last)
-        carry = _solve_nodes(C, tau, out, at, carry)
+    rows = (tau.size - 1 - start) // _FILL_STRIDE
+    for first in range(0, rows, _BLOCK):
+        _fill_rows(C, tau, out, start + _FILL_STRIDE * first, min(_BLOCK, rows - first))
+    last = start + _FILL_STRIDE * rows
+    out[last:] = _slope_root(C.source, tau[last:])[1]
     return out
 
 
-def _solve_nodes(C: ConjugateYoung, tau, out, at, carry):
-    """Solve the nodes ``at`` into ``out`` and fill the points after the
-    carried node up to the last of them, in slices of about ``_BLOCK``
-    points; the carry for the next nodes.  Its arrays die on return, so none
-    is alive while the next nodes are solved."""
-    sigma, value = _slope_root(C.source, tau[at])
-    out[at] = value
-    slope = np.exp(tau[at] + sigma - value)
+def _fill_rows(C: ConjugateYoung, tau, out, first, rows):
+    """Fill ``out`` on the rows whose nodes sit at first + ``_FILL_STRIDE`` j,
+    j < rows.  One ``_slope_root`` call solves their nodes and the next one
+    (solved again as the first node of the rows after), each on its own.  A
+    row's other points are
+      - filled by the cubic Hermite interpolant of its two nodes' values and
+        exact slopes d ln A*/d tau = s r / A*(s) = e^(tau + sigma - ln A*),
+        where both nodes have a root inside the ladder (above its foot, where
+        the value need not be the supremand at sigma);
+      - its node's value where both nodes are the same infinity, since A*
+        does not decrease (and is 0 up to where it is positive);
+      - solved, where neither holds.
+    Over the 11 numerical catalog conjugates the filled points lie within
+    2.7e-14 max(1, |ln A*|) of the solved ones.  The rows are filled in
+    slices of ``_BLOCK`` points; the node arrays die on return, so none is
+    alive while the next rows are solved."""
+    nodes = tau[first:first + _FILL_STRIDE * rows + 1:_FILL_STRIDE]
+    sigma, value = _slope_root(C.source, nodes)
+    slope = np.exp(nodes + sigma - value)
     usable = np.isfinite(slope) & (sigma > _SIGMA_LO)
-    if carry is not None:
-        at, value, slope, usable = (np.concatenate(([c], v)) for c, v in zip(carry, (at, value, slope, usable)))
     per_slice = _BLOCK // _FILL_STRIDE
-    for i in range(0, at.size - 1, per_slice):
-        ends = slice(i, i + per_slice + 1)
-        _fill_between(C, tau, out, at[ends], value[ends], slope[ends], usable[ends])
-    return at[-1], value[-1], slope[-1], usable[-1]
-
-
-def _fill_between(C: ConjugateYoung, tau, out, nodes, value, slope, usable):
-    """Fill ``out`` at the points of tau strictly between consecutive nodes,
-    as ``_filled_curve`` states."""
-    hermite = usable[:-1] & usable[1:]
-    flat = ~hermite & (value[:-1] == value[1:]) & np.isinf(value[:-1])
-    k = np.flatnonzero(hermite)
-    if k.size:
-        i, points = _between(nodes[k], nodes[k + 1])
-        k0, k1 = k[i], k[i] + 1
-        width = tau[nodes[k1]] - tau[nodes[k0]]
-        u = (tau[points] - tau[nodes[k0]]) / width
-        a, b = (1.0 - u) ** 2, u * u
-        out[points] = ((1.0 + 2.0 * u) * a * value[k0] + u * a * width * slope[k0]
-                       + b * (3.0 - 2.0 * u) * value[k1] + b * (u - 1.0) * width * slope[k1])
-    k = np.flatnonzero(flat)
-    if k.size:
-        i, points = _between(nodes[k], nodes[k + 1])
-        out[points] = value[k[i]]
-    k = np.flatnonzero(~(hermite | flat))
-    if k.size:
-        points = _between(nodes[k], nodes[k + 1])[1]
-        out[points] = _slope_root(C.source, tau[points])[1]
-
-
-def _between(lo, hi):
-    """(i, the points strictly between lo[i] and hi[i]) for every i, in
-    order: the indices of the points and of their interval."""
-    counts = hi - lo - 1
-    i = np.repeat(np.arange(lo.size), counts)
-    return i, np.arange(i.size) + np.repeat(lo + 1 - (np.cumsum(counts) - counts), counts)
+    for i in range(0, rows, per_slice):
+        j = slice(i, min(i + per_slice, rows))
+        k = slice(j.start + 1, j.stop + 1)
+        span = slice(first + _FILL_STRIDE * j.start, first + _FILL_STRIDE * j.stop)
+        t, o = tau[span].reshape(-1, _FILL_STRIDE), out[span].reshape(-1, _FILL_STRIDE)
+        v0, v1, s0, s1 = value[j, None], value[k, None], slope[j, None], slope[k, None]
+        hermite = usable[j, None] & usable[k, None]
+        o[:] = v0
+        if hermite.any():
+            width = nodes[k, None] - t[:, :1]
+            u = (t[:, 1:] - t[:, :1]) / width
+            a, b = (1.0 - u) ** 2, u * u
+            o[:, 1:] = np.where(hermite, (1.0 + 2.0 * u) * a * v0 + u * a * width * s0
+                                + b * (3.0 - 2.0 * u) * v1 + b * (u - 1.0) * width * s1, v0)
+        solve = np.flatnonzero(~hermite & ~((v0 == v1) & np.isinf(v0)))
+        if solve.size:
+            o[solve, 1:] = _slope_root(C.source, t[solve, 1:].ravel())[1].reshape(solve.size, -1)
 
 
 def _index_shift(grid: str, k: float) -> int:
@@ -1282,12 +1264,14 @@ def _delta2_at(A, tau_lo, t0):
         return GrowthVerdict(False, t0, math.inf, cert,
                              {"reason": "doubling ratio grows without bound",
                               "ratio_log_tail": tail})
-    # refinement stability of the certified constant (dense window, 2x finer)
+    # refinement stability of the certified constant: the dense window
+    # against itself 2x finer
+    sup_d = float(np.max(rd)) if rd.size else sup
     _, _, _, r2 = _doubling_ratio(A, "refined", tau_lo)
     m2 = np.isfinite(r2)
-    sup2 = float(np.max(r2[m2])) if m2.any() else sup
+    sup2 = float(np.max(r2[m2])) if m2.any() else sup_d
     sup_all = max(sup, sup2, tail[-1])
-    drift = abs(math.expm1(min(abs(sup2 - sup), 1.0)))
+    drift = abs(math.expm1(min(abs(sup2 - sup_d), 1.0)))
     if drift > _REFINE_DRIFT:
         return GrowthVerdict(False, t0, math.inf,
                              [float(np.exp(min(tau_lo, 600.0)))],
@@ -1332,12 +1316,14 @@ def _nabla2_at(A, tau_lo, t0):
                              [float(np.exp(min(t, 690.0))) for t in worst],
                              {"reason": "doubling ratio not bounded away from 2",
                               "gap_tail": [g1, g2]})
+    # refinement stability: the dense window against itself 2x finer
+    inf_d = float(np.min(rd[id_])) if id_.any() else inf_log
     _, v2, _, r2 = _doubling_ratio(A, "refined", tau_lo)
     m2 = np.isfinite(r2) & np.isfinite(v2)
-    inf2 = float(np.min(r2[m2])) if m2.any() else inf_log
+    inf2 = float(np.min(r2[m2])) if m2.any() else inf_d
     # a ratio past float range still certifies the largest float constant
     c = math.exp(min(inf_log, inf2, g2 + LN2, _LN_MAX))
-    drift = abs(math.exp(min(inf2, 10.0)) - math.exp(min(inf_log, 10.0))) / math.exp(min(inf_log, 10.0))
+    drift = abs(math.exp(min(inf2, 10.0)) - math.exp(min(inf_d, 10.0))) / math.exp(min(inf_d, 10.0))
     if c <= 2.0 * (1.0 + 1e-12) or drift > _REFINE_DRIFT:
         return GrowthVerdict(False, t0, 2.0, [float(np.exp(min(t_all[np.argmin(r_all)], 690.0)))],
                              {"reason": "no stable constant above 2", "drift": drift})

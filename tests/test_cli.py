@@ -122,6 +122,24 @@ def test_verify_korn_runs(tmp_path):
     assert (out / "korn_ratios.csv").exists()
 
 
+def test_verify_korn_writes_nan_for_a_field_in_the_kernel(tmp_path, monkeypatch):
+    # the suite gives a kernel member NaN, and a NaN cell reads "nan", also
+    # as numpy's float and with its sign bit set
+    ratios = iter([None, np.float64(-np.nan), math.nan])
+
+    def ratio(*args):
+        r = next(ratios)
+        if r is None:
+            raise fields.KernelMembership("in the kernel")
+        return r
+
+    monkeypatch.setattr(fields, "korn_ratio", ratio)
+    rc, out = run(tmp_path, "verify-korn", "--A", "L2", "--B", "L2",
+                  "--grid", "8", "--suite", "smooth", "--trials", "3")
+    assert rc == 0
+    assert (out / "korn_ratios.csv").read_bytes() == b"trial,ratio\nsmooth_0,nan\nsmooth_1,nan\nsmooth_2,nan\n"
+
+
 def test_poincare_runs(tmp_path):
     rc, out = run(tmp_path, "poincare", "--A", "Linf", "--grid", "8",
                   "--trials", "2")

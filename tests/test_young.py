@@ -254,6 +254,23 @@ def test_nabla2_holds_vacuously_where_every_doubling_ratio_leaves_float_range():
     assert v.diagnostics == {"reason": "vacuous"}
 
 
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+@pytest.mark.parametrize("near_infinity", [True, False])
+def test_refinement_compares_the_dense_window_with_itself_refined(alpha, near_infinity):
+    # A = t^2 log^alpha(1 + t) has A(2t) >= 4 A(t).  Its doubling ratio
+    # creeps down towards 4 past the dense window (tau ~ 44), so the extreme
+    # ratio of dense and coarse together lies on the coarse grid, which the
+    # refined window does not cover; that gap is no drift
+    A = PowerLogLogYoung(2.0, alpha)
+    for v, c in ((check_nabla2(A, near_infinity), 4.0), (check_delta2(conjugate(A), near_infinity), 4.0)):
+        assert v.holds and v.failure_certificate == [], v
+        assert v.witness_constant == pytest.approx(c, rel=1e-3)
+        assert v.diagnostics["refinement_drift"] < 1e-4
+    # a jump in slope from 1 to 1000 at t = e^100: A(2t) <= 2000 A(t)
+    v = check_delta2(TabulatedYoung([math.exp(100), 2 * math.exp(100)], [1.0, 1e3], 1e3), near_infinity)
+    assert v.holds and v.witness_constant <= 2000.0, v
+
+
 # (witness_constant, threshold_t0) of delta2 and nabla2 near infinity, for
 # each catalog function and then for its conjugate, as first recorded
 _GROWTH_NUMBERS = {
@@ -819,16 +836,23 @@ def test_conjugate_readers_give_the_limits_at_non_finite_tau(catalog, name, tau,
 
 def _solved(grid: str) -> np.ndarray:
     """The points of the named grid that the conjugate of a closed-form
-    source solves on their own: all but those between the nodes of the mid
-    and tail grids from tau = ``_FILL_FROM`` on (which are filled, unless
-    their interval is solved too)."""
+    source solves on their own: all but those of the whole strides of the
+    mid and tail grids from tau = ``_FILL_FROM`` on that follow a node
+    (which are filled, unless their row is solved too)."""
     tau = young._GRIDS[grid]
     solved = np.ones(tau.size, dtype=bool)
     if grid in ("mid", "tail"):
         start = int(np.searchsorted(tau, young._FILL_FROM))
-        solved[start:] = False
-        solved[start::young._FILL_STRIDE] = solved[-1] = True
+        last = start + young._FILL_STRIDE * _rows(grid)
+        solved[start:last] = False
+        solved[start:last:young._FILL_STRIDE] = True
     return solved
+
+
+def _rows(grid: str) -> int:
+    """The whole strides of a filled curve on the named grid."""
+    tau = young._GRIDS[grid]
+    return (tau.size - 1 - int(np.searchsorted(tau, young._FILL_FROM))) // young._FILL_STRIDE
 
 
 def _assert_filled_near(got, want, where):
@@ -1004,12 +1028,13 @@ def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypa
     assert golden == [("exp_log2", "dense", 3019), ("exp_log2", "refined", 6038)]
     # exactly 1 per block of the points solved, at the foot.  LlogL's
     # conjugate is +inf on the mid and tail grids from tau = _FILL_FROM on,
-    # so there only the nodes are solved, and no interval between them
+    # so there only the nodes are solved, a block of rows at a time, and the
+    # points after the last whole stride, in one more call; no row between
     blocks = 0
     for grid, tau in young._GRIDS.items():
         solved = _solved(grid)
         below = int(np.searchsorted(tau, young._FILL_FROM)) if not solved.all() else tau.size
-        blocks += -(-below // young._BLOCK) + -(-np.count_nonzero(solved[below:]) // young._BLOCK)
+        blocks += -(-below // young._BLOCK) + (-(-_rows(grid) // young._BLOCK) + 1 if below < tau.size else 0)
         assert solved.all() or np.isposinf(young._log_curve(conjugate(catalog["LlogL"]), grid)[below:]).all()
     assert source_points["LlogL"] == blocks
 
