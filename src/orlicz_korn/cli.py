@@ -324,7 +324,10 @@ def main(argv=None) -> int:
             _usage_error(args.config_error)
         if args.seed < 0:
             _usage_error(f"--seed must be >= 0, not {args.seed}")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            _usage_error(f"cannot make --out: {exc}")
         catalog = young.load_catalog()
         return args.func(args, *[_resolve(getattr(args, flag), catalog)
                                  for flag in ("A", "B") if hasattr(args, flag)])

@@ -67,10 +67,6 @@ class Laminate:
         out[:, 1, 0] = [float(be) * self.scale for _, _, be in self.atoms]
         return out
 
-    @property
-    def mass(self) -> Fraction:
-        return sum((w for w, _, _ in self.atoms), Fraction(0))
-
     def barycenter_coeffs(self) -> tuple:
         a = sum((w * al for w, al, _ in self.atoms), Fraction(0))
         b = sum((w * be for w, _, be in self.atoms), Fraction(0))

@@ -1030,9 +1030,6 @@ class GrowthVerdict:
     failure_certificate: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def __bool__(self):
-        return self.holds
-
 
 def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
     """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``), computed on
@@ -1213,24 +1210,25 @@ def _doubling_ratio(A: YoungFunction, grid: str, tau_lo: float):
         return tau, v, v2, v2 - v
 
 
-def _scan_t0(at, A: YoungFunction, near_infinity: bool) -> GrowthVerdict:
-    """The first verdict ``at(A, tau_lo, t0)`` that holds along the t0 scan,
-    else the last one; without near_infinity only t0 = 0, tested from
-    tau = -14."""
-    for t0 in _T0_SCAN if near_infinity else (0.0,):
-        verdict = at(A, math.log(t0) if t0 > 0 else -14.0, t0)
+def _scan_t0(at, A: YoungFunction) -> GrowthVerdict:
+    """The first verdict ``at(A, ln t0, t0)`` that holds along the t0 scan,
+    else the last one.  The growth checks are near infinity only (t >= t0
+    >= 1): on the bounded domains of the Korn inequalities only A's
+    behaviour near infinity matters."""
+    for t0 in _T0_SCAN:
+        verdict = at(A, math.log(t0), t0)
         if verdict.holds:
             break
     return verdict
 
 
-def check_delta2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
-    """Upper doubling A(2t) <= C A(t) (near infinity: for t >= t0)."""
+def check_delta2(A: YoungFunction) -> GrowthVerdict:
+    """Upper doubling A(2t) <= C A(t) near infinity, for t >= t0."""
     if not A.finite_valued:
         jp = A.jump_point or 1.0
         return GrowthVerdict(False, 0.0, math.inf, [0.75 * jp],
                              {"reason": "not finite-valued: A jumps to infinity"})
-    return _scan_t0(_delta2_at, A, near_infinity)
+    return _scan_t0(_delta2_at, A)
 
 
 def _probe(tau, r, at):
@@ -1281,12 +1279,12 @@ def _delta2_at(A, tau_lo, t0):
                          {"refinement_drift": drift, "ratio_log_tail": tail})
 
 
-def check_nabla2(A: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
-    """Lower doubling A(2t) >= C A(t) with C > 2 (near infinity: t >= t0)."""
+def check_nabla2(A: YoungFunction) -> GrowthVerdict:
+    """Lower doubling A(2t) >= C A(t) with C > 2 near infinity, for t >= t0."""
     if not A.finite_valued:
         return GrowthVerdict(True, 0.0, 4.0, [],
                              {"reason": "A jumps to infinity: lower doubling is vacuous"})
-    return _scan_t0(_nabla2_at, A, near_infinity)
+    return _scan_t0(_nabla2_at, A)
 
 
 def _nabla2_at(A, tau_lo, t0):
@@ -1305,11 +1303,6 @@ def _nabla2_at(A, tau_lo, t0):
     g2 = _probe(tc, rc, _TAU_MAX) - LN2
     decaying = (math.isfinite(g1) and math.isfinite(g2) and g2 < 0.75 * g1
                 ) or (math.isfinite(g2) and g2 < 1e-4)
-    if t0 == 0.0:
-        # globally, the gap at the low end, tau_lo = -14: the ratio falls to 2
-        # as t -> 0 wherever A'(0+) > 0
-        h = _probe(td, rd, tau_lo) - LN2
-        decaying = decaying or (math.isfinite(h) and h < 1e-4)
     if gap <= 1e-9 or decaying:
         worst = t_all[np.argsort(r_all)[:4]]
         return GrowthVerdict(False, t0, 2.0,
@@ -1330,21 +1323,20 @@ def _nabla2_at(A, tau_lo, t0):
     return GrowthVerdict(True, t0, c, [], {"refinement_drift": drift, "gap_tail": [g1, g2]})
 
 
-def dominates(A: YoungFunction, B: YoungFunction, near_infinity: bool = True) -> GrowthVerdict:
-    """Search for C with B(t) <= A(C t) for t >= t0 (near infinity) or
-    globally; smallest passing dyadic C is reported."""
-    t0_list = ((0.0,) + _T0_SCAN) if near_infinity else (0.0,)
+def dominates(A: YoungFunction, B: YoungFunction) -> GrowthVerdict:
+    """Search for C with B(t) <= A(C t) near infinity, for t >= t0: t0 = 0
+    (tested from tau = ``_TAU_FLOOR``) first, then the t0 scan; the smallest
+    passing dyadic C is reported."""
     for k in _C_EXPONENTS:             # smallest passing constant wins
-        for t0 in t0_list:
+        for t0 in (0.0,) + _T0_SCAN:
             tau_lo = math.log(t0) if t0 > 0 else _TAU_FLOOR
             # the refined grid rechecks refinement stability
             if not any(_dominance_violations(A, B, grid, k, tau_lo).size
                        for grid in ("dense", "coarse", "refined")):
                 return GrowthVerdict(True, t0, 2.0 ** k, [], {})
-    t0 = t0_list[-1]
-    tau_lo = math.log(t0) if t0 > 0 else _TAU_FLOOR
+    t0 = _T0_SCAN[-1]
     bad_t = [float(np.exp(min(t, 690.0))) for grid in ("dense", "coarse")
-             for t in _dominance_violations(A, B, grid, max(_C_EXPONENTS), tau_lo)[:6]]
+             for t in _dominance_violations(A, B, grid, max(_C_EXPONENTS), math.log(t0))[:6]]
     return GrowthVerdict(False, t0, math.inf, bad_t[:6],
                          {"reason": "no dyadic constant certifies dominance"})
 

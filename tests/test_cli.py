@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -545,3 +547,27 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, argv):
         header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
         assert all(len(row) == len(header) for row in rows)
     assert _run_in_process(argv, tmp_path_factory.mktemp("again")) == (code, err, tables)
+
+
+def test_an_out_that_names_a_file_exits_2_with_one_line(tmp_path, capsys):
+    # an --out that is a file, or a path under one, cannot be made a directory
+    (tmp_path / "file").write_text("")
+    for argv in (["check-balance", "--A", "L2", "--B", "L2"],
+                 ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1", "--realize",
+                  "--grid", "4", "--depth", "4"]):
+        for out in (tmp_path / "file", tmp_path / "file" / "x"):
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("orlicz-korn: error: cannot make --out: ")
+
+
+def test_every_readme_command_runs_and_writes_a_manifest(tmp_path):
+    # the commands of README's "Command line" sh block, each with its own --out
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "orlicz-korn" for argv in commands)
+    for i, argv in enumerate(commands):
+        assert main(argv[1:] + ["--out", str(tmp_path / str(i))]) == 0, argv
+        assert (tmp_path / str(i) / "manifest.json").is_file(), argv

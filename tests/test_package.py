@@ -49,18 +49,21 @@ def _dead_helpers(package: list, callers: list) -> list:
     outside ``__all__``: its private functions, classes, methods and module
     constants (also those bound by unpacking), and its public functions and
     methods, except the methods that override a method of a base class
-    named by a dotted path (``argparse.ArgumentParser``)."""
-    defined, loaded = set(), set()
+    named by a dotted path (``argparse.ArgumentParser``).  A method or
+    property counts as loaded only as an attribute or a string: a bare
+    name of the same spelling is some other binding."""
+    defined, methods, names, attributes = set(), set(), set(), set()
     for source in package:
         tree = ast.parse(source)
-        overrides = set()
+        overrides, in_class = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 inherited = {name for base in node.bases
                              for name in dir(pydoc.locate(ast.unparse(base)) or object)}
                 overrides |= {id(f) for f in node.body if getattr(f, "name", None) in inherited}
+                in_class |= {id(f) for f in node.body}
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(node) not in overrides:
-                defined.add(node.name)
+                (methods if id(node) in in_class else defined).add(node.name)
             elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
                 defined.add(node.name)
         for node in tree.body:
@@ -74,13 +77,13 @@ def _dead_helpers(package: list, callers: list) -> list:
                     for node in ast.walk(assign.value)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
-                loaded.add(node.value)
-    return sorted(name for name in defined - loaded
-                  if not (name.startswith("__") and name.endswith("__")))
+                attributes.add(node.value)
+    dead = (defined - names - attributes) | (methods - attributes)
+    return sorted(name for name in dead if not (name.startswith("__") and name.endswith("__")))
 
 
 def test_dead_helper_check_sees_functions_methods_classes_and_constants():
@@ -95,6 +98,11 @@ def test_dead_helper_check_sees_functions_methods_classes_and_constants():
     caller = "from m import _f, _B, _D\n_f(); x = _B.y, _D; getattr(k, 'm')\n"
     assert _dead_helpers([source], [source, caller]) == ["_C", "_E", "_F", "_G", "_m", "g",
                                                          "warn"]
+    # a bare name spelled like a method or property is no use of it
+    source = ("class K:\n    @property\n    def mass(self): pass\n    def _m(self): pass\n"
+              "def f(mass, _m): return mass + _m\n")
+    assert _dead_helpers([source], [source, "f(1, 2)\n"]) == ["_m", "mass"]
+    assert _dead_helpers([source], [source, "f(1, 2).mass\ngetattr(k, '_m')\n"]) == []
 
 
 # public toolkit functions that the README names and that only tests call

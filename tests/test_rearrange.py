@@ -285,8 +285,8 @@ def test_global_domination_gives_embedding_constant():
     # B(t) <= A(C t) globally => ||u||_B <= C ||u||_A
     A = PowerYoung(2)
     B = young.ScaledYoung(2.0, PowerYoung(2))
-    v = young.dominates(A, B, near_infinity=False)
-    assert v.holds
+    v = young.dominates(A, B)
+    assert v.holds and v.threshold_t0 == 0.0
     rng = np.random.default_rng(9)
     for _ in range(10):
         u = _sf(rng.standard_normal(40), rng.uniform(0.1, 1.0, 40))

@@ -183,11 +183,6 @@ def test_inverse_scaling_inequality(catalog):
 # growth conditions
 # ---------------------------------------------------------------------------
 
-def test_delta2_power_global():
-    v = check_delta2(PowerYoung(2), near_infinity=False)
-    assert v.holds and v.witness_constant == pytest.approx(4.0, rel=1e-6)
-
-
 def test_delta2_exp_fails(catalog):
     v = check_delta2(catalog["expL"])
     assert not v.holds
@@ -219,28 +214,6 @@ def test_nabla2_reports_the_largest_float_for_a_ratio_past_float_range(catalog):
     assert v.holds and v.witness_constant == math.exp(young._LN_MAX)
 
 
-@pytest.mark.parametrize("name", ["expL", "exp_log2"])
-def test_global_nabla2_fails_where_the_doubling_ratio_falls_to_2_at_0(catalog, name):
-    # A'(0+) > 0, so A(2t) / A(t) -> 2 as t -> 0 and no C > 2 holds globally;
-    # near infinity the ratio grows, and there it holds
-    v = check_nabla2(catalog[name], near_infinity=False)
-    assert not v.holds and v.witness_constant == 2.0 and v.failure_certificate
-    assert max(v.failure_certificate) < 1e-5
-    assert check_nabla2(catalog[name]).holds
-    # the dual verdict: conj(expL) fails global Delta2 (conj(exp_log2) still
-    # passes it, an artifact of its conjugate's curve near t = 0)
-    if name == "expL":
-        assert not check_delta2(conjugate(catalog[name]), near_infinity=False).holds
-
-
-def test_global_nabla2_still_holds_for_a_power_above_1(catalog):
-    # exp(1e6 t^2) - 1: its doubling ratio rises from 4 near 0, which is no fall to 2
-    for A in (catalog["L2"], catalog["L3"], conjugate(catalog["L2"]),
-              ScaledYoung(1, ExpPowerYoung(2), 1000)):
-        v = check_nabla2(A, near_infinity=False)
-        assert v.holds and v.threshold_t0 == 0.0 and v.witness_constant > 3.999
-
-
 def test_indicator_growth_conventions(catalog):
     assert not check_delta2(catalog["Linf"]).holds
     assert check_nabla2(catalog["Linf"]).holds
@@ -255,19 +228,18 @@ def test_nabla2_holds_vacuously_where_every_doubling_ratio_leaves_float_range():
 
 
 @pytest.mark.parametrize("alpha", [4.0, 6.0])
-@pytest.mark.parametrize("near_infinity", [True, False])
-def test_refinement_compares_the_dense_window_with_itself_refined(alpha, near_infinity):
+def test_refinement_compares_the_dense_window_with_itself_refined(alpha):
     # A = t^2 log^alpha(1 + t) has A(2t) >= 4 A(t).  Its doubling ratio
     # creeps down towards 4 past the dense window (tau ~ 44), so the extreme
     # ratio of dense and coarse together lies on the coarse grid, which the
     # refined window does not cover; that gap is no drift
     A = PowerLogLogYoung(2.0, alpha)
-    for v, c in ((check_nabla2(A, near_infinity), 4.0), (check_delta2(conjugate(A), near_infinity), 4.0)):
+    for v, c in ((check_nabla2(A), 4.0), (check_delta2(conjugate(A)), 4.0)):
         assert v.holds and v.failure_certificate == [], v
         assert v.witness_constant == pytest.approx(c, rel=1e-3)
         assert v.diagnostics["refinement_drift"] < 1e-4
     # a jump in slope from 1 to 1000 at t = e^100: A(2t) <= 2000 A(t)
-    v = check_delta2(TabulatedYoung([math.exp(100), 2 * math.exp(100)], [1.0, 1e3], 1e3), near_infinity)
+    v = check_delta2(TabulatedYoung([math.exp(100), 2 * math.exp(100)], [1.0, 1e3], 1e3))
     assert v.holds and v.witness_constant <= 2000.0, v
 
 
@@ -320,20 +292,20 @@ def test_dominates_power_pairs():
 
 
 def test_dominates_linear_log_over_linear(catalog):
-    v = dominates(catalog["LlogL"], catalog["L1"], near_infinity=True)
+    v = dominates(catalog["LlogL"], catalog["L1"])
     assert v.holds
     assert v.witness_constant <= 1.0 + 1e-12
 
 
 def test_dominance_failure_certificate(catalog):
-    v = dominates(catalog["L1"], catalog["L2"], near_infinity=True)
+    v = dominates(catalog["L1"], catalog["L2"])
     assert not v.holds and len(v.failure_certificate) > 0
 
 
 def test_global_dominance_with_scaling():
     A = PowerYoung(2)
     B = ScaledYoung(2.0, PowerYoung(2))
-    v = dominates(A, B, near_infinity=False)
+    v = dominates(A, B)
     assert v.holds and v.threshold_t0 == 0.0
 
 
