@@ -549,25 +549,35 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, argv):
     assert _run_in_process(argv, tmp_path_factory.mktemp("again")) == (code, err, tables)
 
 
-def test_an_out_that_names_a_file_exits_2_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["check-balance", "--A", "L2", "--B", "L2"],
+    ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1", "--realize", "--grid", "4",
+     "--depth", "4"],
+], ids=["check-balance", "laminate-demo"])
+@pytest.mark.parametrize("under", [(), ("x",)], ids=["file", "under-file"])
+def test_an_out_that_names_a_file_exits_2_with_one_line(tmp_path, capsys, argv, under):
     # an --out that is a file, or a path under one, cannot be made a directory
     (tmp_path / "file").write_text("")
-    for argv in (["check-balance", "--A", "L2", "--B", "L2"],
-                 ["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1", "--realize",
-                  "--grid", "4", "--depth", "4"]):
-        for out in (tmp_path / "file", tmp_path / "file" / "x"):
-            assert main(argv + ["--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert len(err.strip().splitlines()) == 1
-            assert err.startswith("orlicz-korn: error: cannot make --out: ")
+    out = tmp_path.joinpath("file", *under)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("orlicz-korn: error: cannot make --out: ")
 
 
-def test_every_readme_command_runs_and_writes_a_manifest(tmp_path):
-    # the commands of README's "Command line" sh block, each with its own --out
+def _readme_commands():
+    # the commands of README's "Command line" sh block
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_lists_its_commands():
+    commands = _readme_commands()
     assert commands and all(argv[0] == "orlicz-korn" for argv in commands)
-    for i, argv in enumerate(commands):
-        assert main(argv[1:] + ["--out", str(tmp_path / str(i))]) == 0, argv
-        assert (tmp_path / str(i) / "manifest.json").is_file(), argv
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_every_readme_command_runs_and_writes_a_manifest(tmp_path, argv):
+    assert main(argv[1:] + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "manifest.json").is_file()
