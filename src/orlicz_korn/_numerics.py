@@ -38,10 +38,14 @@ def log_sub_exp(a, b):
     return out
 
 
-def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
+def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray, start: float = -np.inf) -> np.ndarray:
     """Running log of the trapezoid integral of exp(log_f) over the grid x.
 
-    Returns P with P[i] = log( integral_{x[0]}^{x[i]} exp(log_f) ), P[0] = -inf.
+    Returns P with P[i] = log( exp(start) + integral_{x[0]}^{x[i]} exp(log_f) ),
+    P[0] = start: the prefix of a longer grid continued from its value start
+    at x[0].  A grid summed in pieces that begin on multiples of
+    ``_PREFIX_BLOCK``, each started from the last value of the one before,
+    has the blocks and carries, and so the bits, of one call on the whole.
     Handles log_f values of -inf (zero integrand) and +inf (divergent).
 
     The cells are summed in linear scale, ``_PREFIX_BLOCK`` at a time, under
@@ -55,7 +59,7 @@ def log_trapezoid_prefix(log_f: np.ndarray, x: np.ndarray) -> np.ndarray:
     lf = np.asarray(log_f, dtype=float)
     x = np.asarray(x, dtype=float)
     prefix = np.empty(len(x))
-    prefix[0] = -np.inf
+    prefix[0] = start
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for lo in range(0, len(x) - 1, _PREFIX_BLOCK):
             hi = min(lo + _PREFIX_BLOCK, len(x) - 1)
@@ -97,14 +101,21 @@ def _steep_rows(f, dx, carry, cell) -> bool:
     rows = -(-dx.size // _PREFIX_ROW)
     pad = rows * _PREFIX_ROW - dx.size
     f = np.concatenate((f, np.full(pad, -np.inf)))
-    left, right = f[:-1].reshape(rows, -1), f[1:].reshape(rows, -1)
+    # each row's end: the next row's first point, where its last cell ends
+    left, end = f[:-1].reshape(rows, -1), f[_PREFIX_ROW::_PREFIX_ROW]
     width = np.concatenate((dx, np.zeros(pad))).reshape(rows, -1)
-    peak = np.maximum(left.max(axis=1), right[:, -1])
+    peak = np.maximum(left.max(axis=1), end)
     first = np.maximum(carry, left[:, 0] + np.log(0.5 * width[:, 0]))
     if not np.all((peak - first <= _PREFIX_SPAN) & (peak > -np.inf)):
         return False
-    w = np.exp(left - peak[:, None])
-    w += np.exp(right - peak[:, None])
+    # one exp per point: a cell's right end is the next cell's left end,
+    # under the same shift, but for each row's last cell, whose right end
+    # (the row's end) is the next row's first point, under another shift:
+    # those cells are summed again, with an exp of their own
+    e = np.exp(left - peak[:, None])
+    w = np.empty_like(e)
+    np.add(e.ravel()[:-1], e.ravel()[1:], out=w.ravel()[:-1])
+    np.add(e[:, -1], np.exp(end - peak), out=w[:, -1])
     w *= width
     w *= 0.5
     np.cumsum(w, axis=1, out=w)

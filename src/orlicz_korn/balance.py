@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import young
-from ._numerics import LN2, log_sub_exp, log_trapezoid_prefix
+from ._numerics import _PREFIX_BLOCK, LN2, log_sub_exp, log_trapezoid_prefix
 from .young import _SWEEP_TAU, GrowthVerdict, YoungFunction
 
 __all__ = ["BalanceReport", "check_balance", "classify_catalog_pairs", "EXAMPLE_PAIRS"]
@@ -64,6 +65,9 @@ _FLOOR_AT = int(np.searchsorted(_SWEEP_TAU, young._TAU_FLOOR))
 # the screen: every _SCREEN_STRIDE-th sweep point, on which each test is
 # tried before the whole suffix
 _SCREEN_STRIDE = 64
+# the sweep points a pass over the sweep takes at a time: whole blocks of the
+# prefix's linear-scale sum, so that its chunks sum as the whole sweep does
+_SWEEP_CHUNK = 16 * _PREFIX_BLOCK
 
 
 @dataclass
@@ -91,23 +95,41 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     constant is tried on the screen (every ``_SCREEN_STRIDE``-th sweep point)
     first, and the whole suffix is tested only from the smallest constant
     that passes there up; the verdict is the one a test of every point would
-    give."""
+    give.
+
+    Both passes over the sweep walk it in chunks of ``_SWEEP_CHUNK`` points:
+    the running log-integral (the prefix) is the one array as long as the
+    sweep, and a self-pair also keeps its read of ln B at k = 0, which is
+    its right-hand side at c = 1.  The prefix is summed chunk by chunk, each
+    chunk continued from the last one's end, with the bits of one sum over
+    the whole sweep."""
     xs = _SWEEP_TAU
-    # fill A_side's curves before the sweep's own arrays exist.  The traced
-    # peak is the same either way (a conjugate's evaluator takes about
-    # 1.5 MiB a block); the allocation order keeps the peak RSS lower (the
-    # benchmark's balance workload: 72.7 MiB with this fill, 75.5 without)
+    # fill A_side's curves before the prefix exists, so that a conjugate's
+    # evaluator (about 1.5 MiB a block) does not stack on it: the traced peak
+    # of check_balance(LlogL, L1) is 20.5 MiB with this fill, 22.3 without
     young._sweep_curves(A_side)
-    ln_b = young._sweep_read(B_side, 0)     # ln B(e^s)
-    vB0 = ln_b[0]
-    # a self-pair's right-hand side at k = 0 is this same read; otherwise the
-    # integrand ln B(e^s) - s is formed in its place
-    rhs_0 = ln_b if A_side is B_side else None
-    with np.errstate(invalid="ignore"):
-        integrand = np.subtract(ln_b, xs, out=None if A_side is B_side else ln_b)
-    integrand[np.isnan(integrand)] = np.inf    # where ln B is NaN
-    prefix = log_trapezoid_prefix(integrand, xs)
-    del ln_b, integrand
+    # a self-pair's right-hand side at k = 0 is the integrand's read of ln B
+    rhs_0 = young._sweep_read(B_side, 0) if A_side is B_side else None
+    prefix = np.empty(xs.size)
+    prefix[0] = -np.inf
+    # the integrand ln B(e^s) - s at the points lo..hi of a chunk of the
+    # prefix; lo, its first point, is the last one's end, so each chunk after
+    # the first reads ln B from lo + 1
+    f = np.empty(_SWEEP_CHUNK + 1)
+    for lo in range(0, xs.size - 1, _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, xs.size - 1)
+        skip = int(lo > 0)
+        at = slice(lo + skip, hi + 1)
+        ln_b = rhs_0[at] if rhs_0 is not None else young._sweep_read(B_side, 0, at)
+        if lo == 0:
+            vB0 = ln_b[0]
+        part = f[:hi + 1 - lo]
+        with np.errstate(invalid="ignore"):
+            np.subtract(ln_b, xs[at], out=part[skip:])
+        part[np.isnan(part)] = np.inf    # where ln B is NaN
+        prefix[lo:hi + 1] = log_trapezoid_prefix(part, xs[lo:hi + 1], prefix[lo])
+        f[0] = part[-1]
+    del ln_b, f, part
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
     vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1))[0])
@@ -126,7 +148,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # from the smallest constant that passes the screen up, and a t0 whose
     # screen fails at the largest constant fails without a full test (but the
     # last t0, whose failure is reported).  Each screen is read once per
-    # check, and a full right-hand side is held one at a time.
+    # check, and a full right-hand side is read one chunk at a time.
     ks = young._C_EXPONENTS
     top = len(ks) - 1
     screens = {}     # index into ks -> A_side's read at the screen points
@@ -160,14 +182,15 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         found = _first_pass(screen_passes, -1, top + 1, top)
         if found > top and t0 != t0s[-1]:
             continue
-        lhs = lhs_at(slice(start, None))
-        compared = {}    # index into ks -> (margin, violations, rhs at _TREND_AT)
+        compared = {}    # index into ks -> _full_test's (margin, last violations, trend)
 
         def passes(i):
-            at = slice(start, None)
-            rhs = rhs_0[at] if ks[i] == 0 and rhs_0 is not None else young._sweep_read(A_side, ks[i], at)
-            compared[i] = (*_compare(lhs, rhs), rhs[_TREND_AT - start])
-            return not compared[i][1].any()
+            if ks[i] == 0 and rhs_0 is not None:
+                rhs_at = rhs_0.__getitem__
+            else:
+                rhs_at = partial(young._sweep_read, A_side, ks[i])
+            compared[i] = _full_test(lhs_at, rhs_at, start)
+            return not compared[i][1].size
 
         # the screen failed below found, so the suffix does; where the screen
         # fails even at the largest constant, that one test gives the witness
@@ -175,14 +198,30 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         if found <= top:
             return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": compared[found][0]})
     # the last t0 failed: its certificate comes from the largest constant
-    margin, violate, rhs_trend = compared[top]
-    worst = [float(np.exp(min(t, 690.0))) for t in xs[start:][violate][-6:]]
-    with np.errstate(invalid="ignore"):
-        trend = list(map(float, lhs[_TREND_AT - start] - rhs_trend))
+    margin, last, trend = compared[top]
     return GrowthVerdict(
-        False, t0, math.inf, worst,
+        False, t0, math.inf, [float(np.exp(min(t, 690.0))) for t in xs[last]],
         {"reason": "no (c, t0) on the search grid certifies the bound",
-         "worst_margin_ln": margin, "ratio_trend_ln": trend})
+         "worst_margin_ln": margin, "ratio_trend_ln": list(map(float, trend))})
+
+
+def _full_test(lhs_at, rhs_at, start):
+    """Test lhs <= rhs + slack at every sweep point from start on, for lhs_at
+    and rhs_at that give either side at a slice of the sweep, read
+    ``_SWEEP_CHUNK`` points at a time: (the worst margin lhs - rhs, -inf if
+    every margin is NaN; the sweep indices of the last 6 violations; lhs -
+    rhs at ``_TREND_AT``)."""
+    margin, last, trend = -math.inf, np.empty(0, dtype=np.intp), np.empty(_TREND_AT.size)
+    for lo in range(start, _SWEEP_TAU.size, _SWEEP_CHUNK):
+        at = slice(lo, min(lo + _SWEEP_CHUNK, _SWEEP_TAU.size))
+        lhs, rhs = lhs_at(at), rhs_at(at)
+        worst, violate = _compare(lhs, rhs)
+        margin = max(margin, worst)
+        last = np.concatenate((last, lo + np.flatnonzero(violate)[-6:]))[-6:]
+        here = (at.start <= _TREND_AT) & (_TREND_AT < at.stop)
+        with np.errstate(invalid="ignore"):
+            trend[here] = lhs[_TREND_AT[here] - lo] - rhs[_TREND_AT[here] - lo]
+    return margin, last, trend
 
 
 def _first_pass(passes, fails, hi, probe):
@@ -208,7 +247,7 @@ def _violations(lhs, rhs):
 
 def _compare(lhs, rhs):
     """(worst margin lhs - rhs, -inf if every margin is NaN; the mask of
-    violations) on aligned suffixes of the sweep."""
+    violations) on aligned parts of the sweep."""
     with np.errstate(invalid="ignore"):
         margin = float(np.nanmax(lhs - rhs, initial=-np.inf))
     return margin, _violations(lhs, rhs)

@@ -14,6 +14,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -44,6 +45,17 @@ def _write_csv(outdir: str, name: str, header, rows) -> str:
 _NOT_PARAMETERS = ("out", "seed", "config", "func", "command")
 
 
+@contextlib.contextmanager
+def _writing_out():
+    """Report an OSError from writing an output under --out (say, where a
+    directory takes its name) as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        _usage_error(f"cannot write to --out: {exc}")
+
+
+@_writing_out()
 def _emit(args, tables: dict) -> None:
     outdir = args.out
     for name, (header, rows) in tables.items():
@@ -130,7 +142,8 @@ def _cmd_laminate_demo(args, A, B) -> int:
     if args.realize:
         realized = []
         for row, u in laminate.realization_suite(args.m_max, args.r, args.depth, args.grid):
-            fields.save_field(u, os.path.join(args.out, f"laminate_m{row[0]}"))
+            with _writing_out():
+                fields.save_field(u, os.path.join(args.out, f"laminate_m{row[0]}"))
             realized.append(row)
             del u            # before the suite builds the next field
         tables["realize.csv"] = (["m", "exact_moment", "realized_moment", "rel_gap"],

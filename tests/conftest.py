@@ -13,11 +13,33 @@ def catalog():
 @pytest.fixture
 def sweep_work(monkeypatch):
     """The balance sweep's work, as it happens: ``reads`` lists the reads of
-    ``young._sweep_read`` as (id(A), k, slice), and ``compares`` the size of
-    each full compare (``balance._compare``)."""
+    ``young._sweep_read`` as (id(A), k, slice), where chunk reads of one
+    (A, k), each starting where the one before it stopped, count as one read
+    of the stretch they tile; ``compares`` lists the points of each full test
+    (``balance._full_test``), the sizes of its chunks' compares
+    (``balance._compare``) summed, which must tile its suffix."""
     work = SimpleNamespace(reads=[], compares=[])
-    read, compare = young._sweep_read, balance._compare
-    monkeypatch.setattr(young, "_sweep_read",
-                        lambda A, k, at=slice(None): work.reads.append((id(A), k, at)) or read(A, k, at))
-    monkeypatch.setattr(balance, "_compare", lambda lhs, rhs: work.compares.append(lhs.size) or compare(lhs, rhs))
+    read, full_test, compare = young._sweep_read, balance._full_test, balance._compare
+
+    def counted_read(A, k, at=slice(None)):
+        a, b, last = work.reads[-1] if work.reads else (None, None, slice(None))
+        if (a, b) == (id(A), k) and last.step is at.step is None and last.stop == at.start:
+            work.reads[-1] = (id(A), k, slice(last.start, at.stop))
+        else:
+            work.reads.append((id(A), k, at))
+        return read(A, k, at)
+
+    def counted_test(lhs_at, rhs_at, start):
+        work.compares.append(0)
+        result = full_test(lhs_at, rhs_at, start)
+        assert work.compares[-1] == young._SWEEP_TAU.size - start
+        return result
+
+    def counted_compare(lhs, rhs):
+        work.compares[-1] += lhs.size
+        return compare(lhs, rhs)
+
+    monkeypatch.setattr(young, "_sweep_read", counted_read)
+    monkeypatch.setattr(balance, "_full_test", counted_test)
+    monkeypatch.setattr(balance, "_compare", counted_compare)
     return work

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -476,37 +477,99 @@ def _assert_prefix_near_parent(f, x, trial):
     return got, want
 
 
-def test_the_sweep_kernels_keep_the_parent_values():
+def _kernel_trials():
+    """A grid of 3 prefix blocks, and an iterator over (trial, kind, log_f)
+    on it, in one seeded sequence; each log_f may be overwritten by the next.
+    The last of each trial, of kind "specials", is its plain integrand with
+    NaN, +inf and -inf at the -inf points of the others."""
     rng = np.random.default_rng(5)
+    x = np.cumsum(rng.random(10_000) + 1e-3)
+    return x, _kernel_integrands(rng, x)
+
+
+def _kernel_integrands(rng, x):
     special = np.array([np.nan, np.inf, -np.inf])
-    x = np.cumsum(rng.random(10_000) + 1e-3)    # 3 blocks of the prefix
     for trial in range(4):
         f = rng.normal(0.0, 30.0, x.size)
         at = rng.random(x.size) < 0.05 * trial
         f[at] = -np.inf
-        _assert_prefix_near_parent(f, x, trial)
+        yield trial, "plain", f
         # +inf or NaN in the second block: the third sums in log scale from it
         g = f.copy()
         g[rng.integers(4_200, 8_000)] = special[trial % 2]
-        _assert_prefix_near_parent(g, x, (trial, "special"))
+        yield trial, "special", g
         # climbing by more than 600 inside a block: that block sums in rows
         # of 128 cells, each under its own shift
         g[:] = f
         g[4_500:8_000] += np.linspace(0.0, 3_000.0, 3_500)
-        _assert_prefix_near_parent(g, x, (trial, "climb"))
+        yield trial, "climb", g
         g = 0.5 * np.arange(x.size) + rng.normal(0.0, 1.0, x.size)
         g[at] = -np.inf
-        _assert_prefix_near_parent(g, x, (trial, "steep"))
+        yield trial, "steep", g
         # climbing by more than 600 inside a row: every block sums in log
         # scale, which is the parent's sum bit for bit
         g = 6.0 * np.arange(x.size) + rng.normal(0.0, 1.0, x.size)
         g[at] = -np.inf
-        got, want = _assert_prefix_near_parent(g, x, (trial, "cliff"))
-        assert got.tobytes() == want.tobytes(), trial
+        yield trial, "cliff", g
         f[at] = rng.choice(special, at.sum())
+        yield trial, "specials", f
+
+
+def test_the_sweep_kernels_keep_the_parent_values():
+    x, trials = _kernel_trials()
+    for trial, kind, f in trials:
+        if kind != "specials":
+            got, want = _assert_prefix_near_parent(f, x, (trial, kind))
+            if kind == "cliff":
+                assert got.tobytes() == want.tobytes(), trial
+            continue
         for a, b in ((f, f[::-1]), (f, f[7]), (f[3], f), (f, np.inf), (np.inf, -np.inf), (2.0, 1.0)):
             got = log_sub_exp(a, b)
             assert type(got) is np.ndarray and got.tobytes() == _parent_log_sub_exp(a, b).tobytes()
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_the_prefix_summed_in_block_aligned_chunks_is_the_whole_sum(blocks):
+    # chunks of the grid's points that begin on multiples of the block, each
+    # started from the last one's end, sum in the same blocks from the same
+    # carries as one call: the same bits, also across +inf and NaN
+    size = blocks * _numerics._PREFIX_BLOCK
+    x, trials = _kernel_trials()
+    for trial, kind, f in trials:
+        whole = log_trapezoid_prefix(f, x)
+        chunked = np.empty(x.size)
+        chunked[0] = -np.inf
+        for lo in range(0, x.size - 1, size):
+            hi = min(lo + size, x.size - 1) + 1
+            chunked[lo:hi] = log_trapezoid_prefix(f[lo:hi], x[lo:hi], chunked[lo])
+        assert chunked.tobytes() == whole.tobytes(), (trial, kind)
+
+
+def _two_exp_steep_rows(f, dx, carry, cell):
+    """``_numerics._steep_rows`` taking the exp of each cell's two ends: the
+    reference for its one exp per point."""
+    rows = -(-dx.size // _numerics._PREFIX_ROW)
+    pad = rows * _numerics._PREFIX_ROW - dx.size
+    f = np.concatenate((f, np.full(pad, -np.inf)))
+    left, right = f[:-1].reshape(rows, -1), f[1:].reshape(rows, -1)
+    width = np.concatenate((dx, np.zeros(pad))).reshape(rows, -1)
+    peak = np.maximum(left.max(axis=1), right[:, -1])
+    first = np.maximum(carry, left[:, 0] + np.log(0.5 * width[:, 0]))
+    if not np.all((peak - first <= _numerics._PREFIX_SPAN) & (peak > -np.inf)):
+        return False
+    w = np.exp(left - peak[:, None])
+    w += np.exp(right - peak[:, None])
+    w *= width
+    w *= 0.5
+    np.cumsum(w, axis=1, out=w)
+    carries = np.logaddexp.accumulate(np.concatenate(([carry], peak[:-1] + np.log(w[:-1, -1]))))
+    top = np.maximum(carries, peak)
+    w *= np.exp(peak - top)[:, None]
+    w += np.exp(carries - top)[:, None]
+    np.log(w, out=w)
+    w += top[:, None]
+    cell[:] = w.ravel()[:dx.size]
+    return True
 
 
 @pytest.mark.parametrize("name", ["L2", "L2_log", "L2_loglog"])
@@ -515,7 +578,16 @@ def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name
     # tail block of 4,096 cells: those blocks sum in rows of 128 cells, not
     # in log scale, within 1e-13 max(1, |P|) of the log-scale sum
     rows, steep_rows = [], _numerics._steep_rows
-    monkeypatch.setattr(_numerics, "_steep_rows", lambda *args: rows.append(steep_rows(*args)) or rows[-1])
+
+    def both_forms(f, dx, carry, cell):
+        # one exp per point gives the bits of an exp per cell end
+        two_exp = cell.copy()
+        rows.append(steep_rows(f, dx, carry, cell))
+        assert _two_exp_steep_rows(f, dx, carry, two_exp) == rows[-1]
+        assert cell.tobytes() == two_exp.tobytes()
+        return rows[-1]
+
+    monkeypatch.setattr(_numerics, "_steep_rows", both_forms)
     xs = young._SWEEP_TAU
     for B in (catalog[name], young.conjugate(catalog[name])):
         f = young._sweep_read(B, 0) - xs
@@ -526,10 +598,13 @@ def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name
 
 
 def _read_kind(at):
-    """What a sweep read covers: the screen, the first point, or a suffix."""
+    """What a sweep read covers: the screen, the first point, a suffix or
+    (never, for a whole read) a part that stops short of the sweep's end."""
     if at.step == balance._SCREEN_STRIDE:
         return "screen"
-    return "point" if at.stop == 1 else "suffix"
+    if at.stop == 1:
+        return "point"
+    return "suffix" if at.stop in (None, young._SWEEP_TAU.size) else "part"
 
 
 @pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 3, 5, 2), ("expL", 3, 5, 2)])
@@ -556,3 +631,18 @@ def test_the_workload_pairs_test_few_full_right_hand_sides(sweep_work, catalog):
         check_balance(catalog[pair[0]], catalog[pair[1]])
     assert sum(_read_kind(at) == "suffix" for _, _, at in sweep_work.reads) <= 42
     assert len(sweep_work.compares) <= 24
+
+
+def test_a_check_holds_one_sweep_long_array_per_condition():
+    # the prefix is the one array as long as the sweep (3.4 MiB); its other
+    # arrays are chunks.  The rest of the peak is the curves of expL,
+    # expL_half and their conjugates (3.4 MiB a function) and the conjugates'
+    # evaluators: 20.5 MiB in all, and 29.3 MiB with the arrays held whole
+    fresh = young.load_catalog()
+    tracemalloc.start()
+    try:
+        check_balance(fresh["expL"], fresh["expL_half"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20

@@ -565,6 +565,21 @@ def test_an_out_that_names_a_file_exits_2_with_one_line(tmp_path, capsys, argv, 
     assert err.startswith("orlicz-korn: error: cannot make --out: ")
 
 
+@pytest.mark.parametrize("argv, taken", [
+    (["check-balance", "--A", "L2", "--B", "L2"], "balance.csv"),
+    (["check-balance", "--A", "L2", "--B", "L2"], "manifest.json"),
+    (["laminate-demo", "--A", "L1", "--B", "L1", "--m-max", "1", "--realize", "--grid", "4",
+      "--depth", "4"], "laminate_m1.bin"),
+], ids=["check-balance-csv", "check-balance-manifest", "laminate-demo-field"])
+def test_an_output_whose_name_a_directory_takes_exits_2_with_one_line(tmp_path, capsys, argv, taken):
+    # --out is made, but one of the files the command writes there cannot be
+    (tmp_path / taken).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("orlicz-korn: error: cannot write to --out: ")
+
+
 def _readme_commands():
     # the commands of README's "Command line" sh block
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
