@@ -49,7 +49,7 @@ import numpy as np
 
 from . import young
 from ._numerics import _PREFIX_BLOCK, LN2, log_sub_exp, log_trapezoid_prefix
-from .young import _SWEEP_TAU, GrowthVerdict, YoungFunction
+from .young import GrowthVerdict, YoungFunction
 
 __all__ = ["BalanceReport", "check_balance", "classify_catalog_pairs", "EXAMPLE_PAIRS"]
 
@@ -58,10 +58,10 @@ _PASS_SLACK = math.log(1.10)   # multiplicative slack absorbing quadrature error
 # past each fraction of young's asymptotic sweep end, and at most that end
 # (all far past the start of every tested suffix)
 _TREND_AT = np.minimum(
-    np.searchsorted(_SWEEP_TAU, np.array([0.05, 0.25, 0.5, 1.0]) * young._TAU_MAX, "right"),
-    np.searchsorted(_SWEEP_TAU, young._TAU_MAX, "right") - 1)
+    young._sweep_index(np.array([0.05, 0.25, 0.5, 1.0]) * young._TAU_MAX, "right"),
+    young._sweep_index(young._TAU_MAX, "right") - 1)
 # the first sweep point every searched 2^k multiple of which is on the grid
-_FLOOR_AT = int(np.searchsorted(_SWEEP_TAU, young._TAU_FLOOR))
+_FLOOR_AT = int(young._sweep_index(young._TAU_FLOOR))
 # the screen: every _SCREEN_STRIDE-th sweep point, on which each test is
 # tried before the whole suffix
 _SCREEN_STRIDE = 64
@@ -97,39 +97,37 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     that passes there up; the verdict is the one a test of every point would
     give.
 
-    Both passes over the sweep walk it in chunks of ``_SWEEP_CHUNK`` points:
-    the running log-integral (the prefix) is the one array as long as the
-    sweep, and a self-pair also keeps its read of ln B at k = 0, which is
-    its right-hand side at c = 1.  The prefix is summed chunk by chunk, each
-    chunk continued from the last one's end, with the bits of one sum over
-    the whole sweep."""
-    xs = _SWEEP_TAU
+    Both passes over the sweep walk it in chunks of ``_SWEEP_CHUNK`` points,
+    and the running log-integral (the prefix) is the one array as long as
+    the sweep.  Only A_side's curves are cached, since its right-hand sides
+    are read at 21 shifts; ln B_side is read at k = 0 a chunk at a time and
+    kept nowhere, unless B_side is A_side.  The prefix is summed chunk by
+    chunk, each chunk continued from the last one's end, with the bits of
+    one sum over the whole sweep."""
+    n = young._SWEEP_SIZE
     # fill A_side's curves before the prefix exists, so that a conjugate's
-    # evaluator (about 1.5 MiB a block) does not stack on it: the traced peak
-    # of check_balance(LlogL, L1) is 20.5 MiB with this fill, 22.3 without
+    # evaluator (about 1.5 MiB a block) does not stack on it
     young._sweep_curves(A_side)
-    # a self-pair's right-hand side at k = 0 is the integrand's read of ln B
-    rhs_0 = young._sweep_read(B_side, 0) if A_side is B_side else None
-    prefix = np.empty(xs.size)
+    prefix = np.empty(n)
     prefix[0] = -np.inf
     # the integrand ln B(e^s) - s at the points lo..hi of a chunk of the
     # prefix; lo, its first point, is the last one's end, so each chunk after
     # the first reads ln B from lo + 1
     f = np.empty(_SWEEP_CHUNK + 1)
-    for lo in range(0, xs.size - 1, _SWEEP_CHUNK):
-        hi = min(lo + _SWEEP_CHUNK, xs.size - 1)
+    for lo in range(0, n - 1, _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, n - 1)
         skip = int(lo > 0)
-        at = slice(lo + skip, hi + 1)
-        ln_b = rhs_0[at] if rhs_0 is not None else young._sweep_read(B_side, 0, at)
+        ln_b = young._sweep_read(B_side, 0, slice(lo + skip, hi + 1))
+        x = young._sweep_tau(slice(lo, hi + 1))
         if lo == 0:
-            vB0 = ln_b[0]
+            vB0, x0 = ln_b[0], x[0]
         part = f[:hi + 1 - lo]
         with np.errstate(invalid="ignore"):
-            np.subtract(ln_b, xs[at], out=part[skip:])
+            np.subtract(ln_b, x[skip:], out=part[skip:])
         part[np.isnan(part)] = np.inf    # where ln B is NaN
-        prefix[lo:hi + 1] = log_trapezoid_prefix(part, xs[lo:hi + 1], prefix[lo])
+        prefix[lo:hi + 1] = log_trapezoid_prefix(part, x, prefix[lo])
         f[0] = part[-1]
-    del ln_b, f, part
+    del ln_b, x, f, part
     # behavior of the integrand toward 0: slope of (ln B - sigma) over the
     # first half ln 2 of the sweep
     vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1))[0])
@@ -140,7 +138,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     diverges_at_zero = not (bottom_slope > 1e-9) or math.isinf(vB0)
     tail_ln = -np.inf
     if not diverges_at_zero:
-        tail_ln = vB0 - xs[0] - math.log(bottom_slope)
+        tail_ln = vB0 - x0 - math.log(bottom_slope)
 
     # ln A(2^k e^tau) grows with k, so passing is monotone in k, on the screen
     # and on the suffix: bisect for the smallest constant that passes.  A
@@ -152,25 +150,24 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     ks = young._C_EXPONENTS
     top = len(ks) - 1
     screens = {}     # index into ks -> A_side's read at the screen points
-    if rhs_0 is not None:
-        screens[ks.index(0)] = rhs_0[::_SCREEN_STRIDE]
     t0s = (0.0,) + young._T0_SCAN
     for t0 in t0s:
         if t0 == 0.0 and diverges_at_zero:
             continue
-        i0 = int(np.searchsorted(xs, math.log(t0))) if t0 > 0 else 0
+        i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
         start = max(i0 + 1, _FLOOR_AT)
         first = -(-start // _SCREEN_STRIDE)      # the first screen point in the suffix
 
         def lhs_at(at):
             """t * integral_{t0}^t B_side(s)/s^2 ds, in logs, at the sweep points at."""
+            x = young._sweep_tau(at)
             if t0 > 0 and prefix[i0] == np.inf:
-                # B_side is +inf by xs[i0] and does not decrease, so the integral
-                # to every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
-                return np.full(xs[at].size, np.inf)
+                # B_side is +inf by the sweep point i0 and does not decrease, so the
+                # integral to every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
+                return np.full(x.size, np.inf)
             if t0 > 0:
-                return xs[at] + log_sub_exp(prefix[at], prefix[i0])
-            return xs[at] + np.logaddexp(prefix[at], tail_ln)
+                return x + log_sub_exp(prefix[at], prefix[i0])
+            return x + np.logaddexp(prefix[at], tail_ln)
 
         screen_lhs = lhs_at(slice(first * _SCREEN_STRIDE, None, _SCREEN_STRIDE))
 
@@ -185,11 +182,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         compared = {}    # index into ks -> _full_test's (margin, last violations, trend)
 
         def passes(i):
-            if ks[i] == 0 and rhs_0 is not None:
-                rhs_at = rhs_0.__getitem__
-            else:
-                rhs_at = partial(young._sweep_read, A_side, ks[i])
-            compared[i] = _full_test(lhs_at, rhs_at, start)
+            compared[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i]), start)
             return not compared[i][1].size
 
         # the screen failed below found, so the suffix does; where the screen
@@ -200,7 +193,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # the last t0 failed: its certificate comes from the largest constant
     margin, last, trend = compared[top]
     return GrowthVerdict(
-        False, t0, math.inf, [float(np.exp(min(t, 690.0))) for t in xs[last]],
+        False, t0, math.inf, [float(np.exp(min(young._sweep_tau(slice(i, i + 1))[0], 690.0))) for i in last],
         {"reason": "no (c, t0) on the search grid certifies the bound",
          "worst_margin_ln": margin, "ratio_trend_ln": list(map(float, trend))})
 
@@ -210,10 +203,10 @@ def _full_test(lhs_at, rhs_at, start):
     and rhs_at that give either side at a slice of the sweep, read
     ``_SWEEP_CHUNK`` points at a time: (the worst margin lhs - rhs, -inf if
     every margin is NaN; the sweep indices of the last 6 violations; lhs -
-    rhs at ``_TREND_AT``)."""
-    margin, last, trend = -math.inf, np.empty(0, dtype=np.intp), np.empty(_TREND_AT.size)
-    for lo in range(start, _SWEEP_TAU.size, _SWEEP_CHUNK):
-        at = slice(lo, min(lo + _SWEEP_CHUNK, _SWEEP_TAU.size))
+    rhs at ``_TREND_AT``, NaN at those before start)."""
+    margin, last, trend = -math.inf, np.empty(0, dtype=np.intp), np.full(_TREND_AT.size, np.nan)
+    for lo in range(start, young._SWEEP_SIZE, _SWEEP_CHUNK):
+        at = slice(lo, min(lo + _SWEEP_CHUNK, young._SWEEP_SIZE))
         lhs, rhs = lhs_at(at), rhs_at(at)
         worst, violate = _compare(lhs, rhs)
         margin = max(margin, worst)

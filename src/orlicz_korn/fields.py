@@ -436,9 +436,10 @@ def _bump_gradient(grid: Grid, center, halfwidth) -> list:
 
 
 def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
-    """The fixed bump dictionary of the negative-norm lower bound: the cell
-    gradients of its bumps, shape (bumps, dim, *cell_shape), and their norms
-    ||grad phi||_{L^conj(A)}; bumps whose norm is zero are left out."""
+    """The fixed bump dictionary of the negative-norm lower bound: the list
+    of the cell gradients of its bumps, each a list of dim arrays of the
+    cell shape, and the list of their norms ||grad phi||_{L^conj(A)}; bumps
+    whose norm is zero are left out."""
     At = conjugate(A)
     lengths = grid.lengths
     grads, norms = [], []
@@ -454,7 +455,7 @@ def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
             if gn != 0.0:
                 grads.append(g)
                 norms.append(gn)
-    return np.reshape(grads, (len(grads), grid.dim, *grid.extents)), norms
+    return grads, norms
 
 
 def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid) -> list:

@@ -23,6 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -66,7 +67,8 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # shift.  Growth and dominance read the dense, refined and coarse grids; the
 # balance sweep reads dense, mid and tail.  No other module does index
 # arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
-# ``_sweep_read``.
+# ``_sweep_read``, and the balance sweep's tau through ``_sweep_tau`` and
+# ``_sweep_index``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
 _DENSE_HI = 64.0 * LN2        # ~44.4, regime transitions live below this
@@ -87,13 +89,14 @@ _DENSE_GRID, _MID_GRID, _TAIL_GRID = _GRIDS["dense"], _GRIDS["mid"], _GRIDS["tai
 _TAU_FLOOR = _DENSE_LO - min(_C_EXPONENTS) * LN2
 
 # The balance sweep: dense up to _DENSE_HI, then mid up to _TAU_MAX, then
-# tail up to _TAIL_MAX, as (grid, first index, end index) parts.
+# tail up to _TAIL_MAX, as (grid, first index, end index) parts.  It is
+# never held as one array: its tau is read a slice at a time off the grids.
 _MID_JOIN = _OVERLAP * _PER_LN2["mid"]      # index of the mid point at _DENSE_HI
 _ND = int(np.searchsorted(_DENSE_GRID, _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
 _SWEEP_PARTS = (("dense", 0, _ND),
                 ("mid", _MID_JOIN + 1, int(np.searchsorted(_MID_GRID, _TAU_MAX + 1e-9, "right"))),
                 ("tail", 1, int(np.searchsorted(_TAIL_GRID, _TAIL_MAX + 1e-9, "right"))))
-_SWEEP_TAU = np.concatenate([_GRIDS[g][lo:hi] for g, lo, hi in _SWEEP_PARTS])
+_SWEEP_SIZE = sum(hi - lo for _, lo, hi in _SWEEP_PARTS)
 
 # The numerical conjugate evaluates tau in blocks of _BLOCK points, one
 # after another, to bound its peak memory (smaller blocks raise the cost per
@@ -701,10 +704,14 @@ class ScaledYoung(YoungFunction):
     def value(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):   # past float range, A = inf
-            out = np.asarray(self.base.value(t * self.arg_scale) / self.m)
-            # where arg_scale t or the base's value overflows, A need not:
-            # read it off the log curve there (a NaN there keeps the +inf)
-            far = np.isinf(out) & np.isfinite(t)
+            base = np.asarray(self.base.value(t * self.arg_scale))
+            out = np.asarray(base / self.m)
+            # where arg_scale t or the base's value overflows, or a closed-form
+            # base's value underflows (is subnormal or 0; a table's 0 is its
+            # flat piece) at t > 0, A need not: read it off the log curve there
+            # (a NaN there keeps the +inf)
+            under = (base < _TINY) & (t > 0) & _closed_form(self.base)
+            far = (np.isinf(out) | under) & np.isfinite(t)
             if far.any():
                 out[far] = np.fmin(np.inf, np.exp(self.log_value_logt(np.log(t[far]))))
         return out[()]
@@ -725,8 +732,9 @@ class ScaledYoung(YoungFunction):
         with np.errstate(over="ignore"):   # past float range, the inverse is inf
             rm = r * self.m
             out = np.asarray(self.base._inverse(rm) / self.arg_scale)
-        # where r m overflows, the root need not: bisect A itself there
-        far = np.isinf(rm) & np.isfinite(r)
+        # where r m overflows, or is subnormal or 0 at r > 0, the root need
+        # not: bisect A itself there
+        far = (np.isinf(rm) | (rm < _TINY) & (r > 0)) & np.isfinite(r)
         if far.any():
             out[far] = YoungFunction._inverse(self, r[far])
         return out
@@ -1032,22 +1040,30 @@ class GrowthVerdict:
 
 
 def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
-    """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``), computed on
-    first read and kept in A's memo.  The mid and tail curves of a numerical
-    conjugate of a closed-form source are filled in whole strides between
-    exact nodes from tau = ``_FILL_FROM`` on, and solved after the last
-    stride (``_filled_curve``); every other curve is A's log reader on the
-    grid."""
+    """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``): its window
+    over the whole grid (``_log_window``), computed on first read and kept in
+    A's memo."""
     memo = _memo(A)
     if grid not in memo:
-        tau = _GRIDS[grid]
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            if grid in ("mid", "tail") and isinstance(A, ConjugateYoung) and _closed_form(A.source):
-                memo[grid] = _filled_curve(A, tau)
-            else:
-                memo[grid] = A.log_value_logt(tau)
+        memo[grid] = _log_window(A, grid, 0, _GRIDS[grid].size)
         memo[grid].flags.writeable = False   # shared by every reader of A
     return memo[grid]
+
+
+def _log_window(A: YoungFunction, grid: str, lo: int, hi: int) -> np.ndarray:
+    """ln A(e^tau) at the points lo..hi - 1 of the named sweep grid: a slice
+    of the curve where A's memo holds it, else evaluated there and kept
+    nowhere, with the bits of the whole curve.  The mid and tail curves of a
+    numerical conjugate of a closed-form source are filled between exact
+    nodes (``_filled_curve``); every other curve is A's log reader."""
+    memo = _memo(A)
+    if grid in memo:
+        return memo[grid][lo:hi]
+    tau = _GRIDS[grid]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if grid in ("mid", "tail") and isinstance(A, ConjugateYoung) and _closed_form(A.source):
+            return _filled_curve(A, tau, lo, hi)
+        return A.log_value_logt(tau[lo:hi])
 
 
 def _closed_form(A: YoungFunction) -> bool:
@@ -1058,27 +1074,33 @@ def _closed_form(A: YoungFunction) -> bool:
     return isinstance(A, (PowerYoung, PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung))
 
 
-def _filled_curve(C: ConjugateYoung, tau: np.ndarray) -> np.ndarray:
-    """ln A*(e^tau) of the numerical conjugate C on the ascending, finite
-    tau, as C's log reader gives it below ``_FILL_FROM``.  From there on the
-    points run in whole strides: rows of a node and the ``_FILL_STRIDE`` - 1
-    points after it, up to the last node, which ``_slope_root`` solves with
-    the fewer than ``_FILL_STRIDE`` points after it.  The rows are solved
-    and filled ``_BLOCK`` at a time (``_fill_rows``)."""
-    out = np.empty(tau.size)
+def _filled_curve(C: ConjugateYoung, tau: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """ln A*(e^tau) of the numerical conjugate C at tau[lo:hi], for the
+    ascending, finite tau of a whole grid.  From ``_FILL_FROM`` on the grid
+    runs in whole strides: rows of a node and the ``_FILL_STRIDE`` - 1
+    points after it, up to the last node.  The window is widened to the rows
+    that hold its ends, which are solved and filled ``_BLOCK`` at a time
+    (``_fill_rows``); its other points, below ``_FILL_FROM`` or from the
+    last node on, are C's log reader.  The nodes sit at the same grid points
+    whatever the window, so a window has the bits of the whole curve, the
+    window [0, tau.size)."""
     start = int(np.searchsorted(tau, _FILL_FROM))
-    if start:
-        out[:start] = C.log_value_logt(tau[:start])
-    rows = (tau.size - 1 - start) // _FILL_STRIDE
-    for first in range(0, rows, _BLOCK):
-        _fill_rows(C, tau, out, start + _FILL_STRIDE * first, min(_BLOCK, rows - first))
-    last = start + _FILL_STRIDE * rows
-    out[last:] = _slope_root(C.source, tau[last:])[1]
-    return out
+    last = start + _FILL_STRIDE * ((tau.size - 1 - start) // _FILL_STRIDE)
+    lo_w = lo - (lo - start) % _FILL_STRIDE if start < lo < last else lo
+    hi_w = hi + (start - hi) % _FILL_STRIDE if start < hi < last else hi
+    out = np.empty(hi_w - lo_w)
+    for a, b in ((lo_w, min(hi_w, start)), (max(lo_w, last), hi_w)):
+        if a < b:
+            out[a - lo_w:b - lo_w] = C.log_value_logt(tau[a:b])
+    for a in range(max(lo_w, start), min(hi_w, last), _FILL_STRIDE * _BLOCK):
+        rows = (min(hi_w, last, a + _FILL_STRIDE * _BLOCK) - a) // _FILL_STRIDE
+        _fill_rows(C, tau, a, rows, out[a - lo_w:])
+    return out[lo - lo_w:hi - lo_w]
 
 
-def _fill_rows(C: ConjugateYoung, tau, out, first, rows):
-    """Fill ``out`` on the rows whose nodes sit at first + ``_FILL_STRIDE`` j,
+def _fill_rows(C: ConjugateYoung, tau, first, rows, out):
+    """Fill the first ``_FILL_STRIDE`` * rows points of ``out`` with ln
+    A*(e^tau) on the rows whose nodes sit at first + ``_FILL_STRIDE`` j,
     j < rows.  One ``_slope_root`` call solves their nodes and the next one
     (solved again as the first node of the rows after), each on its own.  A
     row's other points are
@@ -1101,8 +1123,9 @@ def _fill_rows(C: ConjugateYoung, tau, out, first, rows):
     for i in range(0, rows, per_slice):
         j = slice(i, min(i + per_slice, rows))
         k = slice(j.start + 1, j.stop + 1)
-        span = slice(first + _FILL_STRIDE * j.start, first + _FILL_STRIDE * j.stop)
-        t, o = tau[span].reshape(-1, _FILL_STRIDE), out[span].reshape(-1, _FILL_STRIDE)
+        span = slice(_FILL_STRIDE * j.start, _FILL_STRIDE * j.stop)
+        t = tau[first:][span].reshape(-1, _FILL_STRIDE)
+        o = out[span].reshape(-1, _FILL_STRIDE)
         v0, v1, s0, s1 = value[j, None], value[k, None], slope[j, None], slope[k, None]
         hermite = usable[j, None] & usable[k, None]
         o[:] = v0
@@ -1140,62 +1163,82 @@ def _sweep_curves(A: YoungFunction) -> list:
     return [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
 
 
+def _sweep_slices(at: slice):
+    """(out, step, parts) for a slice of the balance sweep with a positive
+    step: out an empty array of its points, and per sweep part (grid, j, the
+    view of out that it fills), j the grid index of its first point."""
+    first, stop, step = at.indices(_SWEEP_SIZE)
+    out = np.empty(len(range(first, stop, step)))
+    parts, n, base = [], 0, 0     # points placed; the sweep index of the part's first point
+    for grid, lo, hi in _SWEEP_PARTS:
+        m = len(range(first, min(base + hi - lo, stop), step))   # points up to the part's end
+        parts.append((grid, first + n * step - base + lo, out[n:m]))
+        n, base = m, base + hi - lo
+    return out, step, parts
+
+
+def _sweep_tau(at: slice = slice(None)) -> np.ndarray:
+    """The balance sweep's tau at a slice with a positive step, off the grids."""
+    out, step, parts = _sweep_slices(at)
+    for grid, j, part in parts:
+        part[:] = _GRIDS[grid][j:j + part.size * step:step]
+    return out
+
+
+def _sweep_index(x, side: str = "left"):
+    """np.searchsorted of x on the balance sweep's tau, summed over its parts."""
+    return sum(np.searchsorted(_GRIDS[grid][lo:hi], x, side) for grid, lo, hi in _SWEEP_PARTS)
+
+
 def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarray:
-    """ln A(2^k e^tau) at ``_SWEEP_TAU[at]``, for a slice with a positive
+    """ln A(2^k e^tau) at ``_sweep_tau(at)``, for a slice with a positive
     step, filled part by part into one array: strided slices of the curve on
     the dense and mid parts (after a NaN head where 2^k e^tau is below the
-    grid), linear interpolation on the tail."""
-    # fill every curve before the output exists.  The traced peak is the
-    # same either way (a conjugate's evaluator takes about 1.5 MiB a block);
-    # only the allocation order, and so the peak RSS, moves, by 1-4 MiB up or
-    # down between runs of the benchmark without this fill
-    curves = _sweep_curves(A)
-    first, stop, step = at.indices(_SWEEP_TAU.size)
-    out = np.empty(len(range(first, stop, step)))
-    n = base = 0         # points filled; the sweep index of the part's first point
-    for (grid, lo, hi), v in zip(_SWEEP_PARTS, curves):
-        m = len(range(first, min(base + hi - lo, stop), step))   # points up to the part's end
-        part = out[n:m]
-        j = first + n * step - base + lo      # its first point, on its own grid
-        n, base = m, base + hi - lo
+    grid), linear interpolation on the tail.  Each part reads the window of
+    its grid that it needs (``_log_window``): off A's curves where A's memo
+    holds them, else evaluated there, so that no read fills the memo."""
+    out, step, parts = _sweep_slices(at)
+    for grid, j, part in parts:
+        if not part.size:
+            continue
         if grid != "tail":
             j += _index_shift(grid, k)
             head = min(max(-(j // step), 0), part.size)
             part[:head] = np.nan
-            part[head:] = v[j + head * step:j + part.size * step:step]
-            continue
-        if not part.size:
+            if head < part.size:
+                part[head:] = _log_window(A, grid, j + head * step, j + (part.size - 1) * step + 1)[::step]
             continue
         # the shifted tau, read in place; for k <= -5 the first ones fall
         # below the tail grid, into the mid grid's overlap
         np.add(_TAIL_GRID[j:j + part.size * step:step], k * LN2, out=part)
         below = int(np.searchsorted(part, _TAIL_GRID[0]))
         if below:
-            part[:below] = _interp(part[:below], _MID_GRID, _log_curve(A, "mid"))
+            part[:below] = _interp(part[:below], _MID_GRID, partial(_log_window, A, "mid"))
         if below < part.size:
-            part[below:] = _interp(part[below:], _TAIL_GRID, v)
+            part[below:] = _interp(part[below:], _TAIL_GRID, partial(_log_window, A, "tail"))
     return out
 
 
-def _interp(tau: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The curve v on grid interpolated linearly at the ascending, non-empty
-    tau, with NaN and +inf read as +inf.  Only a window of the curve is
-    read, one that holds the two nodes around each point: np.interp gives
-    each point the same bits from it as from the whole curve.  Where the
-    curve has more nodes than tau has points, so has the window, since
-    np.interp otherwise tabulates a slope per node (memory that tracemalloc
-    does not see)."""
+def _interp(tau: np.ndarray, grid: np.ndarray, curve) -> np.ndarray:
+    """A curve on grid interpolated linearly at the ascending, non-empty
+    tau, with NaN and +inf read as +inf; curve(lo, hi) gives it at
+    grid[lo:hi].  Only a window of the curve is read, one that holds the two
+    nodes around each point: np.interp gives each point the same bits from
+    it as from the whole curve.  Where the curve has more nodes than tau has
+    points, so has the window, since np.interp otherwise tabulates a slope
+    per node (memory that tracemalloc does not see)."""
     lo = max(int(np.searchsorted(grid, tau[0], "right")) - 1, 0)
     hi = max(int(np.searchsorted(grid, tau[-1])) + 1, lo + tau.size + 1)
     lo = max(min(lo, grid.size - (hi - lo)), 0)
-    w = v[lo:hi]
+    hi = min(hi, grid.size)
+    w = curve(lo, hi)
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(w)
         if finite.all():
             out = np.interp(tau, grid[lo:hi], w)
-            # past 1e307 reads +inf where v has a node that is not finite,
-            # also outside the window; only then is the whole curve scanned
-            if out.max() < 1e307 or np.isfinite(v).all():
+            # past 1e307 reads +inf where the curve has a node that is not
+            # finite, also outside the window; only then is all of it read
+            if out.max() < 1e307 or np.isfinite(curve(0, grid.size)).all():
                 return out
         else:
             out = np.interp(tau, grid[lo:hi], np.where(finite, w, 1e308))

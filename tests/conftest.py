@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from orlicz_korn import balance, young
@@ -8,6 +9,13 @@ from orlicz_korn import balance, young
 @pytest.fixture(scope="module")
 def catalog():
     return young.load_catalog()
+
+
+@pytest.fixture(scope="session")
+def sweep_tau():
+    """The balance sweep's tau as one array, the concatenation of its grid
+    parts: the oracle of ``young._sweep_tau`` and ``young._sweep_index``."""
+    return np.concatenate([young._GRIDS[grid][lo:hi] for grid, lo, hi in young._SWEEP_PARTS])
 
 
 @pytest.fixture
@@ -32,7 +40,7 @@ def sweep_work(monkeypatch):
     def counted_test(lhs_at, rhs_at, start):
         work.compares.append(0)
         result = full_test(lhs_at, rhs_at, start)
-        assert work.compares[-1] == young._SWEEP_TAU.size - start
+        assert work.compares[-1] == young._SWEEP_SIZE - start
         return result
 
     def counted_compare(lhs, rhs):

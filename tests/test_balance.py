@@ -400,7 +400,7 @@ def test_balance_reads_no_grid_layout_of_young():
     assert not read & layout, sorted(read & layout)
 
 
-def _parent_compare(lhs, rhs, test, want_witness=False):
+def _parent_compare(lhs, rhs, test, sweep_tau=None):
     """``balance._compare`` with isposinf/isneginf and the difference taken
     inside np.where: the reference for the one-difference form."""
     with np.errstate(invalid="ignore"):
@@ -410,17 +410,17 @@ def _parent_compare(lhs, rhs, test, want_witness=False):
     with np.errstate(invalid="ignore"):
         margins = np.where(test, lhs - rhs, -np.inf)
     margin = float(np.nanmax(margins)) if test.any() else -math.inf
-    if want_witness:
-        worst = [float(np.exp(min(t, 690.0))) for t in young._SWEEP_TAU[violate][-6:]]
+    if sweep_tau is not None:
+        worst = [float(np.exp(min(t, 690.0))) for t in sweep_tau[violate][-6:]]
         return ok, margin, worst
     return ok, margin
 
 
-def test_compare_matches_the_parent_form_on_nan_and_infinities():
+def test_compare_matches_the_parent_form_on_nan_and_infinities(sweep_tau):
     # the tested points of every sweep verdict are one suffix of the sweep,
     # past its first point: _compare on the suffix against the parent's mask
     rng = np.random.default_rng(3)
-    n = young._SWEEP_TAU.size
+    n = sweep_tau.size
     special = np.array([np.nan, np.inf, -np.inf])
     for trial, start in enumerate((1, n - 1, *rng.integers(1, n, 4), n // 2)):
         lhs = rng.normal(0.0, 1.0, n)
@@ -434,9 +434,9 @@ def test_compare_matches_the_parent_form_on_nan_and_infinities():
         lhs[0], rhs[0] = 0.0, 1.0
         kept = lhs.copy(), rhs.copy()
         margin, violate = balance._compare(lhs[start:], rhs[start:])
-        worst = [float(np.exp(min(t, 690.0))) for t in young._SWEEP_TAU[start:][violate][-6:]]
+        worst = [float(np.exp(min(t, 690.0))) for t in sweep_tau[start:][violate][-6:]]
         assert ((not violate.any(), margin, worst)
-                == _parent_compare(lhs, rhs, np.arange(n) >= start, True)), (trial, start)
+                == _parent_compare(lhs, rhs, np.arange(n) >= start, sweep_tau)), (trial, start)
         assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)
     assert margin == -math.inf
 
@@ -588,7 +588,7 @@ def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name
         return rows[-1]
 
     monkeypatch.setattr(_numerics, "_steep_rows", both_forms)
-    xs = young._SWEEP_TAU
+    xs = young._sweep_tau()
     for B in (catalog[name], young.conjugate(catalog[name])):
         f = young._sweep_read(B, 0) - xs
         got, want = log_trapezoid_prefix(f, xs), _parent_log_trapezoid_prefix(f, xs)
@@ -598,51 +598,118 @@ def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name
 
 
 def _read_kind(at):
-    """What a sweep read covers: the screen, the first point, a suffix or
-    (never, for a whole read) a part that stops short of the sweep's end."""
+    """What a sweep read covers: the screen, the first point, the whole sweep
+    (the integrand's chunks, read from its first point), a suffix (a full
+    test's right-hand side, from past the first point) or (never, for a
+    whole read) a part that stops short of the sweep's end."""
     if at.step == balance._SCREEN_STRIDE:
         return "screen"
     if at.stop == 1:
         return "point"
-    return "suffix" if at.stop in (None, young._SWEEP_TAU.size) else "part"
+    if at.stop not in (None, young._SWEEP_SIZE):
+        return "part"
+    return "integrand" if at.start in (None, 0) else "suffix"
 
 
-@pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 3, 5, 2), ("expL", 3, 5, 2)])
+@pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 2, 6, 2), ("expL", 2, 6, 2)])
 def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, screens, compares):
     # each constant is screened on one read per condition; a screen that
     # fails at the largest constant needs no full compare, but the last t0's
     # does, for its witness and its trend.  The integrand is ln B at k = 0,
-    # and a self-pair's right-hand side at k = 0 (full or screened) reuses
-    # that read; each condition reads ln B at 2^0.5 times the first sweep
-    # point for the integrand's slope toward 0
+    # read once per condition; a self-pair's right-hand side at k = 0 (full
+    # or screened) is read again, off the same cached curve.  Each condition
+    # reads ln B at 2^0.5 times the first sweep point for the integrand's
+    # slope toward 0
     A = young.load_catalog()[name]
     check_balance(A, A)
     reads = [(a, k, _read_kind(at)) for a, k, at in sweep_work.reads]
     assert not [key for key, n in Counter(reads).items() if n > 1]
-    assert Counter(kind for _, _, kind in reads) == {"suffix": suffixes, "screen": screens, "point": 2}
+    assert Counter(kind for _, _, kind in reads) == {"integrand": 2, "suffix": suffixes, "screen": screens,
+                                                     "point": 2}
     assert len(sweep_work.compares) == compares
 
 
 def test_the_workload_pairs_test_few_full_right_hand_sides(sweep_work, catalog):
     # the 7 example pairs and the 3 controls of the balance benchmark: a test
     # that fails on the screen reads and compares nothing in full (106 full
-    # reads and 103 full compares when every test read the whole sweep)
+    # reads and 103 full compares when every test read the whole sweep), and
+    # each full compare reads its right-hand side once
     for pair in _PAIR_VERDICTS:
         check_balance(catalog[pair[0]], catalog[pair[1]])
-    assert sum(_read_kind(at) == "suffix" for _, _, at in sweep_work.reads) <= 42
-    assert len(sweep_work.compares) <= 24
+    kinds = Counter(_read_kind(at) for _, _, at in sweep_work.reads)
+    assert kinds["integrand"] == 2 * len(_PAIR_VERDICTS)
+    assert kinds["suffix"] == len(sweep_work.compares) <= 24
 
 
 def test_a_check_holds_one_sweep_long_array_per_condition():
     # the prefix is the one array as long as the sweep (3.4 MiB); its other
-    # arrays are chunks.  The rest of the peak is the curves of expL,
-    # expL_half and their conjugates (3.4 MiB a function) and the conjugates'
-    # evaluators: 20.5 MiB in all, and 29.3 MiB with the arrays held whole
+    # arrays are chunks.  Only the right-hand sides' curves, read at 21
+    # shifts, are cached (3.4 MiB a function): the benchmark's 10 pairs peak
+    # at 13.5-14.0 MiB, where caching the integrands' curves too took 15.7-20.6
+    for a, b in _PAIR_VERDICTS:
+        fresh = young.load_catalog()
+        tracemalloc.start()
+        try:
+            check_balance(fresh[a], fresh[b])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 2**20, (a, b, peak)
+
+
+def test_a_check_caches_only_the_curves_of_its_right_hand_sides(catalog):
+    # the integrands ln B and ln A* are read a chunk at a time and kept nowhere
     fresh = young.load_catalog()
-    tracemalloc.start()
-    try:
-        check_balance(fresh["expL"], fresh["expL_half"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 22 * 2**20
+    A, B = fresh["LlogL"], fresh["L1"]
+    assert check_balance(A, B).holds
+    for f, cached in ((A, True), (B, False), (young.conjugate(A), False), (young.conjugate(B), True)):
+        assert (set(young._memo(f)) & set(young._GRIDS) == {"dense", "mid", "tail"}) is cached, (f, cached)
+
+
+def _whole_full_test(lhs, rhs, start):
+    """``balance._full_test`` on the whole arrays at once: the reference for
+    the chunked walk."""
+    with np.errstate(invalid="ignore"):
+        margin = float(np.nanmax(lhs[start:] - rhs[start:], initial=-np.inf))
+        trend = np.where(balance._TREND_AT >= start, lhs[balance._TREND_AT] - rhs[balance._TREND_AT], np.nan)
+    violate = start + np.flatnonzero(balance._violations(lhs[start:], rhs[start:]))
+    return margin, violate[-6:], trend
+
+
+def test_full_test_is_the_whole_array_test(sweep_tau):
+    # NaN and infinities on both sides; violations scattered or only on
+    # both sides of the chunks' ends, so that the last 6 straddle the last
+    # one; starts on both sides of a chunk's end; every margin NaN
+    rng = np.random.default_rng(5)
+    n, chunk = sweep_tau.size, balance._SWEEP_CHUNK
+    special = np.array([np.nan, np.inf, -np.inf])
+    for trial, start in enumerate((1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7, *rng.integers(1, 5 * chunk, 3))):
+        lhs = rng.normal(0.0, 1.0, n)
+        rhs = lhs + 1.0
+        if trial % 2:
+            # no violation: -inf on the left, +inf on the right, NaN margins
+            # inf - inf and -inf - NaN
+            pick = rng.integers(0, 5, n)
+            lhs[pick == 0], rhs[pick == 1] = -np.inf, np.inf
+            lhs[pick == 2], rhs[pick == 2] = np.inf, np.inf
+            lhs[pick == 3], rhs[pick == 3] = -np.inf, np.nan
+            hit = np.zeros(n, dtype=bool)
+            ends = np.arange(start + chunk, n, chunk)
+            hit[np.concatenate((ends - 1, ends - 3, ends, ends + 2))] = True
+        else:
+            for v in (lhs, rhs):
+                at = rng.random(n) < 0.01
+                v[at] = rng.choice(special, at.sum())
+            hit = rng.random(n) < 0.001
+        lhs[hit], rhs[hit] = 2.0, 0.0
+        lhs[balance._TREND_AT[:3]] = (np.nan, np.inf, -np.inf)
+        if trial == 6:
+            lhs[start:] = np.nan
+        got = balance._full_test(lhs.__getitem__, rhs.__getitem__, start)
+        want = _whole_full_test(lhs, rhs, start)
+        assert got[0] == want[0] and got[1].tolist() == want[1].tolist(), (trial, start)
+        assert got[2].tobytes() == want[2].tobytes(), (trial, start)
+        assert want[1].size == 6
+        if trial % 2:
+            assert want[1][0] < start + (n - 1 - start) // chunk * chunk <= want[1][-1], (trial, start)
+        assert (got[0] == -math.inf) is (trial == 6)

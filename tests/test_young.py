@@ -421,6 +421,21 @@ def test_power_and_scaled_values_and_roots_in_float_range_are_finite(catalog):
     assert type(C.value(t_max)) is type(C.value(3.0)) is type(S.value(3.0)) is np.float64
 
 
+def test_scaled_values_and_roots_that_underflow_are_read_off_the_log_curve():
+    # base(arg_scale t) underflows to 0, and r m to 0 or a subnormal, where A
+    # and its root are normal floats: A = t^2 / 1e-300
+    S = ScaledYoung(1e-300, PowerYoung(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert S.value(1e-190) == pytest.approx(1e-80, rel=1e-12)
+        assert S.inverse(1e-80) == pytest.approx(1e-190, rel=1e-12)
+        assert S.inverse(1e-20) == pytest.approx(1e-160, rel=1e-12)
+        assert S.value(np.array([0.0, 1e-190, 3.0]))[[0, 2]].tolist() == [0.0, 9e300]
+        assert S.inverse(np.array([0.0, 1e-80, 9e300]))[[0, 2]].tolist() == [0.0, 3.0]
+        # a table's 0 at t > 0 is its flat piece, not an underflow
+        assert ScaledYoung(2.0, indicator(1.0)).value(np.array([0.5, 2.0])).tolist() == [0.0, math.inf]
+
+
 def test_indicator_is_the_one_flat_piece_table_of_the_json_kind():
     I = young.from_json('{"kind": "indicator", "params": {"t1": 2.5}}')
     assert young.to_json(I) == young.to_json(TabulatedYoung([2.5], [0.0], math.inf))
@@ -532,7 +547,7 @@ def test_conjugate_is_built_once_per_object():
 # ---------------------------------------------------------------------------
 
 # every 8th tau > 0 of the balance sweep, out to 6e5
-_ORACLE_TAU = young._SWEEP_TAU[young._SWEEP_TAU > 0][::8]
+_ORACLE_TAU = young._sweep_tau(slice(young._sweep_index(0.0, "right"), None, 8))
 
 
 def test_conjugate_log_value_of_expL_matches_closed_form(catalog):
@@ -1143,12 +1158,20 @@ def sweep_functions(catalog):
             "conj(exp_log2)": conjugate(catalog["exp_log2"])}
 
 
+@pytest.fixture(scope="module")
+def uncached_functions():
+    # the same functions as fresh objects: no sweep read fills their memo
+    catalog = load_catalog()
+    return {"L2": catalog["L2"], "conj(LlogL2)": conjugate(catalog["LlogL2"]),
+            "conj(exp_log2)": conjugate(catalog["exp_log2"])}
+
+
 def test_sweep_reader_fills_what_the_gather_gave(sweep_functions):
     assert np.isposinf(young._log_curve(sweep_functions["conj(LlogL2)"], "mid")).any()
     for label, A in sweep_functions.items():
         for k in [*young._C_EXPONENTS, 0.5]:
             got = young._sweep_read(A, k)
-            assert got.shape == young._SWEEP_TAU.shape
+            assert got.shape == (young._SWEEP_SIZE,)
             assert np.array_equal(got, _parent_sweep_shifted(A, k), equal_nan=True), (label, k)
     # the first point's 2^-10 multiple is below the grid
     assert math.isnan(young._sweep_read(sweep_functions["L2"], -10, slice(0, 1))[0])
@@ -1163,16 +1186,16 @@ def test_the_first_tail_points_of_the_sweep_are_the_closed_form(k, p, coeff):
     # for k <= -5 the first shifted tail points fall below the tail grid;
     # np.interp on it would clamp them to ln A(e^2e4)
     at = slice(_N_DENSE + _N_MID, _N_DENSE + _N_MID + 3)
-    tau = young._SWEEP_TAU[at] + k * young.LN2
+    tau = young._sweep_tau(at) + k * young.LN2
     assert young._sweep_read(PowerYoung(p, coeff), k, at) == pytest.approx(math.log(coeff) + p * tau, rel=1e-14)
 
 
 # slice ends: any sweep index or none, with the points on both sides of the
 # dense/mid and mid/tail joins and the first and last points drawn often
 _SWEEP_END = st.one_of(
-    st.none(), st.integers(-young._SWEEP_TAU.size - 2, young._SWEEP_TAU.size + 2),
+    st.none(), st.integers(-young._SWEEP_SIZE - 2, young._SWEEP_SIZE + 2),
     st.sampled_from([0, 1, _N_DENSE - 1, _N_DENSE, _N_DENSE + 1, _N_DENSE + _N_MID - 1,
-                     _N_DENSE + _N_MID, _N_DENSE + _N_MID + 1, young._SWEEP_TAU.size - 1]))
+                     _N_DENSE + _N_MID, _N_DENSE + _N_MID + 1, young._SWEEP_SIZE - 1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1184,13 +1207,68 @@ _SWEEP_END = st.one_of(
 @example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
 # one tail point, below the tail grid: read on the mid grid alone
 @example(label="L2", k=-10, start=_N_DENSE + _N_MID, stop=_N_DENSE + _N_MID + 1, step=None)
-def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, label, k,
-                                                                     start, stop, step):
+def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, uncached_functions,
+                                                                     label, k, start, stop, step):
+    # also where the curves are not cached: then the read evaluates only the
+    # windows it needs, and caches nothing
     at = slice(start, stop, step)
     full = _parent_sweep_shifted(sweep_functions[label], k)[at]
-    got = young._sweep_read(sweep_functions[label], k, at)
-    assert got.dtype == full.dtype and got.shape == full.shape
-    assert got.tobytes() == full.tobytes()
+    for A in (sweep_functions[label], uncached_functions[label]):
+        got = young._sweep_read(A, k, at)
+        assert got.dtype == full.dtype and got.shape == full.shape
+        assert got.tobytes() == full.tobytes()
+    assert not set(young._memo(uncached_functions[label])) & set(young._GRIDS)
+
+
+# windows across the joins of the sweep's parts, its chunks in the balance
+# check and the rows of the conjugates' filled curves, strided ones among them
+_WINDOWS = [slice(0, 3), slice(_N_DENSE - 5, _N_DENSE + 7), slice(65531, 65547), slice(131069, 131090, 3),
+            slice(_N_DENSE - 40, _N_DENSE + 3000, 7), slice(_N_DENSE + _N_MID - 5, _N_DENSE + _N_MID + 9),
+            slice(_N_DENSE + _N_MID - 300, _N_DENSE + _N_MID + 300, 5), slice(-11, None)]
+
+
+def test_uncached_sweep_reads_of_the_catalog_are_the_cached_reads_bit_for_bit():
+    for name in load_catalog():
+        for conj in (False, True):
+            cached, uncached = (conjugate(c[name]) if conj else c[name] for c in (load_catalog(), load_catalog()))
+            young._sweep_curves(cached)
+            for k, at in itertools.product((-10, -5, 0, 0.5, 10), _WINDOWS):
+                got, want = young._sweep_read(uncached, k, at), young._sweep_read(cached, k, at)
+                assert got.tobytes() == want.tobytes(), (name, conj, k, at)
+            assert not set(young._memo(uncached)) & set(young._GRIDS), (name, conj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=_SWEEP_END, stop=_SWEEP_END,
+       step=st.one_of(st.none(), st.integers(1, 3), st.sampled_from([balance._SCREEN_STRIDE, 10 ** 6])))
+@example(start=None, stop=None, step=None)
+@example(start=None, stop=None, step=balance._SCREEN_STRIDE)
+@example(start=65531, stop=131090, step=None)       # across a chunk of the balance check
+@example(start=_N_DENSE - 2, stop=_N_DENSE + _N_MID + 2, step=3)
+def test_sweep_tau_is_the_concatenated_grid_parts_bit_for_bit(sweep_tau, start, stop, step):
+    at = slice(start, stop, step)
+    got = young._sweep_tau(at)
+    assert got.dtype == sweep_tau.dtype and got.tobytes() == sweep_tau[at].tobytes()
+
+
+def test_sweep_index_is_the_search_of_the_concatenated_grid_parts(sweep_tau):
+    # every sweep point, the points halfway between and just above them,
+    # points off both ends, NaN and the infinities; arrays and scalars
+    probes = np.concatenate((sweep_tau, 0.5 * (sweep_tau[1:] + sweep_tau[:-1]), np.nextafter(sweep_tau, np.inf),
+                             [-1e9, 1e9, -np.inf, np.inf, np.nan]))
+    for side in ("left", "right"):
+        assert np.array_equal(young._sweep_index(probes, side), np.searchsorted(sweep_tau, probes, side))
+        for x in (sweep_tau[0], sweep_tau[_N_DENSE], sweep_tau[-1], young._TAU_FLOOR, young._TAU_MAX, 0.0):
+            assert young._sweep_index(x, side) == np.searchsorted(sweep_tau, x, side), (x, side)
+
+
+def _reader(v):
+    """The curve v as ``young._interp`` reads it: v at grid[lo:hi], for
+    windows inside the grid."""
+    def read(lo, hi):
+        assert 0 <= lo < hi <= v.size
+        return v[lo:hi]
+    return read
 
 
 def test_interp_reads_a_window_as_the_whole_curve():
@@ -1205,10 +1283,10 @@ def test_interp_reads_a_window_as_the_whole_curve():
     for label, v in curves.items():
         for tau in taus:
             tau = np.array(tau)
-            assert young._interp(tau, grid, v).tobytes() == _parent_interp(tau, grid, v).tobytes(), \
-                (label, tau)
-    assert young._interp(np.array([2.5]), grid, curves["inf at the end"])[0] == np.inf
-    assert young._interp(np.array([2.5]), grid, curves["finite"])[0] == 2.5e307
+            got = young._interp(tau, grid, _reader(v))
+            assert got.tobytes() == _parent_interp(tau, grid, v).tobytes(), (label, tau)
+    assert young._interp(np.array([2.5]), grid, _reader(curves["inf at the end"]))[0] == np.inf
+    assert young._interp(np.array([2.5]), grid, _reader(curves["finite"]))[0] == 2.5e307
 
 
 def test_sweep_reads_interpolate_on_more_nodes_than_points(sweep_functions, monkeypatch):
