@@ -24,7 +24,9 @@ for a, b in (("LlogL", "LlogL"), ("expL", "expL"), ("L1", "L1"), ("L2", "L2")):
     side = ("" if r.holds else
             (" (primal side)" if not r.primal.holds else " (dual side)"))
     print(f"  ({a}, {b}): {verdict}{side}")
-    if not r.primal.holds and r.primal.diagnostics.get("ratio_trend_ln"):
-        trend = r.primal.diagnostics["ratio_trend_ln"]
-        print(f"      divergence diagnostic, log-ratio at increasing t: "
-              f"{[round(x, 2) for x in trend]}")
+    for side, v in (("primal", r.primal), ("dual", r.dual)):
+        if not v.holds:
+            d = v.diagnostics
+            print(f"      {side} log-ratio at increasing t: {[round(x, 2) for x in d['ratio_trend_ln']]}; "
+                  f"certificate ln t = {d['certificate_tau'][0]:.6g}, "
+                  f"log-ratio there {d['certificate_margin_ln'][0]:.6g}")

@@ -9,15 +9,17 @@ Both are semi-decided over the finite search that ``young`` defines for all
 growth verdicts: its dyadic constants c = 2^-10 .. 2^10, thresholds
 t0 = 0, 1, 10, 100, 1000 and the balance sweep in tau = ln t up to 6e5, read
 through ``young._sweep_read``.  A pass reports the first stable (c, t0): the
-first t0, with the smallest c; a fail carries violating t values and a
-divergence diagnostic, since a finite search cannot prove nonexistence.
+first t0, with the smallest c, and its worst ``margin_ln``.  A fail carries
+violating t values (clamped at e^690), their unclamped ``certificate_tau``
+and ``certificate_margin_ln`` (ln lhs - ln rhs there) and a divergence
+diagnostic, since a finite search cannot prove nonexistence.
 
-Each (t0, c) test is tried first on the screen, every 64th point of the
-sweep: a violation there is a violation of the test, so a constant that
-fails the screen is never read in full, and only the smallest constant that
-passes the screen (and, if it fails, larger ones) is tested on every point.
-The verdicts, constants, margins and certificates are those of testing every
-point.
+A condition has three parts: the running integral of B (``_integral``), one
+reader of the left-hand side (``_lhs_at``; the right-hand side's is
+``young._sweep_read``) and the (t0, c) search.  Each test is tried first on
+every 64th sweep point, the screen: a constant that fails there is never
+read in full.  Verdicts, constants, margins and certificates are those of
+testing every point.
 
 The sweep runs in the log domain, far beyond float range of t, so failures
 whose witnesses live there, such as (t log(1+t), t log(1+t)), are still
@@ -86,28 +88,13 @@ class BalanceReport:
 # log-domain sweep machinery
 # ---------------------------------------------------------------------------
 
-def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerdict:
-    """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
-    on the whole sweep grid above t0, else build a failure certificate.
-
-    The points tested for a t0 are one suffix of the sorted sweep: tau >=
-    max(ln t0, young._TAU_FLOOR), past the first point at ln t0.  Each
-    constant is tried on the screen (every ``_SCREEN_STRIDE``-th sweep point)
-    first, and the whole suffix is tested only from the smallest constant
-    that passes there up; the verdict is the one a test of every point would
-    give.
-
-    Both passes over the sweep walk it in chunks of ``_SWEEP_CHUNK`` points,
-    and the running log-integral (the prefix) is the one array as long as
-    the sweep.  Only A_side's curves are cached, since its right-hand sides
-    are read at 21 shifts; ln B_side is read at k = 0 a chunk at a time and
-    kept nowhere, unless B_side is A_side.  The prefix is summed chunk by
-    chunk, each chunk continued from the last one's end, with the bits of
-    one sum over the whole sweep."""
+def _integral(B_side: YoungFunction):
+    """(prefix, tail_ln): ln integral_{tau_0}^{tau_i} B_side(e^s) e^-s ds at
+    each sweep point i, summed ``_SWEEP_CHUNK`` points at a time with the bits
+    of one sum (ln B_side is kept nowhere), and ln of the integral below
+    tau_0 from the slope of ln B_side - s over the first half ln 2 of the
+    sweep, +inf where it diverges at 0."""
     n = young._SWEEP_SIZE
-    # fill A_side's curves before the prefix exists, so that a conjugate's
-    # evaluator (about 1.5 MiB a block) does not stack on it
-    young._sweep_curves(A_side)
     prefix = np.empty(n)
     prefix[0] = -np.inf
     # the integrand ln B(e^s) - s at the points lo..hi of a chunk of the
@@ -128,18 +115,40 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         prefix[lo:hi + 1] = log_trapezoid_prefix(part, x, prefix[lo])
         f[0] = part[-1]
     del ln_b, x, f, part
-    # behavior of the integrand toward 0: slope of (ln B - sigma) over the
-    # first half ln 2 of the sweep
     vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1))[0])
     with np.errstate(invalid="ignore"):
         bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):
         bottom_slope = math.inf if math.isinf(vB_half) else 0.0
-    diverges_at_zero = not (bottom_slope > 1e-9) or math.isinf(vB0)
-    tail_ln = -np.inf
-    if not diverges_at_zero:
-        tail_ln = vB0 - x0 - math.log(bottom_slope)
+    if not (bottom_slope > 1e-9) or math.isinf(vB0):
+        return prefix, math.inf
+    return prefix, vB0 - x0 - math.log(bottom_slope)
 
+
+def _lhs_at(prefix, tail_ln, i0, at):
+    """ln of t * integral_{t0}^t B_side(s)/s^2 ds at the sweep points at, for
+    ``_integral(B_side)`` = (prefix, tail_ln) and t0 the sweep point i0, or
+    t0 = 0 for i0 = 0."""
+    x = young._sweep_tau(at)
+    if i0 == 0:
+        return x + np.logaddexp(prefix[at], tail_ln)
+    if prefix[i0] == np.inf:
+        # B_side is +inf by the sweep point i0 and does not decrease, so the
+        # integral to every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
+        return np.full(x.size, np.inf)
+    return x + log_sub_exp(prefix[at], prefix[i0])
+
+
+def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerdict:
+    """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
+    on the whole sweep grid above t0, else build a failure certificate.  The
+    points tested for a t0 are one suffix of the sweep: tau >= max(ln t0,
+    young._TAU_FLOOR), past the first point at ln t0."""
+    # fill A_side's curves (the only ones cached: they are read at 21 shifts)
+    # before the prefix exists, so that a conjugate's evaluator (about 1.5 MiB
+    # a block) does not stack on it
+    young._sweep_curves(A_side)
+    prefix, tail_ln = _integral(B_side)
     # ln A(2^k e^tau) grows with k, so passing is monotone in k, on the screen
     # and on the suffix: bisect for the smallest constant that passes.  A
     # violation on the screen is one on the suffix, so the suffix is tested
@@ -152,23 +161,12 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     screens = {}     # index into ks -> A_side's read at the screen points
     t0s = (0.0,) + young._T0_SCAN
     for t0 in t0s:
-        if t0 == 0.0 and diverges_at_zero:
+        if t0 == 0.0 and tail_ln == math.inf:
             continue
         i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
+        lhs_at = partial(_lhs_at, prefix, tail_ln, i0)
         start = max(i0 + 1, _FLOOR_AT)
         first = -(-start // _SCREEN_STRIDE)      # the first screen point in the suffix
-
-        def lhs_at(at):
-            """t * integral_{t0}^t B_side(s)/s^2 ds, in logs, at the sweep points at."""
-            x = young._sweep_tau(at)
-            if t0 > 0 and prefix[i0] == np.inf:
-                # B_side is +inf by the sweep point i0 and does not decrease, so the
-                # integral to every tested point is +inf (log_sub_exp(inf, inf) gives -inf)
-                return np.full(x.size, np.inf)
-            if t0 > 0:
-                return x + log_sub_exp(prefix[at], prefix[i0])
-            return x + np.logaddexp(prefix[at], tail_ln)
-
         screen_lhs = lhs_at(slice(first * _SCREEN_STRIDE, None, _SCREEN_STRIDE))
 
         def screen_passes(i):
@@ -179,23 +177,25 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         found = _first_pass(screen_passes, -1, top + 1, top)
         if found > top and t0 != t0s[-1]:
             continue
-        compared = {}    # index into ks -> _full_test's (margin, last violations, trend)
+        tests = {}    # index into ks -> its _full_test
 
         def passes(i):
-            compared[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i]), start)
-            return not compared[i][1].size
+            tests[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i]), start)
+            return not tests[i][1].size
 
         # the screen failed below found, so the suffix does; where the screen
         # fails even at the largest constant, that one test gives the witness
         found = _first_pass(passes, min(found, top) - 1, top + 1, min(found, top))
         if found <= top:
-            return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": compared[found][0]})
+            return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": tests[found][0]})
     # the last t0 failed: its certificate comes from the largest constant
-    margin, last, trend = compared[top]
+    margin, last, at_last, trend = tests[top]
+    tau = [float(young._sweep_tau(slice(i, i + 1))[0]) for i in last]
     return GrowthVerdict(
-        False, t0, math.inf, [float(np.exp(min(young._sweep_tau(slice(i, i + 1))[0], 690.0))) for i in last],
+        False, t0, math.inf, [float(np.exp(min(t, 690.0))) for t in tau],
         {"reason": "no (c, t0) on the search grid certifies the bound",
-         "worst_margin_ln": margin, "ratio_trend_ln": list(map(float, trend))})
+         "worst_margin_ln": margin, "ratio_trend_ln": list(map(float, trend)),
+         "certificate_tau": tau, "certificate_margin_ln": list(map(float, at_last))})
 
 
 def _full_test(lhs_at, rhs_at, start):
@@ -203,18 +203,21 @@ def _full_test(lhs_at, rhs_at, start):
     and rhs_at that give either side at a slice of the sweep, read
     ``_SWEEP_CHUNK`` points at a time: (the worst margin lhs - rhs, -inf if
     every margin is NaN; the sweep indices of the last 6 violations; lhs -
-    rhs at ``_TREND_AT``, NaN at those before start)."""
-    margin, last, trend = -math.inf, np.empty(0, dtype=np.intp), np.full(_TREND_AT.size, np.nan)
+    rhs at them; lhs - rhs at ``_TREND_AT``, NaN at those before start)."""
+    margin, last, at_last = -math.inf, np.empty(0, dtype=np.intp), np.empty(0)
+    trend = np.full(_TREND_AT.size, np.nan)
     for lo in range(start, young._SWEEP_SIZE, _SWEEP_CHUNK):
         at = slice(lo, min(lo + _SWEEP_CHUNK, young._SWEEP_SIZE))
         lhs, rhs = lhs_at(at), rhs_at(at)
-        worst, violate = _compare(lhs, rhs)
-        margin = max(margin, worst)
-        last = np.concatenate((last, lo + np.flatnonzero(violate)[-6:]))[-6:]
+        violate = np.flatnonzero(_violations(lhs, rhs))[-6:]
         here = (at.start <= _TREND_AT) & (_TREND_AT < at.stop)
         with np.errstate(invalid="ignore"):
+            margin = max(margin, float(np.nanmax(lhs - rhs, initial=-np.inf)))
             trend[here] = lhs[_TREND_AT[here] - lo] - rhs[_TREND_AT[here] - lo]
-    return margin, last, trend
+            at_last = np.concatenate((at_last, lhs[violate] - rhs[violate]))[-6:]
+        last = np.concatenate((last, lo + violate))[-6:]
+        del lhs, rhs      # no chunk is held across the next one's reads
+    return margin, last, at_last, trend
 
 
 def _first_pass(passes, fails, hi, probe):
@@ -236,14 +239,6 @@ def _violations(lhs, rhs):
     with np.errstate(invalid="ignore"):
         # lhs - rhs <= slack would round differently from this form
         return ~((lhs <= rhs + _PASS_SLACK) | (rhs == np.inf) | (lhs == -np.inf))
-
-
-def _compare(lhs, rhs):
-    """(worst margin lhs - rhs, -inf if every margin is NaN; the mask of
-    violations) on aligned parts of the sweep."""
-    with np.errstate(invalid="ignore"):
-        margin = float(np.nanmax(lhs - rhs, initial=-np.inf))
-    return margin, _violations(lhs, rhs)
 
 
 def check_balance(A: YoungFunction, B: YoungFunction) -> BalanceReport:

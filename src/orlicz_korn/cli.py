@@ -6,9 +6,9 @@ parameters, catalog version, seed, package version and timestamp.  Output
 bytes depend only on the manifest parameters and seed, so re-running a
 manifest reproduces them exactly; the timestamp lives in the manifest only.
 
-Exit codes: 0 success, 1 verdict failure (an expected-holds check failing),
-2 usage errors (including unknown catalog names), each reported as one line
-on stderr.
+Exit codes: 0 success, 1 a failed check (only verify-hardy says why, in one
+line on stderr), 2 usage errors (including unknown catalog names), each
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -116,7 +116,13 @@ def _cmd_verify_hardy(args, A, B) -> int:
     print(f"worst averaging ratio {rep.worst_avg.ratio_avg:.6g} "
           f"({rep.worst_avg.label}); worst dual {rep.worst_dual.ratio_dual:.6g}; "
           f"sweep growing: {rep.sweep_growing}; balance holds: {rep.balance_holds}")
-    return 1 if (rep.balance_holds and rep.sweep_growing) else 0
+    if rep.balance_holds and rep.sweep_growing:
+        (d0, r0), (d1, r1) = rep.spike_sweep[0], rep.spike_sweep[-1]
+        print(f"orlicz-korn: check failed: the balance conditions hold, but each spike's averaging "
+              f"ratio exceeds the last one's by over 2%, from {r0:.6g} at delta {d0:.3g} to {r1:.6g} "
+              f"at delta {d1:.3g}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # the --mode names of verify-korn and poincare, as the fields modes they run

@@ -24,10 +24,10 @@ def sweep_work(monkeypatch):
     ``young._sweep_read`` as (id(A), k, slice), where chunk reads of one
     (A, k), each starting where the one before it stopped, count as one read
     of the stretch they tile; ``compares`` lists the points of each full test
-    (``balance._full_test``), the sizes of its chunks' compares
-    (``balance._compare``) summed, which must tile its suffix."""
+    (``balance._full_test``), the sizes of the right-hand-side chunks it
+    compares summed, which must tile its suffix."""
     work = SimpleNamespace(reads=[], compares=[])
-    read, full_test, compare = young._sweep_read, balance._full_test, balance._compare
+    read, full_test = young._sweep_read, balance._full_test
 
     def counted_read(A, k, at=slice(None)):
         a, b, last = work.reads[-1] if work.reads else (None, None, slice(None))
@@ -39,15 +39,16 @@ def sweep_work(monkeypatch):
 
     def counted_test(lhs_at, rhs_at, start):
         work.compares.append(0)
-        result = full_test(lhs_at, rhs_at, start)
+
+        def counted_rhs(at):
+            rhs = rhs_at(at)
+            work.compares[-1] += rhs.size
+            return rhs
+
+        result = full_test(lhs_at, counted_rhs, start)
         assert work.compares[-1] == young._SWEEP_SIZE - start
         return result
 
-    def counted_compare(lhs, rhs):
-        work.compares[-1] += lhs.size
-        return compare(lhs, rhs)
-
     monkeypatch.setattr(young, "_sweep_read", counted_read)
     monkeypatch.setattr(balance, "_full_test", counted_test)
-    monkeypatch.setattr(balance, "_compare", counted_compare)
     return work

@@ -298,6 +298,79 @@ def test_exp_power_pairs_follow_the_analytic_rule_on_drawn_exponents(a, b):
 
 
 # ---------------------------------------------------------------------------
+# certificates and margins against a whole-sweep oracle
+# ---------------------------------------------------------------------------
+
+# the acceptance pairs (the 7 example pairs and 3 controls), (L1, L1) and
+# (L2, Linf), which fails both ways, the primal with a margin of +inf
+_ORACLE_PAIRS = sorted(_PAIR_VERDICTS) + [("L1", "L1"), ("L2", "Linf")]
+# |check - oracle| <= _ORACLE_ABS + _ORACLE_REL |oracle lhs|, plus
+# _ORACLE_TAIL from t0 = 0.  The prefix's linear-scale blocks are within
+# 6e-14 of a log-scale sum, and its difference near t0 loses some more
+# digits (1.9e-12 at the primal margin of (expL, expL_half)).  Below the
+# sweep the check takes the integrand as log-linear and the oracle sums it
+# on the dense step: on the conjugates of L2, L2_log and LlogL the two tails
+# differ by up to 1e-5 in ln, and by 3e-6 from a 16 times finer sum
+_ORACLE_ABS, _ORACLE_REL, _ORACLE_TAIL = 1e-11, 1e-13, 1e-5
+_BELOW = 6000   # dense steps of the oracle's integral below the sweep
+
+
+def _oracle_lhs(B, t0, tau, at):
+    """ln of t * integral_{t0}^t B(s)/s^2 ds at tau[at], tau the whole sweep:
+    one log-scale trapezoid sum (np.logaddexp.accumulate) of ln B(e^s) - s,
+    read by ``log_value_logt`` (NaN as +inf, as in the check), from the first
+    sweep point at ln t0 on, or for t0 = 0 from _BELOW dense steps below the
+    sweep on."""
+    if t0 > 0:
+        i0 = int(np.searchsorted(tau, math.log(t0)))
+        x = tau[i0:]
+    else:
+        i0 = -_BELOW
+        x = np.concatenate((tau[0] - (tau[1] - tau[0]) * np.arange(_BELOW, 0, -1), tau))
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = B.log_value_logt(x) - x
+        f[np.isnan(f)] = np.inf
+        cell = np.logaddexp(f[:-1], f[1:]) + np.log(np.diff(x)) - LN2
+    prefix = np.concatenate(([-np.inf], np.logaddexp.accumulate(cell)))
+    return tau[at] + prefix[np.arange(tau.size)[at] - i0]
+
+
+@pytest.mark.parametrize("pair", _ORACLE_PAIRS, ids="-".join)
+def test_certificates_and_margins_match_a_whole_sweep_oracle(catalog, sweep_tau, pair):
+    # each point of a failing condition's certificate, at the largest
+    # constant from the last t0, is a violation past the slack by the oracle,
+    # with the check's certificate_margin_ln; each pass's margin_ln is the
+    # oracle's worst margin over its suffix at its (c, t0).  The right-hand
+    # side is ln A_side(2^k e^tau) by ``log_value_logt``, with no grid read
+    A, B = catalog[pair[0]], catalog[pair[1]]
+    rep = check_balance(A, B)
+    sides = ((rep.primal, A, B), (rep.dual, young.conjugate(B), young.conjugate(A)))
+    for side, (verdict, A_side, B_side) in zip(("primal", "dual"), sides):
+        t0, diag = verdict.threshold_t0, verdict.diagnostics
+        if verdict.holds:
+            k = math.log2(verdict.witness_constant)
+            i0 = int(np.searchsorted(sweep_tau, math.log(t0))) if t0 > 0 else 0
+            at = slice(max(i0 + 1, balance._FLOOR_AT), None)
+        else:
+            k, at = max(young._C_EXPONENTS), np.searchsorted(sweep_tau, diag["certificate_tau"])
+            assert sweep_tau[at].tolist() == diag["certificate_tau"] and at.size == 6, side
+            assert verdict.failure_certificate == pytest.approx(np.exp(np.minimum(sweep_tau[at], 690.0)),
+                                                                rel=1e-15), side
+        lhs = _oracle_lhs(B_side, t0, sweep_tau, at)
+        with np.errstate(invalid="ignore"):
+            gap = lhs - A_side.log_value_logt(sweep_tau[at] + k * LN2)
+        tol = _ORACLE_ABS + _ORACLE_REL * np.abs(lhs) + (_ORACLE_TAIL if t0 == 0 else 0.0)
+        if verdict.holds:
+            got, want = diag["margin_ln"], float(np.nanmax(gap, initial=-np.inf))
+            tol = np.max(tol[np.isfinite(tol)], initial=_ORACLE_ABS)
+        else:
+            got, want = np.array(diag["certificate_margin_ln"]), gap
+            assert np.all(gap > balance._PASS_SLACK), (side, gap)
+        with np.errstate(invalid="ignore"):
+            assert np.all((got == want) | (np.abs(got - want) <= tol)), (side, got, want)
+
+
+# ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
 
@@ -398,47 +471,6 @@ def test_balance_reads_no_grid_layout_of_young():
              if isinstance(node, ast.ImportFrom) and node.module == "young"
              for alias in node.names}
     assert not read & layout, sorted(read & layout)
-
-
-def _parent_compare(lhs, rhs, test, sweep_tau=None):
-    """``balance._compare`` with isposinf/isneginf and the difference taken
-    inside np.where: the reference for the one-difference form."""
-    with np.errstate(invalid="ignore"):
-        pointwise = (lhs <= rhs + balance._PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
-        violate = test & ~pointwise
-    ok = not bool(violate.any())
-    with np.errstate(invalid="ignore"):
-        margins = np.where(test, lhs - rhs, -np.inf)
-    margin = float(np.nanmax(margins)) if test.any() else -math.inf
-    if sweep_tau is not None:
-        worst = [float(np.exp(min(t, 690.0))) for t in sweep_tau[violate][-6:]]
-        return ok, margin, worst
-    return ok, margin
-
-
-def test_compare_matches_the_parent_form_on_nan_and_infinities(sweep_tau):
-    # the tested points of every sweep verdict are one suffix of the sweep,
-    # past its first point: _compare on the suffix against the parent's mask
-    rng = np.random.default_rng(3)
-    n = sweep_tau.size
-    special = np.array([np.nan, np.inf, -np.inf])
-    for trial, start in enumerate((1, n - 1, *rng.integers(1, n, 4), n // 2)):
-        lhs = rng.normal(0.0, 1.0, n)
-        # right-hand sides on both sides of the slack, and exactly at it
-        rhs = lhs - balance._PASS_SLACK + rng.choice([-1e-3, 0.0, 1e-3], n)
-        for v in (lhs, rhs):
-            at = rng.random(n) < 0.05
-            v[at] = rng.choice(special, at.sum())
-        if trial == 6:
-            lhs[start:] = np.nan   # every margin NaN: the worst is -inf
-        lhs[0], rhs[0] = 0.0, 1.0
-        kept = lhs.copy(), rhs.copy()
-        margin, violate = balance._compare(lhs[start:], rhs[start:])
-        worst = [float(np.exp(min(t, 690.0))) for t in sweep_tau[start:][violate][-6:]]
-        assert ((not violate.any(), margin, worst)
-                == _parent_compare(lhs, rhs, np.arange(n) >= start, sweep_tau)), (trial, start)
-        assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)
-    assert margin == -math.inf
 
 
 def _parent_log_sub_exp(a, b):
@@ -645,7 +677,7 @@ def test_a_check_holds_one_sweep_long_array_per_condition():
     # the prefix is the one array as long as the sweep (3.4 MiB); its other
     # arrays are chunks.  Only the right-hand sides' curves, read at 21
     # shifts, are cached (3.4 MiB a function): the benchmark's 10 pairs peak
-    # at 13.5-14.0 MiB, where caching the integrands' curves too took 15.7-20.6
+    # at 13.3-14.0 MiB, where caching the integrands' curves too took 15.7-20.6
     for a, b in _PAIR_VERDICTS:
         fresh = young.load_catalog()
         tracemalloc.start()
@@ -667,26 +699,38 @@ def test_a_check_caches_only_the_curves_of_its_right_hand_sides(catalog):
 
 
 def _whole_full_test(lhs, rhs, start):
-    """``balance._full_test`` on the whole arrays at once: the reference for
-    the chunked walk."""
+    """``balance._full_test`` on the whole arrays at once, its mask of
+    violations with isposinf/isneginf: the reference for the chunked walk
+    and for the one-comparison form of ``balance._violations``."""
     with np.errstate(invalid="ignore"):
-        margin = float(np.nanmax(lhs[start:] - rhs[start:], initial=-np.inf))
-        trend = np.where(balance._TREND_AT >= start, lhs[balance._TREND_AT] - rhs[balance._TREND_AT], np.nan)
-    violate = start + np.flatnonzero(balance._violations(lhs[start:], rhs[start:]))
-    return margin, violate[-6:], trend
+        gap = lhs - rhs
+        pointwise = (lhs <= rhs + balance._PASS_SLACK) | np.isposinf(rhs) | np.isneginf(lhs)
+    margin = float(np.nanmax(gap[start:], initial=-np.inf))
+    trend = np.where(balance._TREND_AT >= start, gap[balance._TREND_AT], np.nan)
+    last = start + np.flatnonzero(~pointwise[start:])[-6:]
+    return margin, last, gap[last], trend
 
 
 def test_full_test_is_the_whole_array_test(sweep_tau):
     # NaN and infinities on both sides; violations scattered or only on
     # both sides of the chunks' ends, so that the last 6 straddle the last
-    # one; starts on both sides of a chunk's end; every margin NaN
+    # one; right-hand sides on both sides of the slack and exactly at it;
+    # starts on both sides of a chunk's end; every margin NaN.  The readers'
+    # arrays are left as they were
     rng = np.random.default_rng(5)
     n, chunk = sweep_tau.size, balance._SWEEP_CHUNK
     special = np.array([np.nan, np.inf, -np.inf])
-    for trial, start in enumerate((1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7, *rng.integers(1, 5 * chunk, 3))):
+    starts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7, *rng.integers(1, 5 * chunk, 3), n // 2, n - chunk - 3)
+    for trial, start in enumerate(starts):
         lhs = rng.normal(0.0, 1.0, n)
         rhs = lhs + 1.0
-        if trial % 2:
+        if trial >= 8:
+            rhs = lhs - balance._PASS_SLACK + rng.choice([-1e-3, 0.0, 1e-3], n)
+            for v in (lhs, rhs):
+                at = rng.random(n) < 0.05
+                v[at] = rng.choice(special, at.sum())
+            hit = np.zeros(n, dtype=bool)
+        elif trial % 2:
             # no violation: -inf on the left, +inf on the right, NaN margins
             # inf - inf and -inf - NaN
             pick = rng.integers(0, 5, n)
@@ -705,11 +749,13 @@ def test_full_test_is_the_whole_array_test(sweep_tau):
         lhs[balance._TREND_AT[:3]] = (np.nan, np.inf, -np.inf)
         if trial == 6:
             lhs[start:] = np.nan
+        kept = lhs.copy(), rhs.copy()
         got = balance._full_test(lhs.__getitem__, rhs.__getitem__, start)
         want = _whole_full_test(lhs, rhs, start)
         assert got[0] == want[0] and got[1].tolist() == want[1].tolist(), (trial, start)
-        assert got[2].tobytes() == want[2].tobytes(), (trial, start)
+        assert got[2].tobytes() == want[2].tobytes() and got[3].tobytes() == want[3].tobytes(), (trial, start)
         assert want[1].size == 6
-        if trial % 2:
+        if trial % 2 and trial < 8:
             assert want[1][0] < start + (n - 1 - start) // chunk * chunk <= want[1][-1], (trial, start)
         assert (got[0] == -math.inf) is (trial == 6)
+        assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -547,6 +548,26 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, argv):
         header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
         assert all(len(row) == len(header) for row in rows)
     assert _run_in_process(argv, tmp_path_factory.mktemp("again")) == (code, err, tables)
+
+
+# sha256 of the CSVs of verify-hardy --A L2 --B L2_log --trials 1, as
+# written before the run reported why it exits 1
+_HARDY_CSV_SHA256 = {"hardy_sweep.csv": "37c356f911e7f7c240c0265bdaadac495a9d9cae355fdd5f50c3362634144105",
+                     "hardy_trials.csv": "8796dc51c4740889d14f54704de7d1d9dda4d4fb5d2394ebb814a8cf9585eec6"}
+
+
+def test_verify_hardy_says_why_it_exits_1(tmp_path):
+    # balance holds but every spike of the sweep raises the ratio: one line
+    # naming the rule and the sweep's reach, and the CSVs as they were; a
+    # run that exits 0 prints nothing on stderr
+    code, err, tables = _run_in_process(["verify-hardy", "--A", "L2", "--B", "L2_log", "--trials", "1"],
+                                        tmp_path / "grows")
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith("orlicz-korn: check failed: ") and "2%" in err
+    assert "delta 0.1 to" in err and "delta 3.16e-07" in err
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in tables.items()} == _HARDY_CSV_SHA256
+    code, err, _ = _run_in_process(["verify-hardy", "--A", "L2", "--B", "L2", "--trials", "1"], tmp_path / "ok")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [
