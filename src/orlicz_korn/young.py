@@ -23,7 +23,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -62,10 +61,11 @@ _INVERSE_ENDS = np.append(2.0 ** np.arange(1024), np.finfo(float).max)
 _C_EXPONENTS = range(-10, 11)
 _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 
-# The sweep grids in tau = ln t.  Each is named by its points per ln 2;
-# where that is an integer, every dyadic constant 2^k is an exact index
-# shift.  Growth and dominance read the dense, refined and coarse grids; the
-# balance sweep reads dense, mid and tail.  No other module does index
+# The sweep grids in tau = ln t.  Each is named by its points per ln 2, so
+# a dyadic constant 2^k is a shift of per-ln-2 * k points on it: an exact
+# index shift on the dense, refined, coarse and mid grids, and on the tail at
+# k = 0 mod 4.  Growth and dominance read the dense, refined and coarse grids;
+# the balance sweep reads dense, mid and tail.  No other module does index
 # arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
 # ``_sweep_read``, and the balance sweep's tau through ``_sweep_tau`` and
 # ``_sweep_index``.
@@ -78,24 +78,26 @@ _OVERLAP = 12                 # ln2-units of overlap for shift headroom
 # curves out there is negligible, so shifted values interpolate safely
 _TAIL_MAX = 6.0e5
 _PER_LN2 = {"dense": 64, "refined": 128, "coarse": 1, "mid": 8, "tail": 0.25}
+# every grid runs _OVERLAP ln 2 past its top; mid and tail also start
+# _OVERLAP ln 2 below the top of the grid before them
 _GRIDS = {name: np.arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
           for name, lo, hi in (("dense", _DENSE_LO, _DENSE_HI),
                                ("refined", _DENSE_LO, _DENSE_HI),
                                ("coarse", _DENSE_HI, _TAU_MAX),
                                ("mid", _DENSE_HI - _OVERLAP * LN2, _TAU_MAX),
-                               ("tail", _TAU_MAX, _TAIL_MAX))}
-_DENSE_GRID, _MID_GRID, _TAIL_GRID = _GRIDS["dense"], _GRIDS["mid"], _GRIDS["tail"]
+                               ("tail", _TAU_MAX - _OVERLAP * LN2, _TAIL_MAX))}
 # lowest tested tau: every searched 2^k multiple of it is still on the grid
 _TAU_FLOOR = _DENSE_LO - min(_C_EXPONENTS) * LN2
 
 # The balance sweep: dense up to _DENSE_HI, then mid up to _TAU_MAX, then
-# tail up to _TAIL_MAX, as (grid, first index, end index) parts.  It is
-# never held as one array: its tau is read a slice at a time off the grids.
-_MID_JOIN = _OVERLAP * _PER_LN2["mid"]      # index of the mid point at _DENSE_HI
-_ND = int(np.searchsorted(_DENSE_GRID, _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
+# tail up to _TAIL_MAX, as (grid, first index, end index) parts.  Mid and
+# tail start one point past their overlap, so every 2^k multiple of a sweep
+# point from 2^-10 to 2^10 is on the part's own grid.  The sweep is never
+# held as one array: its tau is read a slice at a time off the grids.
+_ND = int(np.searchsorted(_GRIDS["dense"], _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
 _SWEEP_PARTS = (("dense", 0, _ND),
-                ("mid", _MID_JOIN + 1, int(np.searchsorted(_MID_GRID, _TAU_MAX + 1e-9, "right"))),
-                ("tail", 1, int(np.searchsorted(_TAIL_GRID, _TAIL_MAX + 1e-9, "right"))))
+                *((grid, int(_OVERLAP * _PER_LN2[grid]) + 1, int(np.searchsorted(_GRIDS[grid], hi + 1e-9, "right")))
+                  for grid, hi in (("mid", _TAU_MAX), ("tail", _TAIL_MAX))))
 _SWEEP_SIZE = sum(hi - lo for _, lo, hi in _SWEEP_PARTS)
 
 # The numerical conjugate evaluates tau in blocks of _BLOCK points, one
@@ -1192,57 +1194,32 @@ def _sweep_index(x, side: str = "left"):
 
 def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarray:
     """ln A(2^k e^tau) at ``_sweep_tau(at)``, for a slice with a positive
-    step, filled part by part into one array: strided slices of the curve on
-    the dense and mid parts (after a NaN head where 2^k e^tau is below the
-    grid), linear interpolation on the tail.  Each part reads the window of
-    its grid that it needs (``_log_window``): off A's curves where A's memo
-    holds them, else evaluated there, so that no read fills the memo."""
+    step, filled part by part into one array.  On a part's grid 2^k is a
+    shift of s = per-ln-2 * k points, q = floor(s) whole points and a
+    fraction f = s - q: a point i reads v[i + q] where f = 0, else v[i + q] +
+    f (v[i + q + 1] - v[i + q]), +inf where either node is not finite (f is
+    1/8, 1/4, 1/2 or 3/4, on the tail alone).  Where i + q is below the grid
+    (the dense part's head for k < 0) it reads NaN.  Each part reads the
+    window of its grid that it needs (``_log_window``): off A's curves where
+    A's memo holds them, else evaluated there, so that no read fills the
+    memo."""
     out, step, parts = _sweep_slices(at)
     for grid, j, part in parts:
-        if not part.size:
+        s = _PER_LN2[grid] * k
+        q = math.floor(s)
+        j += q
+        head = min(max(-(j // step), 0), part.size)
+        part[:head] = np.nan
+        if head == part.size:
             continue
-        if grid != "tail":
-            j += _index_shift(grid, k)
-            head = min(max(-(j // step), 0), part.size)
-            part[:head] = np.nan
-            if head < part.size:
-                part[head:] = _log_window(A, grid, j + head * step, j + (part.size - 1) * step + 1)[::step]
+        lo, hi = j + head * step, j + (part.size - 1) * step + 1
+        if s == q:
+            part[head:] = _log_window(A, grid, lo, hi)[::step]
             continue
-        # the shifted tau, read in place; for k <= -5 the first ones fall
-        # below the tail grid, into the mid grid's overlap
-        np.add(_TAIL_GRID[j:j + part.size * step:step], k * LN2, out=part)
-        below = int(np.searchsorted(part, _TAIL_GRID[0]))
-        if below:
-            part[:below] = _interp(part[:below], _MID_GRID, partial(_log_window, A, "mid"))
-        if below < part.size:
-            part[below:] = _interp(part[below:], _TAIL_GRID, partial(_log_window, A, "tail"))
-    return out
-
-
-def _interp(tau: np.ndarray, grid: np.ndarray, curve) -> np.ndarray:
-    """A curve on grid interpolated linearly at the ascending, non-empty
-    tau, with NaN and +inf read as +inf; curve(lo, hi) gives it at
-    grid[lo:hi].  Only a window of the curve is read, one that holds the two
-    nodes around each point: np.interp gives each point the same bits from
-    it as from the whole curve.  Where the curve has more nodes than tau has
-    points, so has the window, since np.interp otherwise tabulates a slope
-    per node (memory that tracemalloc does not see)."""
-    lo = max(int(np.searchsorted(grid, tau[0], "right")) - 1, 0)
-    hi = max(int(np.searchsorted(grid, tau[-1])) + 1, lo + tau.size + 1)
-    lo = max(min(lo, grid.size - (hi - lo)), 0)
-    hi = min(hi, grid.size)
-    w = curve(lo, hi)
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(w)
-        if finite.all():
-            out = np.interp(tau, grid[lo:hi], w)
-            # past 1e307 reads +inf where the curve has a node that is not
-            # finite, also outside the window; only then is all of it read
-            if out.max() < 1e307 or np.isfinite(curve(0, grid.size)).all():
-                return out
-        else:
-            out = np.interp(tau, grid[lo:hi], np.where(finite, w, 1e308))
-        out[out >= 1e307] = np.inf
+        v = _log_window(A, grid, lo, hi + 1)
+        a, b = v[:-1:step], v[1::step]
+        with np.errstate(invalid="ignore"):
+            part[head:] = np.where(np.isfinite(a) & np.isfinite(b), a + (s - q) * (b - a), np.inf)
     return out
 
 

@@ -492,7 +492,7 @@ def test_power_log_kinds_are_power_log_log_with_gamma_zero(spec, p, alpha):
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.where(t == 0.0, 0.0, np.power(t, p) * np.power(np.log1p(t), alpha))
     assert np.array_equal(A.value(t), want)
-    tau = np.concatenate((young._DENSE_GRID, young._MID_GRID, young._TAIL_GRID))
+    tau = np.concatenate([young._GRIDS[grid] for grid in ("dense", "mid", "tail")])
     L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
     assert np.array_equal(A.log_value_logt(tau), p * tau + alpha * np.log(L))
 
@@ -509,13 +509,17 @@ def test_sweep_grids_are_pinned():
         "refined": np.arange(-32.0, hi + 12.0 * ln2, ln2 / 64.0 / 2.0),
         "coarse": np.arange(hi, 2.0e4 + 12.0 * ln2, ln2),
         "mid": np.arange(hi - 12 * ln2, 2.0e4 + 12 * ln2, ln2 / 8.0),
-        "tail": np.arange(2.0e4, 6.0e5 + 12 * ln2, 4.0 * ln2),
+        "tail": np.arange(2.0e4 - 12 * ln2, 6.0e5 + 12 * ln2, 4.0 * ln2),
     }
     assert young._GRIDS.keys() == want.keys()
     for name, grid in want.items():
         assert np.array_equal(young._GRIDS[name], grid), name
-    assert young._DENSE_GRID[young._ND - 1] <= hi < young._DENSE_GRID[young._ND]
-    assert young._MID_GRID[young._MID_JOIN] == pytest.approx(hi, abs=1e-9)
+    assert young._SWEEP_PARTS == (("dense", 0, 7051), ("mid", 97, 230416), ("tail", 4, 209194))
+    dense = young._GRIDS["dense"]
+    assert dense[young._ND - 1] <= hi < dense[young._ND]
+    # the mid and tail parts start one point past the top of the part before
+    for (grid, lo, _), top in zip(young._SWEEP_PARTS[1:], (hi, 2.0e4)):
+        assert young._GRIDS[grid][lo - 1] == pytest.approx(top, abs=1e-9), grid
 
 
 def test_growth_checks_read_only_the_growth_grids(monkeypatch):
@@ -530,7 +534,7 @@ def test_growth_checks_read_only_the_growth_grids(monkeypatch):
     monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy)
     check_delta2(C)
     check_nabla2(C)
-    growth = (young._DENSE_GRID, young._GRIDS["coarse"], young._GRIDS["refined"])
+    growth = (young._GRIDS["dense"], young._GRIDS["coarse"], young._GRIDS["refined"])
     assert seen
     assert sum(tau.size for tau in seen) <= sum(g.size for g in growth)
     for tau in seen:
@@ -630,7 +634,8 @@ def test_nested_conjugate_returns_the_source(catalog):
     # A** = A: the outer solve reads the inner conjugate's slope, its root
     A = catalog["L2_log"]
     N = ConjugateYoung(ConjugateYoung(A))
-    tau = young._DENSE_GRID[(young._DENSE_GRID > -15.0)][::500]
+    dense = young._GRIDS["dense"]
+    tau = dense[dense > -15.0][::500]
     for got, want in ((N.log_value_logt(tau), A.log_value_logt(tau)),
                       (N.log_slope_logt(tau), A.log_slope_logt(tau))):
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
@@ -795,8 +800,9 @@ def test_conjugate_point_does_not_depend_on_its_batch(catalog):
     # stretch of tau the two grids share
     C = conjugate(catalog["LlogL2"])
     dense, mid = young._log_curve(C, "dense"), young._log_curve(C, "mid")
-    shared = young._MID_GRID <= young._DENSE_GRID[-1]
-    below = np.searchsorted(young._DENSE_GRID, young._MID_GRID[shared], "right") - 1
+    dense_tau, mid_tau = young._GRIDS["dense"], young._GRIDS["mid"]
+    shared = mid_tau <= dense_tau[-1]
+    below = np.searchsorted(dense_tau, mid_tau[shared], "right") - 1
     assert np.isinf(mid[shared]).any()
     assert np.array_equal(np.isinf(mid[shared]), np.isinf(dense[below]))
 
@@ -1122,32 +1128,20 @@ def test_conjugate_of_an_empty_tau_is_empty(catalog):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-def _parent_interp(tau, grid, v):
-    """v on grid interpolated at tau, NaN and +inf read as +inf."""
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(v)
-        if finite.all():
-            return np.interp(tau, grid, v)
-        v = np.nan_to_num(np.where(finite, v, np.inf), posinf=1e308)
-        out = np.interp(tau, grid, v)
-        return np.where(out >= 1e307, np.inf, out)
-
-
 def _parent_sweep_shifted(A, k):
-    """The sweep reader as an index array, a gather, a where and a
-    concatenate, with every shifted tail point interpolated on both the mid
-    and the tail grid: the reference for the one-array fill."""
-    curves = young._sweep_curves(A)
+    """The sweep reader over whole curves, as an index array, a gather, a
+    where, a blend and a concatenate: the reference for the one-array fill."""
     parts = []
-    for (grid, lo, hi), v in zip(young._SWEEP_PARTS, curves):
-        if grid != "tail":
-            idx = np.arange(lo, hi) + young._index_shift(grid, k)
-            parts.append(np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan))
-            continue
-        tail_tau = young._TAIL_GRID[lo:hi] + k * young.LN2
-        parts.append(np.where(tail_tau < young._TAIL_GRID[0],
-                              _parent_interp(tail_tau, young._MID_GRID, curves[1]),
-                              _parent_interp(tail_tau, young._TAIL_GRID, v)))
+    for (grid, lo, hi), v in zip(young._SWEEP_PARTS, young._sweep_curves(A)):
+        s = young._PER_LN2[grid] * k
+        q = math.floor(s)
+        idx = np.arange(lo, hi) + q
+        read = np.where(idx >= 0, v[np.maximum(idx, 0)], np.nan)
+        if s != q:
+            nxt = v[idx + 1]
+            with np.errstate(invalid="ignore"):
+                read = np.where(np.isfinite(read) & np.isfinite(nxt), read + (s - q) * (nxt - read), np.inf)
+        parts.append(read)
     return np.concatenate(parts)
 
 
@@ -1180,14 +1174,43 @@ def test_sweep_reader_fills_what_the_gather_gave(sweep_functions):
 _N_DENSE, _N_MID = (hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])
 
 
-@pytest.mark.parametrize("k", [-10, -5])
+@pytest.mark.parametrize("k", [*young._C_EXPONENTS, 0.5])
 @pytest.mark.parametrize("p, coeff", [(2.0, 1.0), (1.5, 0.25)])
 def test_the_first_tail_points_of_the_sweep_are_the_closed_form(k, p, coeff):
-    # for k <= -5 the first shifted tail points fall below the tail grid;
-    # np.interp on it would clamp them to ln A(e^2e4)
-    at = slice(_N_DENSE + _N_MID, _N_DENSE + _N_MID + 3)
+    # over the whole tail part, the first points too: for k <= -5 their
+    # 2^k multiples fall below the part, into the tail grid's overlap
+    at = slice(_N_DENSE + _N_MID, None)
     tau = young._sweep_tau(at) + k * young.LN2
-    assert young._sweep_read(PowerYoung(p, coeff), k, at) == pytest.approx(math.log(coeff) + p * tau, rel=1e-14)
+    assert tau.size == young._SWEEP_PARTS[2][2] - young._SWEEP_PARTS[2][1]
+    want = math.log(coeff) + p * tau
+    assert np.all(np.abs(young._sweep_read(PowerYoung(p, coeff), k, at) - want) <= 1e-14 * np.abs(want))
+
+
+def test_tail_reads_lie_between_the_nodes_they_blend(sweep_functions):
+    # the conjugate of t log(1 + t)^5000 is finite up to tau ~ 111,146 and
+    # +inf past it: at k = -8, -4 and 8 a sweep point reads the last finite
+    # node, and takes no share of the +inf next to it
+    functions = {"conj(L L^5000)": conjugate(PowerLogLogYoung(1, 5000)),
+                 "L2": sweep_functions["L2"], "conj(LlogL2)": sweep_functions["conj(LlogL2)"]}
+    grid, lo, hi = young._SWEEP_PARTS[2]
+    tau, at = young._GRIDS[grid], slice(_N_DENSE + _N_MID, None)
+    for label, A in functions.items():
+        v = young._log_curve(A, grid)
+        assert not np.isfinite(v).all() or label == "L2", label
+        for k in [*young._C_EXPONENTS, 0.5]:
+            got = young._sweep_read(A, k, at)
+            q, f = divmod(k, 4)
+            i = np.arange(lo, hi) + int(q)
+            a, b = v[i], v[i + 1]
+            # the two nodes hold the shifted tau, f / 4 of the way from the first
+            x = tau[lo:hi] + k * young.LN2
+            assert np.all((tau[i] <= x + 1e-9) & (x < tau[i + 1])), (label, k)
+            if f == 0:
+                assert got.tobytes() == a.tobytes(), (label, k)
+                continue
+            finite = np.isfinite(a) & np.isfinite(b)
+            assert np.all(got[~finite] == np.inf), (label, k)
+            assert np.all((np.minimum(a, b) <= got) & (got <= np.maximum(a, b)) | ~finite), (label, k)
 
 
 # slice ends: any sweep index or none, with the points on both sides of the
@@ -1205,7 +1228,7 @@ _SWEEP_END = st.one_of(
 @example(label="L2", k=-10, start=0, stop=None, step=balance._SCREEN_STRIDE)    # the screen
 @example(label="conj(LlogL2)", k=10, start=_N_DENSE + _N_MID - 2, stop=None, step=None)
 @example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
-# one tail point, below the tail grid: read on the mid grid alone
+# one tail point, whose 2^-10 multiple is in the tail grid's overlap
 @example(label="L2", k=-10, start=_N_DENSE + _N_MID, stop=_N_DENSE + _N_MID + 1, step=None)
 def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, uncached_functions,
                                                                      label, k, start, stop, step):
@@ -1260,48 +1283,6 @@ def test_sweep_index_is_the_search_of_the_concatenated_grid_parts(sweep_tau):
         assert np.array_equal(young._sweep_index(probes, side), np.searchsorted(sweep_tau, probes, side))
         for x in (sweep_tau[0], sweep_tau[_N_DENSE], sweep_tau[-1], young._TAU_FLOOR, young._TAU_MAX, 0.0):
             assert young._sweep_index(x, side) == np.searchsorted(sweep_tau, x, side), (x, side)
-
-
-def _reader(v):
-    """The curve v as ``young._interp`` reads it: v at grid[lo:hi], for
-    windows inside the grid."""
-    def read(lo, hi):
-        assert 0 <= lo < hi <= v.size
-        return v[lo:hi]
-    return read
-
-
-def test_interp_reads_a_window_as_the_whole_curve():
-    grid = np.arange(6.0)
-    curves = {"finite": np.array([0.0, 1.0, 2e307, 3e307, 4e307, 5e307]),
-              # past 1e307 reads +inf once the curve has a node that is not
-              # finite, also where the window of the points does not hold it
-              "inf at the end": np.array([0.0, 1.0, 2e307, 3e307, 4e307, np.inf]),
-              "nan at the start": np.array([np.nan, 1.0, 2.0, 3e307, 4.0, 5.0])}
-    taus = [[-1.0], [0.0], [0.5], [2.5], [2.0, 3.0], [1.5, 2.5, 3.5], [4.5], [5.0], [7.0],
-            [-1.0, 7.0], np.linspace(2.1, 2.9, 9), np.linspace(4.2, 8.0, 5)]
-    for label, v in curves.items():
-        for tau in taus:
-            tau = np.array(tau)
-            got = young._interp(tau, grid, _reader(v))
-            assert got.tobytes() == _parent_interp(tau, grid, v).tobytes(), (label, tau)
-    assert young._interp(np.array([2.5]), grid, _reader(curves["inf at the end"]))[0] == np.inf
-    assert young._interp(np.array([2.5]), grid, _reader(curves["finite"]))[0] == 2.5e307
-
-
-def test_sweep_reads_interpolate_on_more_nodes_than_points(sweep_functions, monkeypatch):
-    # np.interp tabulates a slope per node, untraced, on a curve of no more
-    # nodes than points; the whole-curve reads never did on the sweep grids
-    sizes, interp = [], np.interp
-    def spy(x, xp, fp):
-        sizes.append((len(xp), len(x)))
-        return interp(x, xp, fp)
-    monkeypatch.setattr(np, "interp", spy)
-    for A in sweep_functions.values():
-        for k in [*young._C_EXPONENTS, 0.5]:
-            for at in (slice(None), slice(-1, None)):
-                young._sweep_read(A, k, at)
-    assert sizes and all(nodes > points for nodes, points in sizes)
 
 
 @pytest.mark.parametrize("name", ["L2_log", "expL2"])
