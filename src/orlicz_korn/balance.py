@@ -88,12 +88,13 @@ class BalanceReport:
 # log-domain sweep machinery
 # ---------------------------------------------------------------------------
 
-def _integral(B_side: YoungFunction):
+def _integral(B_side: YoungFunction, curves: dict | None = None):
     """(prefix, tail_ln): ln integral_{tau_0}^{tau_i} B_side(e^s) e^-s ds at
     each sweep point i, summed ``_SWEEP_CHUNK`` points at a time with the bits
-    of one sum (ln B_side is kept nowhere), and ln of the integral below
-    tau_0 from the slope of ln B_side - s over the first half ln 2 of the
-    sweep, +inf where it diverges at 0."""
+    of one sum, and ln of the integral below tau_0 from the slope of ln
+    B_side - s over the first half ln 2 of the sweep, +inf where it diverges
+    at 0.  ln B_side is read off ``curves``, B_side's ``young._sweep_curves``,
+    where given, else evaluated a chunk at a time and kept nowhere."""
     n = young._SWEEP_SIZE
     prefix = np.empty(n)
     prefix[0] = -np.inf
@@ -104,7 +105,7 @@ def _integral(B_side: YoungFunction):
     for lo in range(0, n - 1, _SWEEP_CHUNK):
         hi = min(lo + _SWEEP_CHUNK, n - 1)
         skip = int(lo > 0)
-        ln_b = young._sweep_read(B_side, 0, slice(lo + skip, hi + 1))
+        ln_b = young._sweep_read(B_side, 0, slice(lo + skip, hi + 1), curves)
         x = young._sweep_tau(slice(lo, hi + 1))
         if lo == 0:
             vB0, x0 = ln_b[0], x[0]
@@ -115,7 +116,7 @@ def _integral(B_side: YoungFunction):
         prefix[lo:hi + 1] = log_trapezoid_prefix(part, x, prefix[lo])
         f[0] = part[-1]
     del ln_b, x, f, part
-    vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1))[0])
+    vB_half = float(young._sweep_read(B_side, 0.5, slice(0, 1), curves)[0])
     with np.errstate(invalid="ignore"):
         bottom_slope = float(vB_half - vB0) / (0.5 * LN2) - 1.0
     if math.isnan(bottom_slope):
@@ -143,12 +144,14 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     """Find (c, t0) with t * integral_{t0}^t B_side(s)/s^2 ds <= A_side(c t)
     on the whole sweep grid above t0, else build a failure certificate.  The
     points tested for a t0 are one suffix of the sweep: tau >= max(ln t0,
-    young._TAU_FLOOR), past the first point at ln t0."""
-    # fill A_side's curves (the only ones cached: they are read at 21 shifts)
-    # before the prefix exists, so that a conjugate's evaluator (about 1.5 MiB
-    # a block) does not stack on it
-    young._sweep_curves(A_side)
-    prefix, tail_ln = _integral(B_side)
+    young._TAU_FLOOR), past the first point at ln t0.  The condition owns
+    A_side's sweep curves: they are built here, read at 21 shifts, and die
+    when it returns."""
+    # build A_side's curves before the prefix exists, so that a conjugate's
+    # evaluator (about 1.5 MiB a block) does not stack on it; a self-pair's
+    # integrand reads them too
+    curves = young._sweep_curves(A_side)
+    prefix, tail_ln = _integral(B_side, curves if B_side is A_side else None)
     # ln A(2^k e^tau) grows with k, so passing is monotone in k, on the screen
     # and on the suffix: bisect for the smallest constant that passes.  A
     # violation on the screen is one on the suffix, so the suffix is tested
@@ -171,7 +174,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
 
         def screen_passes(i):
             if i not in screens:
-                screens[i] = young._sweep_read(A_side, ks[i], slice(0, None, _SCREEN_STRIDE))
+                screens[i] = young._sweep_read(A_side, ks[i], slice(0, None, _SCREEN_STRIDE), curves)
             return not _violations(screen_lhs, screens[i][first:]).any()
 
         found = _first_pass(screen_passes, -1, top + 1, top)
@@ -180,7 +183,7 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         tests = {}    # index into ks -> its _full_test
 
         def passes(i):
-            tests[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i]), start)
+            tests[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i], curves=curves), start)
             return not tests[i][1].size
 
         # the screen failed below found, so the suffix does; where the screen

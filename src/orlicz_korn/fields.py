@@ -435,14 +435,13 @@ def _bump_gradient(grid: Grid, center, halfwidth) -> list:
     return grads
 
 
-def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
-    """The fixed bump dictionary of the negative-norm lower bound: the list
-    of the cell gradients of its bumps, each a list of dim arrays of the
-    cell shape, and the list of their norms ||grad phi||_{L^conj(A)}; bumps
+def _bumps(A: YoungFunction, grid: Grid):
+    """The fixed bump dictionary of the negative-norm lower bound, one bump
+    at a time, in a fixed order: the cell gradient of a bump, a list of dim
+    arrays of the cell shape, and its norm ||grad phi||_{L^conj(A)}; bumps
     whose norm is zero are left out."""
     At = conjugate(A)
     lengths = grid.lengths
-    grads, norms = [], []
     for scale in (0.45, 0.24, 0.12):
         half = [scale * L for L in lengths]
         steps = [max(1, int(round((L - 2 * hw) / (2 * hw)))) for L, hw in zip(lengths, half)]
@@ -453,9 +452,7 @@ def _bump_dictionary(A: YoungFunction, grid: Grid) -> tuple:
             g = _bump_gradient(grid, center, half)
             gn = norm_of_cells(At, np.sqrt(sum(gj * gj for gj in g)), grid)
             if gn != 0.0:
-                grads.append(g)
-                norms.append(gn)
-    return grads, norms
+                yield g, gn
 
 
 def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid) -> list:
@@ -464,22 +461,20 @@ def negative_norm_lower_bound(A: YoungFunction, u_cells: np.ndarray, grid: Grid)
     functional of the distributional gradient of u.
 
     u_cells is a stack of m sources, of shape (m, *grid.extents); the result
-    is the list of their m bounds.  The dictionary is built once per call,
-    and each source's bound does not depend on the rest of the stack."""
+    is the list of their m bounds.  Each bump is built once per call, paired
+    with every source and dropped before the next one is built; each
+    source's bound does not depend on the rest of the stack."""
     u_cells = np.asarray(u_cells, dtype=float)
     if u_cells.shape[1:] != tuple(grid.extents):
         raise DomainError("u must be a stack of cell-centered scalar data")
-    dictionary = _bump_dictionary(A, grid)
-    bounds = []
-    for u in u_cells:
-        # pairing with u - mean(u) equals the continuum pairing (div phi has
-        # zero integral) and kills the quadrature residue for constants
-        u = u - u.mean()
-        best = 0.0
-        for grads, gn in zip(*dictionary):
+    # pairing with u - mean(u) equals the continuum pairing (div phi has
+    # zero integral) and kills the quadrature residue for constants
+    centered = [u - u.mean() for u in u_cells]
+    bounds = [0.0] * len(centered)
+    for grads, gn in _bumps(A, grid):
+        for m, u in enumerate(centered):
             for gk in grads:
-                best = max(best, abs(float(np.sum(u * gk) * grid.cell_volume)) / gn)
-        bounds.append(best)
+                bounds[m] = max(bounds[m], abs(float(np.sum(u * gk) * grid.cell_volume)) / gn)
     return bounds
 
 

@@ -1019,8 +1019,10 @@ def _slope_root(source: YoungFunction, tau: np.ndarray):
 
 def _memo(A: YoungFunction) -> dict:
     """The per-object store of what is derived from A, filled on first read:
-    its log-curve on each sweep grid, its conjugate, its slopes at the ladder's
-    ends ``_ENDS`` with their arcsinh ("ladder"), and a conjugate's "table"."""
+    its log-curve on each growth grid (``_log_curve``), its conjugate, its
+    slopes at the ladder's ends ``_ENDS`` with their arcsinh ("ladder"), and a
+    conjugate's "table".  The balance sweep's curves are never kept here
+    (``_sweep_curves``)."""
     return vars(A).setdefault("_memo", {})
 
 
@@ -1042,9 +1044,10 @@ class GrowthVerdict:
 
 
 def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
-    """ln A(e^tau) on the named sweep grid (a key of ``_GRIDS``): its window
-    over the whole grid (``_log_window``), computed on first read and kept in
-    A's memo."""
+    """ln A(e^tau) on the named grid (a key of ``_GRIDS``): its window over
+    the whole grid (``_log_window``), computed on first read and kept in A's
+    memo.  The growth checks and dominance read the dense, refined and
+    coarse curves through it; the balance sweep reads ``_sweep_curves``."""
     memo = _memo(A)
     if grid not in memo:
         memo[grid] = _log_window(A, grid, 0, _GRIDS[grid].size)
@@ -1053,14 +1056,11 @@ def _log_curve(A: YoungFunction, grid: str) -> np.ndarray:
 
 
 def _log_window(A: YoungFunction, grid: str, lo: int, hi: int) -> np.ndarray:
-    """ln A(e^tau) at the points lo..hi - 1 of the named sweep grid: a slice
-    of the curve where A's memo holds it, else evaluated there and kept
-    nowhere, with the bits of the whole curve.  The mid and tail curves of a
-    numerical conjugate of a closed-form source are filled between exact
-    nodes (``_filled_curve``); every other curve is A's log reader."""
-    memo = _memo(A)
-    if grid in memo:
-        return memo[grid][lo:hi]
+    """ln A(e^tau) at the points lo..hi - 1 of the named sweep grid, evaluated
+    there and kept nowhere, with the bits of the whole curve.  The mid and
+    tail curves of a numerical conjugate of a closed-form source are filled
+    between exact nodes (``_filled_curve``); every other curve is A's log
+    reader."""
     tau = _GRIDS[grid]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if grid in ("mid", "tail") and isinstance(A, ConjugateYoung) and _closed_form(A.source):
@@ -1160,9 +1160,11 @@ def _shifted(A: YoungFunction, grid: str, k: float, tau_lo: float):
     return tau[lo:hi], v[lo:hi], v[lo + s:hi + s]
 
 
-def _sweep_curves(A: YoungFunction) -> list:
-    """A's log-curves on the grids of the balance sweep, filled on first read."""
-    return [_log_curve(A, grid) for grid, _, _ in _SWEEP_PARTS]
+def _sweep_curves(A: YoungFunction) -> dict:
+    """A's log-curves on the grids of the balance sweep, by grid name: a store
+    for ``_sweep_read`` that its caller owns.  It is kept nowhere else, so
+    it dies when its caller drops it."""
+    return {grid: _log_window(A, grid, 0, _GRIDS[grid].size) for grid, _, _ in _SWEEP_PARTS}
 
 
 def _sweep_slices(at: slice):
@@ -1192,7 +1194,7 @@ def _sweep_index(x, side: str = "left"):
     return sum(np.searchsorted(_GRIDS[grid][lo:hi], x, side) for grid, lo, hi in _SWEEP_PARTS)
 
 
-def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarray:
+def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None), curves: dict | None = None) -> np.ndarray:
     """ln A(2^k e^tau) at ``_sweep_tau(at)``, for a slice with a positive
     step, filled part by part into one array.  On a part's grid 2^k is a
     shift of s = per-ln-2 * k points, q = floor(s) whole points and a
@@ -1200,10 +1202,15 @@ def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarr
     f (v[i + q + 1] - v[i + q]), +inf where either node is not finite (f is
     1/8, 1/4, 1/2 or 3/4, on the tail alone).  Where i + q is below the grid
     (the dense part's head for k < 0) it reads NaN.  Each part reads the
-    window of its grid that it needs (``_log_window``): off A's curves where
-    A's memo holds them, else evaluated there, so that no read fills the
-    memo."""
+    window of its grid that it needs: off ``curves``, A's
+    ``_sweep_curves``, where given, else evaluated there
+    (``_log_window``), every point between the window's ends, strided or
+    not."""
     out, step, parts = _sweep_slices(at)
+
+    def window(grid, lo, hi):
+        return curves[grid][lo:hi] if curves is not None else _log_window(A, grid, lo, hi)
+
     for grid, j, part in parts:
         s = _PER_LN2[grid] * k
         q = math.floor(s)
@@ -1214,9 +1221,9 @@ def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None)) -> np.ndarr
             continue
         lo, hi = j + head * step, j + (part.size - 1) * step + 1
         if s == q:
-            part[head:] = _log_window(A, grid, lo, hi)[::step]
+            part[head:] = window(grid, lo, hi)[::step]
             continue
-        v = _log_window(A, grid, lo, hi + 1)
+        v = window(grid, lo, hi + 1)
         a, b = v[:-1:step], v[1::step]
         with np.errstate(invalid="ignore"):
             part[head:] = np.where(np.isfinite(a) & np.isfinite(b), a + (s - q) * (b - a), np.inf)

@@ -29,13 +29,13 @@ def sweep_work(monkeypatch):
     work = SimpleNamespace(reads=[], compares=[])
     read, full_test = young._sweep_read, balance._full_test
 
-    def counted_read(A, k, at=slice(None)):
+    def counted_read(A, k, at=slice(None), curves=None):
         a, b, last = work.reads[-1] if work.reads else (None, None, slice(None))
         if (a, b) == (id(A), k) and last.step is at.step is None and last.stop == at.start:
             work.reads[-1] = (id(A), k, slice(last.start, at.stop))
         else:
             work.reads.append((id(A), k, at))
-        return read(A, k, at)
+        return read(A, k, at, curves)
 
     def counted_test(lhs_at, rhs_at, start):
         work.compares.append(0)

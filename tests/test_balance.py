@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_korn import _numerics, balance, young
+from orlicz_korn import _numerics, balance, hardy, young
 from orlicz_korn._numerics import LN2, log_sub_exp, log_trapezoid_prefix
 from orlicz_korn.balance import check_balance, classify_catalog_pairs
 from orlicz_korn.young import DomainError, PowerLogLogYoung, PowerYoung, ScaledYoung, dominates
@@ -135,13 +135,13 @@ def test_linear_log_pair_fails_primal(catalog):
     assert rep.primal.failure_certificate
     assert "ratio_trend_ln" in rep.primal.diagnostics
     # the sweep's numbers as first recorded, so a refactor of the search
-    # cannot move them unnoticed
+    # cannot move them unnoticed; abs=0, so that rel is the bound checked
     diag = rep.primal.diagnostics
-    assert rep.primal.failure_certificate == pytest.approx([4.60460640478299e+299] * 6, rel=1e-12)
-    assert diag["worst_margin_ln"] == pytest.approx(5.680050786817446, rel=1e-12)
+    assert rep.primal.failure_certificate == pytest.approx([4.60460640478299e+299] * 6, rel=1e-12, abs=0)
+    assert diag["worst_margin_ln"] == pytest.approx(5.680050786817446, rel=1e-12, abs=0)
     assert diag["ratio_trend_ln"] == pytest.approx(
-        [-0.7237807054951872, 0.8911904011729348, 1.5850314405488461, 2.2785210382462537],
-        rel=1e-12)
+        [-0.7237807054951872, 0.8911904011738443, 1.5850314405488461, 2.2785210382462537],
+        rel=1e-12, abs=0)
 
 
 def test_exp_pair_fails_dual(catalog):
@@ -412,29 +412,30 @@ def test_report_witness_bound(catalog):
 
 
 def test_check_balance_builds_one_conjugate_and_each_curve_once(monkeypatch):
-    # each curve is one fill of the memo (the conjugate's far curves are
-    # solved at their nodes, so the sizes of its log reader's calls no
-    # longer count its curves)
+    # each condition evaluates its right-hand side's curves once, as whole
+    # grid windows; a self-pair's integrand reads them and evaluates no
+    # window of its own (the conjugate's far curves are solved at their
+    # nodes, so the sizes of its log reader's calls do not count its curves)
     A = young.load_catalog()["LlogL"]
-    built, fills = [], []
+    built, windows = [], []
     init = young.ConjugateYoung.__init__
-    log_curve = young._log_curve
+    log_window = young._log_window
 
     def spy_init(self, source):
         built.append(source)
         init(self, source)
 
-    def spy_log_curve(B, grid):
-        if grid not in young._memo(B):
-            fills.append((B, grid))
-        return log_curve(B, grid)
+    def spy_log_window(B, grid, lo, hi):
+        windows.append((B, grid, lo, hi))
+        return log_window(B, grid, lo, hi)
 
     monkeypatch.setattr(young.ConjugateYoung, "__init__", spy_init)
-    monkeypatch.setattr(young, "_log_curve", spy_log_curve)
+    monkeypatch.setattr(young, "_log_window", spy_log_window)
     check_balance(A, A)
     assert len(built) == 1 and built[0] is A
     C = young.conjugate(A)
-    assert Counter(fills) == Counter((B, grid) for B in (A, C) for grid in ("dense", "mid", "tail"))
+    assert Counter(windows) == Counter((B, grid, 0, young._GRIDS[grid].size)
+                                       for B in (A, C) for grid in ("dense", "mid", "tail"))
 
 
 def test_balance_checks_and_growth_checks_never_tabulate(monkeypatch):
@@ -675,9 +676,10 @@ def test_the_workload_pairs_test_few_full_right_hand_sides(sweep_work, catalog):
 
 def test_a_check_holds_one_sweep_long_array_per_condition():
     # the prefix is the one array as long as the sweep (3.4 MiB); its other
-    # arrays are chunks.  Only the right-hand sides' curves, read at 21
-    # shifts, are cached (3.4 MiB a function): the benchmark's 10 pairs peak
-    # at 12.3-14.0 MiB, where caching the integrands' curves too took 15.7-20.6
+    # arrays are chunks.  Only the right-hand side's curves, read at 21
+    # shifts, are held whole (3.4 MiB), and only while its condition runs:
+    # the benchmark's 10 pairs peak at 9.2-11.0 MiB, where keeping the right-
+    # hand sides' curves on the functions took 12.3-14.0
     for a, b in _PAIR_VERDICTS:
         fresh = young.load_catalog()
         tracemalloc.start()
@@ -686,16 +688,20 @@ def test_a_check_holds_one_sweep_long_array_per_condition():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * 2**20, (a, b, peak)
+        assert peak <= 12 * 2**20, (a, b, peak)
 
 
-def test_a_check_caches_only_the_curves_of_its_right_hand_sides(catalog):
-    # the integrands ln B and ln A* are read a chunk at a time and kept nowhere
+@pytest.mark.parametrize("run, a, b", [(check_balance, "LlogL", "L1"), (hardy.verify_hardy, "L2", "L2")])
+def test_no_function_keeps_a_sweep_curve_after_a_check(run, a, b):
+    # a condition's right-hand-side curves die when it returns, and the
+    # integrands are read a chunk at a time and kept nowhere: no memo of A,
+    # B or their conjugates holds a mid or tail curve, after a check or
+    # after a Hardy run, which checks first and then runs its trial family
     fresh = young.load_catalog()
-    A, B = fresh["LlogL"], fresh["L1"]
-    assert check_balance(A, B).holds
-    for f, cached in ((A, True), (B, False), (young.conjugate(A), False), (young.conjugate(B), True)):
-        assert (set(young._memo(f)) & set(young._GRIDS) == {"dense", "mid", "tail"}) is cached, (f, cached)
+    A, B = fresh[a], fresh[b]
+    run(A, B)
+    for f in (A, B, young.conjugate(A), young.conjugate(B)):
+        assert not set(young._memo(f)) & {"mid", "tail"}, (f, sorted(young._memo(f)))
 
 
 def _whole_full_test(lhs, rhs, start):

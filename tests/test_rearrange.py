@@ -190,6 +190,32 @@ def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
     assert spent <= evaluations, (A, spent, evaluations)
 
 
+# inputs whose bracket takes luxemburg's fallbacks: hi = peak where peak /
+# A^-1(1 / total measure) is not a positive float, and the lo-halving walk
+# from hi 1e-18 down past hi 1e-30, after which lo still fits and is returned
+_FALLBACKS = [
+    ("L2", [5e-324], [0.01]),               # peak / A^-1(100) underflows to 0
+    ("L2", [1e308], [1e10]),                # peak / A^-1(1e-10) overflows; the norm does too
+    ("L1", [1.0], [1e-320]),                # 1 / total measure overflows, and so does A^-1 there
+    ("LlogL", [2.0, 0.0], [1e-310, 1e-310]),
+]
+
+
+@pytest.mark.parametrize("name, values, weights", _FALLBACKS)
+def test_luxemburg_fallbacks_are_the_bisection_to_the_bit(catalog, name, values, weights):
+    A, u = catalog[name], _sf(values, weights)
+    peak, inv_large = max(values), float(A.inverse(1.0 / u.total_measure))
+    assert not 0.0 < peak / inv_large < math.inf
+    want, evaluations = _bisection_reference(A, u)
+    got, spent = _norm_counting(A, u)
+    assert got == want and spent <= evaluations, (got, want, spent, evaluations)
+    if name in ("L1", "LlogL"):
+        # lo = 0 (A^-1(1 / min w) is +inf) starts the walk at hi 1e-18, with
+        # hi = peak fitting; every halving fits, so the walk stops past
+        # hi 1e-30 and returns its end, not the norm (w_1 |u_1| for L1)
+        assert got == peak * 1e-18 * 0.5 ** 40 and got > 1e30 * weights[0] * peak
+
+
 _SUBNORMAL_SAMPLES = [[1e-320], [1e-322, 5e-323], [1e-312, 3e-312], [5e-324]]
 
 

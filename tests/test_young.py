@@ -975,7 +975,7 @@ def test_balance_sweep_takes_at_most_6_slope_points_per_finite_point():
             return evaluate(tau)
 
         A.log_slope_logt = counting
-        finite_points += sum(int(np.sum(~np.isposinf(v))) for v in young._sweep_curves(conjugate(A)))
+        finite_points += sum(int(np.sum(~np.isposinf(v))) for v in young._sweep_curves(conjugate(A)).values())
     assert slope_points <= 6 * finite_points
     assert slope_calls <= 3_000
 
@@ -1128,11 +1128,13 @@ def test_conjugate_of_an_empty_tau_is_empty(catalog):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-def _parent_sweep_shifted(A, k):
-    """The sweep reader over whole curves, as an index array, a gather, a
-    where, a blend and a concatenate: the reference for the one-array fill."""
+def _parent_sweep_shifted(curves, k):
+    """The sweep reader over whole curves (a ``young._sweep_curves`` store),
+    as an index array, a gather, a where, a blend and a concatenate: the
+    reference for the one-array fill."""
     parts = []
-    for (grid, lo, hi), v in zip(young._SWEEP_PARTS, young._sweep_curves(A)):
+    for grid, lo, hi in young._SWEEP_PARTS:
+        v = curves[grid]
         s = young._PER_LN2[grid] * k
         q = math.floor(s)
         idx = np.arange(lo, hi) + q
@@ -1153,6 +1155,11 @@ def sweep_functions(catalog):
 
 
 @pytest.fixture(scope="module")
+def sweep_curves(sweep_functions):
+    return {label: young._sweep_curves(A) for label, A in sweep_functions.items()}
+
+
+@pytest.fixture(scope="module")
 def uncached_functions():
     # the same functions as fresh objects: no sweep read fills their memo
     catalog = load_catalog()
@@ -1160,13 +1167,13 @@ def uncached_functions():
             "conj(exp_log2)": conjugate(catalog["exp_log2"])}
 
 
-def test_sweep_reader_fills_what_the_gather_gave(sweep_functions):
-    assert np.isposinf(young._log_curve(sweep_functions["conj(LlogL2)"], "mid")).any()
+def test_sweep_reader_fills_what_the_gather_gave(sweep_functions, sweep_curves):
+    assert np.isposinf(sweep_curves["conj(LlogL2)"]["mid"]).any()
     for label, A in sweep_functions.items():
         for k in [*young._C_EXPONENTS, 0.5]:
-            got = young._sweep_read(A, k)
+            got = young._sweep_read(A, k, curves=sweep_curves[label])
             assert got.shape == (young._SWEEP_SIZE,)
-            assert np.array_equal(got, _parent_sweep_shifted(A, k), equal_nan=True), (label, k)
+            assert np.array_equal(got, _parent_sweep_shifted(sweep_curves[label], k), equal_nan=True), (label, k)
     # the first point's 2^-10 multiple is below the grid
     assert math.isnan(young._sweep_read(sweep_functions["L2"], -10, slice(0, 1))[0])
 
@@ -1195,10 +1202,11 @@ def test_tail_reads_lie_between_the_nodes_they_blend(sweep_functions):
     grid, lo, hi = young._SWEEP_PARTS[2]
     tau, at = young._GRIDS[grid], slice(_N_DENSE + _N_MID, None)
     for label, A in functions.items():
-        v = young._log_curve(A, grid)
+        curves = young._sweep_curves(A)
+        v = curves[grid]
         assert not np.isfinite(v).all() or label == "L2", label
         for k in [*young._C_EXPONENTS, 0.5]:
-            got = young._sweep_read(A, k, at)
+            got = young._sweep_read(A, k, at, curves)
             q, f = divmod(k, 4)
             i = np.arange(lo, hi) + int(q)
             a, b = v[i], v[i + 1]
@@ -1230,14 +1238,15 @@ _SWEEP_END = st.one_of(
 @example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
 # one tail point, whose 2^-10 multiple is in the tail grid's overlap
 @example(label="L2", k=-10, start=_N_DENSE + _N_MID, stop=_N_DENSE + _N_MID + 1, step=None)
-def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, uncached_functions,
-                                                                     label, k, start, stop, step):
-    # also where the curves are not cached: then the read evaluates only the
+def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_functions, sweep_curves,
+                                                                     uncached_functions, label, k, start, stop,
+                                                                     step):
+    # also where no curves are given: then the read evaluates only the
     # windows it needs, and caches nothing
     at = slice(start, stop, step)
-    full = _parent_sweep_shifted(sweep_functions[label], k)[at]
-    for A in (sweep_functions[label], uncached_functions[label]):
-        got = young._sweep_read(A, k, at)
+    full = _parent_sweep_shifted(sweep_curves[label], k)[at]
+    for got in (young._sweep_read(sweep_functions[label], k, at, sweep_curves[label]),
+                young._sweep_read(uncached_functions[label], k, at)):
         assert got.dtype == full.dtype and got.shape == full.shape
         assert got.tobytes() == full.tobytes()
     assert not set(young._memo(uncached_functions[label])) & set(young._GRIDS)
@@ -1254,11 +1263,13 @@ def test_uncached_sweep_reads_of_the_catalog_are_the_cached_reads_bit_for_bit():
     for name in load_catalog():
         for conj in (False, True):
             cached, uncached = (conjugate(c[name]) if conj else c[name] for c in (load_catalog(), load_catalog()))
-            young._sweep_curves(cached)
+            curves = young._sweep_curves(cached)
             for k, at in itertools.product((-10, -5, 0, 0.5, 10), _WINDOWS):
-                got, want = young._sweep_read(uncached, k, at), young._sweep_read(cached, k, at)
+                got, want = young._sweep_read(uncached, k, at), young._sweep_read(cached, k, at, curves)
                 assert got.tobytes() == want.tobytes(), (name, conj, k, at)
-            assert not set(young._memo(uncached)) & set(young._GRIDS), (name, conj)
+            # neither the store nor a read without one fills a memo
+            for A in (cached, uncached):
+                assert not set(young._memo(A)) & set(young._GRIDS), (name, conj)
 
 
 @settings(max_examples=60, deadline=None)
