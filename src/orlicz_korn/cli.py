@@ -22,7 +22,9 @@ import os
 import sys
 import time
 
-from . import __version__, balance, bogovskii, fields, hardy, laminate, young
+# the modules every subcommand reads; each subcommand imports the rest of
+# what it runs, so a process compiles only those
+from . import __version__, balance, young
 
 __all__ = ["main"]
 
@@ -108,6 +110,7 @@ def _cmd_classify_examples(args) -> int:
 
 
 def _cmd_verify_hardy(args, A, B) -> int:
+    from . import hardy
     rep = hardy.verify_hardy(A, B, args.L, args.trials, args.seed)
     rows = [[t.label, t.ratio_avg, t.ratio_dual] for t in rep.trials]
     sweep = [[d, r] for d, r in rep.spike_sweep]
@@ -130,6 +133,7 @@ _MODES = {"zero_bc": "zero_bc", "full": "full_domain"}
 
 
 def _cmd_verify_korn(args, A, B) -> int:
+    from . import fields
     rows = fields.korn_suite(A, B, args.suite, args.grid, args.dim, _MODES[args.mode],
                              args.operator, args.trials, args.seed)
     for label, r in rows:
@@ -139,6 +143,7 @@ def _cmd_verify_korn(args, A, B) -> int:
 
 
 def _cmd_laminate_demo(args, A, B) -> int:
+    from . import fields, laminate
     rows = []
     for row in laminate.blowup_curve(A, B, args.m_max, args.r):
         rows.append([row["m"], row["t_m"], row["sym_moment"],
@@ -159,6 +164,7 @@ def _cmd_laminate_demo(args, A, B) -> int:
 
 
 def _cmd_bogovskii(args, A, B) -> int:
+    from . import bogovskii
     rows = bogovskii.ratio_suite(bogovskii.make_config(args.grid), A, B, args.suite)
     for label, res, ratio in rows:
         print(f"{label}: div residual {res:.4f}, norm ratio {ratio:.6g}")
@@ -170,6 +176,7 @@ def _cmd_bogovskii(args, A, B) -> int:
 
 
 def _cmd_poincare(args, A) -> int:
+    from . import fields
     rows = fields.poincare_suite(A, args.suite, args.grid, _MODES[args.mode],
                                  args.trials, args.seed)
     bad = sum(0 if math.isfinite(r) else 1 for _, r in rows)
@@ -180,6 +187,7 @@ def _cmd_poincare(args, A) -> int:
 
 
 def _cmd_negative_norm(args, A) -> int:
+    from . import fields
     grid = fields.Grid.box(args.grid, dim=args.dim)
     rows = fields.negative_norm_suite(A, grid, args.trials, args.seed)
     for label, lb, ub, ok in rows:
@@ -352,7 +360,7 @@ def main(argv=None) -> int:
                                  for flag in ("A", "B") if hasattr(args, flag)])
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (young.DomainError, fields.ConfigurationError, json.JSONDecodeError) as exc:
+    except (young.DomainError, young.ConfigurationError, json.JSONDecodeError) as exc:
         # a user's mistake: one line on stderr, usage-error exit code
         print(f"orlicz-korn: error: {exc}", file=sys.stderr)
         return 2

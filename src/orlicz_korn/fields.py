@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hardy, rearrange
 from .rearrange import SampledFunction
-from .young import DomainError, YoungFunction, conjugate
+from .young import ConfigurationError, DomainError, YoungFunction, conjugate
 
 __all__ = [
     "Grid", "GridField", "TensorField", "KernelBasis", "KernelMembership",
@@ -42,10 +42,6 @@ __all__ = [
 
 class KernelMembership(Exception):
     """The trial field lies in the kernel of the measured operator."""
-
-
-class ConfigurationError(RuntimeError):
-    """Grid too coarse or otherwise unusable for the requested operation."""
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
     "ScaledYoung", "ConjugateYoung", "GrowthVerdict",
     "conjugate", "check_delta2", "check_nabla2",
     "dominates", "load_catalog", "from_json", "to_json",
-    "resolve", "CATALOG_VERSION", "LEGENDRE_GRID", "DomainError",
+    "resolve", "CATALOG_VERSION", "LEGENDRE_GRID", "DomainError", "ConfigurationError",
 ]
 
 CATALOG_VERSION = "1"
@@ -65,9 +66,13 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # a dyadic constant 2^k is a shift of per-ln-2 * k points on it: an exact
 # index shift on the dense, refined, coarse and mid grids, and on the tail at
 # k = 0 mod 4.  Growth and dominance read the dense, refined and coarse grids;
-# the balance sweep reads dense, mid and tail.  No other module does index
-# arithmetic on them: they read ln A(2^k t) through ``_shifted`` and
-# ``_sweep_read``, and the balance sweep's tau through ``_sweep_tau`` and
+# the balance sweep reads dense, mid and tail.  No grid is held as an array:
+# each is the arithmetic of np.arange(lo, stop, step), its point i being
+# start + i * delta with delta = (start + step) - start, as numpy fills it,
+# so ``_tau`` makes any slice of it with the bits of the whole array, and
+# ``_grid_index`` finds a tau on it as np.searchsorted would.  No other module
+# does index arithmetic on them: they read ln A(2^k t) through ``_shifted``
+# and ``_sweep_read``, and the balance sweep's tau through ``_sweep_tau`` and
 # ``_sweep_index``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
@@ -78,9 +83,23 @@ _OVERLAP = 12                 # ln2-units of overlap for shift headroom
 # curves out there is negligible, so shifted values interpolate safely
 _TAIL_MAX = 6.0e5
 _PER_LN2 = {"dense": 64, "refined": 128, "coarse": 1, "mid": 8, "tail": 0.25}
+
+
+class _Grid(NamedTuple):
+    """np.arange(start, stop, step) as arithmetic: point i < size is start +
+    i * delta, with delta = (start + step) - start."""
+    start: float
+    delta: float
+    size: int
+
+
+def _arange(start: float, stop: float, step: float) -> _Grid:
+    return _Grid(start, (start + step) - start, math.ceil((stop - start) / step))
+
+
 # every grid runs _OVERLAP ln 2 past its top; mid and tail also start
 # _OVERLAP ln 2 below the top of the grid before them
-_GRIDS = {name: np.arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
+_GRIDS = {name: _arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
           for name, lo, hi in (("dense", _DENSE_LO, _DENSE_HI),
                                ("refined", _DENSE_LO, _DENSE_HI),
                                ("coarse", _DENSE_HI, _TAU_MAX),
@@ -89,14 +108,39 @@ _GRIDS = {name: np.arange(lo, hi + _OVERLAP * LN2, LN2 / _PER_LN2[name])
 # lowest tested tau: every searched 2^k multiple of it is still on the grid
 _TAU_FLOOR = _DENSE_LO - min(_C_EXPONENTS) * LN2
 
+
+def _tau(grid: str, at: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    """The named grid's tau at a slice with a positive step, made there with
+    the bits of np.arange's points (into ``out``, where given)."""
+    g = _GRIDS[grid]
+    i = np.arange(*at.indices(g.size), dtype=float)
+    tau = np.multiply(i, g.delta, out=i if out is None else out)
+    tau += g.start
+    return tau
+
+
+def _grid_index(grid: str, x, side: str = "left"):
+    """np.searchsorted of x on the named grid's tau: ceil((x - start) /
+    delta), moved by one point where the tau beside it says so.  NaN sorts
+    last, as on an array."""
+    g = _GRIDS[grid]
+    x = np.asarray(x, dtype=float)
+    x = np.where(np.isnan(x), np.inf, x)
+    i = np.clip(np.ceil((x - g.start) / g.delta), 0, g.size).astype(np.intp)
+    counted = np.less if side == "left" else np.less_equal
+    i -= (i > 0) & ~counted(g.start + (i - 1) * g.delta, x)
+    i += (i < g.size) & counted(g.start + i * g.delta, x)
+    return i[()]
+
+
 # The balance sweep: dense up to _DENSE_HI, then mid up to _TAU_MAX, then
 # tail up to _TAIL_MAX, as (grid, first index, end index) parts.  Mid and
 # tail start one point past their overlap, so every 2^k multiple of a sweep
 # point from 2^-10 to 2^10 is on the part's own grid.  The sweep is never
-# held as one array: its tau is read a slice at a time off the grids.
-_ND = int(np.searchsorted(_GRIDS["dense"], _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
+# held as one array: its tau is made a slice at a time (``_sweep_tau``).
+_ND = int(_grid_index("dense", _DENSE_HI + 1e-12, "right"))  # dense points up to _DENSE_HI
 _SWEEP_PARTS = (("dense", 0, _ND),
-                *((grid, int(_OVERLAP * _PER_LN2[grid]) + 1, int(np.searchsorted(_GRIDS[grid], hi + 1e-9, "right")))
+                *((grid, int(_OVERLAP * _PER_LN2[grid]) + 1, int(_grid_index(grid, hi + 1e-9, "right")))
                   for grid, hi in (("mid", _TAU_MAX), ("tail", _TAIL_MAX))))
 _SWEEP_SIZE = sum(hi - lo for _, lo, hi in _SWEEP_PARTS)
 
@@ -114,6 +158,11 @@ _FILL_FROM = 200.0
 
 class DomainError(ValueError):
     """Argument outside the domain of a Young-function operation."""
+
+
+class ConfigurationError(RuntimeError):
+    """Grid too coarse or otherwise unusable for the requested operation
+    (raised by ``fields``, which exports it too)."""
 
 
 def _finite(kind: str, **params):
@@ -1060,12 +1109,16 @@ def _log_window(A: YoungFunction, grid: str, lo: int, hi: int) -> np.ndarray:
     there and kept nowhere, with the bits of the whole curve.  The mid and
     tail curves of a numerical conjugate of a closed-form source are filled
     between exact nodes (``_filled_curve``); every other curve is A's log
-    reader."""
-    tau = _GRIDS[grid]
+    reader, called on the tau of ``_BLOCK`` points at a time, so that no
+    array as long as the window is alive but the output."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if grid in ("mid", "tail") and isinstance(A, ConjugateYoung) and _closed_form(A.source):
-            return _filled_curve(A, tau, lo, hi)
-        return A.log_value_logt(tau[lo:hi])
+            return _filled_curve(A, grid, lo, hi)
+        out = np.empty(hi - lo)
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            out[a - lo:b - lo] = A.log_value_logt(_tau(grid, slice(a, b)))
+        return out
 
 
 def _closed_form(A: YoungFunction) -> bool:
@@ -1076,36 +1129,36 @@ def _closed_form(A: YoungFunction) -> bool:
     return isinstance(A, (PowerYoung, PowerLogLogYoung, ExpPowerYoung, ExpLogPowerYoung))
 
 
-def _filled_curve(C: ConjugateYoung, tau: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """ln A*(e^tau) of the numerical conjugate C at tau[lo:hi], for the
-    ascending, finite tau of a whole grid.  From ``_FILL_FROM`` on the grid
-    runs in whole strides: rows of a node and the ``_FILL_STRIDE`` - 1
-    points after it, up to the last node.  The window is widened to the rows
-    that hold its ends, which are solved and filled ``_BLOCK`` at a time
-    (``_fill_rows``); its other points, below ``_FILL_FROM`` or from the
-    last node on, are C's log reader.  The nodes sit at the same grid points
+def _filled_curve(C: ConjugateYoung, grid: str, lo: int, hi: int) -> np.ndarray:
+    """ln A*(e^tau) of the numerical conjugate C at the points lo..hi - 1 of
+    the named grid.  From ``_FILL_FROM`` on the grid runs in whole strides:
+    rows of a node and the ``_FILL_STRIDE`` - 1 points after it, up to the
+    last node.  The window is widened to the rows that hold its ends, which
+    are solved and filled ``_BLOCK`` at a time (``_fill_rows``); its other
+    points, below ``_FILL_FROM`` or from the last node on, are C's log
+    reader.  The nodes sit at the same grid points
     whatever the window, so a window has the bits of the whole curve, the
-    window [0, tau.size)."""
-    start = int(np.searchsorted(tau, _FILL_FROM))
-    last = start + _FILL_STRIDE * ((tau.size - 1 - start) // _FILL_STRIDE)
+    window [0, size)."""
+    start = int(_grid_index(grid, _FILL_FROM))
+    last = start + _FILL_STRIDE * ((_GRIDS[grid].size - 1 - start) // _FILL_STRIDE)
     lo_w = lo - (lo - start) % _FILL_STRIDE if start < lo < last else lo
     hi_w = hi + (start - hi) % _FILL_STRIDE if start < hi < last else hi
     out = np.empty(hi_w - lo_w)
     for a, b in ((lo_w, min(hi_w, start)), (max(lo_w, last), hi_w)):
         if a < b:
-            out[a - lo_w:b - lo_w] = C.log_value_logt(tau[a:b])
+            out[a - lo_w:b - lo_w] = C.log_value_logt(_tau(grid, slice(a, b)))
     for a in range(max(lo_w, start), min(hi_w, last), _FILL_STRIDE * _BLOCK):
         rows = (min(hi_w, last, a + _FILL_STRIDE * _BLOCK) - a) // _FILL_STRIDE
-        _fill_rows(C, tau, a, rows, out[a - lo_w:])
+        _fill_rows(C, grid, a, rows, out[a - lo_w:])
     return out[lo - lo_w:hi - lo_w]
 
 
-def _fill_rows(C: ConjugateYoung, tau, first, rows, out):
+def _fill_rows(C: ConjugateYoung, grid, first, rows, out):
     """Fill the first ``_FILL_STRIDE`` * rows points of ``out`` with ln
-    A*(e^tau) on the rows whose nodes sit at first + ``_FILL_STRIDE`` j,
-    j < rows.  One ``_slope_root`` call solves their nodes and the next one
-    (solved again as the first node of the rows after), each on its own.  A
-    row's other points are
+    A*(e^tau) on the rows whose nodes sit at the points first +
+    ``_FILL_STRIDE`` j, j < rows, of the named grid.  One ``_slope_root``
+    call solves their nodes and the next one (solved again as the first node
+    of the rows after), each on its own.  A row's other points are
       - filled by the cubic Hermite interpolant of its two nodes' values and
         exact slopes d ln A*/d tau = s r / A*(s) = e^(tau + sigma - ln A*),
         where both nodes have a root inside the ladder (above its foot, where
@@ -1117,7 +1170,7 @@ def _fill_rows(C: ConjugateYoung, tau, first, rows, out):
     2.7e-14 max(1, |ln A*|) of the solved ones.  The rows are filled in
     slices of ``_BLOCK`` points; the node arrays die on return, so none is
     alive while the next rows are solved."""
-    nodes = tau[first:first + _FILL_STRIDE * rows + 1:_FILL_STRIDE]
+    nodes = _tau(grid, slice(first, first + _FILL_STRIDE * rows + 1, _FILL_STRIDE))
     sigma, value = _slope_root(C.source, nodes)
     slope = np.exp(nodes + sigma - value)
     usable = np.isfinite(slope) & (sigma > _SIGMA_LO)
@@ -1126,7 +1179,7 @@ def _fill_rows(C: ConjugateYoung, tau, first, rows, out):
         j = slice(i, min(i + per_slice, rows))
         k = slice(j.start + 1, j.stop + 1)
         span = slice(_FILL_STRIDE * j.start, _FILL_STRIDE * j.stop)
-        t = tau[first:][span].reshape(-1, _FILL_STRIDE)
+        t = _tau(grid, slice(first + span.start, first + span.stop)).reshape(-1, _FILL_STRIDE)
         o = out[span].reshape(-1, _FILL_STRIDE)
         v0, v1, s0, s1 = value[j, None], value[k, None], slope[j, None], slope[k, None]
         hermite = usable[j, None] & usable[k, None]
@@ -1155,9 +1208,9 @@ def _shifted(A: YoungFunction, grid: str, k: float, tau_lo: float):
     tau >= tau_lo whose 2^k multiple is on the grid too: slices of the sorted
     grid that start at tau_lo, with an exact index shift."""
     s = _index_shift(grid, k)
-    tau, v = _GRIDS[grid], _log_curve(A, grid)
-    lo, hi = max(-s, 0, int(np.searchsorted(tau, tau_lo))), len(v) - max(s, 0)
-    return tau[lo:hi], v[lo:hi], v[lo + s:hi + s]
+    v = _log_curve(A, grid)
+    lo, hi = max(-s, 0, int(_grid_index(grid, tau_lo))), len(v) - max(s, 0)
+    return _tau(grid, slice(lo, hi)), v[lo:hi], v[lo + s:hi + s]
 
 
 def _sweep_curves(A: YoungFunction) -> dict:
@@ -1182,16 +1235,17 @@ def _sweep_slices(at: slice):
 
 
 def _sweep_tau(at: slice = slice(None)) -> np.ndarray:
-    """The balance sweep's tau at a slice with a positive step, off the grids."""
+    """The balance sweep's tau at a slice with a positive step, made part by
+    part off the grids (``_tau``)."""
     out, step, parts = _sweep_slices(at)
     for grid, j, part in parts:
-        part[:] = _GRIDS[grid][j:j + part.size * step:step]
+        _tau(grid, slice(j, j + part.size * step, step), part)
     return out
 
 
 def _sweep_index(x, side: str = "left"):
     """np.searchsorted of x on the balance sweep's tau, summed over its parts."""
-    return sum(np.searchsorted(_GRIDS[grid][lo:hi], x, side) for grid, lo, hi in _SWEEP_PARTS)
+    return sum(np.clip(_grid_index(grid, x, side), lo, hi) - lo for grid, lo, hi in _SWEEP_PARTS)
 
 
 def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None), curves: dict | None = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,23 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def sweep_tau():
+def arange_grids():
+    """The sweep grids as np.arange builds them from their ends and their
+    points per ln 2, each running 12 ln 2 past its top: the oracle of
+    ``young._tau`` and ``young._grid_index``."""
+    ln2 = math.log(2.0)
+    hi = 64.0 * ln2
+    return {name: np.arange(lo, top + 12.0 * ln2, ln2 / per_ln2)
+            for name, lo, top, per_ln2 in (("dense", -32.0, hi, 64.0), ("refined", -32.0, hi, 128.0),
+                                           ("coarse", hi, 2.0e4, 1.0), ("mid", hi - 12.0 * ln2, 2.0e4, 8.0),
+                                           ("tail", 2.0e4 - 12.0 * ln2, 6.0e5, 0.25))}
+
+
+@pytest.fixture(scope="session")
+def sweep_tau(arange_grids):
     """The balance sweep's tau as one array, the concatenation of its grid
     parts: the oracle of ``young._sweep_tau`` and ``young._sweep_index``."""
-    return np.concatenate([young._GRIDS[grid][lo:hi] for grid, lo, hi in young._SWEEP_PARTS])
+    return np.concatenate([arange_grids[grid][lo:hi] for grid, lo, hi in young._SWEEP_PARTS])
 
 
 @pytest.fixture

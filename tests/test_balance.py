@@ -458,12 +458,11 @@ def test_balance_checks_and_growth_checks_never_tabulate(monkeypatch):
 
 def test_balance_reads_no_grid_layout_of_young():
     # balance reads ln A(2^k t) through young's sweep reader; the grids, their
-    # bounds, steps and lengths and the index arithmetic on them stay young's
-    layout = {name for name, value in vars(young).items()
-              if any(value is grid for grid in young._GRIDS.values())}
-    layout |= {name for name in vars(young) if name.endswith(("_STEP", "_JOIN", "_LO", "_HI"))}
-    layout |= {"_GRIDS", "_PER_LN2", "_SWEEP_PARTS", "_ND", "_OVERLAP",
-               "_TAIL_MAX", "_log_curve", "_shifted", "_index_shift"}
+    # bounds, steps and lengths, their readers and the index arithmetic on
+    # them stay young's
+    layout = {name for name in vars(young) if name.endswith(("_STEP", "_JOIN", "_LO", "_HI"))}
+    layout |= {"_GRIDS", "_Grid", "_arange", "_tau", "_grid_index", "_PER_LN2", "_SWEEP_PARTS", "_ND",
+               "_OVERLAP", "_TAIL_MAX", "_log_curve", "_shifted", "_index_shift"}
     tree = ast.parse(inspect.getsource(balance))
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)

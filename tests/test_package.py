@@ -1,8 +1,12 @@
 """Source checks over every module of the package."""
 
 import ast
+import json
+import os
 import pathlib
 import pydoc
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +208,46 @@ def test_cli_reaches_the_library_only_through_its_public_names():
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                      and node.value.id in package and node.attr.startswith("_"))
     assert private == []
+
+
+# In a fresh interpreter: the package modules and whether ``fractions`` are
+# loaded after ``import orlicz_korn.cli``; then, with every module imported
+# through the package's attributes, the module globals (or values of a
+# module-level dict) that hold an ndarray over 64 KiB.
+_STARTUP = """
+import json, sys
+import numpy as np
+import orlicz_korn.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "orlicz_korn")
+fractions = "fractions" in sys.modules
+import orlicz_korn
+grid = orlicz_korn.fields.Grid.__name__
+for name in ("young", "balance", "rearrange", "hardy", "laminate", "bogovskii"):
+    getattr(orlicz_korn, name)
+big = sorted(f"{m}.{key}" for m, module in sys.modules.items() if m.split(".")[0] == "orlicz_korn"
+             for key, value in vars(module).items()
+             for v in (value, *(value.values() if isinstance(value, dict) else ()))
+             if isinstance(v, np.ndarray) and v.nbytes > 64 * 1024)
+try:
+    orlicz_korn.nosuch
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"loaded": loaded, "fractions": fractions, "grid": grid, "big": big, "missing": missing}))
+"""
+
+
+def test_the_cli_imports_only_what_every_command_reads_and_no_module_holds_a_big_array():
+    src = os.path.dirname(os.path.dirname(orlicz_korn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == ["orlicz_korn", "orlicz_korn._numerics", "orlicz_korn.balance",
+                             "orlicz_korn.cli", "orlicz_korn.young"]
+    assert not got["fractions"]
+    # a subcommand's modules load on first use, as attributes of the package
+    assert got["grid"] == "Grid"
+    assert got["big"] == []
+    assert got["missing"] == "module 'orlicz_korn' has no attribute 'nosuch'"

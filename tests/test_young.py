@@ -492,7 +492,7 @@ def test_power_log_kinds_are_power_log_log_with_gamma_zero(spec, p, alpha):
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.where(t == 0.0, 0.0, np.power(t, p) * np.power(np.log1p(t), alpha))
     assert np.array_equal(A.value(t), want)
-    tau = np.concatenate([young._GRIDS[grid] for grid in ("dense", "mid", "tail")])
+    tau = np.concatenate([young._tau(grid) for grid in ("dense", "mid", "tail")])
     L = np.where(tau > 35.0, tau, np.log1p(np.exp(np.minimum(tau, 700.0))))
     assert np.array_equal(A.log_value_logt(tau), p * tau + alpha * np.log(L))
 
@@ -501,25 +501,40 @@ def test_power_log_kinds_are_power_log_log_with_gamma_zero(spec, p, alpha):
 # the sweep grids and the per-object curve store
 # ---------------------------------------------------------------------------
 
-def test_sweep_grids_are_pinned():
-    ln2 = math.log(2.0)
-    hi = 64.0 * ln2
-    want = {
-        "dense": np.arange(-32.0, hi + 12.0 * ln2, ln2 / 64.0),
-        "refined": np.arange(-32.0, hi + 12.0 * ln2, ln2 / 64.0 / 2.0),
-        "coarse": np.arange(hi, 2.0e4 + 12.0 * ln2, ln2),
-        "mid": np.arange(hi - 12 * ln2, 2.0e4 + 12 * ln2, ln2 / 8.0),
-        "tail": np.arange(2.0e4 - 12 * ln2, 6.0e5 + 12 * ln2, 4.0 * ln2),
-    }
-    assert young._GRIDS.keys() == want.keys()
-    for name, grid in want.items():
-        assert np.array_equal(young._GRIDS[name], grid), name
+def test_sweep_grids_are_pinned(arange_grids):
+    # each grid is np.arange's points bit for bit, whole and at any slice:
+    # numpy fills point i as start + i delta, delta = (start + step) - start
+    assert young._GRIDS.keys() == arange_grids.keys()
+    rng = np.random.default_rng(41)
+    for name, grid in arange_grids.items():
+        g = young._GRIDS[name]
+        assert (g.size, g.start, g.start + g.delta) == (grid.size, grid[0], grid[1])
+        assert young._tau(name).tobytes() == grid.tobytes(), name
+        for start, stop in rng.integers(0, grid.size + 1, (20, 2)):
+            for step in (1, 3, 8, 64):
+                at = slice(start, stop, step)
+                assert young._tau(name, at).tobytes() == grid[at].tobytes(), (name, at)
     assert young._SWEEP_PARTS == (("dense", 0, 7051), ("mid", 97, 230416), ("tail", 4, 209194))
-    dense = young._GRIDS["dense"]
+    hi = 64.0 * math.log(2.0)
+    dense = arange_grids["dense"]
     assert dense[young._ND - 1] <= hi < dense[young._ND]
     # the mid and tail parts start one point past the top of the part before
     for (grid, lo, _), top in zip(young._SWEEP_PARTS[1:], (hi, 2.0e4)):
-        assert young._GRIDS[grid][lo - 1] == pytest.approx(top, abs=1e-9), grid
+        assert arange_grids[grid][lo - 1] == pytest.approx(top, abs=1e-9), grid
+
+
+@pytest.mark.parametrize("name", ["dense", "refined", "coarse", "mid", "tail"])
+def test_grid_index_is_the_search_of_the_arange_grid(arange_grids, name):
+    # at every grid point, at the floats on either side of it, halfway
+    # between two points, off both ends, at the infinities and at NaN;
+    # arrays and scalars
+    grid = arange_grids[name]
+    probes = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                             0.5 * (grid[1:] + grid[:-1]), [-1e9, 1e9, -np.inf, np.inf, np.nan]))
+    for side in ("left", "right"):
+        assert np.array_equal(young._grid_index(name, probes, side), np.searchsorted(grid, probes, side))
+        for x in (grid[0], grid[-1], np.nextafter(grid[-1], np.inf), -np.inf, np.nan):
+            assert young._grid_index(name, x, side) == np.searchsorted(grid, x, side), (x, side)
 
 
 def test_growth_checks_read_only_the_growth_grids(monkeypatch):
@@ -534,11 +549,12 @@ def test_growth_checks_read_only_the_growth_grids(monkeypatch):
     monkeypatch.setattr(young.ConjugateYoung, "log_value_logt", spy)
     check_delta2(C)
     check_nabla2(C)
-    growth = (young._GRIDS["dense"], young._GRIDS["coarse"], young._GRIDS["refined"])
+    # each curve is read a block at a time: every call is a stretch of a growth grid
+    growth = [young._tau(grid) for grid in ("dense", "coarse", "refined")]
     assert seen
     assert sum(tau.size for tau in seen) <= sum(g.size for g in growth)
     for tau in seen:
-        assert any(np.array_equal(tau, g) for g in growth)
+        assert any(np.array_equal(tau, g[np.searchsorted(g, tau[0]):][:tau.size]) for g in growth)
 
 
 def test_conjugate_is_built_once_per_object():
@@ -634,7 +650,7 @@ def test_nested_conjugate_returns_the_source(catalog):
     # A** = A: the outer solve reads the inner conjugate's slope, its root
     A = catalog["L2_log"]
     N = ConjugateYoung(ConjugateYoung(A))
-    dense = young._GRIDS["dense"]
+    dense = young._tau("dense")
     tau = dense[dense > -15.0][::500]
     for got, want in ((N.log_value_logt(tau), A.log_value_logt(tau)),
                       (N.log_slope_logt(tau), A.log_slope_logt(tau))):
@@ -800,7 +816,7 @@ def test_conjugate_point_does_not_depend_on_its_batch(catalog):
     # stretch of tau the two grids share
     C = conjugate(catalog["LlogL2"])
     dense, mid = young._log_curve(C, "dense"), young._log_curve(C, "mid")
-    dense_tau, mid_tau = young._GRIDS["dense"], young._GRIDS["mid"]
+    dense_tau, mid_tau = young._tau("dense"), young._tau("mid")
     shared = mid_tau <= dense_tau[-1]
     below = np.searchsorted(dense_tau, mid_tau[shared], "right") - 1
     assert np.isinf(mid[shared]).any()
@@ -832,7 +848,7 @@ def _solved(grid: str) -> np.ndarray:
     source solves on their own: all but those of the whole strides of the
     mid and tail grids from tau = ``_FILL_FROM`` on that follow a node
     (which are filled, unless their row is solved too)."""
-    tau = young._GRIDS[grid]
+    tau = young._tau(grid)
     solved = np.ones(tau.size, dtype=bool)
     if grid in ("mid", "tail"):
         start = int(np.searchsorted(tau, young._FILL_FROM))
@@ -844,7 +860,7 @@ def _solved(grid: str) -> np.ndarray:
 
 def _rows(grid: str) -> int:
     """The whole strides of a filled curve on the named grid."""
-    tau = young._GRIDS[grid]
+    tau = young._tau(grid)
     return (tau.size - 1 - int(np.searchsorted(tau, young._FILL_FROM))) // young._FILL_STRIDE
 
 
@@ -864,7 +880,8 @@ def test_conjugate_curves_match_per_point_calls(catalog, name):
     # max(1, |v|) of it
     C = conjugate(catalog[name])
     rng = np.random.default_rng(5)
-    for grid, tau in young._GRIDS.items():
+    for grid in young._GRIDS:
+        tau = young._tau(grid)
         curve = young._log_curve(C, grid)
         idx = rng.choice(tau.size, 64, replace=False)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -881,13 +898,32 @@ def test_filled_far_curves_keep_the_nodes_and_the_infinities_of_the_per_point_so
     # solved on its own.  Filled points were within 2.7e-14 max(1, |ln A*|)
     # of it when the fill was built
     C = ConjugateYoung(load_catalog()[name])
-    tau = young._GRIDS[grid]
+    tau = young._tau(grid)
     curve = young._log_curve(C, grid)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         want = C.log_value_logt(tau)
     solved = _solved(grid)
     assert curve[solved].tobytes() == want[solved].tobytes()
     _assert_filled_near(curve, want, (name, grid))
+
+
+def test_rows_with_a_node_on_the_ladder_foot_are_solved():
+    # (e^50 t)^50 is so steep that its slope at the ladder's foot e^-45
+    # passes e^tau near tau = 299, while the supremand there stays finite:
+    # mid-grid nodes just below that sit on the foot, sigma = _SIGMA_LO,
+    # where the value is the supremand at the foot, not at the root.  So no
+    # row with such a node is filled: each of its points is the per-point solve
+    C = ConjugateYoung(ScaledYoung(1.0, PowerYoung(50), math.exp(50.0)))
+    tau = young._tau("mid")
+    start, stride = int(np.searchsorted(tau, young._FILL_FROM)), young._FILL_STRIDE
+    sigma, value = young._slope_root(C.source, tau[start::stride])
+    foot = np.flatnonzero(sigma == young._SIGMA_LO)
+    assert foot.size >= 2 and np.isfinite(value[foot]).all()
+    rows = np.union1d(foot, foot - 1)
+    at = (start + stride * rows[:, None] + np.arange(stride)).ravel()
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        want = C.log_value_logt(tau[at])
+    assert young._log_curve(C, "mid")[at].tobytes() == want.tobytes()
 
 
 def test_a_conjugate_of_a_scaled_table_is_solved_at_every_point():
@@ -897,7 +933,7 @@ def test_a_conjugate_of_a_scaled_table_is_solved_at_every_point():
             "breakpoints": [1.0, 2.0], "slopes": [1.0, 3.0], "final_slope": math.inf}}}}}})
     for grid in ("mid", "tail"):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            want = C.log_value_logt(young._GRIDS[grid])
+            want = C.log_value_logt(young._tau(grid))
         assert np.isfinite(want).all()
         assert young._log_curve(C, grid).tobytes() == want.tobytes(), grid
 
@@ -941,7 +977,8 @@ def test_conjugate_infinite_sets_match_the_bracket_loop(catalog, name):
     # where the old supremand read its ln A(e^sigma) with G - 1 cancelled
     C = conjugate(catalog[name])
     rng = np.random.default_rng(11)
-    for grid, tau in young._GRIDS.items():
+    for grid in young._GRIDS:
+        tau = young._tau(grid)
         curve = young._log_curve(C, grid)
         edges = np.flatnonzero((np.diff(np.isposinf(curve)) != 0) | (np.diff(np.isneginf(curve)) != 0))
         idx = np.unique(np.concatenate((rng.choice(tau.size, 200, replace=False), edges, edges + 1)))
@@ -1024,7 +1061,8 @@ def test_conjugate_runs_the_golden_search_only_where_the_foot_is_finite(monkeypa
     # so there only the nodes are solved, a block of rows at a time, and the
     # points after the last whole stride, in one more call; no row between
     blocks = 0
-    for grid, tau in young._GRIDS.items():
+    for grid in young._GRIDS:
+        tau = young._tau(grid)
         solved = _solved(grid)
         below = int(np.searchsorted(tau, young._FILL_FROM)) if not solved.all() else tau.size
         blocks += -(-below // young._BLOCK) + (-(-_rows(grid) // young._BLOCK) + 1 if below < tau.size else 0)
@@ -1069,7 +1107,7 @@ def test_conjugate_curve_holds_its_output_and_one_block(name):
     # a block
     C = ConjugateYoung(load_catalog()[name])
     for grid in ("mid", "tail"):
-        tau = young._GRIDS[grid]
+        tau = young._tau(grid)
         _, block_peak = _traced_peak(C.log_value_logt, tau[:young._BLOCK])
         curve, peak = _traced_peak(C.log_value_logt, tau)
         assert tau.size > 16 * young._BLOCK
@@ -1103,7 +1141,7 @@ def test_conjugate_reads_inf_off_the_ladder_as_the_rise_test_did(catalog, name):
     C = (young.from_json({"kind": "conjugate", "params": {"of": {"kind": "power", "params": {"p": 1}}}})
          if name == "t" else conjugate(catalog[name]))
     for grid in ("dense", "coarse", "tail"):
-        tau = young._GRIDS[grid]
+        tau = young._tau(grid)
         root, value = _rise_test_pre_pass(C.source, tau)
         assert np.array_equal(C.log_value_logt(tau), value, equal_nan=True), grid
         assert np.array_equal(C.log_slope_logt(tau), root, equal_nan=True), grid
@@ -1200,7 +1238,7 @@ def test_tail_reads_lie_between_the_nodes_they_blend(sweep_functions):
     functions = {"conj(L L^5000)": conjugate(PowerLogLogYoung(1, 5000)),
                  "L2": sweep_functions["L2"], "conj(LlogL2)": sweep_functions["conj(LlogL2)"]}
     grid, lo, hi = young._SWEEP_PARTS[2]
-    tau, at = young._GRIDS[grid], slice(_N_DENSE + _N_MID, None)
+    tau, at = young._tau(grid), slice(_N_DENSE + _N_MID, None)
     for label, A in functions.items():
         curves = young._sweep_curves(A)
         v = curves[grid]
@@ -1301,7 +1339,7 @@ def test_sweep_index_is_the_search_of_the_concatenated_grid_parts(sweep_tau):
 def test_slope_root_out_of_iterations_gives_its_last_iterates(monkeypatch, catalog, name, iters):
     # out of iterations, each point still live ends at its last iterate,
     # also where the last iteration compacted the working arrays
-    tau = young._GRIDS["mid"][:8192]
+    tau = young._tau("mid", slice(8192))
     want = ConjugateYoung(catalog[name]).log_value_logt(tau)
     monkeypatch.setattr(young, "_ROOT_ITERS", iters)
     got = ConjugateYoung(catalog[name]).log_value_logt(tau)
@@ -1315,11 +1353,18 @@ def _parent_shifted(A, grid, k, tau_lo):
     """The growth reader over every shiftable point, then masked by tau >=
     tau_lo: the reference for the reader that starts its slices there."""
     s = young._index_shift(grid, k)
-    tau, v = young._GRIDS[grid], young._log_curve(A, grid)
+    tau, v = young._tau(grid), young._log_curve(A, grid)
     lo, n = max(-s, 0), len(v) - abs(s)
     tau, v, v2 = tau[lo:lo + n], v[lo:lo + n], v[lo + s:lo + s + n]
     keep = tau >= tau_lo
     return tau[keep], v[keep], v2[keep]
+
+
+def test_index_shift_refuses_a_fractional_shift():
+    # 2^1 is a quarter point on the tail grid: only the sweep's blend reads it
+    assert young._index_shift("tail", 4) == 1
+    with pytest.raises(ValueError, match="^2\\^1 is not an index shift on the tail grid$"):
+        young._index_shift("tail", 1)
 
 
 def test_growth_reader_slices_what_the_mask_kept(catalog):
