@@ -16,10 +16,13 @@ diagnostic, since a finite search cannot prove nonexistence.
 
 A condition has three parts: the running integral of B (``_integral``), one
 reader of the left-hand side (``_lhs_at``; the right-hand side's is
-``young._sweep_read``) and the (t0, c) search.  Each test is tried first on
-every 64th sweep point, the screen: a constant that fails there is never
-read in full.  Verdicts, constants, margins and certificates are those of
-testing every point.
+``young._sweep_read``) and the (t0, c) search.  For each t0 the search
+takes every 64th point of its suffix, the screen, and the constant each of
+them needs (``young._sweep_need``).  A t0 whose screen needs more than
+2^10 fails without a full test (but the last t0, for its certificate);
+else the whole suffix is tested at the largest need on the screen, then one
+constant up at a time while it fails.  Verdicts, constants, margins and
+certificates are those of testing every point at every constant.
 
 The sweep runs in the log domain, far beyond float range of t, so failures
 whose witnesses live there, such as (t log(1+t), t log(1+t)), are still
@@ -64,8 +67,8 @@ _TREND_AT = np.minimum(
     young._sweep_index(young._TAU_MAX, "right") - 1)
 # the first sweep point every searched 2^k multiple of which is on the grid
 _FLOOR_AT = int(young._sweep_index(young._TAU_FLOOR))
-# the screen: every _SCREEN_STRIDE-th sweep point, on which each test is
-# tried before the whole suffix
+# the screen: every _SCREEN_STRIDE-th sweep point, whose needed constants
+# give the first one tested on the whole suffix
 _SCREEN_STRIDE = 64
 # the sweep points a pass over the sweep takes at a time: whole blocks of the
 # prefix's linear-scale sum, so that its chunks sum as the whole sweep does
@@ -152,16 +155,14 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # integrand reads them too
     curves = young._sweep_curves(A_side)
     prefix, tail_ln = _integral(B_side, curves if B_side is A_side else None)
-    # ln A(2^k e^tau) grows with k, so passing is monotone in k, on the screen
-    # and on the suffix: bisect for the smallest constant that passes.  A
-    # violation on the screen is one on the suffix, so the suffix is tested
-    # from the smallest constant that passes the screen up, and a t0 whose
-    # screen fails at the largest constant fails without a full test (but the
-    # last t0, whose failure is reported).  Each screen is read once per
-    # check, and a full right-hand side is read one chunk at a time.
+    # ln A(2^k e^tau) grows with k, so passing is monotone in k, and the
+    # screen passes from the largest constant one of its points needs up.
+    # Its points are the suffix's, so a t0 whose screen needs more than the
+    # largest constant fails without a full test (but the last t0, whose
+    # failure is reported), and the suffix is tested from the screen's
+    # constant up, one constant at a time: it nearly always passes there.  A
+    # full right-hand side is read one chunk at a time.
     ks = young._C_EXPONENTS
-    top = len(ks) - 1
-    screens = {}     # index into ks -> A_side's read at the screen points
     t0s = (0.0,) + young._T0_SCAN
     for t0 in t0s:
         if t0 == 0.0 and tail_ln == math.inf:
@@ -169,30 +170,16 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
         lhs_at = partial(_lhs_at, prefix, tail_ln, i0)
         start = max(i0 + 1, _FLOOR_AT)
-        first = -(-start // _SCREEN_STRIDE)      # the first screen point in the suffix
-        screen_lhs = lhs_at(slice(first * _SCREEN_STRIDE, None, _SCREEN_STRIDE))
-
-        def screen_passes(i):
-            if i not in screens:
-                screens[i] = young._sweep_read(A_side, ks[i], slice(0, None, _SCREEN_STRIDE), curves)
-            return not _violations(screen_lhs, screens[i][first:]).any()
-
-        found = _first_pass(screen_passes, -1, top + 1, top)
-        if found > top and t0 != t0s[-1]:
+        screen = slice(-(-start // _SCREEN_STRIDE) * _SCREEN_STRIDE, None, _SCREEN_STRIDE)
+        need = int(young._sweep_need(curves, screen, lhs_at(screen), _PASS_SLACK, _violations).max(initial=ks[0]))
+        if need > ks[-1] and t0 != t0s[-1]:
             continue
-        tests = {}    # index into ks -> its _full_test
-
-        def passes(i):
-            tests[i] = _full_test(lhs_at, partial(young._sweep_read, A_side, ks[i], curves=curves), start)
-            return not tests[i][1].size
-
-        # the screen failed below found, so the suffix does; where the screen
-        # fails even at the largest constant, that one test gives the witness
-        found = _first_pass(passes, min(found, top) - 1, top + 1, min(found, top))
-        if found <= top:
-            return GrowthVerdict(True, t0, 2.0 ** ks[found], [], {"margin_ln": tests[found][0]})
-    # the last t0 failed: its certificate comes from the largest constant
-    margin, last, at_last, trend = tests[top]
+        for k in range(min(need, ks[-1]), ks[-1] + 1):
+            margin, last, at_last, trend = _full_test(
+                lhs_at, partial(young._sweep_read, A_side, k, curves=curves), start)
+            if not last.size:
+                return GrowthVerdict(True, t0, 2.0 ** k, [], {"margin_ln": margin})
+    # the last t0 failed at the largest constant, which gives its certificate
     tau = [float(young._sweep_tau(slice(i, i + 1))[0]) for i in last]
     return GrowthVerdict(
         False, t0, math.inf, [float(np.exp(min(t, 690.0))) for t in tau],
@@ -221,19 +208,6 @@ def _full_test(lhs_at, rhs_at, start):
         last = np.concatenate((last, lo + violate))[-6:]
         del lhs, rhs      # no chunk is held across the next one's reads
     return margin, last, at_last, trend
-
-
-def _first_pass(passes, fails, hi, probe):
-    """The smallest i in (fails, hi) with passes(i), else hi, for a test that
-    fails at i = fails and is monotone in i: it tries probe first, then
-    bisects."""
-    while hi - fails > 1:
-        if passes(probe):
-            hi = probe
-        else:
-            fails = probe
-        probe = (fails + hi) // 2
-    return hi
 
 
 def _violations(lhs, rhs):

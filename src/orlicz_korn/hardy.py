@@ -34,9 +34,11 @@ _PER_DECADE = 96              # cells per decade of the geometric partitions
 _LOG_SPIKE_POWERS = range(1, 9)
 _MAX_L = sys.float_info.max / math.factorial(_LOG_SPIKE_POWERS[-1])
 # the family's smallest partition edge is L * 1e-12, inside a certificate
-# spike of width L * 1e-9, whose height 1e9 / L is its largest 1/delta: from
-# _MIN_L on, every edge and every 1/delta is a normal float
-_MIN_L = sys.float_info.min * 1e12
+# spike of width L * 1e-9, whose height 1e9 / L is its largest 1/delta; the
+# cell after that edge is 10^(1/96) - 1 ~ 0.024 times as wide: from _MIN_L
+# on, every edge, every cell width (a weight of its SampledFunction) and
+# every 1/delta is a normal float
+_MIN_L = sys.float_info.min * 1e14
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,8 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values with positive weights (cell measures in Lebesgue units)."""
+    """Values with positive weights (cell measures in Lebesgue units), each
+    at least the smallest normal float."""
 
     values: np.ndarray
     weights: np.ndarray
@@ -71,8 +72,10 @@ class SampledFunction:
         w = np.asarray(self.weights, dtype=float)
         if v.shape != w.shape or v.ndim != 1:
             raise DomainError("values and weights must be 1-d arrays of equal length")
-        if not np.all(w > 0):              # NaN is not positive either
-            raise DomainError("weights must be positive")
+        # below the normal floats 1 / w can overflow, and luxemburg's bracket
+        # then falls back to a walk that stops short of the norm (NaN fails too)
+        if not np.all(w >= _NORMAL_MIN):
+            raise DomainError("weights must be positive normal floats")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
 

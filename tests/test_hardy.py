@@ -139,10 +139,12 @@ def test_verify_hardy_takes_L_up_to_where_the_trial_integrals_leave_float_range(
 
 def test_verify_hardy_takes_L_down_to_where_the_trial_edges_stay_normal(catalog):
     # L1 fails its primal condition, so its family holds certificate spikes
-    # of width L * 1e-9 with inner edges at L * 1e-12; at the bound none is
-    # subnormal (a RuntimeWarning fails the test), just below it L is refused
+    # of width L * 1e-9 with inner edges at L * 1e-12, and cells after them
+    # 0.024 times as wide; at the bound no edge and no cell width is
+    # subnormal (a RuntimeWarning fails the test, and a subnormal weight is
+    # refused), just below it L is refused
     L1 = catalog["L1"]
-    assert hardy._MIN_L == sys.float_info.min * 1e12
+    assert hardy._MIN_L == sys.float_info.min * 1e14
     rep = verify_hardy(L1, L1, hardy._MIN_L, trials=1)
     assert any(t.label.startswith("certificate_") for t in rep.trials)
     ratios = [r for t in rep.trials for r in (t.ratio_avg, t.ratio_dual)]

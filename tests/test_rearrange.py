@@ -191,8 +191,10 @@ def test_luxemburg_is_the_bisection_to_the_bit_and_evaluates_no_more(which, u):
 
 
 # inputs whose bracket takes luxemburg's fallbacks: hi = peak where peak /
-# A^-1(1 / total measure) is not a positive float, and the lo-halving walk
-# from hi 1e-18 down past hi 1e-30, after which lo still fits and is returned
+# A^-1(1 / total measure) is not a positive float.  The last two have
+# subnormal weights, which are refused: there the lo-halving walk from hi
+# 1e-18 stopped past hi 1e-30 with lo still fitting, and returned lo, not the
+# norm (w_1 |u_1| for L1)
 _FALLBACKS = [
     ("L2", [5e-324], [0.01]),               # peak / A^-1(100) underflows to 0
     ("L2", [1e308], [1e10]),                # peak / A^-1(1e-10) overflows; the norm does too
@@ -203,17 +205,48 @@ _FALLBACKS = [
 
 @pytest.mark.parametrize("name, values, weights", _FALLBACKS)
 def test_luxemburg_fallbacks_are_the_bisection_to_the_bit(catalog, name, values, weights):
+    if min(weights) < sys.float_info.min:
+        with pytest.raises(DomainError, match="weights must be positive normal floats"):
+            _sf(values, weights)
+        return
     A, u = catalog[name], _sf(values, weights)
     peak, inv_large = max(values), float(A.inverse(1.0 / u.total_measure))
     assert not 0.0 < peak / inv_large < math.inf
     want, evaluations = _bisection_reference(A, u)
     got, spent = _norm_counting(A, u)
     assert got == want and spent <= evaluations, (got, want, spent, evaluations)
-    if name in ("L1", "LlogL"):
-        # lo = 0 (A^-1(1 / min w) is +inf) starts the walk at hi 1e-18, with
-        # hi = peak fitting; every halving fits, so the walk stops past
-        # hi 1e-30 and returns its end, not the norm (w_1 |u_1| for L1)
-        assert got == peak * 1e-18 * 0.5 ** 40 and got > 1e30 * weights[0] * peak
+
+
+@pytest.mark.parametrize("m, values, weights, want", [
+    # A^-1(1 / min w) overflows, so lo = 0 and the walk starts at hi 1e-18,
+    # hi = 1e-270 from A^-1(1 / total measure).  Every halving fits, so the
+    # walk stops past hi 1e-30 and returns its end, 9.09e-301: the norm,
+    # 1e-310, is below the normal floats
+    (1e270, [0.0, 1.0], [1.0, 1e-40], 1e-270 * 1e-18 * 0.5 ** 40),
+    # hi = peak, and hi 1e-18 underflows to lo = 0, whose modular is +inf and
+    # no point to estimate from: the probes return without evaluating, and
+    # the bisection halves hi down to the smallest subnormal (the norm,
+    # 1e-617, is no float)
+    (1e300, [1e-307], [1e-10], 5e-324),
+])
+def test_luxemburg_of_a_norm_below_the_normal_floats_is_the_bisection_to_the_bit(catalog, m, values, weights,
+                                                                                  want):
+    # A = t / m over normal weights
+    A, u = young.ScaledYoung(m, catalog["L1"]), _sf(values, weights)
+    assert A.inverse(1.0 / min(weights)) == math.inf
+    reference, evaluations = _bisection_reference(A, u)
+    got, spent = _norm_counting(A, u)
+    assert got == reference == want and spent <= evaluations, (got, reference, spent, evaluations)
+
+
+def test_the_probe_evaluates_nothing_below_the_normal_floats(catalog):
+    # a root estimate exists, but the bisection interval is subnormal: there
+    # the rounding of |u| / lambda is not relative, so no end is probed
+    modular = ra._Modular(catalog["L2"], np.array([1.0]), np.array([1.0]))
+    for lam in (0.5, 2.0):
+        modular(lam)
+    assert modular.probe(1e-320, 2e-320) is False
+    assert sorted(modular.at) == [0.5, 2.0]
 
 
 _SUBNORMAL_SAMPLES = [[1e-320], [1e-322, 5e-323], [1e-312, 3e-312], [5e-324]]
