@@ -17,12 +17,13 @@ diagnostic, since a finite search cannot prove nonexistence.
 A condition has three parts: the running integral of B (``_integral``), one
 reader of the left-hand side (``_lhs_at``; the right-hand side's is
 ``young._sweep_read``) and the (t0, c) search.  For each t0 the search
-takes every 64th point of its suffix, the screen, and the constant each of
-them needs (``young._sweep_need``).  A t0 whose screen needs more than
-2^10 fails without a full test (but the last t0, for its certificate);
-else the whole suffix is tested at the largest need on the screen, then one
-constant up at a time while it fails.  Verdicts, constants, margins and
-certificates are those of testing every point at every constant.
+takes every 64th point of its suffix, the screen, and bisects the 21
+constants for the first one at which every screen point passes.  A t0
+whose screen fails at 2^10 fails without a full test (but the last t0, for
+its certificate); else the whole suffix is tested from the screen's
+constant up, one constant at a time while it fails.  Verdicts, constants,
+margins and certificates are those of testing every point at every
+constant.
 
 The sweep runs in the log domain, far beyond float range of t, so failures
 whose witnesses live there, such as (t log(1+t), t log(1+t)), are still
@@ -46,6 +47,7 @@ primal condition, while (1, 1.0001) and (2, 2.001) pass it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -67,8 +69,8 @@ _TREND_AT = np.minimum(
     young._sweep_index(young._TAU_MAX, "right") - 1)
 # the first sweep point every searched 2^k multiple of which is on the grid
 _FLOOR_AT = int(young._sweep_index(young._TAU_FLOOR))
-# the screen: every _SCREEN_STRIDE-th sweep point, whose needed constants
-# give the first one tested on the whole suffix
+# the screen: every _SCREEN_STRIDE-th sweep point.  The first constant at
+# which all of them pass is the first one tested on the whole suffix
 _SCREEN_STRIDE = 64
 # the sweep points a pass over the sweep takes at a time: whole blocks of the
 # prefix's linear-scale sum, so that its chunks sum as the whole sweep does
@@ -155,13 +157,13 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
     # integrand reads them too
     curves = young._sweep_curves(A_side)
     prefix, tail_ln = _integral(B_side, curves if B_side is A_side else None)
-    # ln A(2^k e^tau) grows with k, so passing is monotone in k, and the
-    # screen passes from the largest constant one of its points needs up.
-    # Its points are the suffix's, so a t0 whose screen needs more than the
-    # largest constant fails without a full test (but the last t0, whose
-    # failure is reported), and the suffix is tested from the screen's
-    # constant up, one constant at a time: it nearly always passes there.  A
-    # full right-hand side is read one chunk at a time.
+    # ln A(2^k e^tau) grows with k, so passing is monotone in k: bisect the
+    # constants for the first one at which the screen passes.  Its points
+    # are the suffix's, so a t0 whose screen fails at the largest constant
+    # fails without a full test (but the last t0, whose failure is
+    # reported), and the suffix is tested from the screen's constant up, one
+    # constant at a time: it nearly always passes there.  A full right-hand
+    # side is read one chunk at a time.
     ks = young._C_EXPONENTS
     t0s = (0.0,) + young._T0_SCAN
     for t0 in t0s:
@@ -171,7 +173,10 @@ def _condition_sweep(A_side: YoungFunction, B_side: YoungFunction) -> GrowthVerd
         lhs_at = partial(_lhs_at, prefix, tail_ln, i0)
         start = max(i0 + 1, _FLOOR_AT)
         screen = slice(-(-start // _SCREEN_STRIDE) * _SCREEN_STRIDE, None, _SCREEN_STRIDE)
-        need = int(young._sweep_need(curves, screen, lhs_at(screen), _PASS_SLACK, _violations).max(initial=ks[0]))
+        screen_lhs = lhs_at(screen)
+        need = ks[0] + bisect.bisect_left(ks, True, key=lambda k: not _violations(
+            screen_lhs, young._sweep_read(A_side, k, screen, curves)).any())
+        del screen_lhs    # not held under the full tests
         if need > ks[-1] and t0 != t0s[-1]:
             continue
         for k in range(min(need, ks[-1]), ks[-1] + 1):

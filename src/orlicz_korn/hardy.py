@@ -180,9 +180,9 @@ def verify_hardy(A: YoungFunction, B: YoungFunction, L: float = 1.0,
                  trials: int = 64, seed: int = 20240) -> HardyReport:
     """Worst Hardy-operator norm ratios over the fixed trial family, plus a
     spike-sharpness sweep diagnosing unboundedness.  L must lie in
-    [min normal float * 1e12, max float / 8!] (about [2.23e-296, 4.46e303]),
-    where every edge and 1/delta of the family is a normal float and every
-    integral of it a finite one."""
+    [min normal float * 1e14, max float / 8!] (about [2.23e-294, 4.46e303]),
+    where every edge, cell width and 1/delta of the family is a normal float
+    and every integral of it a finite one."""
     if not _MIN_L <= L <= _MAX_L:
         raise DomainError(f"need {_MIN_L!r} <= L <= {_MAX_L:.6g}, where the trial family's "
                           "edges stay normal floats and its integrals finite")

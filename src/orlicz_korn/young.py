@@ -72,8 +72,8 @@ _T0_SCAN = (1.0, 10.0, 100.0, 1000.0)
 # so ``_tau`` makes any slice of it with the bits of the whole array, and
 # ``_grid_index`` finds a tau on it as np.searchsorted would.  No other module
 # does index arithmetic on them: they read ln A(2^k t) through ``_shifted``
-# and ``_sweep_read``, the constant 2^k each balance sweep point needs through
-# ``_sweep_need``, and the sweep's tau through ``_sweep_tau`` and
+# and ``_sweep_read``, which also reads the strided screens on which balance
+# bisects the constants, and the sweep's tau through ``_sweep_tau`` and
 # ``_sweep_index``.
 _TAU_MAX = 2.0e4              # asymptotic sweep upper end
 _DENSE_LO = -32.0
@@ -1216,8 +1216,8 @@ def _shifted(A: YoungFunction, grid: str, k: float, tau_lo: float):
 
 def _sweep_curves(A: YoungFunction) -> dict:
     """A's log-curves on the grids of the balance sweep, by grid name: a store
-    for ``_sweep_read`` and ``_sweep_need`` that its caller owns.  It is
-    kept nowhere else, so it dies when its caller drops it."""
+    for ``_sweep_read`` that its caller owns.  It is kept nowhere else, so
+    it dies when its caller drops it."""
     return {grid: _log_window(A, grid, 0, _GRIDS[grid].size) for grid, _, _ in _SWEEP_PARTS}
 
 
@@ -1250,74 +1250,34 @@ def _sweep_index(x, side: str = "left"):
 
 
 def _sweep_read(A: YoungFunction, k: float, at: slice = slice(None), curves: dict | None = None) -> np.ndarray:
-    """ln A(2^k e^tau) at ``_sweep_tau(at)``, for a slice with no step,
-    filled part by part into one array.  On a part's grid 2^k is a shift of
-    s = per-ln-2 * k points, q = floor(s) whole points and a fraction f = s
-    - q: a point i reads v[i + q] where f = 0, else ``_blend`` of v[i + q]
-    and v[i + q + 1] (f is 1/8, 1/4, 1/2 or 3/4, on the tail alone).  Where
-    i + q is below the grid (the dense part's head for k < 0) it reads NaN.
-    Each part reads the window of its grid that it needs: off ``curves``,
-    A's ``_sweep_curves``, where given, else evaluated there
-    (``_log_window``)."""
+    """ln A(2^k e^tau) at ``_sweep_tau(at)``, for a slice with a positive
+    step, filled part by part into one array.  On a part's grid 2^k is a
+    shift of s = per-ln-2 * k points, q = floor(s) whole points and a
+    fraction f = s - q: a point i reads v[i + q] where f = 0, else v[i + q] +
+    f (v[i + q + 1] - v[i + q]), +inf where either node is not finite (f is
+    1/8, 1/4, 1/2 or 3/4, on the tail alone).  Where i + q is below the grid
+    (the dense part's head for k < 0) it reads NaN.  Each part reads the
+    window of its grid that it needs: off ``curves``, A's
+    ``_sweep_curves``, where given, else evaluated there
+    (``_log_window``), every point between the window's ends, strided or
+    not."""
     out, step, parts = _sweep_slices(at)
-    if step != 1:
-        raise ValueError("the sweep reader reads slices with no step")
     for grid, j, part in parts:
         q, f = divmod(_PER_LN2[grid] * k, 1)
         j += int(q)
-        head = min(max(-j, 0), part.size)
+        head = min(max(-(j // step), 0), part.size)
         part[:head] = np.nan
         if head == part.size:
             continue
-        lo, hi = j + head, j + part.size + (f > 0)
+        lo, hi = j + head * step, j + (part.size - 1) * step + 1 + (f > 0)
         v = curves[grid][lo:hi] if curves is not None else _log_window(A, grid, lo, hi)
-        part[head:] = v if f == 0 else _blend(v[:-1], v[1:], f)
+        if f == 0:
+            part[head:] = v[::step]
+            continue
+        a, b = v[:-1:step], v[1::step]
+        with np.errstate(invalid="ignore"):
+            part[head:] = np.where(np.isfinite(a) & np.isfinite(b), a + f * (b - a), np.inf)
     return out
-
-
-def _blend(a, b, f):
-    """The read f of the way from a node a of a sweep curve to the next one,
-    b: a + f (b - a), +inf where either node is not finite."""
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(a) & np.isfinite(b), a + f * (b - a), np.inf)
-
-
-def _sweep_need(curves: dict, at: slice, lhs: np.ndarray, slack: float, fails) -> np.ndarray:
-    """The constant each point of ``_sweep_tau(at)`` needs: the smallest k
-    in ``_C_EXPONENTS`` at which fails(lhs, rhs) is false, rhs = ln A(2^k
-    e^tau) as ``_sweep_read`` gives it, else max k + 1.  ``curves`` is A's
-    ``_sweep_curves`` store, lhs is given at the points (any step), and
-    fails is monotone in rhs and passes where lhs <= rhs + slack, up to
-    rounding (a NaN lhs is read as +inf).  ln A(2^k e^tau) grows with k and
-    A's curve grows with tau, so a point's candidate is one np.searchsorted
-    of lhs - slack on its part's curve: the first k whose shift reaches the
-    crossing between the nodes around it (on the tail, f of the way from the
-    lower node, as ``_blend`` reads it).  One constant more moves ln A by
-    ln 2 or more (A(2t) >= 2 A(t)), far more than rounding moves the
-    crossing, so fails confirms the candidate, which moves one constant up
-    where it fails, and the k below it, one constant down where that
-    passes."""
-    ks = _C_EXPONENTS
-    need, step, parts = _sweep_slices(at)
-    need[:] = np.where(np.isnan(lhs), np.inf, lhs)     # each part's lhs, until its needs replace it
-    for grid, j, x in parts:
-        v, per, i = curves[grid], _PER_LN2[grid], np.arange(j, j + x.size * step, step)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            up = np.searchsorted(v, x - slack)         # the first node at or above lhs - slack
-            a = v[np.maximum(up - 1, 0)]
-            f = (x - slack - a) / (v[np.minimum(up, v.size - 1)] - a)
-        # f is NaN or 0 next to an infinite node: the crossing is just past the lower node
-        k = np.clip(np.floor((up - 1 - i) / per) + np.ceil(np.where(f > 0, f, _TINY) / per), ks[0], ks[-1] + 1)
-
-        def fails_at(c):
-            q, r = np.divmod(per * c, 1)
-            node = i + q.astype(np.intp)
-            return fails(x, np.where(node >= 0, np.where(r == 0, v[node], _blend(v[node], v[node + 1], r)), np.nan))
-
-        k += (k <= ks[-1]) & fails_at(np.minimum(k, ks[-1]))
-        k -= (k > ks[0]) & ~fails_at(np.maximum(k - 1, ks[0]))
-        x[:] = k
-    return need
 
 
 def _doubling_ratio(A: YoungFunction, grid: str, tau_lo: float):

@@ -630,10 +630,12 @@ def test_steep_sweep_integrands_sum_in_rows_near_the_log_scale_sum(catalog, name
 
 
 def _read_kind(at):
-    """What a sweep read covers: the first point, the whole sweep (the
-    integrand's chunks, read from its first point), a suffix (a full test's
-    right-hand side, from past the first point) or (never, for a whole read)
-    a part that stops short of the sweep's end."""
+    """What a sweep read covers: the screen, the first point, the whole sweep
+    (the integrand's chunks, read from its first point), a suffix (a full
+    test's right-hand side, from past the first point) or (never, for a
+    whole read) a part that stops short of the sweep's end."""
+    if at.step == balance._SCREEN_STRIDE:
+        return "screen"
     if at.stop == 1:
         return "point"
     if at.stop not in (None, young._SWEEP_SIZE):
@@ -641,21 +643,23 @@ def _read_kind(at):
     return "integrand" if at.start in (None, 0) else "suffix"
 
 
-@pytest.mark.parametrize("name, suffixes, compares", [("LlogL", 2, 2), ("expL", 2, 2)])
-def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, compares):
-    # the screen reads no shift through the sweep reader: each of its points'
-    # needed constants is searched on the condition's curves.  A screen that
-    # needs more than the largest constant needs no full compare, but the
-    # last t0's does, for its witness and its trend.  The integrand is ln B
-    # at k = 0, read once per condition; a self-pair's right-hand side at
-    # k = 0 is read again, off the same cached curve.  Each condition reads
-    # ln B at 2^0.5 times the first sweep point for the integrand's slope
-    # toward 0
+@pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 2, 24, 2), ("expL", 2, 20, 2)])
+def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, screens, compares):
+    # each t0's screen bisects the 21 constants: at most 5 reads, each of
+    # another constant, and none is kept for the next t0.  A screen that
+    # fails at the largest constant needs no full compare, but the last
+    # t0's does, for its witness and its trend.  The integrand is ln B at
+    # k = 0, read once per condition; a self-pair's right-hand side at k = 0
+    # is read again, off the same cached curve.  Each condition reads ln B
+    # at 2^0.5 times the first sweep point for the integrand's slope toward 0
     A = young.load_catalog()[name]
     check_balance(A, A)
-    reads = [(a, k, _read_kind(at)) for a, k, at in sweep_work.reads]
+    reads = [(a, k, _read_kind(at), at.start if at.step else None) for a, k, at in sweep_work.reads]
     assert not [key for key, n in Counter(reads).items() if n > 1]
-    assert Counter(kind for _, _, kind in reads) == {"integrand": 2, "suffix": suffixes, "point": 2}
+    per_screen = Counter((a, start) for a, _, kind, start in reads if kind == "screen")
+    assert max(per_screen.values()) <= 5
+    assert Counter(kind for _, _, kind, _ in reads) == {"integrand": 2, "suffix": suffixes, "screen": screens,
+                                                        "point": 2}
     assert len(sweep_work.compares) == compares
 
 
@@ -718,12 +722,14 @@ def test_full_test_is_the_whole_array_test(sweep_tau):
     # NaN and infinities on both sides; violations scattered or only on
     # both sides of the chunks' ends, so that the last 6 straddle the last
     # one; right-hand sides on both sides of the slack and exactly at it;
-    # starts on both sides of a chunk's end; every margin NaN.  The readers'
-    # arrays are left as they were
+    # starts on both sides of a chunk's end, and one whose first chunk ends
+    # at a trend point, the next one's first point; every margin NaN.  The
+    # readers' arrays are left as they were
     rng = np.random.default_rng(5)
     n, chunk = sweep_tau.size, balance._SWEEP_CHUNK
     special = np.array([np.nan, np.inf, -np.inf])
-    starts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7, *rng.integers(1, 5 * chunk, 3), n // 2, n - chunk - 3)
+    starts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7, *rng.integers(1, 5 * chunk, 3), n // 2, n - chunk - 3,
+              balance._TREND_AT[3] - chunk)
     for trial, start in enumerate(starts):
         lhs = rng.normal(0.0, 1.0, n)
         rhs = lhs + 1.0
@@ -761,92 +767,45 @@ def test_full_test_is_the_whole_array_test(sweep_tau):
         if trial % 2 and trial < 8:
             assert want[1][0] < start + (n - 1 - start) // chunk * chunk <= want[1][-1], (trial, start)
         assert (got[0] == -math.inf) is (trial == 6)
+        assert np.isfinite(want[3][3]) or start != balance._TREND_AT[3] - chunk, (trial, start)
         assert np.array_equal(lhs, kept[0], equal_nan=True) and np.array_equal(rhs, kept[1], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
-# the constant each sweep point needs
+# the (t0, c) search against a brute-force search
 # ---------------------------------------------------------------------------
 
-_BOTTOM, _TOP = young._C_EXPONENTS[0], young._C_EXPONENTS[-1]
-_TAIL_FROM = sum(hi - lo for _, lo, hi in young._SWEEP_PARTS[:2])    # the sweep index of the first tail point
+def _brute_force_search(A_side, B_side):
+    """(holds, threshold_t0, witness_constant) of the condition by brute
+    force: for each t0 in order (but t0 = 0 where the integral below the
+    sweep diverges), every constant from the smallest up, each read on the
+    whole suffix at once and tested with ``balance._violations``; no screen
+    and no chunks."""
+    prefix, tail_ln = balance._integral(B_side)
+    curves, rhs = young._sweep_curves(A_side), {}     # rhs: k -> ln A_side(2^k e^tau) over the whole sweep
+    for t0 in (0.0,) + young._T0_SCAN:
+        if t0 == 0.0 and tail_ln == math.inf:
+            continue
+        i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
+        suffix = slice(max(i0 + 1, balance._FLOOR_AT), None)
+        lhs = balance._lhs_at(prefix, tail_ln, i0, suffix)
+        for k in young._C_EXPONENTS:
+            if k not in rhs:
+                rhs[k] = young._sweep_read(A_side, k, curves=curves)
+            if not balance._violations(lhs, rhs[k][suffix]).any():
+                return True, t0, 2.0 ** k
+    return False, t0, math.inf
 
 
-def _read_needs(A, curves, cases):
-    """For each (at, lhs) of cases, the constant each point of the slice at
-    needs: all 21 shifts read through ``young._sweep_read`` and tested with
-    ``balance._violations``, the smallest k that passes, else 11.  The
-    oracle of ``young._sweep_need``, which assumes nothing of the order of
-    the reads."""
-    needs = [np.full(lhs.size, _TOP + 1.0) for _, lhs in cases]
-    for k in reversed(young._C_EXPONENTS):
-        rhs = young._sweep_read(A, k, curves=curves)
-        for need, (at, lhs) in zip(needs, cases):
-            need[~balance._violations(lhs, rhs[at])] = k
-    return needs
-
-
-def _searched_needs(curves, at, lhs):
-    """``young._sweep_need``'s constants at the slice at, and per point the
-    verdicts of its two confirmations: fails at the candidate (at the
-    largest constant where it needs more), and at the constant below the one
-    that gave (at the smallest where there is none)."""
-    calls = []
-
-    def recorded(lhs, rhs):
-        calls.append(balance._violations(lhs, rhs))
-        return calls[-1]
-
-    need = young._sweep_need(curves, at, lhs, balance._PASS_SLACK, recorded)
-    return need, np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
-
-
-@pytest.mark.parametrize("name", sorted(young.load_catalog()))
-def test_each_point_needs_the_constant_that_reading_every_shift_gives(name):
-    # A and its conjugate, each on left-hand sides of two kinds.  The real
-    # ones: the self-pair's, on the screen of every t0 and on the whole
-    # suffix of t0 = 1000.  The synthetic ones, on every 5th point from the
-    # first tested one, each point given one shift k in turn, so that the
-    # tail reads every quarter shift: lhs = rhs_k + slack exactly and one ulp
-    # above it, and -inf, +inf, NaN and rhs_k + slack + 1.
-    # Where rounding does not move the crossing (the real lhs, the special
-    # ones, and lhs - slack = rhs_k at a node), the search alone finds the
-    # need: the candidate passes, the k below it fails, and neither
-    # confirmation moves the point
-    slack, ks = balance._PASS_SLACK, np.array(young._C_EXPONENTS, dtype=float)
-    f, moves = young.load_catalog()[name], 0
-    for A in (f, young.conjugate(f)):
-        curves = young._sweep_curves(A)
-        prefix, tail_ln = balance._integral(A, curves)
-        real, stride = [], balance._SCREEN_STRIDE
-        for t0 in (0.0,) + young._T0_SCAN:
-            i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
-            start = max(i0 + 1, balance._FLOOR_AT)
-            screen = slice(-(-start // stride) * stride, None, stride)
-            real += [(at, balance._lhs_at(prefix, tail_ln, i0, at))
-                     for at in ((screen, slice(start, None)) if t0 == young._T0_SCAN[-1] else (screen,))]
-        at = slice(balance._FLOOR_AT, None, 5)
-        index = np.arange(young._SWEEP_SIZE)[at]
-        k = ks[np.arange(index.size) % ks.size]
-        rhs = np.empty(index.size)
-        for c in ks:
-            rhs[k == c] = young._sweep_read(A, c, curves=curves)[at][k == c]
-        exact = rhs + slack
-        special = np.choose(np.arange(index.size) % 4, [np.full(index.size, x) for x in (-np.inf, np.inf, np.nan)]
-                            + [exact + 1.0])
-        above = np.nextafter(exact, np.inf)
-        tie = (exact - slack == rhs) & ((index < _TAIL_FROM) | (k % 4 == 0))
-        assert tie.sum() > index.size / 4
-        cases = real + [(at, lhs) for lhs in (exact, above, special)]
-        for (at, lhs), want in zip(cases, _read_needs(A, curves, cases)):
-            need, candidate_fails, below_fails = _searched_needs(curves, at, lhs)
-            assert need.tobytes() == want.tobytes(), (A, at)
-            moved = (candidate_fails != (want > _TOP)) | (below_fails != (want > _BOTTOM))
-            if lhs is exact:
-                assert not moved[tie].any(), A
-                moves += moved.sum()
-            elif lhs is not above:
-                assert not moved.any(), (A, at)
-    # lhs - slack rounds above rhs_k at points off the ties: their
-    # candidates are one too high, and the confirmation moves them down
-    assert moves
+# the benchmark's 10 pairs, (L1, L_loglog) and (expL2, LlogL2): passes at
+# t0 = 0 and at t0 = 1 after a skipped t0, walk-ups from the screen's
+# constant at both, c = 2^-2 and c = 2^10, and failures on both sides
+@pytest.mark.parametrize("pair", sorted(_PAIR_VERDICTS) + [("L1", "L_loglog"), ("expL2", "LlogL2")], ids="-".join)
+def test_the_search_finds_the_first_t0_and_constant_that_a_brute_force_search_finds(pair):
+    fresh = young.load_catalog()
+    A, B = fresh[pair[0]], fresh[pair[1]]
+    rep = check_balance(A, B)
+    sides = ((rep.primal, A, B), (rep.dual, young.conjugate(B), young.conjugate(A)))
+    for side, (verdict, A_side, B_side) in zip(("primal", "dual"), sides):
+        got = (verdict.holds, verdict.threshold_t0, verdict.witness_constant)
+        assert got == _brute_force_search(A_side, B_side), side

@@ -171,19 +171,18 @@ def _oracle_scale(A, m, r):
 
 
 def _oracle_row(A, B, m, r):
-    """Row m of blowup_curve as it was computed atom by atom: the scale from
-    a scalar inverse, the atoms as exact Fractions, and A and B evaluated at
-    one 0-d array per atom (A at a skew atom once, as every skew atom has
-    the same symmetric distance; ``value`` without the sign check of
-    ``__call__``, as every distance is >= 0)."""
+    """Row m of blowup_curve from the exact atoms: the scale from a scalar
+    inverse, the atoms as exact Fractions rounded once, each distance from
+    math.hypot, A and B each read once on the array of the atoms' distances
+    (every skew atom has the same symmetric distance; ``value`` without the
+    sign check of ``__call__``, as every distance is >= 0), and the moments
+    summed by math.fsum."""
     t_m = _oracle_scale(A, m, r)
     atoms, abar = _exact_atoms(m)
-    a_skew = float(A.value(np.asarray(math.hypot(abar, abar) * t_m)))
-    sym, full = [], []
-    for w, dal, dbe, skew in atoms:
-        dfull = math.hypot(dal, dbe) * t_m
-        sym.append(w * (a_skew if skew else float(A.value(np.asarray(dfull)))))
-        full.append(w * float(B.value(np.asarray(dfull))))
+    dfull = np.array([math.hypot(dal, dbe) * t_m for _, dal, dbe, _ in atoms])
+    dsym = np.where([skew for *_, skew in atoms], math.hypot(abar, abar) * t_m, dfull)
+    sym = [w * a for (w, *_), a in zip(atoms, A.value(dsym).tolist())]
+    full = [w * b for (w, *_), b in zip(atoms, B.value(dfull).tolist())]
     sym_m, full_m = math.fsum(sym), math.fsum(full)
     if sym_m > 0:
         ratio = full_m / sym_m

@@ -1322,8 +1322,10 @@ _SWEEP_END = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(label=st.sampled_from(["L2", "conj(LlogL2)", "conj(exp_log2)"]),
        k=st.sampled_from([*young._C_EXPONENTS, 0.5]), start=_SWEEP_END, stop=_SWEEP_END,
-       step=st.sampled_from([None, 1]))
+       step=st.one_of(st.none(), st.integers(1, 3), st.sampled_from([balance._SCREEN_STRIDE, 10 ** 6])))
 @example(label="L2", k=-10, start=0, stop=None, step=None)                    # the dense head's NaN
+@example(label="L2", k=-10, start=0, stop=None, step=balance._SCREEN_STRIDE)  # the screen
+@example(label="conj(LlogL2)", k=0.5, start=5, stop=None, step=balance._SCREEN_STRIDE)
 @example(label="conj(LlogL2)", k=10, start=_N_DENSE + _N_MID - 2, stop=None, step=None)
 @example(label="conj(exp_log2)", k=-3, start=5, stop=5, step=None)           # no point
 # one tail point, whose 2^-10 multiple is in the tail grid's overlap
@@ -1342,17 +1344,11 @@ def test_sweep_reads_of_a_slice_are_the_full_reads_there_bit_for_bit(sweep_funct
     assert not set(young._memo(uncached_functions[label])) & set(young._GRIDS)
 
 
-@pytest.mark.parametrize("step", [2, 64])
-def test_the_sweep_reader_refuses_a_strided_slice(sweep_functions, sweep_curves, step):
-    with pytest.raises(ValueError, match="no step"):
-        young._sweep_read(sweep_functions["L2"], 0, slice(0, None, step), sweep_curves["L2"])
-
-
 # windows across the joins of the sweep's parts, its chunks in the balance
-# check and the rows of the conjugates' filled curves
-_WINDOWS = [slice(0, 3), slice(_N_DENSE - 5, _N_DENSE + 7), slice(65531, 65547), slice(131069, 131090),
-            slice(_N_DENSE - 40, _N_DENSE + 3000), slice(_N_DENSE + _N_MID - 5, _N_DENSE + _N_MID + 9),
-            slice(_N_DENSE + _N_MID - 300, _N_DENSE + _N_MID + 300), slice(-11, None)]
+# check and the rows of the conjugates' filled curves, strided ones among them
+_WINDOWS = [slice(0, 3), slice(_N_DENSE - 5, _N_DENSE + 7), slice(65531, 65547), slice(131069, 131090, 3),
+            slice(_N_DENSE - 40, _N_DENSE + 3000, 7), slice(_N_DENSE + _N_MID - 5, _N_DENSE + _N_MID + 9),
+            slice(_N_DENSE + _N_MID - 300, _N_DENSE + _N_MID + 300, 5), slice(-11, None)]
 
 
 def test_uncached_sweep_reads_of_the_catalog_are_the_cached_reads_bit_for_bit():
