@@ -643,8 +643,11 @@ def _read_kind(at):
     return "integrand" if at.start in (None, 0) else "suffix"
 
 
-@pytest.mark.parametrize("name, suffixes, screens, compares", [("LlogL", 2, 24, 2), ("expL", 2, 20, 2)])
-def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, screens, compares):
+_SCREEN_READS = {"LlogL": 24, "expL": 20}     # both conditions' screen reads, summed over the t0s
+
+
+@pytest.mark.parametrize("name, suffixes, compares", [("LlogL", 2, 2), ("expL", 2, 2)])
+def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes, compares):
     # each t0's screen bisects the 21 constants: at most 5 reads, each of
     # another constant, and none is kept for the next t0.  A screen that
     # fails at the largest constant needs no full compare, but the last
@@ -658,7 +661,7 @@ def test_each_right_hand_side_is_read_once_per_check(sweep_work, name, suffixes,
     assert not [key for key, n in Counter(reads).items() if n > 1]
     per_screen = Counter((a, start) for a, _, kind, start in reads if kind == "screen")
     assert max(per_screen.values()) <= 5
-    assert Counter(kind for _, _, kind, _ in reads) == {"integrand": 2, "suffix": suffixes, "screen": screens,
+    assert Counter(kind for _, _, kind, _ in reads) == {"integrand": 2, "suffix": suffixes, "screen": _SCREEN_READS[name],
                                                         "point": 2}
     assert len(sweep_work.compares) == compares
 
@@ -809,3 +812,56 @@ def test_the_search_finds_the_first_t0_and_constant_that_a_brute_force_search_fi
     for side, (verdict, A_side, B_side) in zip(("primal", "dual"), sides):
         got = (verdict.holds, verdict.threshold_t0, verdict.witness_constant)
         assert got == _brute_force_search(A_side, B_side), side
+
+
+_BOTTOM, _TOP = young._C_EXPONENTS[0], young._C_EXPONENTS[-1]
+
+
+@pytest.mark.parametrize("name", sorted(young.load_catalog()))
+def test_each_point_needs_the_constant_that_reading_every_shift_gives(name, monkeypatch):
+    # the self-pair's condition of a catalog function and of its conjugate.
+    # A screen point needs the smallest k at which it passes, every shift
+    # read whole and sliced there; passing must be monotone in k at every
+    # point, or bisecting the constants would be invalid.  Each t0's first
+    # full test must then start at the largest constant its screen points
+    # need, and a t0 with a point that passes at no constant must have no
+    # full test, but the last t0, tested from the largest constant
+    f, started = young.load_catalog()[name], []
+    full_test = balance._full_test
+
+    def recorded(lhs_at, rhs_at, start):
+        started.append((lhs_at.args[2], rhs_at.args[1]))    # (i0, k)
+        return full_test(lhs_at, rhs_at, start)
+
+    monkeypatch.setattr(balance, "_full_test", recorded)
+    stride, t0s = balance._SCREEN_STRIDE, (0.0,) + young._T0_SCAN
+    for A in (f, young.conjugate(f)):
+        started.clear()
+        verdict = balance._condition_sweep(A, A)
+        prefix, tail_ln = balance._integral(A)
+        screens = {}    # t0 -> (i0, screen slice, left-hand side there)
+        for t0 in t0s:
+            if t0 == 0.0 and tail_ln == math.inf:
+                continue
+            i0 = int(young._sweep_index(math.log(t0))) if t0 > 0 else 0
+            start = max(i0 + 1, balance._FLOOR_AT)
+            screen = slice(-(-start // stride) * stride, None, stride)
+            screens[t0] = i0, screen, balance._lhs_at(prefix, tail_ln, i0, screen)
+            if verdict.holds and t0 == verdict.threshold_t0:
+                break
+        curves, passes = young._sweep_curves(A), {t0: [] for t0 in screens}
+        for k in young._C_EXPONENTS:
+            rhs = young._sweep_read(A, k, curves=curves)
+            for t0, (_, screen, lhs) in screens.items():
+                passes[t0].append(~balance._violations(lhs, rhs[screen]))
+        want = {}
+        for t0, (i0, _, _) in screens.items():
+            ok = np.array(passes[t0])
+            assert ok.shape[1] and (ok[:-1] <= ok[1:]).all(), (A, t0)
+            need = int(np.where(ok.any(axis=0), _BOTTOM + ok.argmax(axis=0), _TOP + 1).max())
+            if need <= _TOP or t0 == t0s[-1]:
+                want[i0] = min(need, _TOP)
+        got = {}
+        for i0, k in started:
+            got.setdefault(i0, k)
+        assert got == want, A
